@@ -19,7 +19,6 @@ from .core import (
     TraceMeta,
     decode_frames,
     encode_frames,
-    find_frame_start,
     frames_to_bits,
     prbs_sequence,
     trace_read,
@@ -46,6 +45,7 @@ from .simchan import (
     SimSource,
     cross_disk_model,
     default_model,
+    loopback,
     sim_probe,
     sim_receive,
     sim_transmit,

@@ -37,7 +37,6 @@ from .core import (
     ChannelConfig,
     DecisionRule,
     ProbeMode,
-    decode_frames,
     encode_frames,
     frames_to_bits,
     prbs_sequence,
@@ -47,7 +46,6 @@ from .core import (
 from .metrics import capacity
 from .modem import (
     CalibrationError,
-    ScheduleBuilder,
     ThresholdState,
     TraceSource,
     calibrate,
@@ -56,13 +54,12 @@ from .modem import (
 )
 from .probe import ProbeError, ProbeHandle
 from .simchan import (
-    IDLE,
     NoiseDegree,
     NoiseProcess,
     SimParams,
-    SimSource,
+    calibration_trace,
     load_sim_params,
-    sim_receive,
+    loopback,
     sim_transmit,
 )
 
@@ -84,9 +81,9 @@ def derive_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _channel_config(args) -> ChannelConfig:
+def _channel_config(args, ts_us: int | None = None) -> ChannelConfig:
     return ChannelConfig(
-        ts_us=args.ts_us,
+        ts_us=args.ts_us if ts_us is None else ts_us,
         probe_mode=ProbeMode(args.mode),
         decision_rule=DecisionRule(args.decision),
         payload_len=args.frame_payload_len,
@@ -112,17 +109,8 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _quiet_calibration_trace(model, cfg: ChannelConfig, seed: int):
-    """Simulate enough quiet probing for a threshold fit."""
-    if cfg.decision_rule is DecisionRule.MEAN:
-        duration_ns = 5_000_000
-    else:
-        duration_ns = max(5_000_000, 70 * cfg.ts_ns)
-    return sim_receive(IDLE, model, derive_seed(seed, "calibrate"), duration_ns=duration_ns)
-
-
 def _threshold_state(args, cfg: ChannelConfig, params: SimParams, seed: int) -> ThresholdState:
-    if getattr(args, "theta_ns", None):
+    if args.theta_ns is not None:
         theta = args.theta_ns
         return ThresholdState(
             theta_ns=theta,
@@ -131,7 +119,7 @@ def _threshold_state(args, cfg: ChannelConfig, params: SimParams, seed: int) -> 
             decision_rule=cfg.decision_rule,
             provenance="manual",
         )
-    return calibrate(_quiet_calibration_trace(params.model(), cfg, seed), cfg)
+    return calibrate(calibration_trace(params.model(), cfg, derive_seed(seed, "calibrate")), cfg)
 
 
 def _payload_bits(args, seed: int) -> BitStream:
@@ -154,7 +142,7 @@ def cmd_calibrate(args) -> int:
     else:
         seed = _require_seed(args)
         params = _sim_params(args)
-        trace = _quiet_calibration_trace(params.model(), cfg, seed)
+        trace = calibration_trace(params.model(), cfg, derive_seed(seed, "calibrate"))
     state = calibrate(trace, cfg)
     print(
         f"theta_ns={state.theta_ns} quiet_mean_ns={state.quiet_mean_ns:.1f} "
@@ -249,59 +237,24 @@ def cmd_recv(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(ts_us: int, degree: NoiseDegree, args, params: SimParams, seed: int):
-    cfg = ChannelConfig(
-        ts_us=ts_us,
-        probe_mode=ProbeMode(args.mode),
-        decision_rule=DecisionRule(args.decision),
-        payload_len=args.frame_payload_len,
-    )
+def _bench_row(ts_us: int, degree: NoiseDegree, args, params: SimParams, seed: int) -> str:
+    cfg = _channel_config(args, ts_us)
     model = params.model()
-    noise = NoiseProcess.from_degree(degree, model)
     run_tag = f"{ts_us}:{degree.value}"
-    payload = prbs_sequence(args.payload_bits, derive_seed(seed, f"payload:{run_tag}"))
-    frames = encode_frames(payload, cfg)
-    tx_bits = frames_to_bits(frames)
-
-    builder = ScheduleBuilder(cfg.ts_us, model)
-    send_bits(tx_bits, cfg, builder)
-    state = calibrate(_quiet_calibration_trace(model, cfg, seed), cfg)
-    source = SimSource(
-        builder.schedule(), model, derive_seed(seed, f"channel:{run_tag}"), noise=noise
+    err = loopback(
+        prbs_sequence(args.payload_bits, derive_seed(seed, f"payload:{run_tag}")),
+        cfg,
+        model,
+        calibration_seed=derive_seed(seed, "calibrate"),
+        channel_seed=derive_seed(seed, f"channel:{run_tag}"),
+        noise=NoiseProcess.from_degree(degree, model),
     )
-
-    n_bits = err_1to0 = err_0to1 = n_ones = n_zeros = 0
-    for frame in frames:
-        sent = frame.payload
-        ones = sent.count(1)
-        n_bits += len(sent)
-        n_ones += ones
-        n_zeros += len(sent) - ones
-        got = receive_frame(source, cfg, state, max_symbols=2 * cfg.frame_len, max_mismatches=1)
-        if got is None:
-            # lost frame: every bit of it counts as an error
-            err_1to0 += ones
-            err_0to1 += len(sent) - ones
-            continue
-        for s, r in zip(sent, got):
-            if s == 1 and r == 0:
-                err_1to0 += 1
-            elif s == 0 and r == 1:
-                err_0to1 += 1
-    p = (err_1to0 + err_0to1) / n_bits
-    cap = capacity(ts_us, p)
-    return {
-        "t_s_us": ts_us,
-        "noise": degree.value,
-        "n_bits": n_bits,
-        "err_1to0": err_1to0,
-        "err_0to1": err_0to1,
-        "rate_1to0": err_1to0 / n_ones if n_ones else 0.0,
-        "rate_0to1": err_0to1 / n_zeros if n_zeros else 0.0,
-        "p_err": p,
-        "B_bps": cap.bandwidth_bps,
-        "C_bps": cap.capacity_bps,
-    }
+    cap = capacity(ts_us, err.p)
+    return (
+        f"{ts_us},{degree.value},{err.n_bits},{err.err_1to0},{err.err_0to1},"
+        f"{err.rate_1to0:.6f},{err.rate_0to1:.6f},{err.p:.6f},"
+        f"{cap.bandwidth_bps:.3f},{cap.capacity_bps:.3f}"
+    )
 
 
 def cmd_bench(args) -> int:
@@ -311,14 +264,8 @@ def cmd_bench(args) -> int:
     degrees = [NoiseDegree(v) for v in args.noise.split(",") if v]
     if not ts_list or not degrees:
         raise ValueError("--ts-us and --noise must list at least one value each")
-    rows = [_bench_one(ts, degree, args, params, seed) for ts in ts_list for degree in degrees]
     lines = [BENCH_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['t_s_us']},{r['noise']},{r['n_bits']},{r['err_1to0']},{r['err_0to1']},"
-            f"{r['rate_1to0']:.6f},{r['rate_0to1']:.6f},{r['p_err']:.6f},"
-            f"{r['B_bps']:.3f},{r['C_bps']:.3f}"
-        )
+    lines += [_bench_row(ts, degree, args, params, seed) for ts in ts_list for degree in degrees]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
@@ -435,6 +382,19 @@ def cmd_analyze_keystrokes(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse reports a non-number as "invalid integer value"
+    return parse
+
+
 def _add_channel_flags(p: argparse.ArgumentParser, include_ts: bool = True) -> None:
     if include_ts:
         p.add_argument("--ts-us", type=int, default=50, help="symbol duration in microseconds")
@@ -492,11 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p)
     _add_real_flags(p)
     p.add_argument("--trace", help="trace CSV to decode (sim mode)")
-    p.add_argument("--frames", type=int, default=1, help="frames to recover")
-    p.add_argument("--payload-bits", type=int, help="trim recovered payload to this many bits")
-    p.add_argument("--theta-ns", type=int, help="decision threshold override")
-    p.add_argument("--max-mismatches", type=int, default=1, help="header bit-error budget")
-    p.add_argument("--max-symbols", type=int, help="header search window per frame")
+    p.add_argument("--frames", type=_int_at_least(1), default=1, help="frames to recover")
+    p.add_argument(
+        "--payload-bits", type=_int_at_least(1), help="trim recovered payload to this many bits"
+    )
+    p.add_argument("--theta-ns", type=_int_at_least(1), help="decision threshold override")
+    p.add_argument(
+        "--max-mismatches", type=_int_at_least(0), default=1, help="header bit-error budget"
+    )
+    p.add_argument("--max-symbols", type=_int_at_least(1), help="header search window per frame")
     p.add_argument("--out", help="write recovered payload bits")
     p.set_defaults(func=cmd_recv)
 

@@ -24,8 +24,6 @@ __all__ = [
     "encode_frames",
     "decode_frames",
     "frames_to_bits",
-    "bit_mismatches",
-    "find_frame_start",
     "LatencySample",
     "TraceMeta",
     "LatencyTrace",
@@ -182,10 +180,8 @@ class ChannelConfig:
     ts_us: int = 50
     probe_mode: ProbeMode = ProbeMode.FSYNC_ONLY
     decision_rule: DecisionRule = DecisionRule.MEAN
-    theta_ns: int = 0
     header: BitStream = DEFAULT_HEADER
     payload_len: int = 8000
-    samples_per_symbol_min: int = 1
 
     def __post_init__(self):
         if self.ts_us <= 0:
@@ -194,8 +190,6 @@ class ChannelConfig:
             raise ValueError("payload_len must be positive")
         if len(self.header) < 8:
             raise ValueError("header must be at least 8 bits")
-        if self.samples_per_symbol_min < 1:
-            raise ValueError("samples_per_symbol_min must be >= 1")
 
     @property
     def ts_ns(self) -> int:
@@ -247,38 +241,6 @@ def frames_to_bits(frames: Iterable[Frame]) -> BitStream:
     for frame in frames:
         out = out + frame.header + frame.payload
     return out
-
-
-def bit_mismatches(a: BitStream, b: BitStream) -> int:
-    """Hamming distance between equal-length bit streams."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return sum(x != y for x, y in zip(a, b))
-
-
-def find_frame_start(bits: BitStream, header: BitStream, max_mismatches: int = 0) -> int | None:
-    """Smallest offset whose window is within max_mismatches of the header.
-
-    Returns None when no window qualifies.  The scan early-exits each window
-    once the mismatch budget is spent.
-    """
-    h = len(header)
-    if h == 0:
-        raise ValueError("header must not be empty")
-    if max_mismatches < 0:
-        raise ValueError("max_mismatches must be nonnegative")
-    raw = bytes(bits)
-    href = bytes(header)
-    for off in range(len(raw) - h + 1):
-        budget = max_mismatches
-        for i in range(h):
-            if raw[off + i] != href[i]:
-                budget -= 1
-                if budget < 0:
-                    break
-        else:
-            return off
-    return None
 
 
 @dataclass(frozen=True)

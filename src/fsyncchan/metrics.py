@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Union
 
 from .core import BitStream
 
@@ -26,8 +24,6 @@ __all__ = [
     "CapacityResult",
     "binary_entropy",
     "capacity",
-    "REPORT_CSV_HEADER",
-    "write_report",
 ]
 
 
@@ -104,23 +100,3 @@ def capacity(ts_us: float, p: float) -> CapacityResult:
     raw = bandwidth * (1.0 - binary_entropy(p))
     clamped = 0.0 if p >= 0.5 else raw
     return CapacityResult(bandwidth_bps=bandwidth, p=p, capacity_bps=clamped, raw_capacity_bps=raw)
-
-
-REPORT_CSV_HEADER = "t_s_us,n_bits,err_1to0,err_0to1,p,B_bps,C_bps"
-
-
-def write_report(
-    rows: Iterable[tuple[float, ErrorReport, CapacityResult]],
-    sink: Union[str, Path, IO[str]],
-) -> None:
-    """Emit one CSV row per (t_s, error report, capacity) measurement."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="ascii", newline="") as fh:
-            write_report(rows, fh)
-        return
-    sink.write(REPORT_CSV_HEADER + "\n")
-    for ts_us, err, cap in rows:
-        sink.write(
-            f"{ts_us:g},{err.n_bits},{err.err_1to0},{err.err_0to1},"
-            f"{err.p:.6f},{cap.bandwidth_bps:.3f},{cap.capacity_bps:.3f}\n"
-        )

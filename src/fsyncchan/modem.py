@@ -20,8 +20,9 @@ from __future__ import annotations
 import statistics
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .core import BitStream, ChannelConfig, DecisionRule, LatencyTrace
+from .core import BitStream, ChannelConfig, DecisionRule, LatencySample, LatencyTrace, TraceMeta
 
 __all__ = [
     "CalibrationError",
@@ -35,6 +36,7 @@ __all__ = [
     "send_bits",
     "ScheduleBuilder",
     "TraceSource",
+    "WindowGrid",
     "MIN_CALIBRATION_SAMPLES",
 ]
 
@@ -47,6 +49,50 @@ class CalibrationError(ValueError):
 
 class SourceExhausted(Exception):
     """A replayed sample source ran out of samples."""
+
+
+class WindowGrid:
+    """Sample source that bins a stream of samples on an absolute window grid.
+
+    The grid is anchored at the first sample's timestamp, so consecutive
+    probe_for(duration_us) windows tile time without drift.  A window with no
+    arriving sample inherits the sample still in flight across it (the last
+    one consumed); once the stream is spent, probe_for raises
+    SourceExhausted.
+    """
+
+    def __init__(self, samples: Iterable[LatencySample], meta: TraceMeta):
+        self._samples = iter(samples)
+        self._meta = meta
+        self._pending = next(self._samples, None)
+        self._anchor = self._pending.timestamp_ns if self._pending is not None else 0
+        self._last_consumed: LatencySample | None = None
+
+    def probe_for(self, duration_us: float) -> LatencyTrace:
+        if duration_us <= 0:
+            raise ValueError("duration_us must be positive")
+        pending = self._pending
+        if pending is None:
+            raise SourceExhausted()
+        window_end = self._anchor + round(duration_us * 1000)
+        window = []
+        while pending is not None and pending.timestamp_ns < window_end:
+            window.append(pending)
+            pending = next(self._samples, None)
+        self._pending = pending
+        self._anchor = window_end
+        if window:
+            self._last_consumed = window[-1]
+        else:
+            window = [self._last_consumed if self._last_consumed is not None else pending]
+        return LatencyTrace(window, self._meta)
+
+
+class TraceSource(WindowGrid):
+    """Replay a recorded trace as a sample source on the window grid."""
+
+    def __init__(self, trace: LatencyTrace):
+        super().__init__(trace.samples, trace.meta)
 
 
 @dataclass(frozen=True)
@@ -199,10 +245,14 @@ def receive_frame(
     Returns the payload bits, or None when no header (or only a truncated
     payload) appears within max_symbols (default 4 frame lengths).
     """
-    header = bytes(cfg.header)
-    h = len(header)
     if max_symbols is None:
         max_symbols = 4 * cfg.frame_len
+    elif max_symbols < 1:
+        raise ValueError("max_symbols must be positive")
+    if max_mismatches < 0:
+        raise ValueError("max_mismatches must be nonnegative")
+    header = bytes(cfg.header)
+    h = len(header)
     window: deque = deque(maxlen=h)
     payload: list[int] = []
     collecting = False
@@ -269,7 +319,7 @@ class ScheduleBuilder:
         self.ts_us = ts_us
         self._bits: list[int] = []
         if model is not None:
-            cycle = round(model.standalone_mean_ns) + overhead_ns
+            cycle = round(model.standalone.mean_ns) + overhead_ns
         else:
             cycle = ts_us * 1000
         self._per_slot = max(1, (ts_us * 1000) // cycle)
@@ -289,34 +339,3 @@ class ScheduleBuilder:
         from .simchan import SenderSchedule
 
         return SenderSchedule(self.bits, self.ts_us)
-
-
-class TraceSource:
-    """Replay a recorded trace as a sample source on an absolute window grid.
-
-    The grid is anchored at the first sample's timestamp.  A window containing
-    no sample inherits the latency of the probe in flight across it; a window
-    past the final sample raises SourceExhausted.
-    """
-
-    def __init__(self, trace: LatencyTrace):
-        self._samples = trace.samples
-        self._meta = trace.meta
-        self._pos = 0
-        self._anchor = trace.samples[0].timestamp_ns if trace.samples else 0
-
-    def probe_for(self, duration_us: float) -> LatencyTrace:
-        if duration_us <= 0:
-            raise ValueError("duration_us must be positive")
-        if self._pos >= len(self._samples):
-            raise SourceExhausted()
-        window_end = self._anchor + round(duration_us * 1000)
-        collected = []
-        while self._pos < len(self._samples) and self._samples[self._pos].timestamp_ns < window_end:
-            collected.append(self._samples[self._pos])
-            self._pos += 1
-        self._anchor = window_end
-        if not collected:
-            # the previous sample is still in flight across this window
-            collected = [self._samples[self._pos - 1]] if self._pos > 0 else [self._samples[self._pos]]
-        return LatencyTrace(collected, self._meta)

@@ -22,9 +22,6 @@ from .core import LatencySample, LatencyTrace, ProbeMode, TraceMeta
 __all__ = [
     "ProbeError",
     "ProbeHandle",
-    "probe_once",
-    "probe_for",
-    "busy_fsync_for",
     "WARMUP_SAMPLES",
 ]
 
@@ -149,15 +146,3 @@ class ProbeHandle:
         if duration_us < 0:
             raise ValueError("duration_us must be nonnegative")
         time.sleep(duration_us / 1e6)
-
-
-def probe_once(handle: ProbeHandle) -> LatencySample:
-    return handle.probe_once()
-
-
-def probe_for(handle: ProbeHandle, duration_us: float) -> LatencyTrace:
-    return handle.probe_for(duration_us)
-
-
-def busy_fsync_for(handle: ProbeHandle, duration_us: float) -> int:
-    return handle.busy_fsync_for(duration_us)

@@ -8,21 +8,16 @@ scale: given the same seed and inputs, every run yields the identical trace.
 
 Model
 -----
-Probe latency is drawn from a truncated Gaussian: `standalone` when the probe
-runs alone, `contended` when sender activity or a noise burst is in flight at
-the moment the probe's fsync arrives (OverlapRule.ARRIVAL, the default).  The
+Probe latency is drawn from a measured (empirical) truncated Gaussian:
+`standalone` when the probe runs alone, `contended` when sender activity or a
+noise burst is in flight at the moment the probe's fsync arrives.  The
 arrival-instant rule reflects FIFO journal commits: a probe that entered the
 journal first is not delayed by work arriving later, while a probe arriving
-mid-commit waits for the remainder.  OverlapRule.FULL_INTERVAL instead marks a
-probe contended whenever its whole undisturbed interval intersects activity;
-it is kept for experiments but systematically smears symbol boundaries.
-
-A Decomposed model splits the commit cost into data writeback, per-block
-metadata commit, device flush, and the residual wait for a previous in-flight
-commit; an Empirical model uses measured distributions directly.
+mid-commit waits for the remainder.
 
 Each probe advances the clock by its drawn latency plus a fixed per-probe
-overhead (default 2 us) covering the mutation syscall and loop bookkeeping.
+overhead (PROBE_OVERHEAD_NS, 2 us) covering the mutation syscall and loop
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -32,44 +27,43 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .core import (
     BitStream,
     ChannelConfig,
+    DecisionRule,
     LatencySample,
     LatencyTrace,
     ProbeMode,
     TraceMeta,
+    encode_frames,
+    frames_to_bits,
 )
+from .metrics import ErrorReport, compare_bits
+from .modem import ScheduleBuilder, WindowGrid, calibrate, receive_frame, send_bits
 
 __all__ = [
     "LatencyDistribution",
-    "ModelKind",
-    "OverlapRule",
     "ContentionModel",
     "SAME_DISK_PRESET",
     "CROSS_DISK_PRESET",
-    "STANDALONE_LATENCY",
-    "CONTENDED_FSYNC_PROBE",
     "CROSS_DISK_STANDALONE_FSYNC",
     "CROSS_DISK_CONTENDED_FSYNC_PROBE",
     "default_model",
     "cross_disk_model",
-    "decomposed_preset",
     "ActivityTimeline",
     "IDLE",
     "SenderSchedule",
     "NoiseDegree",
     "NoiseProcess",
-    "NoiseTimeline",
     "PROBE_OVERHEAD_NS",
     "sim_probe",
     "sim_receive",
     "sim_transmit",
     "SimSource",
-    "CommitRecord",
-    "journal_serialization_check",
+    "calibration_trace",
+    "loopback",
     "SimParams",
     "parse_sim_params",
     "load_sim_params",
@@ -107,22 +101,10 @@ class LatencyDistribution:
 
 # Bundled empirical presets (ns): profiled on a single rig with both parties'
 # files in one ext4 journal ("same disk") and with the probe file on a second
-# disk whose journal still shares the device queue ("cross disk").  Probe mode
-# keys give the standalone cost of that mutation+fsync; the contended tables
-# are for an fsync-only probe running against the named competitor operation.
-# Recalibrate with `fsyncchan calibrate` for different hardware.
-STANDALONE_LATENCY: dict[ProbeMode, tuple[float, float]] = {
-    ProbeMode.FSYNC_ONLY: (21390.42, 2478.57),
-    ProbeMode.WRITE_FSYNC: (55707.18, 21756.38),
-    ProbeMode.FTRUNCATE_FSYNC: (124725.81, 5067.66),
-}
-
-CONTENDED_FSYNC_PROBE: dict[ProbeMode, tuple[float, float]] = {
-    ProbeMode.FSYNC_ONLY: (43133.73, 2521.81),
-    ProbeMode.FTRUNCATE_FSYNC: (47428.24, 21527.58),
-    ProbeMode.WRITE_FSYNC: (51112.34, 9088.28),
-}
-
+# disk whose journal still shares the device queue ("cross disk").  The
+# contended values are for an fsync-only probe running against the named
+# competitor operation.  Recalibrate with `fsyncchan calibrate` for different
+# hardware.
 CROSS_DISK_STANDALONE_FSYNC: tuple[float, float] = (21045.51, 316.97)
 
 CROSS_DISK_CONTENDED_FSYNC_PROBE: dict[ProbeMode, tuple[float, float]] = {
@@ -131,49 +113,22 @@ CROSS_DISK_CONTENDED_FSYNC_PROBE: dict[ProbeMode, tuple[float, float]] = {
     ProbeMode.WRITE_FSYNC: (24262.37, 4272.32),
 }
 
-# Rounded same-disk fsync-vs-fsync pair used as the out-of-the-box model.
+# Rounded same-disk fsync-vs-fsync pair (measured 21390.42 +- 2478.57 alone,
+# 43133.73 +- 2521.81 contended) used as the out-of-the-box model.
 SAME_DISK_PRESET = ((21390.0, 2479.0), (43134.0, 2522.0))
 CROSS_DISK_PRESET = (CROSS_DISK_STANDALONE_FSYNC, CROSS_DISK_CONTENDED_FSYNC_PROBE[ProbeMode.FSYNC_ONLY])
-
-
-class ModelKind(str, Enum):
-    EMPIRICAL = "empirical"
-    DECOMPOSED = "decomposed"
-
-
-class OverlapRule(str, Enum):
-    """When does sender/noise activity count as contending with a probe?"""
-
-    ARRIVAL = "arrival"  # activity in flight at the probe's fsync arrival
-    FULL_INTERVAL = "full-interval"  # activity anywhere in the probe's span
 
 
 @dataclass(frozen=True)
 class ContentionModel:
     """Latency model for one probe stream against one competitor stream."""
 
-    kind: ModelKind
-    standalone: LatencyDistribution | None = None
-    contended: LatencyDistribution | None = None
-    t_data_ns: int = 0
-    t_meta_per_block_ns: int = 0
-    n_meta_blocks: int = 0
-    t_flush_ns: int = 0
-    upsilon_prev: LatencyDistribution | None = None
+    standalone: LatencyDistribution
+    contended: LatencyDistribution
 
     def __post_init__(self):
-        if self.kind is ModelKind.EMPIRICAL:
-            if self.standalone is None or self.contended is None:
-                raise ValueError("empirical model needs standalone and contended distributions")
-            if self.contended.mean_ns <= self.standalone.mean_ns:
-                raise ValueError("contended mean must exceed standalone mean")
-        else:
-            if self.upsilon_prev is None:
-                raise ValueError("decomposed model needs an upsilon_prev distribution")
-            if min(self.t_data_ns, self.t_meta_per_block_ns, self.n_meta_blocks, self.t_flush_ns) < 0:
-                raise ValueError("decomposed components must be nonnegative")
-            if self.total_ns <= 0:
-                raise ValueError("decomposed commit cost must be positive")
+        if self.contended.mean_ns <= self.standalone.mean_ns:
+            raise ValueError("contended mean must exceed standalone mean")
 
     @classmethod
     def empirical(
@@ -181,52 +136,7 @@ class ContentionModel:
         standalone: LatencyDistribution,
         contended: LatencyDistribution,
     ) -> "ContentionModel":
-        return cls(ModelKind.EMPIRICAL, standalone=standalone, contended=contended)
-
-    @classmethod
-    def decomposed(
-        cls,
-        *,
-        t_data_ns: int,
-        t_meta_per_block_ns: int,
-        n_meta_blocks: int,
-        t_flush_ns: int,
-        upsilon_prev: LatencyDistribution,
-    ) -> "ContentionModel":
-        return cls(
-            ModelKind.DECOMPOSED,
-            t_data_ns=t_data_ns,
-            t_meta_per_block_ns=t_meta_per_block_ns,
-            n_meta_blocks=n_meta_blocks,
-            t_flush_ns=t_flush_ns,
-            upsilon_prev=upsilon_prev,
-        )
-
-    @property
-    def total_ns(self) -> int:
-        """Decomposed commit cost without the previous-commit residual."""
-        return self.t_data_ns + self.n_meta_blocks * self.t_meta_per_block_ns + self.t_flush_ns
-
-    @property
-    def standalone_mean_ns(self) -> float:
-        if self.kind is ModelKind.EMPIRICAL:
-            return self.standalone.mean_ns
-        return float(self.total_ns)
-
-    def contended_stats(self) -> tuple[float, float]:
-        if self.kind is ModelKind.EMPIRICAL:
-            return (self.contended.mean_ns, self.contended.std_ns)
-        return (self.total_ns + self.upsilon_prev.mean_ns, self.upsilon_prev.std_ns)
-
-    def standalone_draw(self, rng: random.Random) -> int:
-        if self.kind is ModelKind.EMPIRICAL:
-            return self.standalone.draw(rng)
-        return self.total_ns
-
-    def contended_draw(self, rng: random.Random) -> int:
-        if self.kind is ModelKind.EMPIRICAL:
-            return self.contended.draw(rng)
-        return self.total_ns + self.upsilon_prev.draw(rng)
+        return cls(standalone, contended)
 
 
 def default_model() -> ContentionModel:
@@ -243,17 +153,6 @@ def cross_disk_model(competitor: ProbeMode = ProbeMode.FSYNC_ONLY) -> Contention
     sa = LatencyDistribution(*CROSS_DISK_STANDALONE_FSYNC)
     co = LatencyDistribution(*CROSS_DISK_CONTENDED_FSYNC_PROBE[competitor])
     return ContentionModel.empirical(sa, co)
-
-
-def decomposed_preset() -> ContentionModel:
-    """Decomposed split consistent with the same-disk preset totals."""
-    return ContentionModel.decomposed(
-        t_data_ns=0,
-        t_meta_per_block_ns=4000,
-        n_meta_blocks=1,
-        t_flush_ns=17390,
-        upsilon_prev=LatencyDistribution(21744.0, 2522.0),
-    )
 
 
 class ActivityTimeline:
@@ -286,11 +185,6 @@ class ActivityTimeline:
     def active_at(self, t_ns: int) -> bool:
         i = bisect_right(self._starts, t_ns) - 1
         return i >= 0 and t_ns < self._ends[i]
-
-    def overlaps(self, start_ns: int, end_ns: int) -> bool:
-        """True if any window intersects [start_ns, end_ns]."""
-        i = bisect_right(self._starts, end_ns) - 1
-        return i >= 0 and self._ends[i] > start_ns
 
 
 IDLE = ActivityTimeline()
@@ -337,16 +231,6 @@ class SenderSchedule:
         i = t_ns // self._ts_ns
         return i < len(self._raw) and self._raw[i] == 1
 
-    def overlaps(self, start_ns: int, end_ns: int) -> bool:
-        if end_ns < 0 or not self._raw:
-            return False
-        first = max(0, start_ns // self._ts_ns)
-        last = min(len(self._raw) - 1, end_ns // self._ts_ns)
-        for i in range(first, last + 1):
-            if self._raw[i]:
-                return True
-        return False
-
 
 class NoiseDegree(str, Enum):
     """Background-writer intensity, mapped to expected bursts per second."""
@@ -371,27 +255,6 @@ _DEGREE_RATES = {
 }
 
 
-class NoiseTimeline:
-    """Materialized noise bursts as a merged ActivityTimeline."""
-
-    __slots__ = ("_timeline",)
-
-    def __init__(self, bursts: Iterable[tuple[int, int]]):
-        self._timeline = ActivityTimeline(bursts)
-
-    def __len__(self) -> int:
-        return len(self._timeline)
-
-    def windows(self) -> list[tuple[int, int]]:
-        return self._timeline.windows()
-
-    def in_burst_at(self, t_ns: int) -> bool:
-        return self._timeline.active_at(t_ns)
-
-    def overlaps(self, start_ns: int, end_ns: int) -> bool:
-        return self._timeline.overlaps(start_ns, end_ns)
-
-
 @dataclass(frozen=True)
 class NoiseProcess:
     """Poisson bursts of journal activity from an unrelated neighbor.
@@ -409,12 +272,11 @@ class NoiseProcess:
     def from_degree(cls, degree: NoiseDegree, model: ContentionModel) -> "NoiseProcess | None":
         if degree is NoiseDegree.NONE:
             return None
-        mean, std = model.contended_stats()
-        return cls(degree, degree.bursts_per_second, LatencyDistribution(mean, std))
+        return cls(degree, degree.bursts_per_second, model.contended)
 
-    def materialize(self, horizon_ns: int, rng: random.Random) -> NoiseTimeline:
+    def materialize(self, horizon_ns: int, rng: random.Random) -> ActivityTimeline:
         if self.bursts_per_second <= 0 or horizon_ns <= 0:
-            return NoiseTimeline(())
+            return IDLE
         rate_per_ns = self.bursts_per_second / 1e9
         bursts = []
         t = 0.0
@@ -424,38 +286,45 @@ class NoiseProcess:
                 break
             start = int(t)
             bursts.append((start, start + self.burst_len.draw(rng)))
-        return NoiseTimeline(bursts)
+        return ActivityTimeline(bursts)
 
 
 def sim_probe(
     clock_ns: int,
     activity,
     model: ContentionModel,
-    noise: NoiseTimeline | None,
+    noise: ActivityTimeline | None,
     rng: random.Random,
-    *,
-    overhead_ns: int = PROBE_OVERHEAD_NS,
-    rule: OverlapRule = OverlapRule.ARRIVAL,
 ) -> tuple[LatencySample, int]:
     """Simulate one timed fsync at virtual time clock_ns.
 
     Returns the sample and the clock advanced past the fsync plus the fixed
-    per-probe overhead.  `activity` is anything with active_at/overlaps
+    per-probe overhead.  `activity` is anything with active_at
     (SenderSchedule, ActivityTimeline).
     """
-    if rule is OverlapRule.ARRIVAL:
-        contended = activity.active_at(clock_ns) or (noise is not None and noise.in_burst_at(clock_ns))
-        latency = model.contended_draw(rng) if contended else model.standalone_draw(rng)
-    else:
-        tentative = model.standalone_draw(rng)
-        end = clock_ns + tentative
-        contended = activity.overlaps(clock_ns, end) or (noise is not None and noise.overlaps(clock_ns, end))
-        latency = model.contended_draw(rng) if contended else tentative
-    return LatencySample(clock_ns, latency), clock_ns + latency + overhead_ns
+    contended = activity.active_at(clock_ns) or (noise is not None and noise.active_at(clock_ns))
+    latency = (model.contended if contended else model.standalone).draw(rng)
+    return LatencySample(clock_ns, latency), clock_ns + latency + PROBE_OVERHEAD_NS
 
 
-def _sim_meta(model: ContentionModel, seed: int) -> TraceMeta:
-    return TraceMeta(probe_mode=f"sim-{model.kind.value}", session=f"seed={seed}", warmup_samples=0)
+def _probe_stream(
+    activity, model: ContentionModel, seed: int, noise: NoiseProcess | None, horizon_ns: int
+) -> Iterator[LatencySample]:
+    """The receiver probe loop from virtual time 0, without end.
+
+    The seeded RNG first materializes noise bursts up to horizon_ns, then
+    draws one latency per probe.
+    """
+    rng = random.Random(seed)
+    timeline = noise.materialize(horizon_ns, rng) if noise is not None else None
+    clock = 0
+    while True:
+        sample, clock = sim_probe(clock, activity, model, timeline, rng)
+        yield sample
+
+
+def _sim_meta(seed: int) -> TraceMeta:
+    return TraceMeta(probe_mode="sim-empirical", session=f"seed={seed}", warmup_samples=0)
 
 
 def sim_receive(
@@ -465,22 +334,16 @@ def sim_receive(
     *,
     duration_ns: int,
     noise: NoiseProcess | None = None,
-    overhead_ns: int = PROBE_OVERHEAD_NS,
-    rule: OverlapRule = OverlapRule.ARRIVAL,
 ) -> LatencyTrace:
     """Run the receiver probe loop for duration_ns of virtual time."""
     if duration_ns <= 0:
         raise ValueError("duration_ns must be positive")
-    rng = random.Random(seed)
-    timeline = noise.materialize(duration_ns, rng) if noise is not None else None
     samples = []
-    clock = 0
-    while clock < duration_ns:
-        sample, clock = sim_probe(
-            clock, activity, model, timeline, rng, overhead_ns=overhead_ns, rule=rule
-        )
+    for sample in _probe_stream(activity, model, seed, noise, duration_ns):
+        if sample.timestamp_ns >= duration_ns:
+            break
         samples.append(sample)
-    return LatencyTrace(samples, _sim_meta(model, seed))
+    return LatencyTrace(samples, _sim_meta(seed))
 
 
 def sim_transmit(
@@ -490,32 +353,20 @@ def sim_transmit(
     seed: int,
     *,
     noise: NoiseProcess | None = None,
-    overhead_ns: int = PROBE_OVERHEAD_NS,
-    rule: OverlapRule = OverlapRule.ARRIVAL,
 ) -> LatencyTrace:
     """Receiver-side trace of a full transmission of `bits` at cfg.ts_us."""
     if len(bits) == 0:
         raise ValueError("bits must not be empty")
     sched = SenderSchedule(bits, cfg.ts_us)
-    return sim_receive(
-        sched,
-        model,
-        seed,
-        duration_ns=sched.duration_ns,
-        noise=noise,
-        overhead_ns=overhead_ns,
-        rule=rule,
-    )
+    return sim_receive(sched, model, seed, duration_ns=sched.duration_ns, noise=noise)
 
 
-class SimSource:
+class SimSource(WindowGrid):
     """Live simulated sample source for the receiver front end.
 
-    probe_for(duration_us) returns the samples whose fsyncs arrived inside the
-    next window of an absolute time grid anchored at the source's start, so
-    consecutive windows tile virtual time without drift.  A window fully
-    covered by one in-flight probe (possible only when a single latency
-    exceeds the window) inherits that probe's latency as a one-sample trace.
+    The receiver probe loop against `activity`, windowed on the absolute grid
+    from virtual time 0.  Noise bursts are materialized up to 100 ms past the
+    end of the activity.
     """
 
     def __init__(
@@ -525,118 +376,53 @@ class SimSource:
         seed: int,
         *,
         noise: NoiseProcess | None = None,
-        horizon_ns: int | None = None,
-        overhead_ns: int = PROBE_OVERHEAD_NS,
-        rule: OverlapRule = OverlapRule.ARRIVAL,
     ):
-        self._activity = activity
-        self._model = model
-        self._rng = random.Random(seed)
-        if horizon_ns is None:
-            horizon_ns = getattr(activity, "duration_ns", 0) + 100_000_000
-        self._noise = noise.materialize(horizon_ns, self._rng) if noise is not None else None
-        self._overhead_ns = overhead_ns
-        self._rule = rule
-        self._meta = _sim_meta(model, seed)
-        self._clock = 0
-        self._anchor = 0
-        self._pending: LatencySample | None = None
-        self._last_consumed: LatencySample | None = None
+        horizon_ns = getattr(activity, "duration_ns", 0) + 100_000_000
+        super().__init__(_probe_stream(activity, model, seed, noise, horizon_ns), _sim_meta(seed))
 
     @property
     def elapsed_us(self) -> float:
         return self._anchor / 1000.0
 
-    def _advance(self) -> LatencySample:
-        sample, self._clock = sim_probe(
-            self._clock,
-            self._activity,
-            self._model,
-            self._noise,
-            self._rng,
-            overhead_ns=self._overhead_ns,
-            rule=self._rule,
-        )
-        return sample
 
-    def probe_for(self, duration_us: float) -> LatencyTrace:
-        if duration_us <= 0:
-            raise ValueError("duration_us must be positive")
-        window_end = self._anchor + round(duration_us * 1000)
-        samples = []
-        if self._pending is not None and self._pending.timestamp_ns < window_end:
-            samples.append(self._pending)
-            self._pending = None
-        while self._pending is None:
-            sample = self._advance()
-            if sample.timestamp_ns < window_end:
-                samples.append(sample)
-            else:
-                self._pending = sample
-        self._anchor = window_end
-        if samples:
-            self._last_consumed = samples[-1]
-        else:
-            # the previous probe's fsync spans this whole window; its latency
-            # is the only observation the receiver has for it
-            samples = [self._last_consumed] if self._last_consumed is not None else [self._pending]
-        return LatencyTrace(samples, self._meta)
+def calibration_trace(model: ContentionModel, cfg: ChannelConfig, seed: int) -> LatencyTrace:
+    """Simulate enough quiet probing for a threshold fit under cfg's rule."""
+    if cfg.decision_rule is DecisionRule.MEAN:
+        duration_ns = 5_000_000
+    else:
+        duration_ns = max(5_000_000, 70 * cfg.ts_ns)
+    return sim_receive(IDLE, model, seed, duration_ns=duration_ns)
 
 
-@dataclass(frozen=True)
-class CommitRecord:
-    """One journal commit in a serialization check run."""
-
-    index: int
-    arrival_ns: int
-    upsilon_ns: int  # residual wait for the previous in-flight commit
-    service_ns: int  # own commit cost once the journal is free
-    latency_ns: int  # upsilon_ns + service_ns
-    completion_ns: int
-
-
-def journal_serialization_check(
+def loopback(
+    payload: BitStream,
+    cfg: ChannelConfig,
     model: ContentionModel,
-    rng: random.Random,
-    arrivals: Iterable[int] | None = None,
-) -> list[CommitRecord]:
-    """Feed staggered fsync commits through the single FIFO journal.
+    *,
+    calibration_seed: int,
+    channel_seed: int,
+    noise: NoiseProcess | None = None,
+) -> ErrorReport:
+    """Send `payload` over the simulated channel and score what comes back.
 
-    Each commit's latency is its own cost plus a previous-commit residual that
-    is at least the analytic remaining time of the in-flight commit (and
-    exactly 0 when nothing is in flight).  Completion order always equals
-    arrival order.  Default arrivals: a second commit lands mid-way through
-    the first.
+    The sender endpoint records the frame schedule; the receiver calibrates
+    on quiet traffic, then searches each frame within two frame lengths and
+    one header mismatch.  A lost frame is scored as the complement of its
+    payload: every one of its bits is an error, in the direction of the sent
+    bit.
     """
-    if model.kind is not ModelKind.DECOMPOSED:
-        raise ValueError("serialization check requires a decomposed model")
-    if arrivals is None:
-        arrivals = [0, model.total_ns // 2]
-    arrivals = sorted(int(a) for a in arrivals)
-    if not arrivals:
-        raise ValueError("need at least one arrival")
-    log: list[CommitRecord] = []
-    prev_completion = None
-    for i, arrival in enumerate(arrivals):
-        service = model.total_ns
-        remaining = 0 if prev_completion is None else max(0, prev_completion - arrival)
-        if remaining > 0:
-            upsilon = max(remaining, model.upsilon_prev.draw(rng))
-        else:
-            upsilon = 0
-        completion = arrival + upsilon + service
-        log.append(
-            CommitRecord(
-                index=i,
-                arrival_ns=arrival,
-                upsilon_ns=upsilon,
-                service_ns=service,
-                latency_ns=upsilon + service,
-                completion_ns=completion,
-            )
-        )
-        prev_completion = completion
-    return log
+    frames = encode_frames(payload, cfg)
+    builder = ScheduleBuilder(cfg.ts_us, model)
+    send_bits(frames_to_bits(frames), cfg, builder)
+    state = calibrate(calibration_trace(model, cfg, calibration_seed), cfg)
+    source = SimSource(builder.schedule(), model, channel_seed, noise=noise)
+    sent: list[int] = []
+    received: list[int] = []
+    for frame in frames:
+        got = receive_frame(source, cfg, state, max_symbols=2 * cfg.frame_len, max_mismatches=1)
+        sent.extend(frame.payload)
+        received.extend(got if got is not None else [1 - b for b in frame.payload])
+    return compare_bits(BitStream(sent), BitStream(received))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ FSYNC_HARDWARE_TESTS=1.
 """
 
 import math
-import os
 import random
 import statistics
 import subprocess
@@ -36,26 +35,16 @@ from fsyncchan.analyzer import (
 from fsyncchan.cli import BENCH_CSV_HEADER, derive_seed, main as cli_main
 from fsyncchan.core import (
     DEFAULT_HEADER,
-    BitStream,
     ChannelConfig,
     DecisionRule,
     LatencySample,
     LatencyTrace,
-    encode_frames,
-    frames_to_bits,
     prbs_sequence,
 )
 from fsyncchan.metrics import capacity
-from fsyncchan.modem import (
-    ScheduleBuilder,
-    ThresholdState,
-    TraceSource,
-    calibrate,
-    receive_frame,
-    send_bits,
-)
+from fsyncchan.modem import ThresholdState, TraceSource, receive_frame
 from fsyncchan.probe import ProbeHandle, ProbeMode
-from fsyncchan.simchan import IDLE, SimParams, SimSource, sim_receive
+from fsyncchan.simchan import SimParams, loopback
 
 from synthgen import (
     WORKLOAD_LATENCY_PROFILES,
@@ -74,27 +63,14 @@ from synthgen import (
 
 def _loopback(ts_us: int, seed: int, n_payload_bits: int):
     """Full encode -> schedule -> simulate -> decode pass; returns (bits, errors)."""
-    cfg = ChannelConfig(ts_us=ts_us)
-    model = SimParams().model()
-    payload = prbs_sequence(n_payload_bits, derive_seed(seed, "payload"))
-    frames = encode_frames(payload, cfg)
-    tx_bits = frames_to_bits(frames)
-
-    builder = ScheduleBuilder(cfg.ts_us, model)
-    send_bits(tx_bits, cfg, builder)
-    quiet = sim_receive(IDLE, model, derive_seed(seed, "calibrate"), duration_ns=5_000_000)
-    state = calibrate(quiet, cfg)
-    source = SimSource(builder.schedule(), model, derive_seed(seed, "channel"))
-
-    n_bits = errors = 0
-    for frame in frames:
-        n_bits += len(frame.payload)
-        got = receive_frame(source, cfg, state, max_symbols=2 * cfg.frame_len, max_mismatches=1)
-        if got is None:
-            errors += len(frame.payload)
-            continue
-        errors += sum(1 for s, r in zip(frame.payload, got) if s != r)
-    return n_bits, errors
+    report = loopback(
+        prbs_sequence(n_payload_bits, derive_seed(seed, "payload")),
+        ChannelConfig(ts_us=ts_us),
+        SimParams().model(),
+        calibration_seed=derive_seed(seed, "calibrate"),
+        channel_seed=derive_seed(seed, "channel"),
+    )
+    return report.n_bits, report.err_1to0 + report.err_0to1
 
 
 @pytest.fixture(scope="module")

@@ -140,6 +140,33 @@ def test_usage_errors_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--theta-ns", "0"],
+        ["--theta-ns", "-5"],
+        ["--max-mismatches", "-1"],
+        ["--frames", "0"],
+        ["--max-symbols", "0"],
+        ["--payload-bits", "-5"],
+    ],
+    ids=[
+        "theta-zero",
+        "theta-negative",
+        "mismatches-negative",
+        "frames-zero",
+        "symbols-zero",
+        "payload-bits-negative",
+    ],
+)
+def test_recv_rejects_out_of_range_values(flags, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace_write(trace_from_bits([0] * 100), trace)
+    assert main(["recv", "--seed", "1", "--trace", str(trace), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}" in err
+
+
 def test_missing_seed_exits_2(tmp_path, capsys):
     rc = main(["send", "--out", str(tmp_path / "t.csv")])
     assert rc == 2
@@ -214,6 +241,17 @@ def test_bench_csv_shape_and_determinism(tmp_path, capsys):
         assert 0.0 <= p_err <= 1.0
         assert float(r[8]) == 20000.0
     assert float(rows[0][7]) <= float(rows[1][7])  # noise cannot help
+
+
+def test_bench_rows_pinned(capsys):
+    rc = main(["bench", "--seed", "1234", "--ts-us", "50", "--noise", "none,high",
+               "--payload-bits", "80000"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        BENCH_CSV_HEADER,
+        "50,none,80000,0,11,0.000000,0.000274,0.000138,20000.000,19960.755",
+        "50,high,80000,0,797,0.000000,0.019945,0.009962,20000.000,18389.111",
+    ]
 
 
 def test_bench_stdout_when_no_out(capsys):

@@ -4,7 +4,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fsyncchan.core import (
@@ -16,16 +16,15 @@ from fsyncchan.core import (
     LatencyTrace,
     TraceFormatError,
     TraceMeta,
-    bit_mismatches,
     decode_frames,
     encode_frames,
-    find_frame_start,
     frames_to_bits,
     prbs_sequence,
     trace_read,
     trace_write,
 )
-from synthgen import find_frame_start_reference
+from fsyncchan.modem import MIN_CALIBRATION_SAMPLES, TraceSource, calibrate, receive_frame
+from synthgen import trace_from_bits
 
 # ---------------------------------------------------------------------------
 # BitStream
@@ -155,8 +154,6 @@ def test_channel_config_validation():
         ChannelConfig(payload_len=0)
     with pytest.raises(ValueError):
         ChannelConfig(header=BitStream([1, 0, 1]))
-    with pytest.raises(ValueError):
-        ChannelConfig(samples_per_symbol_min=0)
 
 
 def test_encode_frames_exact_fit():
@@ -210,61 +207,56 @@ def test_frame_codec_round_trip_property(payload, payload_len):
 
 
 # ---------------------------------------------------------------------------
-# header search
+# header search: the one header scan is receive_frame's, fed here from
+# noiseless traces so each decision equals the bit that made it
 
 
-def test_bit_mismatches():
-    assert bit_mismatches(BitStream.from_text("1010"), BitStream.from_text("1010")) == 0
-    assert bit_mismatches(BitStream.from_text("1010"), BitStream.from_text("0110")) == 2
-    with pytest.raises(ValueError):
-        bit_mismatches(BitStream.from_text("10"), BitStream.from_text("101"))
-
-
-def test_find_frame_start_exact():
-    header = DEFAULT_HEADER
-    stream = BitStream.from_text("000") + header + BitStream.from_text("1101")
-    assert find_frame_start(stream, header) == 3
-    assert find_frame_start(header, header) == 0
+def _scan(stream, *, payload_len=4, max_mismatches=0, max_symbols=None):
+    cfg = ChannelConfig(ts_us=50, payload_len=payload_len)
+    quiet = LatencyTrace(
+        [LatencySample(i * 23_390, 21_390) for i in range(MIN_CALIBRATION_SAMPLES)]
+    )
+    state = calibrate(quiet, cfg)
+    source = TraceSource(trace_from_bits(stream))
+    return receive_frame(
+        source, cfg, state, max_symbols=max_symbols, max_mismatches=max_mismatches
+    )
 
 
 def test_find_frame_start_with_budget():
     header = DEFAULT_HEADER
     flipped = BitStream([1 - header[5]])
     noisy = header[:5] + flipped + header[6:]
-    stream = BitStream.from_text("0000") + noisy
-    assert find_frame_start(stream, header, max_mismatches=0) is None
-    assert find_frame_start(stream, header, max_mismatches=1) == 4
+    stream = BitStream.from_text("0000") + noisy + BitStream.from_text("1101")
+    assert _scan(stream, max_mismatches=0) is None
+    assert _scan(stream, max_mismatches=1) == BitStream.from_text("1101")
+    # budget boundary: two flips exceed a budget of one and fit a budget of two
+    twice = list(noisy)
+    twice[17] ^= 1
+    stream = BitStream.from_text("0000") + BitStream(twice) + BitStream.from_text("1101")
+    assert _scan(stream, max_mismatches=1) is None
+    assert _scan(stream, max_mismatches=2) == BitStream.from_text("1101")
 
 
 def test_find_frame_start_no_match_and_short_stream():
-    header = DEFAULT_HEADER
-    assert find_frame_start(BitStream([0] * 200), header) is None
-    assert find_frame_start(BitStream([0] * 10), header) is None
+    assert _scan(BitStream([0] * 200), max_symbols=200) is None
+    # a stream shorter than the header runs dry before any match
+    assert _scan(BitStream([0] * 10)) is None
 
 
 def test_find_frame_start_zero_prefix_never_aliases():
     # 13 ones in the header keep an all-zero stretch out of a 1-bit budget
-    header = DEFAULT_HEADER
-    stream = BitStream([0] * 100) + header
-    assert find_frame_start(stream, header, max_mismatches=1) == 100
+    stream = BitStream([0] * 100) + DEFAULT_HEADER + BitStream.from_text("1011")
+    assert _scan(stream, max_mismatches=1, max_symbols=200) == BitStream.from_text("1011")
 
 
 def test_find_frame_start_validation():
     with pytest.raises(ValueError):
-        find_frame_start(BitStream([1, 0]), BitStream())
+        ChannelConfig(header=BitStream())
     with pytest.raises(ValueError):
-        find_frame_start(BitStream([1, 0]), BitStream([1]), max_mismatches=-1)
-
-
-@settings(max_examples=300)
-@given(
-    bits=st.lists(st.integers(0, 1), max_size=80),
-    header=st.lists(st.integers(0, 1), min_size=1, max_size=12),
-    budget=st.integers(0, 3),
-)
-def test_find_frame_start_matches_reference(bits, header, budget):
-    bs, hs = BitStream(bits), BitStream(header)
-    assert find_frame_start(bs, hs, budget) == find_frame_start_reference(bs, hs, budget)
+        _scan(DEFAULT_HEADER, max_mismatches=-1)
+    with pytest.raises(ValueError):
+        _scan(DEFAULT_HEADER, max_symbols=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Error accounting and capacity, checked against an arbitrary-precision oracle."""
 
-import io
 import math
 import random
 
@@ -10,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsyncchan.core import BitStream
-from fsyncchan.metrics import (
-    REPORT_CSV_HEADER,
-    binary_entropy,
-    capacity,
-    compare_bits,
-    write_report,
-)
+from fsyncchan.metrics import binary_entropy, capacity, compare_bits
 
 # ---------------------------------------------------------------------------
 # compare_bits
@@ -162,28 +155,3 @@ def test_capacity_bounded_by_bandwidth_property(ts, p):
     r = capacity(ts, p)
     assert 0.0 <= r.capacity_bps <= r.bandwidth_bps + 1e-9
     assert math.isclose(r.bandwidth_bps, 1e6 / ts, rel_tol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# report CSV
-
-
-def test_write_report_format():
-    rep = compare_bits(BitStream.from_text("1100"), BitStream.from_text("1000"))
-    cap = capacity(50, rep.p)
-    buf = io.StringIO()
-    write_report([(50, rep, cap)], buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == REPORT_CSV_HEADER
-    assert lines[1] == "50,4,1,0,0.250000,20000.000,3774.438"
-    assert len(lines) == 2
-
-
-def test_write_report_to_file(tmp_path):
-    rep = compare_bits(BitStream([1, 0]), BitStream([1, 0]))
-    cap = capacity(200, rep.p)
-    out = tmp_path / "report.csv"
-    write_report([(200, rep, cap)], out)
-    text = out.read_text()
-    assert text.startswith(REPORT_CSV_HEADER + "\n")
-    assert "200,2,0,0,0.000000,5000.000,5000.000" in text

@@ -298,6 +298,8 @@ def test_receive_frame_header_straddles_budget():
     # header completes at symbol 64 > budget 30
     src = TraceSource(trace_from_bits(stream))
     assert receive_frame(src, cfg, state, max_symbols=30) is None
+    short = TraceSource(trace_from_bits(stream))
+    assert receive_frame(short, cfg, state, max_symbols=63) is None
     fresh = TraceSource(trace_from_bits(stream))
     assert receive_frame(fresh, cfg, state, max_symbols=64) == BitStream.from_text("1111")
 

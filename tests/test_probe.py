@@ -21,9 +21,6 @@ from fsyncchan.probe import (
     WRITE_SIZE,
     ProbeError,
     ProbeHandle,
-    busy_fsync_for,
-    probe_for,
-    probe_once,
 )
 
 
@@ -214,13 +211,6 @@ def test_busy_and_idle_endpoints(probe_file, fast_fsync):
         assert time.perf_counter() - start >= 0.002
         with pytest.raises(ValueError):
             handle.idle_for(-1.0)
-
-
-def test_module_level_wrappers(probe_file, fast_fsync):
-    with ProbeHandle(probe_file) as handle:
-        assert probe_once(handle).latency_ns >= 1
-        assert len(probe_for(handle, 50.0)) >= 1
-        assert busy_fsync_for(handle, 50.0) >= 1
 
 
 # ---------------------------------------------------------------------------
