@@ -46,7 +46,6 @@ from .simchan import (
     cross_disk_model,
     default_model,
     loopback,
-    sim_probe,
     sim_receive,
     sim_transmit,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import random
-import statistics
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -69,10 +68,7 @@ def default_max_gap(trace: LatencyTrace) -> int:
     """3x the median start-to-start probe period of the trace."""
     if len(trace) < 2:
         raise ValueError("need at least 2 samples to derive a max gap")
-    periods = [
-        trace[i].timestamp_ns - trace[i - 1].timestamp_ns for i in range(1, len(trace))
-    ]
-    return 3 * round(statistics.median(periods))
+    return 3 * round(float(np.median(np.diff(trace.timestamps_ns))))
 
 
 def extract_episodes(
@@ -89,26 +85,21 @@ def extract_episodes(
         max_gap_ns = default_max_gap(trace)
     if max_gap_ns < 0:
         raise ValueError("max_gap_ns must be nonnegative")
-    episodes: list[Episode] = []
-    start = end = None
-    count = 0
-    prev_ts = None
-    for s in trace:
-        if s.latency_ns <= theta_ns:
-            continue
-        if prev_ts is not None and s.timestamp_ns - prev_ts <= max_gap_ns:
-            end = max(end, s.timestamp_ns + s.latency_ns)
-            count += 1
-        else:
-            if start is not None:
-                episodes.append(Episode(start, end, count))
-            start = s.timestamp_ns
-            end = s.timestamp_ns + s.latency_ns
-            count = 1
-        prev_ts = s.timestamp_ns
-    if start is not None:
-        episodes.append(Episode(start, end, count))
-    return episodes
+    above = trace.latencies_ns > theta_ns
+    ts = trace.timestamps_ns[above]
+    if not len(ts):
+        return []
+    ends = ts + trace.latencies_ns[above]
+    first = np.flatnonzero(np.concatenate(([True], np.diff(ts) > max_gap_ns)))
+    counts = np.diff(first, append=len(ts))
+    return [
+        Episode(start, end, count)
+        for start, end, count in zip(
+            ts[first].tolist(),
+            np.maximum.reduceat(ends, first).tolist(),
+            counts.tolist(),
+        )
+    ]
 
 
 def count_above(trace: LatencyTrace, theta_ns: int, bucket_s: float) -> list[int]:
@@ -124,11 +115,12 @@ def count_above(trace: LatencyTrace, theta_ns: int, bucket_s: float) -> list[int
     if len(trace) == 0:
         return []
     bucket_ns = round(bucket_s * 1e9)
-    counts = [0] * (trace[len(trace) - 1].timestamp_ns // bucket_ns + 1)
-    for s in trace:
-        if s.latency_ns > theta_ns:
-            counts[s.timestamp_ns // bucket_ns] += 1
-    return counts
+    ts = trace.timestamps_ns
+    if ts[0] < 0:
+        raise ValueError("timestamps must be nonnegative: buckets start at t=0")
+    n_buckets = int(ts[-1]) // bucket_ns + 1
+    above = ts[trace.latencies_ns > theta_ns] // bucket_ns
+    return np.bincount(above, minlength=n_buckets).tolist()
 
 
 def estimate_request_rate(counts: Sequence[int], samples_per_request: float = 10.0) -> list[float]:

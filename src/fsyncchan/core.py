@@ -13,6 +13,8 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
+import numpy as np
+
 __all__ = [
     "ProbeMode",
     "DecisionRule",
@@ -262,70 +264,141 @@ class TraceMeta:
 
 
 class LatencyTrace:
-    """Ordered sequence of latency samples plus session metadata.
+    """Ordered latency samples plus session metadata, stored as two columns.
 
-    The constructor enforces positive latencies and nondecreasing timestamps.
-    Traces produced by an actual sequential probe additionally satisfy
-    nonoverlap (next probe starts after the previous fsync returned); that
-    stricter property is checked by validate_sequential() because analyzer
-    inputs may legitimately be resampled or hand-built.
+    `timestamps_ns` and `latencies_ns` are read-only int64 arrays of equal
+    length.  Construction enforces positive latencies and nondecreasing
+    timestamps.  Traces produced by an actual sequential probe additionally
+    satisfy nonoverlap (next probe starts after the previous fsync returned);
+    that stricter property is checked by validate_sequential() because
+    analyzer inputs may legitimately be resampled or hand-built.
+
+    Iterating, indexing or reading `samples` builds LatencySample objects on
+    demand; code that walks whole traces reads the columns instead.
     """
 
-    __slots__ = ("samples", "meta")
+    __slots__ = ("timestamps_ns", "latencies_ns", "meta", "_samples")
 
     def __init__(self, samples: Iterable[LatencySample], meta: TraceMeta | None = None):
         samples = tuple(samples)
-        prev_ts = None
-        for i, s in enumerate(samples):
-            if s.latency_ns <= 0:
-                raise ValueError(f"sample {i}: latency must be positive")
-            if prev_ts is not None and s.timestamp_ns < prev_ts:
-                raise ValueError(f"sample {i}: timestamps must be nondecreasing")
-            prev_ts = s.timestamp_ns
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "meta", meta if meta is not None else TraceMeta())
+        self._set([s.timestamp_ns for s in samples], [s.latency_ns for s in samples], meta)
+
+    @classmethod
+    def from_columns(
+        cls, timestamps_ns, latencies_ns, meta: TraceMeta | None = None
+    ) -> "LatencyTrace":
+        """Build a trace from two equal-length integer columns (copied)."""
+        trace = cls.__new__(cls)
+        trace._set(timestamps_ns, latencies_ns, meta)
+        return trace
+
+    @classmethod
+    def _view(cls, ts: np.ndarray, lat: np.ndarray, meta: TraceMeta) -> "LatencyTrace":
+        """Wrap read-only columns already known to be valid, without copying."""
+        trace = cls.__new__(cls)
+        _setattr(trace, "timestamps_ns", ts)
+        _setattr(trace, "latencies_ns", lat)
+        _setattr(trace, "meta", meta)
+        return trace
+
+    def _set(self, timestamps_ns, latencies_ns, meta: TraceMeta | None) -> None:
+        ts = _int64_column(timestamps_ns, "timestamps")
+        lat = _int64_column(latencies_ns, "latencies")
+        if len(ts) != len(lat):
+            raise ValueError(f"column lengths differ: {len(ts)} timestamps, {len(lat)} latencies")
+        _check_columns(ts, lat)
+        ts.setflags(write=False)
+        lat.setflags(write=False)
+        # views of read-only arrays cannot be made writeable again
+        _setattr(self, "timestamps_ns", ts.view())
+        _setattr(self, "latencies_ns", lat.view())
+        _setattr(self, "meta", meta if meta is not None else TraceMeta())
 
     def __setattr__(self, name, value):
         raise AttributeError("LatencyTrace is immutable")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.timestamps_ns)
+
+    @property
+    def samples(self) -> tuple[LatencySample, ...]:
+        """The samples as objects, built on first use and kept."""
+        try:
+            return self._samples
+        except AttributeError:
+            _setattr(self, "_samples", tuple(iter(self)))
+            return self._samples
 
     def __iter__(self) -> Iterator[LatencySample]:
-        return iter(self.samples)
+        return map(LatencySample, self.timestamps_ns.tolist(), self.latencies_ns.tolist())
 
-    def __getitem__(self, index) -> LatencySample:
-        return self.samples[index]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.samples[index]
+        return LatencySample(int(self.timestamps_ns[index]), int(self.latencies_ns[index]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LatencyTrace):
-            return self.samples == other.samples and self.meta == other.meta
+            return (
+                np.array_equal(self.timestamps_ns, other.timestamps_ns)
+                and np.array_equal(self.latencies_ns, other.latencies_ns)
+                and self.meta == other.meta
+            )
         return NotImplemented
 
     def validate_sequential(self) -> None:
         """Assert the sequential-probe property: probes never overlap."""
-        for i in range(1, len(self.samples)):
-            prev, cur = self.samples[i - 1], self.samples[i]
-            if cur.timestamp_ns < prev.timestamp_ns + prev.latency_ns:
-                raise ValueError(
-                    f"sample {i} starts at {cur.timestamp_ns} before previous "
-                    f"fsync finished at {prev.timestamp_ns + prev.latency_ns}"
-                )
+        ts, lat = self.timestamps_ns, self.latencies_ns
+        finish = ts[:-1] + lat[:-1]
+        bad = np.flatnonzero(ts[1:] < finish)
+        if bad.size:
+            i = int(bad[0]) + 1
+            raise ValueError(
+                f"sample {i} starts at {ts[i]} before previous fsync finished at {finish[i - 1]}"
+            )
 
     def non_warmup(self) -> tuple[LatencySample, ...]:
         """Samples past the warm-up prefix recorded in meta."""
-        return self.samples[self.meta.warmup_samples :]
+        return self[self.meta.warmup_samples :]
 
     def latencies(self) -> list[int]:
-        return [s.latency_ns for s in self.samples]
+        return self.latencies_ns.tolist()
 
     @property
     def duration_ns(self) -> int:
-        if not self.samples:
+        if not len(self):
             return 0
-        first = self.samples[0]
-        last = self.samples[-1]
-        return last.timestamp_ns + last.latency_ns - first.timestamp_ns
+        return int(self.timestamps_ns[-1] + self.latencies_ns[-1] - self.timestamps_ns[0])
+
+
+_setattr = object.__setattr__
+
+
+def _int64_column(values, what: str) -> np.ndarray:
+    """A fresh int64 copy of a one-dimensional column of integers."""
+    col = np.asarray(values)
+    if col.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if col.ndim != 1 or col.dtype.kind not in "iu" or col.max() > _INT64_MAX:
+        raise ValueError(f"{what} must be a one-dimensional column of int64 integers")
+    return col.astype(np.int64)
+
+
+def _check_columns(ts: np.ndarray, lat: np.ndarray) -> None:
+    """Raise for the first sample with a nonpositive latency or a timestamp
+    below its predecessor's (the latency check wins on the same sample)."""
+    bad_lat = np.flatnonzero(lat <= 0)
+    bad_ts = np.flatnonzero(ts[1:] < ts[:-1])
+    i_lat = int(bad_lat[0]) if bad_lat.size else len(lat)
+    i_ts = int(bad_ts[0]) + 1 if bad_ts.size else len(ts)
+    if i_lat < len(lat) and i_lat <= i_ts:
+        raise ValueError(f"sample {i_lat}: latency must be positive")
+    if i_ts < len(ts):
+        raise ValueError(f"sample {i_ts}: timestamps must be nondecreasing")
+
+
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
 
 
 TRACE_CSV_HEADER = "timestamp_ns,latency_ns"
@@ -339,6 +412,10 @@ class TraceFormatError(ValueError):
         self.line_no = line_no
 
 
+_WRITE_ROWS = 1 << 16  # rows formatted per write call
+_READ_HINT = 1 << 20  # characters of lines parsed per batch
+
+
 def trace_write(trace: LatencyTrace, sink: Union[str, Path, IO[str]]) -> None:
     """Write the two-column trace CSV (LF line endings, ASCII integers)."""
     if isinstance(sink, (str, Path)):
@@ -346,14 +423,18 @@ def trace_write(trace: LatencyTrace, sink: Union[str, Path, IO[str]]) -> None:
             trace_write(trace, fh)
         return
     sink.write(TRACE_CSV_HEADER + "\n")
-    for s in trace.samples:
-        sink.write(f"{s.timestamp_ns},{s.latency_ns}\n")
+    rows = np.column_stack([trace.timestamps_ns, trace.latencies_ns])
+    for i in range(0, len(rows), _WRITE_ROWS):
+        block = rows[i : i + _WRITE_ROWS]
+        sink.write("%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None) -> LatencyTrace:
     """Parse a trace CSV; the exact inverse of trace_write on the sample rows.
 
-    Meta does not travel in the CSV; pass one if the caller knows it.
+    Blank lines are skipped; each other line holds two base-10 integers that
+    fit in int64.  Meta does not travel in the CSV; pass one if the caller
+    knows it.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii", newline="") as fh:
@@ -361,9 +442,80 @@ def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None)
     first = source.readline()
     if first.rstrip("\n") != TRACE_CSV_HEADER:
         raise TraceFormatError(1, f"expected header {TRACE_CSV_HEADER!r}")
-    samples = []
+    columns = []
+    line_no = 2
     prev_ts = None
-    for line_no, line in enumerate(source, start=2):
+    while True:
+        lines = source.readlines(_READ_HINT)
+        if not lines:
+            break
+        rows = _parse_plain_rows(lines, prev_ts)
+        if rows is None:
+            rows = _parse_rows(lines, line_no, prev_ts)
+        if len(rows):
+            prev_ts = int(rows[-1, 0])
+        columns.append(rows)
+        line_no += len(lines)
+    rows = np.concatenate(columns) if columns else np.zeros((0, 2), dtype=np.int64)
+    return LatencyTrace.from_columns(rows[:, 0], rows[:, 1], meta)
+
+
+# Bytes allowed in the lines that _parse_plain_rows takes in one step.
+_PLAIN_BYTES = b"0123456789,-\n"
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[ord("0") : ord("9") + 1] = True
+
+
+def _parse_plain_rows(lines: list[str], prev_ts: int | None) -> np.ndarray | None:
+    """Vectorized parse of lines that are all blank or `-?D+,-?D+` with at
+    most 18 characters per field and that pass the latency and ordering
+    checks.  Returns None for anything else, which _parse_rows decides on."""
+    text = "".join(lines)
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    b = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+    # between two separators lies one field: a blank line between two line
+    # breaks, a nonempty field next to each comma, never two commas in a line
+    seps = np.flatnonzero((b == 44) | (b == 10))
+    comma = b[seps] == 44
+    width = np.diff(seps) - 1
+    beside_comma = comma[:-1] | comma[1:]
+    if (
+        np.any(comma[:-1] & comma[1:])
+        or np.any(width[beside_comma] == 0)
+        or np.any(width[~beside_comma] != 0)
+        or width.max() > 18
+    ):
+        return None
+    minus = np.flatnonzero(b == 45)
+    if minus.size and not (
+        np.all((b[minus - 1] == 44) | (b[minus - 1] == 10)) and np.all(_DIGIT[b[minus + 1]])
+    ):
+        return None
+    if "\n\n" in text or text[:1] == "\n":
+        fields = ",".join(text.split())  # drop the blank lines
+    else:
+        fields = text.replace("\n", ",")
+    rows = np.fromstring(fields, dtype=np.int64, sep=",").reshape(-1, 2)
+    ts = rows[:, 0]
+    if (
+        np.any(rows[:, 1] <= 0)
+        or np.any(ts[1:] < ts[:-1])
+        or (len(ts) and prev_ts is not None and ts[0] < prev_ts)
+    ):
+        return None
+    return rows
+
+
+def _parse_rows(lines: list[str], line_no: int, prev_ts: int | None) -> np.ndarray:
+    """Line-by-line parse that accepts every spelling int() accepts and
+    raises TraceFormatError at the first bad line (line_no is lines[0]'s)."""
+    rows = []
+    for line_no, line in enumerate(lines, start=line_no):
         line = line.rstrip("\n")
         if not line:
             continue
@@ -374,10 +526,12 @@ def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None)
             ts, lat = int(parts[0]), int(parts[1])
         except ValueError:
             raise TraceFormatError(line_no, f"non-integer field in {line!r}") from None
+        if not (_INT64_MIN <= ts <= _INT64_MAX and _INT64_MIN <= lat <= _INT64_MAX):
+            raise TraceFormatError(line_no, f"field does not fit in int64 in {line!r}")
         if lat <= 0:
             raise TraceFormatError(line_no, "latency must be positive")
         if prev_ts is not None and ts < prev_ts:
             raise TraceFormatError(line_no, "timestamps must be nondecreasing")
         prev_ts = ts
-        samples.append(LatencySample(ts, lat))
-    return LatencyTrace(samples, meta)
+        rows.append((ts, lat))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)

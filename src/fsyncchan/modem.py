@@ -17,12 +17,18 @@ the configured header pattern within a mismatch budget.
 
 from __future__ import annotations
 
+import math
 import statistics
+import sys
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable
 
-from .core import BitStream, ChannelConfig, DecisionRule, LatencySample, LatencyTrace, TraceMeta
+import numpy as np
+
+from .core import BitStream, ChannelConfig, DecisionRule, LatencyTrace, TraceMeta
 
 __all__ = [
     "CalibrationError",
@@ -54,45 +60,72 @@ class SourceExhausted(Exception):
 class WindowGrid:
     """Sample source that bins a stream of samples on an absolute window grid.
 
-    The grid is anchored at the first sample's timestamp, so consecutive
-    probe_for(duration_us) windows tile time without drift.  A window with no
-    arriving sample inherits the sample still in flight across it (the last
-    one consumed); once the stream is spent, probe_for raises
-    SourceExhausted.
+    The stream arrives as blocks of (timestamps, latencies) int64 columns and
+    is first read by the first probe_for.  The grid is anchored at the first
+    sample's timestamp, so consecutive probe_for(duration_us) windows tile
+    time without drift.  A window with no arriving sample inherits the sample
+    still in flight across it (the last one consumed); once the stream is
+    spent, probe_for raises SourceExhausted.  Each window is a read-only view
+    of the current block.
     """
 
-    def __init__(self, samples: Iterable[LatencySample], meta: TraceMeta):
-        self._samples = iter(samples)
+    def __init__(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]], meta: TraceMeta):
+        self._blocks = iter(blocks)
         self._meta = meta
-        self._pending = next(self._samples, None)
-        self._anchor = self._pending.timestamp_ns if self._pending is not None else 0
-        self._last_consumed: LatencySample | None = None
+        self._ts = self._lat = np.zeros(0, dtype=np.int64)
+        self._ts_view = memoryview(self._ts)  # the timestamps as Python ints, for bisect
+        self._i = 0  # index of the pending sample in the current block
+        self._consumed = False  # whether sample _i - 1 was consumed
+        self._anchor: int | None = None
+
+    def _extend(self) -> bool:
+        """Append the next nonempty block to the unconsumed samples; False
+        once the stream is spent.  A window reads ahead until it holds a
+        sample past its end, so this runs only while a window is open (or
+        before the first one) and the samples it drops are never needed."""
+        for ts, lat in self._blocks:
+            if len(ts):
+                break
+        else:
+            return False
+        if self._i < len(self._ts):
+            ts = np.concatenate((self._ts[self._i :], ts))
+            lat = np.concatenate((self._lat[self._i :], lat))
+        ts.setflags(write=False)
+        lat.setflags(write=False)
+        self._ts, self._lat, self._ts_view, self._i = ts, lat, memoryview(ts), 0
+        return True
 
     def probe_for(self, duration_us: float) -> LatencyTrace:
         if duration_us <= 0:
             raise ValueError("duration_us must be positive")
-        pending = self._pending
-        if pending is None:
+        width = round(duration_us * 1000)
+        if width == 0:
+            raise ValueError(f"duration_us={duration_us} rounds to a zero-width window")
+        if self._i == len(self._ts_view) and not self._extend():
             raise SourceExhausted()
-        window_end = self._anchor + round(duration_us * 1000)
-        window = []
-        while pending is not None and pending.timestamp_ns < window_end:
-            window.append(pending)
-            pending = next(self._samples, None)
-        self._pending = pending
-        self._anchor = window_end
-        if window:
-            self._last_consumed = window[-1]
+        i = self._i
+        if self._anchor is None:
+            self._anchor = self._ts_view[i]
+        self._anchor += width
+        j = bisect_left(self._ts_view, self._anchor, i)
+        while j == len(self._ts_view) and self._extend():
+            i = self._i
+            j = bisect_left(self._ts_view, self._anchor, i)
+        if j > i:
+            self._i = j
+            self._consumed = True
         else:
-            window = [self._last_consumed if self._last_consumed is not None else pending]
-        return LatencyTrace(window, self._meta)
+            i = i - 1 if self._consumed else i
+            j = i + 1
+        return LatencyTrace._view(self._ts[i:j], self._lat[i:j], self._meta)
 
 
 class TraceSource(WindowGrid):
     """Replay a recorded trace as a sample source on the window grid."""
 
     def __init__(self, trace: LatencyTrace):
-        super().__init__(trace.samples, trace.meta)
+        super().__init__([(trace.timestamps_ns, trace.latencies_ns)], trace.meta)
 
 
 @dataclass(frozen=True)
@@ -109,10 +142,61 @@ def _theta_from(quiet_mean: float, quiet_std: float) -> int:
     return round(quiet_mean + max(3.0 * quiet_std, 0.5 * quiet_mean))
 
 
+# bits of the scaled square root in _sqrt_of_ratio: enough that rounding it
+# to odd and then to a float rounds correctly
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 and den > 0, correctly rounded."""
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd: a sticky bit for the remainder
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def _stdev_from_sums(n: int, total: int, total_sq: int, scale: int = 1) -> float:
+    """Sample standard deviation of n >= 2 numbers X_i / scale from the exact
+    integer sums of X_i and X_i**2: sqrt((n*sum_sq - sum**2) / (n*(n-1))) / scale,
+    correctly rounded, so equal to statistics.stdev of the numbers."""
+    return _sqrt_of_ratio(n * total_sq - total * total, n * (n - 1) * scale * scale)
+
+
+def _stdev(values: list[float]) -> float:
+    """statistics.stdev of n >= 2 ints or floats, in integer arithmetic."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)  # a power of two: every denominator divides it
+    xs = [num * (scale // den) for num, den in ratios]
+    return _stdev_from_sums(len(xs), sum(xs), sum(map(mul, xs, xs)), scale)
+
+
 def _window_statistic(latencies: list[int], rule: DecisionRule) -> float:
     if rule is DecisionRule.MEAN:
-        return statistics.fmean(latencies)
-    return statistics.stdev(latencies) if len(latencies) >= 2 else 0.0
+        return math.fsum(latencies) / len(latencies)  # statistics.fmean
+    if len(latencies) < 2:
+        return 0.0
+    return _stdev_from_sums(len(latencies), sum(latencies), sum(map(mul, latencies, latencies)))
+
+
+def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
+    """The STDDEV statistic of each window with >= 2 samples, on the grid of
+    width ts_ns anchored at the first sample, in window order."""
+    window = (ts - ts[0]) // ts_ns
+    starts = np.flatnonzero(np.diff(window, prepend=-1))
+    counts = np.diff(starts, append=len(ts))
+    if int(lat.max()) ** 2 * int(counts.max()) > np.iinfo(np.int64).max:
+        lat = lat.astype(object)  # sums of squares would overflow int64
+    total = np.add.reduceat(lat, starts).tolist()
+    total_sq = np.add.reduceat(lat * lat, starts).tolist()
+    return [
+        _stdev_from_sums(n, s1, s2)
+        for n, s1, s2 in zip(counts.tolist(), total, total_sq)
+        if n >= 2
+    ]
 
 
 @dataclass
@@ -150,7 +234,7 @@ class ThresholdState:
         if len(quiet) < self.min_quiet_cluster:
             return
         mean = statistics.fmean(quiet)
-        std = statistics.stdev(quiet) if len(quiet) >= 2 else 0.0
+        std = _stdev(quiet) if len(quiet) >= 2 else 0.0
         self.theta_ns = _theta_from(mean, std)
         self.quiet_mean_ns = mean
         self.quiet_std_ns = std
@@ -165,31 +249,26 @@ def calibrate(quiet_trace: LatencyTrace, cfg: ChannelConfig) -> ThresholdState:
     deviation, so calibration computes those window statistics first and
     applies the same formula to them.
     """
-    samples = quiet_trace.non_warmup()
+    warmup = quiet_trace.meta.warmup_samples
+    ts = quiet_trace.timestamps_ns[warmup:]
+    lat = quiet_trace.latencies_ns[warmup:]
     if cfg.decision_rule is DecisionRule.MEAN:
-        if len(samples) < MIN_CALIBRATION_SAMPLES:
+        if len(lat) < MIN_CALIBRATION_SAMPLES:
             raise CalibrationError(
-                f"need >= {MIN_CALIBRATION_SAMPLES} non-warm-up samples, got {len(samples)}"
+                f"need >= {MIN_CALIBRATION_SAMPLES} non-warm-up samples, got {len(lat)}"
             )
-        values = [s.latency_ns for s in samples]
+        values = lat.tolist()
     else:
-        if not samples:
+        if not len(lat):
             raise CalibrationError("empty quiet trace")
-        ts_ns = cfg.ts_ns
-        origin = samples[0].timestamp_ns
-        windows: dict[int, list[int]] = {}
-        for s in samples:
-            windows.setdefault((s.timestamp_ns - origin) // ts_ns, []).append(s.latency_ns)
-        values = [
-            statistics.stdev(lats) for lats in windows.values() if len(lats) >= 2
-        ]
+        values = _window_stdevs(ts, lat, cfg.ts_ns)
         if len(values) < MIN_CALIBRATION_SAMPLES:
             raise CalibrationError(
                 f"need >= {MIN_CALIBRATION_SAMPLES} quiet symbol windows with >= 2 samples, "
                 f"got {len(values)}"
             )
     mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) >= 2 else 0.0
+    std = _stdev(values) if len(values) >= 2 else 0.0
     state = ThresholdState(
         theta_ns=_theta_from(mean, std),
         quiet_mean_ns=mean,
@@ -203,13 +282,14 @@ def calibrate(quiet_trace: LatencyTrace, cfg: ChannelConfig) -> ThresholdState:
 def _decision_stream(source, cfg: ChannelConfig, state: ThresholdState, start_index: int = 0):
     """Yield SymbolDecisions from a sample source until it is exhausted."""
     index = start_index
+    probe_for, ts_us, rule = source.probe_for, cfg.ts_us, cfg.decision_rule
     while True:
         try:
-            trace = source.probe_for(cfg.ts_us)
+            trace = probe_for(ts_us)
         except SourceExhausted:
             return
         latencies = trace.latencies()
-        stat = _window_statistic(latencies, cfg.decision_rule)
+        stat = _window_statistic(latencies, rule)
         bit = 1 if stat > state.theta_ns else 0
         state.observe(stat, index)
         yield SymbolDecision(index=index, bit=bit, statistic=stat, n_samples=len(latencies))
@@ -313,13 +393,15 @@ class ScheduleBuilder:
     nominal number of standalone-cost fsyncs fitting the slot.
     """
 
-    def __init__(self, ts_us: int, model=None, overhead_ns: int = 2000):
+    def __init__(self, ts_us: int, model=None):
+        from .simchan import PROBE_OVERHEAD_NS
+
         if ts_us <= 0:
             raise ValueError("ts_us must be positive")
         self.ts_us = ts_us
         self._bits: list[int] = []
         if model is not None:
-            cycle = round(model.standalone.mean_ns) + overhead_ns
+            cycle = round(model.standalone.mean_ns) + PROBE_OVERHEAD_NS
         else:
             cycle = ts_us * 1000
         self._per_slot = max(1, (ts_us * 1000) // cycle)

@@ -18,22 +18,34 @@ mid-commit waits for the remainder.
 Each probe advances the clock by its drawn latency plus a fixed per-probe
 overhead (PROBE_OVERHEAD_NS, 2 us) covering the mutation syscall and loop
 bookkeeping.
+
+The probe loop is simulated a stretch at a time.  The sender windows and
+the noise bursts merge into one sorted list of half-open activity windows,
+whose edges cut the clock into stretches of constant state.  The seeded RNG
+first materializes the noise bursts, then draws standard Gaussian variates
+in order, in chunks: probe i of the stream takes the next variate when its
+distribution has std_ns > 0, and none when std_ns == 0 (its latency is then
+the clamped mean).  Per chunk, each state's latencies plus the overhead are
+summed into a prefix sum; one bisection on it counts the probes that start
+before the stretch ends, and the clock jumps to the start of the first one
+that does not.  A stretch that outlasts a chunk continues on the next one.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
+import numpy as np
+
 from .core import (
     BitStream,
     ChannelConfig,
     DecisionRule,
-    LatencySample,
     LatencyTrace,
     ProbeMode,
     TraceMeta,
@@ -58,7 +70,6 @@ __all__ = [
     "NoiseDegree",
     "NoiseProcess",
     "PROBE_OVERHEAD_NS",
-    "sim_probe",
     "sim_receive",
     "sim_transmit",
     "SimSource",
@@ -186,6 +197,10 @@ class ActivityTimeline:
         i = bisect_right(self._starts, t_ns) - 1
         return i >= 0 and t_ns < self._ends[i]
 
+    def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end columns of the windows."""
+        return np.array(self._starts, dtype=np.int64), np.array(self._ends, dtype=np.int64)
+
 
 IDLE = ActivityTimeline()
 
@@ -213,17 +228,13 @@ class SenderSchedule:
 
     def intervals(self) -> list[tuple[int, int]]:
         """Active [start, end) windows with runs of 1-bits merged."""
-        out: list[tuple[int, int]] = []
-        run_start = None
-        for i, b in enumerate(self._raw):
-            if b and run_start is None:
-                run_start = i
-            elif not b and run_start is not None:
-                out.append((run_start * self._ts_ns, i * self._ts_ns))
-                run_start = None
-        if run_start is not None:
-            out.append((run_start * self._ts_ns, len(self._raw) * self._ts_ns))
-        return out
+        starts, ends = self.window_bounds()
+        return list(zip(starts.tolist(), ends.tolist()))
+
+    def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end columns of the active windows."""
+        steps = np.diff(np.frombuffer(self._raw, dtype=np.int8), prepend=0, append=0)
+        return np.flatnonzero(steps == 1) * self._ts_ns, np.flatnonzero(steps == -1) * self._ts_ns
 
     def active_at(self, t_ns: int) -> bool:
         if t_ns < 0:
@@ -289,38 +300,120 @@ class NoiseProcess:
         return ActivityTimeline(bursts)
 
 
-def sim_probe(
-    clock_ns: int,
-    activity,
-    model: ContentionModel,
-    noise: ActivityTimeline | None,
-    rng: random.Random,
-) -> tuple[LatencySample, int]:
-    """Simulate one timed fsync at virtual time clock_ns.
-
-    Returns the sample and the clock advanced past the fsync plus the fixed
-    per-probe overhead.  `activity` is anything with active_at
-    (SenderSchedule, ActivityTimeline).
-    """
-    contended = activity.active_at(clock_ns) or (noise is not None and noise.active_at(clock_ns))
-    latency = (model.contended if contended else model.standalone).draw(rng)
-    return LatencySample(clock_ns, latency), clock_ns + latency + PROBE_OVERHEAD_NS
+_FIRST_CHUNK = 256  # variates in the first chunk; each next chunk doubles
+_MAX_CHUNK = 4096
 
 
-def _probe_stream(
+def _activity_edges(activity, noise: ActivityTimeline | None) -> memoryview:
+    """Sorted edges of the union of the activity and noise windows:
+    start, end, start, end, ...  A time t is contended when an odd number of
+    edges lie at or before it."""
+    starts, ends = activity.window_bounds()
+    if noise is not None and len(noise):
+        noise_starts, noise_ends = noise.window_bounds()
+        starts = np.concatenate((starts, noise_starts))
+        order = np.argsort(starts, kind="stable")
+        starts = starts[order]
+        ends = np.concatenate((ends, noise_ends))[order]
+    edges = np.empty(2 * len(starts), dtype=np.int64)
+    if len(starts):
+        # a window opens a new run when it starts after every earlier window ended
+        reach = np.maximum.accumulate(ends)
+        opens = np.flatnonzero(starts[1:] > reach[:-1]) + 1
+        n_runs = len(opens) + 1
+        edges[0 : 2 * n_runs : 2] = starts[np.concatenate(([0], opens))]
+        edges[1 : 2 * n_runs : 2] = reach[np.concatenate((opens - 1, [len(starts) - 1]))]
+        edges = edges[: 2 * n_runs]
+    return memoryview(edges)
+
+
+def _probe_blocks(
     activity, model: ContentionModel, seed: int, noise: NoiseProcess | None, horizon_ns: int
-) -> Iterator[LatencySample]:
-    """The receiver probe loop from virtual time 0, without end.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The receiver probe loop from virtual time 0, without end, as blocks of
+    (timestamps, latencies) columns, a few thousand probes each.
 
-    The seeded RNG first materializes noise bursts up to horizon_ns, then
-    draws one latency per probe.
+    `activity` is a SenderSchedule or an ActivityTimeline.  The seeded RNG
+    first materializes noise bursts up to horizon_ns, then draws the probe
+    variates (see the module docstring).
     """
     rng = random.Random(seed)
     timeline = noise.materialize(horizon_ns, rng) if noise is not None else None
+    edges = _activity_edges(activity, timeline)
+    n_edges = len(edges)
+    dists = (model.standalone, model.contended)
+    drawn = tuple(d.std_ns > 0 for d in dists)
+    fixed = tuple(max(d.floor_ns, round(d.mean_ns)) for d in dists)
+    any_drawn = any(drawn)
+    gauss = rng.gauss
     clock = 0
+    k = bisect_right(edges, clock)  # edges at or before the clock
+    size = 0 if any_drawn else _MAX_CHUNK  # variates in the current chunk
+    zc = 0  # variates of the current chunk used so far
+    lat_cols = prefixes = None
     while True:
-        sample, clock = sim_probe(clock, activity, model, timeline, rng)
-        yield sample
+        if any_drawn and zc == size:
+            size = min(max(2 * size, _FIRST_CHUNK), _MAX_CHUNK)
+            z = np.array([gauss(0.0, 1.0) for _ in range(size)])
+            lat_cols = [
+                np.maximum(d.floor_ns, np.rint(d.mean_ns + z * d.std_ns)).astype(np.int64)
+                if draws
+                else None
+                for d, draws in zip(dists, drawn)
+            ]
+            prefixes = [
+                memoryview(np.concatenate(([0], np.cumsum(lat + PROBE_OVERHEAD_NS))))
+                if lat is not None
+                else None
+                for lat in lat_cols
+            ]
+            zc = 0
+        start, z0, n = clock, zc, 0
+        states: list[int] = []
+        lengths: list[int] = []
+        while n < size and zc < size:
+            state = k & 1
+            limit = edges[k] if k < n_edges else None
+            if drawn[state]:
+                q = prefixes[state]
+                stop = size
+                if limit is not None:
+                    stop = min(bisect_left(q, limit - clock + q[zc], zc), size)
+                m = stop - zc
+                clock += q[stop] - q[zc]
+                zc = stop
+            else:
+                step = fixed[state] + PROBE_OVERHEAD_NS
+                m = size - n if limit is None else min(size - n, -(-(limit - clock) // step))
+                clock += m * step
+            states.append(state)
+            lengths.append(m)
+            n += m
+            while k < n_edges and edges[k] <= clock:
+                k += 1
+        yield _assemble(start, states, lengths, z0, lat_cols, drawn, fixed)
+
+
+def _assemble(start, states, lengths, z0, lat_cols, drawn, fixed) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of one block of runs: probe j of the block takes the state of
+    its run and, when that state draws, the next variate from z0 on."""
+    contended = np.repeat(np.array(states, dtype=bool), lengths)
+    uses = np.where(contended, drawn[1], drawn[0])
+    zi = z0 + np.cumsum(uses) - uses
+
+    def pick(state):
+        if not drawn[state]:
+            return fixed[state]
+        col = lat_cols[state]
+        # a probe of the other state may point one past the chunk; np.where drops it
+        return col[np.minimum(zi, len(col) - 1)]
+
+    lat = np.where(contended, pick(1), pick(0)).astype(np.int64)
+    ts = np.empty(len(lat), dtype=np.int64)
+    ts[0] = 0
+    np.cumsum(lat[:-1] + PROBE_OVERHEAD_NS, out=ts[1:])
+    ts += start
+    return ts, lat
 
 
 def _sim_meta(seed: int) -> TraceMeta:
@@ -338,12 +431,16 @@ def sim_receive(
     """Run the receiver probe loop for duration_ns of virtual time."""
     if duration_ns <= 0:
         raise ValueError("duration_ns must be positive")
-    samples = []
-    for sample in _probe_stream(activity, model, seed, noise, duration_ns):
-        if sample.timestamp_ns >= duration_ns:
+    ts_parts, lat_parts = [], []
+    for ts, lat in _probe_blocks(activity, model, seed, noise, duration_ns):
+        cut = int(np.searchsorted(ts, duration_ns))
+        ts_parts.append(ts[:cut])
+        lat_parts.append(lat[:cut])
+        if cut < len(ts):
             break
-        samples.append(sample)
-    return LatencyTrace(samples, _sim_meta(seed))
+    return LatencyTrace.from_columns(
+        np.concatenate(ts_parts), np.concatenate(lat_parts), _sim_meta(seed)
+    )
 
 
 def sim_transmit(
@@ -378,7 +475,7 @@ class SimSource(WindowGrid):
         noise: NoiseProcess | None = None,
     ):
         horizon_ns = getattr(activity, "duration_ns", 0) + 100_000_000
-        super().__init__(_probe_stream(activity, model, seed, noise, horizon_ns), _sim_meta(seed))
+        super().__init__(_probe_blocks(activity, model, seed, noise, horizon_ns), _sim_meta(seed))
 
     @property
     def elapsed_us(self) -> float:

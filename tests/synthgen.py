@@ -2,19 +2,32 @@
 
 Everything here is deliberately naive: plain-Python scans and brute-force
 groupings that restate each contract from scratch, so the tests compare the
-package against an implementation that shares no code with it.
+package against an implementation that shares no code with it.  The
+one-probe-per-call simulator, the sample-at-a-time window grid, the exact
+window statistics and the line-at-a-time trace parser are the package's
+earlier implementations, kept as references for the vectorized ones.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import statistics
 from collections import Counter
 from fractions import Fraction
 
 from fsyncchan.analyzer import Episode, FeatureVector
-from fsyncchan.core import BitStream, LatencySample, LatencyTrace
+from fsyncchan.core import (
+    TRACE_CSV_HEADER,
+    BitStream,
+    DecisionRule,
+    LatencySample,
+    LatencyTrace,
+    TraceFormatError,
+)
+from fsyncchan.modem import SourceExhausted
 from fsyncchan.simchan import (
+    PROBE_OVERHEAD_NS,
     ActivityTimeline,
     ContentionModel,
     LatencyDistribution,
@@ -93,6 +106,101 @@ def exact_sq_distances(train, query):
         vt = sum(vc) or 1
         out.append(sum((Fraction(a, vt) - Fraction(b, qt)) ** 2 for a, b in zip(vc, qc)))
     return out
+
+
+def sim_probe_reference(clock_ns, activity, model, noise, rng):
+    """One timed fsync at virtual time clock_ns: contended when the activity
+    or a noise burst is active at that instant.  Returns the sample and the
+    clock advanced past the fsync plus the per-probe overhead."""
+    contended = activity.active_at(clock_ns) or (noise is not None and noise.active_at(clock_ns))
+    latency = (model.contended if contended else model.standalone).draw(rng)
+    return LatencySample(clock_ns, latency), clock_ns + latency + PROBE_OVERHEAD_NS
+
+
+def probe_stream_reference(activity, model, seed, noise, horizon_ns):
+    """The receiver probe loop from virtual time 0, one probe per call; the
+    RNG materializes the noise first."""
+    rng = random.Random(seed)
+    timeline = noise.materialize(horizon_ns, rng) if noise is not None else None
+    clock = 0
+    while True:
+        sample, clock = sim_probe_reference(clock, activity, model, timeline, rng)
+        yield sample
+
+
+def sim_receive_reference(activity, model, seed, *, duration_ns, noise=None):
+    """Samples of the reference probe loop that start before duration_ns."""
+    out = []
+    for sample in probe_stream_reference(activity, model, seed, noise, duration_ns):
+        if sample.timestamp_ns >= duration_ns:
+            return out
+        out.append(sample)
+
+
+class WindowGridReference:
+    """The window grid over a stream of samples, one sample at a time."""
+
+    def __init__(self, samples, meta):
+        self._samples = iter(samples)
+        self._meta = meta
+        self._pending = next(self._samples, None)
+        self._anchor = self._pending.timestamp_ns if self._pending is not None else 0
+        self._last_consumed = None
+
+    def probe_for(self, duration_us):
+        if duration_us <= 0:
+            raise ValueError("duration_us must be positive")
+        pending = self._pending
+        if pending is None:
+            raise SourceExhausted()
+        window_end = self._anchor + round(duration_us * 1000)
+        window = []
+        while pending is not None and pending.timestamp_ns < window_end:
+            window.append(pending)
+            pending = next(self._samples, None)
+        self._pending = pending
+        self._anchor = window_end
+        if window:
+            self._last_consumed = window[-1]
+        else:
+            window = [self._last_consumed if self._last_consumed is not None else pending]
+        return LatencyTrace(window, self._meta)
+
+
+def window_statistic_reference(latencies, rule):
+    """Window mean or exact (rational-arithmetic) sample standard deviation."""
+    if rule is DecisionRule.MEAN:
+        return statistics.fmean(latencies)
+    return statistics.stdev(latencies) if len(latencies) >= 2 else 0.0
+
+
+def trace_read_reference(source):
+    """Line-at-a-time trace CSV parser: the rows as (timestamp, latency)
+    tuples, or TraceFormatError at the first bad line.  Fields may be any
+    spelling int() accepts, of any size."""
+    first = source.readline()
+    if first.rstrip("\n") != TRACE_CSV_HEADER:
+        raise TraceFormatError(1, f"expected header {TRACE_CSV_HEADER!r}")
+    rows = []
+    prev_ts = None
+    for line_no, line in enumerate(source, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise TraceFormatError(line_no, "expected two comma-separated fields")
+        try:
+            ts, lat = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise TraceFormatError(line_no, f"non-integer field in {line!r}") from None
+        if lat <= 0:
+            raise TraceFormatError(line_no, "latency must be positive")
+        if prev_ts is not None and ts < prev_ts:
+            raise TraceFormatError(line_no, "timestamps must be nondecreasing")
+        prev_ts = ts
+        rows.append((ts, lat))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,8 @@ def test_count_above_validation_and_empty():
     assert count_above(LatencyTrace([]), 0, 1.0) == []
     with pytest.raises(ValueError):
         count_above(LatencyTrace([]), 0, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_above(LatencyTrace([LatencySample(-5, 10), LatencySample(5, 10)]), 0, 1.0)
 
 
 def test_estimate_request_rate():

@@ -5,14 +5,19 @@ else calls main() directly so coverage and debugging stay simple.
 """
 
 import csv
+import hashlib
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fsyncchan
 from fsyncchan.cli import BENCH_CSV_HEADER, derive_seed, main
 from fsyncchan.core import LatencySample, LatencyTrace, prbs_sequence, trace_write
+from fsyncchan.simchan import CROSS_DISK_PRESET
 
 from synthgen import insert_workload, keystroke_workload, trace_from_bits, victim_trace
 
@@ -254,6 +259,25 @@ def test_bench_rows_pinned(capsys):
     ]
 
 
+def test_send_trace_pinned(tmp_path, capsys):
+    # the replay benchmark's `fsyncchan send`: cross-disk preset, 400 us
+    # stddev symbols, two 8000-bit frames, 271,580 probe rows
+    (sa_mean, sa_std), (co_mean, co_std) = CROSS_DISK_PRESET
+    params = tmp_path / "cross-disk.params"
+    params.write_text(
+        f"standalone.mean_ns={sa_mean!r}\nstandalone.std_ns={sa_std!r}\n"
+        f"contended.mean_ns={co_mean!r}\ncontended.std_ns={co_std!r}\n"
+    )
+    out = tmp_path / "send.csv"
+    rc = main(["send", "--sim-params", str(params), "--ts-us", "400", "--decision", "stddev",
+               "--seed", "1234", "--payload-bits", "16000", "--frame-payload-len", "8000",
+               "--out", str(out)])
+    assert rc == 0
+    assert "wrote 271580 samples" in capsys.readouterr().out
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "8b552def54702aa9fa743e35a05e8cbb8fa4748031ec0b5d1f510473c94ce126"
+
+
 def test_bench_stdout_when_no_out(capsys):
     rc = main(["bench", "--seed", "4", "--ts-us", "200", "--noise", "none",
                "--payload-bits", "500", "--frame-payload-len", "500"])
@@ -414,8 +438,12 @@ def test_console_script_installed():
 
 
 def test_module_entry_point():
+    # the child imports the same fsyncchan as this process, installed or not
+    src = str(Path(fsyncchan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-m", "fsyncchan", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "fsyncchan", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "covert channel" in proc.stdout

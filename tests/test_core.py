@@ -3,10 +3,12 @@
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fsyncchan import core
 from fsyncchan.core import (
     DEFAULT_HEADER,
     BitStream,
@@ -24,7 +26,7 @@ from fsyncchan.core import (
     trace_write,
 )
 from fsyncchan.modem import MIN_CALIBRATION_SAMPLES, TraceSource, calibrate, receive_frame
-from synthgen import trace_from_bits
+from synthgen import trace_from_bits, trace_read_reference
 
 # ---------------------------------------------------------------------------
 # BitStream
@@ -265,12 +267,53 @@ def test_find_frame_start_validation():
 
 def test_latency_trace_validation():
     LatencyTrace([LatencySample(0, 5), LatencySample(0, 5), LatencySample(3, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample 0: latency"):
         LatencyTrace([LatencySample(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample 0: latency"):
         LatencyTrace([LatencySample(0, -5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample 1: timestamps"):
         LatencyTrace([LatencySample(10, 5), LatencySample(9, 5)])
+    # the first bad sample is reported; on one sample the latency comes first
+    with pytest.raises(ValueError, match="sample 1: latency"):
+        LatencyTrace([LatencySample(10, 5), LatencySample(9, 0), LatencySample(8, -1)])
+    with pytest.raises(ValueError, match="sample 1: timestamps"):
+        LatencyTrace.from_columns([10, 9, 9], [5, 5, 0])
+    with pytest.raises(ValueError, match="timestamps must be .* int64 integers"):
+        LatencyTrace([LatencySample(0, 5), LatencySample(2**63, 5)])
+    with pytest.raises(ValueError, match="latencies must be .* int64 integers"):
+        LatencyTrace.from_columns([0, 1], [5, 2.5])
+    with pytest.raises(ValueError, match="lengths differ"):
+        LatencyTrace.from_columns([0, 1], [5])
+
+
+def test_latency_trace_columns_are_immutable():
+    ts = np.array([0, 10, 20])
+    lat = np.array([5, 5, 5])
+    trace = LatencyTrace.from_columns(ts, lat)
+    ts[0] = 99  # the trace holds its own copy
+    assert trace.timestamps_ns.tolist() == [0, 10, 20]
+    assert trace.timestamps_ns.dtype == np.int64 and trace.latencies_ns.dtype == np.int64
+    for column in (trace.timestamps_ns, trace.latencies_ns, trace.timestamps_ns[1:]):
+        with pytest.raises(ValueError):
+            column[0] = 1
+        with pytest.raises(ValueError):
+            column.setflags(write=True)
+    with pytest.raises(AttributeError):
+        trace.timestamps_ns = ts
+    with pytest.raises(AttributeError):
+        trace.meta = TraceMeta()
+
+
+def test_latency_trace_equality_over_columns():
+    samples = [LatencySample(0, 100), LatencySample(150, 50)]
+    trace = LatencyTrace(samples)
+    assert trace == LatencyTrace.from_columns([0, 150], [100, 50])
+    assert trace == LatencyTrace.from_columns(np.array([0, 150], dtype=np.uint8), [100, 50])
+    assert trace != LatencyTrace.from_columns([0, 150], [100, 51])
+    assert trace != LatencyTrace.from_columns([0, 151], [100, 50])
+    assert trace != LatencyTrace.from_columns([0], [100])
+    assert trace != LatencyTrace(samples, TraceMeta(session="other"))
+    assert LatencyTrace([]) == LatencyTrace.from_columns([], [])
 
 
 def test_latency_trace_accessors():
@@ -280,6 +323,9 @@ def test_latency_trace_accessors():
     assert trace[1] == samples[1]
     assert trace.latencies() == [100, 50]
     assert trace.non_warmup() == (samples[1],)
+    assert trace.samples == tuple(samples) and list(trace) == samples
+    assert trace[-1] == samples[1] and trace[0:1] == (samples[0],)
+    assert trace.timestamps_ns.tolist() == [0, 150]
     assert trace.duration_ns == 150 + 50 - 0
     assert LatencyTrace([]).duration_ns == 0
 
@@ -343,6 +389,7 @@ def test_trace_read_meta_passthrough():
         ("timestamp_ns,latency_ns\n1,-4\n", 2),
         ("timestamp_ns,latency_ns\n5,2\n4,2\n", 3),
         ("timestamp_ns,latency_ns\n1.5,2\n", 2),
+        ("timestamp_ns,latency_ns\n1,2\n9223372036854775808,3\n", 3),
     ],
 )
 def test_trace_read_rejects_malformed(text, line_no):
@@ -373,6 +420,68 @@ def test_trace_csv_round_trip_property(raw):
     buf = io.StringIO()
     trace_write(trace, buf)
     assert trace_read(io.StringIO(buf.getvalue())).samples == trace.samples
+
+
+_FIELD_SPELLINGS = (
+    " {}", "{} ", "+{}", "\t{}", "{}\r", "{}_0", "0{}", "{}.0", "0x{}", "", "x", "{},1",
+    "\u0663{}", "9223372036854775807", "-9223372036854775808", "-0", "--{}", "{}-",
+)
+
+
+def _random_csv(rng: random.Random) -> str:
+    """Trace CSV text that is mostly well formed, with stray spellings,
+    blank lines, CR line ends, ordering and latency faults mixed in."""
+    header = rng.choice(
+        ["timestamp_ns,latency_ns\n"] * 6 + ["timestamp_ns,latency_ns\r\n", "ts,lat\n"]
+    )
+    out = [header]
+    t = rng.randrange(-1000, 10**6)
+    for _ in range(rng.randrange(0, 30)):
+        t += rng.randrange(0, 50_000) if rng.random() > 0.03 else -rng.randrange(1, 10)
+        lat = rng.randrange(1, 100_000) if rng.random() > 0.03 else rng.randrange(-3, 1)
+        fields = [str(t), str(lat)]
+        if rng.random() < 0.1:
+            k = rng.randrange(2)
+            fields[k] = rng.choice(_FIELD_SPELLINGS).format(fields[k])
+        sep = "," if rng.random() > 0.02 else rng.choice([";", ",,", ""])
+        end = rng.choice(["\n"] * 20 + ["\r\n", "\r", "\n\n", ""])
+        out.append(fields[0] + sep + fields[1] + end)
+    return "".join(out)
+
+
+def _read_outcome(read, source):
+    try:
+        return "ok", [tuple(row) for row in read(source)]
+    except (TraceFormatError, UnicodeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "hint", [1 << 20, 1, 64], ids=["one-batch", "line-batches", "64-char-batches"]
+)
+def test_trace_read_matches_line_parser(hint, monkeypatch, tmp_path):
+    # the column parser accepts and rejects exactly what the line-at-a-time
+    # parser does, at the same line, from a string or from a file (where a
+    # lone CR also ends a line); batches of lines split the input at `hint`
+    monkeypatch.setattr(core, "_READ_HINT", hint)
+
+    def columns(source):
+        trace = trace_read(source)
+        return zip(trace.timestamps_ns.tolist(), trace.latencies_ns.tolist())
+
+    rng = random.Random(hint)
+    path = tmp_path / "trace.csv"
+    n_ok = 0
+    for case in range(300):
+        text = _random_csv(rng)
+        want = _read_outcome(trace_read_reference, io.StringIO(text))
+        assert _read_outcome(columns, io.StringIO(text)) == want, (case, text)
+        n_ok += want[0] == "ok"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="ascii", newline="") as fh:
+            want = _read_outcome(trace_read_reference, fh)
+        assert _read_outcome(columns, path) == want, (case, text)
+    assert 25 < n_ok < 275
 
 
 def test_frame_dataclass_is_frozen():

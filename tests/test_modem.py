@@ -1,7 +1,10 @@
 """Calibration, symbol decisions, and frame recovery."""
 
+import random
+
 import pytest
 
+from fsyncchan import simchan
 from fsyncchan.core import (
     DEFAULT_HEADER,
     BitStream,
@@ -10,6 +13,7 @@ from fsyncchan.core import (
     LatencySample,
     LatencyTrace,
     TraceMeta,
+    prbs_sequence,
 )
 from fsyncchan.modem import (
     MIN_CALIBRATION_SAMPLES,
@@ -18,6 +22,7 @@ from fsyncchan.modem import (
     SourceExhausted,
     ThresholdState,
     TraceSource,
+    WindowGrid,
     calibrate,
     receive_frame,
     receive_symbols,
@@ -25,6 +30,8 @@ from fsyncchan.modem import (
 )
 from fsyncchan.simchan import (
     IDLE,
+    NoiseDegree,
+    NoiseProcess,
     SenderSchedule,
     SimSource,
     cross_disk_model,
@@ -32,7 +39,7 @@ from fsyncchan.simchan import (
     sim_receive,
     sim_transmit,
 )
-from synthgen import trace_from_bits
+from synthgen import WindowGridReference, trace_from_bits, window_statistic_reference
 
 QUIET = 21_390
 LOUD = 43_134
@@ -356,6 +363,16 @@ def test_schedule_builder_matches_sender_schedule():
     assert report.fsyncs_per_bit == (2, 0, 2, 0, 2, 0, 2, 0)
 
 
+def test_schedule_builder_follows_probe_overhead(monkeypatch):
+    # the nominal fsyncs per busy slot: slot // (standalone mean + overhead)
+    model = default_model()
+    assert ScheduleBuilder(400, model).busy_fsync_for(400) == 400_000 // (21_390 + 2_000)
+    monkeypatch.setattr(simchan, "PROBE_OVERHEAD_NS", 78_610)
+    assert ScheduleBuilder(400, model).busy_fsync_for(400) == 4
+    with pytest.raises(TypeError):
+        ScheduleBuilder(400, model, overhead_ns=2_000)
+
+
 def test_schedule_builder_validation():
     with pytest.raises(ValueError):
         ScheduleBuilder(0)
@@ -395,7 +412,91 @@ def test_trace_source_empty_trace_exhausts_immediately():
         src.probe_for(50.0)
 
 
+def _replay_traces():
+    """Fixed traces for the grid comparisons: empty windows and in-flight
+    inheritance at 7 us, a late anchor, both models, noise, and edge cases."""
+    bits = prbs_sequence(1_500, 17)
+    model = default_model()
+    noise = NoiseProcess.from_degree(NoiseDegree.HIGH, model)
+    swallowing = [
+        LatencySample(0, 20_000),
+        LatencySample(25_000, 90_000),
+        LatencySample(117_000, 20_000),
+        LatencySample(117_000, 400_000),
+        LatencySample(519_000, 20_000),
+    ]
+    return [
+        sim_transmit(bits, ChannelConfig(ts_us=50), model, 3, noise=noise),
+        sim_transmit(bits, ChannelConfig(ts_us=400), cross_disk_model(), 4),
+        trace_from_bits(bits[:200], ts_ns=50_000, start_ns=1_234_567),
+        LatencyTrace(swallowing),
+        LatencyTrace(swallowing[:1]),
+        LatencyTrace([]),
+    ]
+
+
+def _grid(trace, block):
+    """The trace's window grid, fed in blocks of `block` rows (None: one)."""
+    if block is None:
+        return TraceSource(trace)
+    ts, lat = trace.timestamps_ns, trace.latencies_ns
+    blocks = [(ts[i : i + block], lat[i : i + block]) for i in range(0, len(ts), block)]
+    return WindowGrid(blocks, trace.meta)
+
+
+@pytest.mark.parametrize("block", [None, 1, 5], ids=["one-block", "row-blocks", "5-row-blocks"])
+def test_trace_source_matches_reference_grid(block):
+    # identical windows, including empty windows and in-flight inheritance,
+    # whatever the blocks the grid reads the samples in
+    rng = random.Random(f"block {block}")
+    for trace in _replay_traces():
+        for duration_us in (7.0, 50.0, 400.0, None):
+            got = _grid(trace, block)
+            want = WindowGridReference(trace.samples, trace.meta)
+            for i in range(20_000):
+                step = duration_us or rng.choice((3.0, 50.0, 120.5, 1000.0))
+                try:
+                    window = want.probe_for(step)
+                except SourceExhausted:
+                    with pytest.raises(SourceExhausted):
+                        got.probe_for(step)
+                    break
+                assert got.probe_for(step) == window, f"window {i}"
+
+
+@pytest.mark.parametrize("rule", list(DecisionRule))
+def test_decisions_match_reference(rule):
+    # the same SymbolDecision stream as the sample-at-a-time grid with the
+    # statistics module: the window mean is fsum / n like statistics.fmean,
+    # and the STDDEV statistic is the correctly rounded square root of the
+    # exact variance, like statistics.stdev, so no tolerance is needed
+    for trace in _replay_traces()[:3]:
+        for ts_us in (7, 50, 400):
+            cfg = ChannelConfig(ts_us=ts_us, decision_rule=rule)
+            theta = 32_085 if rule is DecisionRule.MEAN else 1_500
+            got_state = ThresholdState(theta, theta / 1.5, 0.0, decision_rule=rule)
+            want_state = ThresholdState(theta, theta / 1.5, 0.0, decision_rule=rule)
+            got = receive_symbols(TraceSource(trace), cfg, got_state, 10**6)
+            ref = WindowGridReference(trace.samples, trace.meta)
+            want = []
+            while True:
+                try:
+                    lats = ref.probe_for(ts_us).latencies()
+                except SourceExhausted:
+                    break
+                stat = window_statistic_reference(lats, rule)
+                want.append((int(stat > want_state.theta_ns), stat, len(lats)))
+                want_state.observe(stat, len(want) - 1)
+            assert [(d.bit, d.n_samples) for d in got] == [(b, n) for b, _, n in want]
+            assert [d.statistic for d in got] == [s for _, s, _ in want]
+            assert got_state == want_state
+
+
 def test_trace_source_validation():
     src = TraceSource(trace_from_bits(BitStream([0])))
     with pytest.raises(ValueError):
         src.probe_for(-1.0)
+    # a window that rounds to 0 ns would never advance the grid
+    with pytest.raises(ValueError, match="zero-width"):
+        src.probe_for(0.0004)
+    assert src.probe_for(0.001).timestamps_ns.tolist() == [0]

@@ -1,5 +1,7 @@
 """Virtual-clock contention simulator behavior."""
 
+import hashlib
+import io
 import random
 import statistics
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsyncchan.core import BitStream, ChannelConfig, prbs_sequence
+from fsyncchan.core import BitStream, ChannelConfig, TraceMeta, prbs_sequence, trace_write
 from fsyncchan.modem import SourceExhausted, TraceSource
 from fsyncchan.simchan import (
     IDLE,
@@ -24,9 +26,13 @@ from fsyncchan.simchan import (
     default_model,
     loopback,
     parse_sim_params,
-    sim_probe,
     sim_receive,
     sim_transmit,
+)
+from synthgen import (
+    WindowGridReference,
+    probe_stream_reference,
+    sim_receive_reference,
 )
 
 # ---------------------------------------------------------------------------
@@ -184,36 +190,45 @@ def test_noise_timeline_queries():
 # probing
 
 
-def test_sim_probe_idle_uses_standalone():
-    model = ContentionModel.empirical(
+def _fixed_model():
+    return ContentionModel.empirical(
         LatencyDistribution(30_000, 0), LatencyDistribution(50_000, 0)
     )
-    sample, clock = sim_probe(1_000, IDLE, model, None, random.Random(0))
-    assert sample.timestamp_ns == 1_000
-    assert sample.latency_ns == 30_000
-    assert clock == 1_000 + 30_000 + PROBE_OVERHEAD_NS
+
+
+class _FixedNoise:
+    """A noise process whose bursts are given up front."""
+
+    def __init__(self, windows):
+        self.windows = windows
+
+    def materialize(self, horizon_ns, rng):
+        return ActivityTimeline(self.windows)
+
+
+def test_sim_probe_idle_uses_standalone():
+    trace = sim_receive(IDLE, _fixed_model(), 0, duration_ns=40_000)
+    assert [(s.timestamp_ns, s.latency_ns) for s in trace] == [
+        (0, 30_000),
+        (30_000 + PROBE_OVERHEAD_NS, 30_000),
+    ]
 
 
 def test_sim_probe_arrival_rule_ignores_future_activity():
-    model = ContentionModel.empirical(
-        LatencyDistribution(30_000, 0), LatencyDistribution(50_000, 0)
-    )
     activity = ActivityTimeline([(25_000, 26_000)])  # starts after the arrival
-    sample, _ = sim_probe(0, activity, model, None, random.Random(0))
-    assert sample.latency_ns == 30_000
+    trace = sim_receive(activity, _fixed_model(), 0, duration_ns=40_000)
+    assert trace.latencies() == [30_000, 30_000]
 
 
 def test_sim_probe_contended_at_arrival():
-    model = ContentionModel.empirical(
-        LatencyDistribution(30_000, 0), LatencyDistribution(50_000, 0)
-    )
     activity = ActivityTimeline([(0, 10_000)])
-    sample, _ = sim_probe(5_000, activity, model, None, random.Random(0))
-    assert sample.latency_ns == 50_000
-    # noise bursts count the same way
-    noise = ActivityTimeline([(4_000, 6_000)])
-    sample, _ = sim_probe(5_000, IDLE, model, noise, random.Random(0))
-    assert sample.latency_ns == 50_000
+    trace = sim_receive(activity, _fixed_model(), 0, duration_ns=60_000)
+    assert trace.latencies() == [50_000, 30_000]
+    # noise bursts count the same way, and a window's end is not in it
+    noise = _FixedNoise([(20_000, 32_000), (60_000, 70_000)])
+    trace = sim_receive(IDLE, _fixed_model(), 0, duration_ns=120_000, noise=noise)
+    assert trace.timestamps_ns.tolist() == [0, 32_000, 64_000, 116_000]
+    assert trace.latencies() == [30_000, 30_000, 50_000, 30_000]
 
 
 def test_sim_receive_idle_stays_standalone():
@@ -278,6 +293,18 @@ def test_sim_transmit_seed_determinism_property(seed):
     assert a.samples == b.samples
 
 
+def test_sim_transmit_pinned():
+    # 50 us symbols under high noise: about 100 bursts cross the sender's runs
+    model = default_model()
+    noise = NoiseProcess.from_degree(NoiseDegree.HIGH, model)
+    trace = sim_transmit(prbs_sequence(4000, 9), ChannelConfig(ts_us=50), model, 77, noise=noise)
+    buf = io.StringIO()
+    trace_write(trace, buf)
+    assert len(trace) == 6289
+    digest = hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest()
+    assert digest == "15771cb9eabf035c58aa1d2a5eef4b532aae626b9c22f1812429264e74d6b123"
+
+
 def test_noise_makes_quiet_probes_contended_monotonically():
     model = default_model()
     counts = []
@@ -291,6 +318,116 @@ def test_noise_makes_quiet_probes_contended_monotonically():
     assert counts[0] == 0  # none
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
+
+
+# ---------------------------------------------------------------------------
+# stretch simulator against the one-probe-per-call reference
+
+_ONE_FIXED_SIDE = ContentionModel.empirical(
+    LatencyDistribution(21_390, 0), LatencyDistribution(43_134, 2_522)
+)
+_FIXED_EDGES = ContentionModel.empirical(
+    LatencyDistribution(20_000, 0), LatencyDistribution(42_000, 0)
+)
+
+
+def _sim_columns(trace):
+    return list(zip(trace.timestamps_ns.tolist(), trace.latencies_ns.tolist()))
+
+
+def _reference_columns(samples):
+    return [(s.timestamp_ns, s.latency_ns) for s in samples]
+
+
+@pytest.mark.parametrize(
+    "activity,model,degree,duration_ns",
+    [
+        (SenderSchedule(prbs_sequence(2_000, 3), 50), default_model(), NoiseDegree.NONE, None),
+        (SenderSchedule(prbs_sequence(800, 4), 400), cross_disk_model(), NoiseDegree.NONE, None),
+        (SenderSchedule(prbs_sequence(2_000, 5), 50), _ONE_FIXED_SIDE, NoiseDegree.HIGH, None),
+        (SenderSchedule(prbs_sequence(2_000, 6), 50), default_model(), NoiseDegree.HIGH, None),
+        (SenderSchedule(prbs_sequence(2_000, 7), 50), default_model(), NoiseDegree.CRITICAL, None),
+        (ActivityTimeline([(3_000_000, 5_500_000), (9_000_000, 9_100_000)]),
+         default_model(), NoiseDegree.LOW, 12_000_000),
+        # probes land exactly on both edges: 0, 22k, 44k (start: contended), 88k (end: not)
+        (ActivityTimeline([(44_000, 88_000)]), _FIXED_EDGES, NoiseDegree.NONE, 2_000_000),
+        # one contended stretch of ~2,300 probes spans several variate chunks
+        (ActivityTimeline([(1_000, 100_000_000)]), default_model(), NoiseDegree.NONE, 120_000_000),
+        (IDLE, _FIXED_EDGES, NoiseDegree.CRITICAL, 30_000_000),
+    ],
+    ids=["default", "cross-disk", "one-fixed-side", "high-noise", "critical-noise", "victims",
+         "window-edges", "chunk-edges", "fixed-under-noise"],
+)
+def test_sim_receive_matches_reference(activity, model, degree, duration_ns):
+    if duration_ns is None:
+        duration_ns = activity.duration_ns
+    noise = NoiseProcess.from_degree(degree, model)
+    for seed in (1, 2024):
+        got = sim_receive(activity, model, seed, duration_ns=duration_ns, noise=noise)
+        want = sim_receive_reference(activity, model, seed, duration_ns=duration_ns, noise=noise)
+        assert _sim_columns(got) == _reference_columns(want)
+    if activity is not IDLE and model is _FIXED_EDGES:
+        assert _sim_columns(got)[:5] == [
+            (0, 20_000), (22_000, 20_000), (44_000, 42_000), (88_000, 20_000), (110_000, 20_000)
+        ]
+
+
+
+def test_sim_receive_drawn_probes_on_window_edges():
+    # a window that opens exactly at one drawn probe's start and closes
+    # exactly at a later one's: the first probe is contended, the last is not
+    model = default_model()
+    idle = sim_receive_reference(IDLE, model, 5, duration_ns=2_000_000)
+    start = idle[10].timestamp_ns
+    busy_from_start = ActivityTimeline([(start, 10**9)])
+    busy = sim_receive_reference(busy_from_start, model, 5, duration_ns=2_000_000)
+    end = busy[30].timestamp_ns
+    activity = ActivityTimeline([(start, end)])
+    got = sim_receive(activity, model, 5, duration_ns=2_000_000)
+    assert _sim_columns(got) == _reference_columns(
+        sim_receive_reference(activity, model, 5, duration_ns=2_000_000)
+    )
+    assert got[10].timestamp_ns == start and got[10].latency_ns > 32_085
+    assert got[30].timestamp_ns == end and got[30].latency_ns < 32_085
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gaps=st.lists(st.integers(1, 300_000), min_size=0, max_size=24),
+    stds=st.tuples(
+        st.sampled_from([0.0, 800.0, 2_479.0]), st.sampled_from([0.0, 2_522.0, 9_000.0])
+    ),
+    degree=st.sampled_from([NoiseDegree.NONE, NoiseDegree.HIGH, NoiseDegree.CRITICAL]),
+)
+def test_sim_receive_matches_reference_property(seed, gaps, stds, degree):
+    model = ContentionModel.empirical(
+        LatencyDistribution(21_390, stds[0]), LatencyDistribution(43_134, stds[1])
+    )
+    edges = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    activity = ActivityTimeline(zip(edges[0::2], edges[1::2]))
+    noise = NoiseProcess.from_degree(degree, model)
+    duration_ns = (edges[-1] if edges else 0) + 500_000
+    got = sim_receive(activity, model, seed, duration_ns=duration_ns, noise=noise)
+    want = sim_receive_reference(activity, model, seed, duration_ns=duration_ns, noise=noise)
+    assert _sim_columns(got) == _reference_columns(want)
+
+
+def test_sim_source_matches_reference_stream():
+    # the live source's windows equal the reference grid over the reference
+    # probe loop, with the same noise horizon
+    bits = prbs_sequence(3_000, 12)
+    model = default_model()
+    noise = NoiseProcess.from_degree(NoiseDegree.HIGH, model)
+    sched = SenderSchedule(bits, 50)
+    live = SimSource(sched, model, 8, noise=noise)
+    ref = WindowGridReference(
+        probe_stream_reference(sched, model, 8, noise, sched.duration_ns + 100_000_000),
+        TraceMeta(probe_mode="sim-empirical", session="seed=8"),
+    )
+    rng = random.Random(3)
+    for i in range(3_200):
+        duration_us = rng.choice((50.0, 50.0, 50.0, 7.0, 120.5))
+        assert live.probe_for(duration_us) == ref.probe_for(duration_us), f"window {i}"
 
 
 # ---------------------------------------------------------------------------
