@@ -91,6 +91,10 @@ class BitStream:
     def __hash__(self) -> int:
         return hash(self._bits)
 
+    def __bytes__(self) -> bytes:
+        """One byte per bit."""
+        return self._bits
+
     def __add__(self, other: "BitStream") -> "BitStream":
         if not isinstance(other, BitStream):
             return NotImplemented

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import BitStream
 
 __all__ = [
@@ -51,17 +53,12 @@ def compare_bits(sent: BitStream, received: BitStream) -> ErrorReport:
         raise ValueError(f"length mismatch: sent {len(sent)} vs received {len(received)}")
     if len(sent) == 0:
         raise ValueError("cannot compare empty bit streams")
+    s = np.frombuffer(bytes(sent), dtype=np.uint8)
+    r = np.frombuffer(bytes(received), dtype=np.uint8)
     n_ones = sent.count(1)
     n_zeros = len(sent) - n_ones
-    err_1to0 = 0
-    err_0to1 = 0
-    for s, r in zip(sent, received):
-        if s == r:
-            continue
-        if s == 1:
-            err_1to0 += 1
-        else:
-            err_0to1 += 1
+    err_1to0 = int(np.count_nonzero(s > r))  # a sent 1 read as 0
+    err_0to1 = int(np.count_nonzero(s < r))
     return ErrorReport(
         n_bits=len(sent),
         n_ones=n_ones,

@@ -11,8 +11,17 @@ traffic:
 
 The threshold is re-derived every update_period symbols from the quiet mode
 of the recent window statistics, so a long run of '1' symbols does not drag
-it upward.  Frame boundaries are found by scanning the decision stream for
-the configured header pattern within a mismatch budget.
+it upward.  Frame boundaries are found by a sliding count of mismatches
+between the last header-length bits and the configured header.
+
+One decision core serves every source.  A WindowGrid (trace replay, the
+simulated channel) lets it look ahead at a chunk of up to _CHUNK windows
+without consuming them: the window statistics of the chunk come from exact
+prefix sums, bits are decided in blocks that end at each threshold refresh,
+and the grid then commits exactly the windows the caller used, so a frame
+search consumes what a window-at-a-time receiver would.  A source with only
+probe_for(duration_us) (the live probe handle) feeds the same core the
+windows it probes, and is asked only for windows the caller will consume.
 """
 
 from __future__ import annotations
@@ -23,8 +32,9 @@ import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,12 +71,16 @@ class WindowGrid:
     """Sample source that bins a stream of samples on an absolute window grid.
 
     The stream arrives as blocks of (timestamps, latencies) int64 columns and
-    is first read by the first probe_for.  The grid is anchored at the first
-    sample's timestamp, so consecutive probe_for(duration_us) windows tile
-    time without drift.  A window with no arriving sample inherits the sample
-    still in flight across it (the last one consumed); once the stream is
-    spent, probe_for raises SourceExhausted.  Each window is a read-only view
-    of the current block.
+    is first read by the first look-ahead.  The grid is anchored at the first
+    sample's timestamp, so consecutive windows of one width tile time without
+    drift.  A window with no arriving sample inherits the sample still in
+    flight across it (the last one consumed before it); once the stream is
+    spent, there are no more windows.
+
+    look_ahead(duration_us, n) returns the bounds of the next n windows
+    without consuming them, and commit(k) then consumes the next k of them:
+    the decision core reads whole chunks of windows this way.  probe_for is the
+    one-window case, for callers that want each window as a trace.
     """
 
     def __init__(self, blocks: Iterable[tuple[np.ndarray, np.ndarray]], meta: TraceMeta):
@@ -74,51 +88,82 @@ class WindowGrid:
         self._meta = meta
         self._ts = self._lat = np.zeros(0, dtype=np.int64)
         self._ts_view = memoryview(self._ts)  # the timestamps as Python ints, for bisect
-        self._i = 0  # index of the pending sample in the current block
-        self._consumed = False  # whether sample _i - 1 was consumed
-        self._anchor: int | None = None
+        self._i = 0  # index of the pending sample (the first unconsumed one) in the columns
+        self._anchor: int | None = None  # end of the last consumed window
+        self._ahead: tuple = (0, 0, ())  # the last look-ahead: anchor, width, window ends
 
     def _extend(self) -> bool:
-        """Append the next nonempty block to the unconsumed samples; False
-        once the stream is spent.  A window reads ahead until it holds a
-        sample past its end, so this runs only while a window is open (or
-        before the first one) and the samples it drops are never needed."""
+        """Append the next nonempty block to the columns, from the last
+        consumed sample on (an empty window may still inherit it); False once
+        the stream is spent."""
         for ts, lat in self._blocks:
             if len(ts):
                 break
         else:
             return False
-        if self._i < len(self._ts):
-            ts = np.concatenate((self._ts[self._i :], ts))
-            lat = np.concatenate((self._lat[self._i :], lat))
+        keep = max(self._i - 1, 0)
+        if keep < len(self._ts):
+            ts = np.concatenate((self._ts[keep:], ts))
+            lat = np.concatenate((self._lat[keep:], lat))
         ts.setflags(write=False)
         lat.setflags(write=False)
-        self._ts, self._lat, self._ts_view, self._i = ts, lat, memoryview(ts), 0
+        self._ts, self._lat, self._ts_view, self._i = ts, lat, memoryview(ts), self._i - keep
         return True
 
-    def probe_for(self, duration_us: float) -> LatencyTrace:
+    def look_ahead(self, duration_us: float, n: int):
+        """The next n windows of duration_us, not yet consumed: (timestamps,
+        latencies, lo, hi), window k being rows lo[k]:hi[k] of the two
+        column views (lo and hi are sequences of ints).  Fewer windows once
+        the stream is spent, none at its end.  Reads the stream until it
+        holds a sample past the last window."""
         if duration_us <= 0:
             raise ValueError("duration_us must be positive")
         width = round(duration_us * 1000)
         if width == 0:
             raise ValueError(f"duration_us={duration_us} rounds to a zero-width window")
+        if n < 1:
+            raise ValueError("n must be positive")
         if self._i == len(self._ts_view) and not self._extend():
+            return _NO_WINDOWS
+        anchor = self._anchor if self._anchor is not None else self._ts_view[self._i]
+        last = anchor + n * width
+        while self._ts_view[-1] < last and self._extend():
+            pass
+        i, ts, lat = self._i, self._ts, self._lat
+        if n == 1:  # the live-probe path: a bisection costs less than numpy's calls
+            j = bisect_left(self._ts_view, last, i)
+            self._ahead = (anchor, width, (j,))
+            lo = i if j > i else i - 1  # the first window ever holds the first sample
+            return ts[lo:j], lat[lo:j], [0], [j - lo]
+        hi = np.searchsorted(ts, np.arange(anchor + width, last + 1, width, dtype=np.int64))
+        starts = np.concatenate(([i], hi[:-1]))  # each window's pending sample
+        m = int(np.searchsorted(starts, len(ts)))  # windows whose pending sample exists
+        hi = hi[:m]
+        lo = starts[:m] - (hi == starts[:m])
+        self._ahead = (anchor, width, hi)
+        base, end = int(lo[0]), int(hi[-1])
+        return ts[base:end], lat[base:end], lo - base, hi - base
+
+    def commit(self, k: int) -> None:
+        """Consume the next k windows of the last look-ahead."""
+        if k:
+            anchor, width, hi = self._ahead
+            self._i = int(hi[k - 1])
+            self._anchor = anchor + k * width
+            self._ahead = (self._anchor, width, hi[k:])
+
+    def probe_for(self, duration_us: float) -> LatencyTrace:
+        """Consume the next window and return its samples."""
+        ts, lat, lo, _ = self.look_ahead(duration_us, 1)
+        if not lo:
             raise SourceExhausted()
-        i = self._i
-        if self._anchor is None:
-            self._anchor = self._ts_view[i]
-        self._anchor += width
-        j = bisect_left(self._ts_view, self._anchor, i)
-        while j == len(self._ts_view) and self._extend():
-            i = self._i
-            j = bisect_left(self._ts_view, self._anchor, i)
-        if j > i:
-            self._i = j
-            self._consumed = True
-        else:
-            i = i - 1 if self._consumed else i
-            j = i + 1
-        return LatencyTrace._view(self._ts[i:j], self._lat[i:j], self._meta)
+        self.commit(1)
+        return LatencyTrace._view(ts, lat, self._meta)
+
+
+_EMPTY_COLUMN = np.zeros(0, dtype=np.int64)
+_EMPTY_COLUMN.setflags(write=False)
+_NO_WINDOWS = (_EMPTY_COLUMN, _EMPTY_COLUMN, [], [])
 
 
 class TraceSource(WindowGrid):
@@ -174,12 +219,30 @@ def _stdev(values: list[float]) -> float:
     return _stdev_from_sums(len(xs), sum(xs), sum(map(mul, xs, xs)), scale)
 
 
-def _window_statistic(latencies: list[int], rule: DecisionRule) -> float:
-    if rule is DecisionRule.MEAN:
-        return math.fsum(latencies) / len(latencies)  # statistics.fmean
-    if len(latencies) < 2:
-        return 0.0
-    return _stdev_from_sums(len(latencies), sum(latencies), sum(map(mul, latencies, latencies)))
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> list[float]:
+    """The decision statistic of each window lat[lo[k]:hi[k]]; the windows
+    ascend and span lat (lo[0] == 0, hi[-1] == len(lat)).  From prefix sums
+    of the column, exact (in Python ints where int64 could overflow): MEAN
+    is float(sum) / n, which is statistics.fmean; STDDEV is _stdev_from_sums,
+    which is statistics.stdev, and 0.0 for one sample."""
+    if not len(lat):
+        return []
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    mean = rule is DecisionRule.MEAN
+    if int(lat.max()) ** (1 if mean else 2) * len(lat) > _INT64_MAX:
+        lat = lat.astype(object)
+    s1 = np.concatenate(([0], np.cumsum(lat)))
+    sums, counts = s1[hi] - s1[lo], hi - lo
+    if mean:
+        return (sums.astype(np.float64) / counts).tolist()
+    s2 = np.concatenate(([0], np.cumsum(lat * lat)))
+    return [
+        _stdev_from_sums(n, total, total_sq) if n > 1 else 0.0
+        for n, total, total_sq in zip(counts.tolist(), sums.tolist(), (s2[hi] - s2[lo]).tolist())
+    ]
 
 
 def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
@@ -187,16 +250,9 @@ def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
     width ts_ns anchored at the first sample, in window order."""
     window = (ts - ts[0]) // ts_ns
     starts = np.flatnonzero(np.diff(window, prepend=-1))
-    counts = np.diff(starts, append=len(ts))
-    if int(lat.max()) ** 2 * int(counts.max()) > np.iinfo(np.int64).max:
-        lat = lat.astype(object)  # sums of squares would overflow int64
-    total = np.add.reduceat(lat, starts).tolist()
-    total_sq = np.add.reduceat(lat * lat, starts).tolist()
-    return [
-        _stdev_from_sums(n, s1, s2)
-        for n, s1, s2 in zip(counts.tolist(), total, total_sq)
-        if n >= 2
-    ]
+    ends = np.append(starts[1:], len(ts))
+    stats = _window_statistics(lat, starts, ends, DecisionRule.STDDEV)
+    return [s for s, n in zip(stats, (ends - starts).tolist()) if n >= 2]
 
 
 @dataclass
@@ -218,15 +274,28 @@ class ThresholdState:
             raise ValueError("update_period must be >= 1")
         self._window = deque(self._window, maxlen=self.update_period)
 
+    @property
+    def until_refresh(self) -> int:
+        """Symbols left to observe before theta next refreshes."""
+        return self.update_period - self._since_update
+
     def observe(self, statistic: float, symbol_index: int) -> None:
-        """Feed one symbol statistic; refresh theta every update_period.
+        """Feed one symbol statistic; see observe_block."""
+        self.observe_block((statistic,), symbol_index)
+
+    def observe_block(self, statistics_: Sequence[float], symbol_index: int) -> None:
+        """Feed the statistics of consecutive symbols, the last one numbered
+        symbol_index; theta refreshes when they complete an update period, so
+        a block may not run past the next refresh.
 
         The refresh uses only the quiet cluster (statistics at or below the
         current theta); with no quiet evidence in the window the threshold is
         left untouched rather than dragged toward the loud mode.
         """
-        self._window.append(statistic)
-        self._since_update += 1
+        if len(statistics_) > self.update_period - self._since_update:
+            raise ValueError("a block of statistics may not run past the next refresh")
+        self._window.extend(statistics_)
+        self._since_update += len(statistics_)
         if self._since_update < self.update_period:
             return
         self._since_update = 0
@@ -279,36 +348,107 @@ def calibrate(quiet_trace: LatencyTrace, cfg: ChannelConfig) -> ThresholdState:
     return state
 
 
-def _decision_stream(source, cfg: ChannelConfig, state: ThresholdState, start_index: int = 0):
-    """Yield SymbolDecisions from a sample source until it is exhausted."""
-    index = start_index
-    probe_for, ts_us, rule = source.probe_for, cfg.ts_us, cfg.decision_rule
-    while True:
+# windows the decision core looks ahead at a time: bounds the memory of a pass
+_CHUNK = 1024
+
+
+class _ProbeWindows:
+    """look_ahead/commit over a source that has only probe_for (the live
+    probe handle): a look-ahead probes its windows, which are consumed at
+    once, so the decision core looks ahead only at windows it will consume."""
+
+    def __init__(self, source):
+        self._probe_for = source.probe_for
+
+    def look_ahead(self, duration_us: float, n: int):
+        traces = []
         try:
-            trace = probe_for(ts_us)
+            for _ in range(n):
+                traces.append(self._probe_for(duration_us))
         except SourceExhausted:
-            return
-        latencies = trace.latencies()
-        stat = _window_statistic(latencies, rule)
-        bit = 1 if stat > state.theta_ns else 0
-        state.observe(stat, index)
-        yield SymbolDecision(index=index, bit=bit, statistic=stat, n_samples=len(latencies))
-        index += 1
+            if not traces:
+                return _NO_WINDOWS
+        hi = list(accumulate(map(len, traces)))
+        ts = np.concatenate([t.timestamps_ns for t in traces])
+        lat = np.concatenate([t.latencies_ns for t in traces])
+        return ts, lat, [0, *hi[:-1]], hi
+
+    def commit(self, k: int) -> None:
+        pass
+
+
+class _Decisions:
+    """The decision core: decides a source's symbol windows in blocks that
+    share one threshold, from chunks of window statistics.
+
+    decide() returns the bits of the next block, which ends at the state's
+    next refresh; take(k) consumes its first k windows: the source's grid
+    commits them and the state observes their statistics.  Symbols are
+    numbered from 0 per instance.
+    """
+
+    __slots__ = ("_look_ahead", "_commit", "_ts_us", "_rule", "_state", "_stats", "_lo", "_hi",
+                 "_done", "index")
+
+    def __init__(self, source, cfg: ChannelConfig, state: ThresholdState):
+        grid = source if hasattr(source, "look_ahead") else _ProbeWindows(source)
+        self._look_ahead, self._commit = grid.look_ahead, grid.commit
+        self._ts_us = cfg.ts_us
+        self._rule = cfg.decision_rule
+        self._state = state
+        self._stats: list[float] = []  # the statistics of the looked-ahead chunk's windows
+        self._lo = self._hi = []  # and their bounds
+        self._done = 0  # windows of the chunk consumed
+        self.index = 0  # symbols consumed
+
+    def decide(self, limit: int, sure: int) -> list[bool]:
+        """Bits of the next block of at most limit windows, not yet consumed;
+        empty once the source is spent.  The caller will consume at least
+        `sure` more windows, which is what a new chunk reads: a probe_for
+        source consumes the windows it probes."""
+        a, stats = self._done, self._stats
+        if a == len(stats):
+            _, lat, self._lo, self._hi = self._look_ahead(self._ts_us, min(sure, _CHUNK))
+            stats = self._stats = _window_statistics(lat, self._lo, self._hi, self._rule)
+            self._done = a = 0
+        state = self._state
+        theta = state.theta_ns
+        return [s > theta for s in stats[a : a + min(limit, state.until_refresh)]]
+
+    def evidence(self, k: int) -> tuple[list[float], list[int]]:
+        """Statistics and sample counts of the first k windows of the block."""
+        a, b = self._done, self._done + k
+        return self._stats[a:b], np.subtract(self._hi[a:b], self._lo[a:b]).tolist()
+
+    def take(self, k: int) -> None:
+        """Consume the first k windows of the last decided block."""
+        a = self._done
+        self._done = a + k
+        self.index += k
+        self._commit(k)
+        self._state.observe_block(self._stats[a : a + k], self.index - 1)
 
 
 def receive_symbols(source, cfg: ChannelConfig, state: ThresholdState, n_symbols: int) -> list[SymbolDecision]:
     """Demodulate up to n_symbols from the source (fewer if it runs dry).
 
-    The source contract is probe_for(duration_us) -> LatencyTrace; both the
-    live probe handle and the simulator/trace replays satisfy it.
+    The source is a WindowGrid (TraceSource, SimSource), whose windows are
+    read a chunk at a time, or anything with probe_for(duration_us) ->
+    LatencyTrace, such as the live probe handle, probed one window per call.
     """
     if n_symbols <= 0:
         raise ValueError("n_symbols must be positive")
-    out = []
-    for decision in _decision_stream(source, cfg, state):
-        out.append(decision)
-        if len(out) >= n_symbols:
+    core = _Decisions(source, cfg, state)
+    out: list[SymbolDecision] = []
+    while core.index < n_symbols:
+        left = n_symbols - core.index
+        bits = core.decide(left, left)
+        if not bits:
             break
+        stats, counts = core.evidence(len(bits))
+        first = core.index
+        core.take(len(bits))
+        out.extend(map(SymbolDecision, range(first, core.index), map(int, bits), stats, counts))
     return out
 
 
@@ -323,7 +463,10 @@ def receive_frame(
     """Scan the decision stream for a frame header, then read its payload.
 
     Returns the payload bits, or None when no header (or only a truncated
-    payload) appears within max_symbols (default 4 frame lengths).
+    payload) appears within max_symbols (default 4 frame lengths).  The
+    header search is a sliding mismatch count over the last len(header)
+    bits; the call consumes the windows up to the payload's end, or exactly
+    max_symbols when no header completes within them.
     """
     if max_symbols is None:
         max_symbols = 4 * cfg.frame_len
@@ -331,27 +474,39 @@ def receive_frame(
         raise ValueError("max_symbols must be positive")
     if max_mismatches < 0:
         raise ValueError("max_mismatches must be nonnegative")
-    header = bytes(cfg.header)
-    h = len(header)
-    window: deque = deque(maxlen=h)
-    payload: list[int] = []
-    collecting = False
-    consumed = 0
-    for decision in _decision_stream(source, cfg, state):
-        consumed += 1
-        if collecting:
-            payload.append(decision.bit)
-            if len(payload) == cfg.payload_len:
-                return BitStream(payload)
+    h = len(cfg.header)
+    header = int(cfg.header.to_text(), 2)
+    mask = (1 << h) - 1
+    need = cfg.payload_len
+    core = _Decisions(source, cfg, state)
+    window = 0  # the last h bits, the latest lowest
+    found = None
+    while found is None:
+        left = max_symbols - core.index
+        if left == 0:
+            return None
+        # the least this call consumes: a header completing at the first
+        # symbol where one can, and its payload; or the rest of the budget
+        bits = core.decide(left, min(left, max(h - core.index, 1) + need))
+        if not bits:
+            return None
+        for n, bit in enumerate(bits, 1):
+            window = (window << 1 | bit) & mask
+            if (window ^ header).bit_count() <= max_mismatches and core.index + n >= h:
+                found = n
+                break
         else:
-            window.append(decision.bit)
-            if len(window) == h:
-                mismatches = sum(a != b for a, b in zip(window, header))
-                if mismatches <= max_mismatches:
-                    collecting = True
-            if not collecting and consumed >= max_symbols:
-                return None
-    return None
+            core.take(len(bits))
+    payload = bits[found : found + need]
+    core.take(found + len(payload))
+    while len(payload) < need:
+        left = need - len(payload)
+        bits = core.decide(left, left)
+        if not bits:
+            return None
+        core.take(len(bits))
+        payload += bits
+    return BitStream(payload)
 
 
 @dataclass(frozen=True)

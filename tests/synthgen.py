@@ -4,8 +4,9 @@ Everything here is deliberately naive: plain-Python scans and brute-force
 groupings that restate each contract from scratch, so the tests compare the
 package against an implementation that shares no code with it.  The
 one-probe-per-call simulator, the sample-at-a-time window grid, the exact
-window statistics and the line-at-a-time trace parser are the package's
-earlier implementations, kept as references for the vectorized ones.
+window statistics, the one-window-per-call decision stream and frame search,
+and the line-at-a-time trace parser are the package's earlier
+implementations, kept as references for the vectorized ones.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 from fsyncchan.analyzer import Episode, FeatureVector
@@ -25,7 +26,7 @@ from fsyncchan.core import (
     LatencyTrace,
     TraceFormatError,
 )
-from fsyncchan.modem import SourceExhausted
+from fsyncchan.modem import SourceExhausted, SymbolDecision
 from fsyncchan.simchan import (
     PROBE_OVERHEAD_NS,
     ActivityTimeline,
@@ -172,6 +173,49 @@ def window_statistic_reference(latencies, rule):
     if rule is DecisionRule.MEAN:
         return statistics.fmean(latencies)
     return statistics.stdev(latencies) if len(latencies) >= 2 else 0.0
+
+
+def decision_stream_reference(source, cfg, state):
+    """Yield SymbolDecisions one window at a time from source.probe_for
+    until it is exhausted, feeding each statistic to state.observe."""
+    index = 0
+    while True:
+        try:
+            trace = source.probe_for(cfg.ts_us)
+        except SourceExhausted:
+            return
+        latencies = trace.latencies()
+        stat = window_statistic_reference(latencies, cfg.decision_rule)
+        bit = 1 if stat > state.theta_ns else 0
+        state.observe(stat, index)
+        yield SymbolDecision(index=index, bit=bit, statistic=stat, n_samples=len(latencies))
+        index += 1
+
+
+def receive_frame_reference(source, cfg, state, *, max_symbols, max_mismatches=0):
+    """Frame search over the reference decision stream: the payload after
+    the first window of header length within the mismatch budget, or None
+    when no header completes within max_symbols or the source runs dry."""
+    header = bytes(cfg.header)
+    window: deque = deque(maxlen=len(header))
+    payload: list[int] = []
+    collecting = False
+    consumed = 0
+    for decision in decision_stream_reference(source, cfg, state):
+        consumed += 1
+        if collecting:
+            payload.append(decision.bit)
+            if len(payload) == cfg.payload_len:
+                return BitStream(payload)
+        else:
+            window.append(decision.bit)
+            if len(window) == len(header):
+                mismatches = sum(a != b for a, b in zip(window, header))
+                if mismatches <= max_mismatches:
+                    collecting = True
+            if not collecting and consumed >= max_symbols:
+                return None
+    return None
 
 
 def trace_read_reference(source):

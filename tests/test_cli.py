@@ -257,25 +257,69 @@ def test_bench_rows_pinned(capsys):
         "50,none,80000,0,11,0.000000,0.000274,0.000138,20000.000,19960.755",
         "50,high,80000,0,797,0.000000,0.019945,0.009962,20000.000,18389.111",
     ]
+    # rows whose loopback loses frames: the header scan runs across many
+    # symbols, and a lost frame is scored as the complement of its payload
+    rc = main(["bench", "--seed", "15", "--ts-us", "50", "--noise", "high",
+               "--payload-bits", "80000"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        BENCH_CSV_HEADER,
+        "50,high,80000,19756,20330,0.493888,0.508263,0.501075,20000.000,0.000",
+    ]
+    rc = main(["bench", "--seed", "7", "--ts-us", "50,400", "--noise", "critical,high",
+               "--payload-bits", "20000", "--frame-payload-len", "1000"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        BENCH_CSV_HEADER,
+        "50,critical,20000,10041,9959,1.000000,1.000000,1.000000,20000.000,0.000",
+        "50,high,20000,1736,1911,0.170698,0.194405,0.182350,20000.000,6296.179",
+        "400,critical,20000,0,1,0.000000,0.000101,0.000050,2500.000,2498.034",
+        "400,high,20000,0,0,0.000000,0.000000,0.000000,2500.000,2500.000",
+    ]
 
 
-def test_send_trace_pinned(tmp_path, capsys):
-    # the replay benchmark's `fsyncchan send`: cross-disk preset, 400 us
-    # stddev symbols, two 8000-bit frames, 271,580 probe rows
+def _replay_channel_args(tmp_path):
+    """The replay benchmark's channel: cross-disk preset, 400 us stddev
+    symbols, 8000-bit frames."""
     (sa_mean, sa_std), (co_mean, co_std) = CROSS_DISK_PRESET
     params = tmp_path / "cross-disk.params"
     params.write_text(
         f"standalone.mean_ns={sa_mean!r}\nstandalone.std_ns={sa_std!r}\n"
         f"contended.mean_ns={co_mean!r}\ncontended.std_ns={co_std!r}\n"
     )
+    return ["--sim-params", str(params), "--ts-us", "400", "--decision", "stddev",
+            "--seed", "1234", "--frame-payload-len", "8000"]
+
+
+def _send_replay_trace(tmp_path, capsys):
+    """The replay benchmark's `fsyncchan send` of two frames; its CSV path."""
     out = tmp_path / "send.csv"
-    rc = main(["send", "--sim-params", str(params), "--ts-us", "400", "--decision", "stddev",
-               "--seed", "1234", "--payload-bits", "16000", "--frame-payload-len", "8000",
+    rc = main(["send", *_replay_channel_args(tmp_path), "--payload-bits", "16000",
                "--out", str(out)])
     assert rc == 0
     assert "wrote 271580 samples" in capsys.readouterr().out
+    return out
+
+
+def test_send_trace_pinned(tmp_path, capsys):
+    # the replay benchmark's `fsyncchan send`: 271,580 probe rows
+    out = _send_replay_trace(tmp_path, capsys)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "8b552def54702aa9fa743e35a05e8cbb8fa4748031ec0b5d1f510473c94ce126"
+
+
+def test_recv_stddev_trace_pinned(tmp_path, capsys):
+    # `fsyncchan recv --decision stddev` over the pinned send trace: frame 0
+    # decodes (with 12 bit errors), frame 1 is lost within its 4-frame search
+    trace = _send_replay_trace(tmp_path, capsys)
+    got = tmp_path / "recv.txt"
+    args = ["recv", *_replay_channel_args(tmp_path), "--trace", str(trace)]
+    assert main([*args, "--frames", "1", "--out", str(got)]) == 0
+    assert "recovered 1 frame(s), 8000 payload bits" in capsys.readouterr().err
+    digest = hashlib.sha256(got.read_bytes()).hexdigest()
+    assert digest == "f5489c347c6ed8d20690795d39b202780abc5dea72c0a8a8d82b4bead4934cbc"
+    assert main([*args, "--frames", "2", "--out", str(got)]) == 3
+    assert "recovered 1/2 frame(s) within 32096 symbols each" in capsys.readouterr().err
 
 
 def test_bench_stdout_when_no_out(capsys):

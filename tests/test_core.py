@@ -41,6 +41,7 @@ def test_bitstream_basics():
     assert bs == BitStream([1, 0, 1, 1])
     assert bs != BitStream([1, 0, 1, 0])
     assert hash(bs) == hash(BitStream([1, 0, 1, 1]))
+    assert bytes(bs) == b"\x01\x00\x01\x01"
 
 
 def test_bitstream_rejects_non_bits():

@@ -48,6 +48,18 @@ def test_compare_bits_one_sided_streams():
     assert rep.rate_1to0 == 0.5
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=300))
+def test_compare_bits_matches_per_bit_count(pairs):
+    sent = BitStream(s for s, _ in pairs)
+    received = BitStream(r for _, r in pairs)
+    rep = compare_bits(sent, received)
+    assert rep.n_ones == sum(s for s, _ in pairs)
+    assert rep.err_1to0 == sum(1 for s, r in pairs if s == 1 and r == 0)
+    assert rep.err_0to1 == sum(1 for s, r in pairs if s == 0 and r == 1)
+    assert rep.p == (rep.err_1to0 + rep.err_0to1) / len(pairs)
+
+
 def test_compare_bits_validation():
     with pytest.raises(ValueError):
         compare_bits(BitStream([1]), BitStream([1, 0]))

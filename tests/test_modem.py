@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsyncchan import simchan
+from fsyncchan import modem, simchan
 from fsyncchan.core import (
     DEFAULT_HEADER,
     BitStream,
@@ -39,7 +41,13 @@ from fsyncchan.simchan import (
     sim_receive,
     sim_transmit,
 )
-from synthgen import WindowGridReference, trace_from_bits, window_statistic_reference
+from synthgen import (
+    WindowGridReference,
+    decision_stream_reference,
+    receive_frame_reference,
+    trace_from_bits,
+    window_statistic_reference,
+)
 
 QUIET = 21_390
 LOUD = 43_134
@@ -464,32 +472,56 @@ def test_trace_source_matches_reference_grid(block):
                 assert got.probe_for(step) == window, f"window {i}"
 
 
-@pytest.mark.parametrize("rule", list(DecisionRule))
-def test_decisions_match_reference(rule):
-    # the same SymbolDecision stream as the sample-at-a-time grid with the
-    # statistics module: the window mean is fsum / n like statistics.fmean,
-    # and the STDDEV statistic is the correctly rounded square root of the
-    # exact variance, like statistics.stdev, so no tolerance is needed
-    for trace in _replay_traces()[:3]:
-        for ts_us in (7, 50, 400):
-            cfg = ChannelConfig(ts_us=ts_us, decision_rule=rule)
-            theta = 32_085 if rule is DecisionRule.MEAN else 1_500
-            got_state = ThresholdState(theta, theta / 1.5, 0.0, decision_rule=rule)
-            want_state = ThresholdState(theta, theta / 1.5, 0.0, decision_rule=rule)
-            got = receive_symbols(TraceSource(trace), cfg, got_state, 10**6)
-            ref = WindowGridReference(trace.samples, trace.meta)
-            want = []
+@pytest.mark.parametrize("block", [None, 1, 5], ids=["one-block", "row-blocks", "5-row-blocks"])
+def test_look_ahead_and_commit_match_reference_grid(block):
+    # look-ahead chunks of random size, of which a random prefix is
+    # committed in two steps, give the reference grid's windows; looking
+    # ahead consumes nothing, even across blocks, and an empty window right
+    # after a block edge still inherits the last consumed sample
+    rng = random.Random(f"look-ahead {block}")
+    for trace in _replay_traces():
+        for duration_us in (7.0, 50.0, 400.0):
+            got = _grid(trace, block)
+            want = WindowGridReference(trace.samples, trace.meta)
+            windows = []
             while True:
-                try:
-                    lats = ref.probe_for(ts_us).latencies()
-                except SourceExhausted:
+                n = rng.choice((1, 2, 3, 17, 64))
+                ts, lat, lo, hi = got.look_ahead(duration_us, n)
+                assert len(lo) == len(hi) <= n
+                if not len(lo):
                     break
-                stat = window_statistic_reference(lats, rule)
-                want.append((int(stat > want_state.theta_ns), stat, len(lats)))
-                want_state.observe(stat, len(want) - 1)
-            assert [(d.bit, d.n_samples) for d in got] == [(b, n) for b, _, n in want]
-            assert [d.statistic for d in got] == [s for _, s, _ in want]
-            assert got_state == want_state
+                assert lo[0] == 0 and hi[-1] == len(ts) == len(lat)
+                k = rng.randint(0, len(lo))
+                first = rng.randint(0, k)  # commits add up
+                got.commit(first)
+                got.commit(k - first)
+                for a, b in zip(lo[:k], hi[:k]):
+                    windows.append((ts[a:b].tolist(), lat[a:b].tolist()))
+            for i, (ts, lat) in enumerate(windows):
+                window = want.probe_for(duration_us)
+                assert (ts, lat) == (window.timestamps_ns.tolist(), window.latencies()), f"window {i}"
+            with pytest.raises(SourceExhausted):
+                want.probe_for(duration_us)
+
+
+def test_threshold_state_observe_block():
+    # a block of statistics is the same as observing them one by one, and
+    # may not run past the next refresh
+    stats = [500.0, 520.0, 2_000.0, 510.0, 530.0, 515.0]
+    one, block = (
+        ThresholdState(1_000, 600.0, 10.0, update_period=4, min_quiet_cluster=2) for _ in range(2)
+    )
+    for i, stat in enumerate(stats):
+        one.observe(stat, i)
+    assert block.until_refresh == 4
+    block.observe_block(stats[:3], 2)
+    assert block.until_refresh == 1
+    with pytest.raises(ValueError, match="refresh"):
+        block.observe_block(stats[3:5], 4)
+    block.observe_block(stats[3:4], 3)
+    assert block.until_refresh == 4 and block.provenance == "adaptive@symbol3"
+    block.observe_block(stats[4:], 5)
+    assert block == one
 
 
 def test_trace_source_validation():
@@ -500,3 +532,174 @@ def test_trace_source_validation():
     with pytest.raises(ValueError, match="zero-width"):
         src.probe_for(0.0004)
     assert src.probe_for(0.001).timestamps_ns.tolist() == [0]
+    with pytest.raises(ValueError, match="n must be positive"):
+        src.look_ahead(50.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the batch decision core against the one-window references
+
+
+class _ProbeOnly:
+    """A source with only probe_for, like the live probe handle."""
+
+    def __init__(self, source):
+        self.probe_for = source.probe_for
+
+
+def _theta_state(rule, update_period=64):
+    theta = 32_085 if rule is DecisionRule.MEAN else 1_500
+    return ThresholdState(theta, theta / 1.5, 0.0, decision_rule=rule, update_period=update_period)
+
+
+def _next_window(source, ts_us):
+    try:
+        return source.probe_for(ts_us)
+    except SourceExhausted:
+        return None
+
+
+FRAME_PAYLOAD = 40
+PREFIXES = (0, 3, 0, 5, 1, 0, 2)  # quiet symbols before each frame
+FRAMES = len(PREFIXES)
+
+
+def _frame_traces():
+    """(trace, ts_us) over FRAMES 40-bit frames behind short quiet
+    prefixes, some empty (the call then consumes only the header and the
+    payload), the fourth header two flips off DEFAULT_HEADER: noise-free at
+    50 us, simulated with high noise at 50 us, cross-disk at 400 us."""
+    rng = random.Random(5)
+    stream = BitStream()
+    for i, prefix in enumerate(PREFIXES):
+        header = list(DEFAULT_HEADER)
+        if i == 3:
+            header[2] ^= 1
+            header[9] ^= 1
+        payload = BitStream(rng.getrandbits(1) for _ in range(FRAME_PAYLOAD))
+        stream = stream + BitStream([0] * prefix) + BitStream(header) + payload
+    model = default_model()
+    noise = NoiseProcess.from_degree(NoiseDegree.HIGH, model)
+    return [
+        (trace_from_bits(stream), 50),
+        (sim_transmit(stream, ChannelConfig(ts_us=50), model, 8, noise=noise), 50),
+        (sim_transmit(stream, ChannelConfig(ts_us=400), cross_disk_model(), 9), 400),
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1024, 67, 7, 1])
+@pytest.mark.parametrize("rule", list(DecisionRule))
+def test_receive_frame_probe_for_only_source(monkeypatch, rule, chunk):
+    # a source with only probe_for (the live probe) feeds the decision core
+    # the windows it probes and is asked only for windows the call consumes;
+    # frame by frame it returns what the batch path over the grid itself
+    # returns, and both match the one-window reference.  With 7-window
+    # chunks every 24-bit header straddles a chunk edge; the two-flip header
+    # is lost and the search resumes after it.
+    monkeypatch.setattr(modem, "_CHUNK", chunk)
+    lost = 0
+    for trace, ts_us in _frame_traces():
+        cfg = ChannelConfig(ts_us=ts_us, payload_len=FRAME_PAYLOAD, decision_rule=rule)
+        for update_period in (64, 5):
+            batch, live = TraceSource(trace), TraceSource(trace)
+            ref = WindowGridReference(trace.samples, trace.meta)
+            states = [_theta_state(rule, update_period) for _ in range(3)]
+            for frame in range(FRAMES + 1):
+                kwargs = dict(max_symbols=2 * cfg.frame_len, max_mismatches=1)
+                want = receive_frame_reference(ref, cfg, states[0], **kwargs)
+                assert receive_frame(batch, cfg, states[1], **kwargs) == want, f"frame {frame}"
+                assert receive_frame(_ProbeOnly(live), cfg, states[2], **kwargs) == want
+                assert states[1] == states[0] == states[2], f"frame {frame}"
+                lost += want is None and frame < FRAMES
+            # all three consumed the same windows
+            want = _next_window(ref, ts_us)
+            assert _next_window(batch, ts_us) == want
+            assert _next_window(live, ts_us) == want
+    assert lost >= 1
+
+
+def _reference_decisions(trace, cfg, update_period):
+    state = _theta_state(cfg.decision_rule, update_period)
+    ref = WindowGridReference(trace.samples, trace.meta)
+    return list(decision_stream_reference(ref, cfg, state)), state
+
+
+@pytest.mark.parametrize("rule", list(DecisionRule))
+def test_decisions_match_reference(monkeypatch, rule):
+    # the differential gate of the batch demodulator: the same SymbolDecision
+    # stream and final ThresholdState as the one-window reference stream,
+    # over traces with empty windows and in-flight samples, whatever the
+    # blocks the grid reads and the chunks the core decides.  The window
+    # mean is float(sum) / n like statistics.fmean, and the STDDEV statistic
+    # is the correctly rounded square root of the exact variance, like
+    # statistics.stdev, so no tolerance is needed.
+    for trace in _replay_traces():
+        for ts_us, update_period in ((7, 64), (50, 5), (400, 64)):
+            cfg = ChannelConfig(ts_us=ts_us, decision_rule=rule)
+            want, want_state = _reference_decisions(trace, cfg, update_period)
+            for chunk, block in ((1024, None), (1, None), (5, 1), (64, 5)):
+                monkeypatch.setattr(modem, "_CHUNK", chunk)
+                state = _theta_state(rule, update_period)
+                got = receive_symbols(_grid(trace, block), cfg, state, 10**6)
+                assert got == want, (ts_us, chunk, block)
+                assert state == want_state, (ts_us, chunk, block)
+            state = _theta_state(rule, update_period)
+            assert receive_symbols(_ProbeOnly(TraceSource(trace)), cfg, state, 10**6) == want
+            assert state == want_state
+
+
+def test_window_statistics_exact_past_int64():
+    # window sums, or sums of squares, beyond the int64 range stay exact
+    samples = [
+        LatencySample(0, 2**62),
+        LatencySample(10, 2**62 - 1),
+        LatencySample(20, 3),
+        LatencySample(60_000, 2**40),
+        LatencySample(60_010, 2**40 + 7),
+        LatencySample(60_020, 1),
+    ]
+    for rule in DecisionRule:
+        cfg = ChannelConfig(ts_us=50, decision_rule=rule)
+        got = receive_symbols(TraceSource(LatencyTrace(samples)), cfg, _theta_state(rule), 10)
+        want = [
+            window_statistic_reference([s.latency_ns for s in samples[i : i + 3]], rule)
+            for i in (0, 3)
+        ]
+        assert [d.statistic for d in got] == want
+
+
+@st.composite
+def _random_traces(draw):
+    """Short traces: bursts of close probes, long in-flight samples that
+    swallow windows, equal timestamps and idle gaps."""
+    n = draw(st.integers(0, 60))
+    t = draw(st.integers(0, 10**6))
+    samples = []
+    for _ in range(n):
+        t += draw(st.sampled_from((0, 1, 500, 9_000, 23_000, 60_000, 300_000)))
+        lat = draw(st.sampled_from((1, 21_000, 22_000, 45_000, 400_000, 2**40)))
+        samples.append(LatencySample(t, lat))
+    return LatencyTrace(samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    trace=_random_traces(),
+    ts_us=st.sampled_from((3, 7, 50, 120)),
+    rule=st.sampled_from(list(DecisionRule)),
+    update_period=st.sampled_from((1, 2, 5, 64)),
+    chunk=st.integers(1, 40),
+    block=st.sampled_from((None, 1, 3)),
+)
+def test_receive_symbols_matches_reference_property(trace, ts_us, rule, update_period, chunk, block):
+    cfg = ChannelConfig(ts_us=ts_us, decision_rule=rule)
+    want, want_state = _reference_decisions(trace, cfg, update_period)
+    state = _theta_state(rule, update_period)
+    saved = modem._CHUNK
+    modem._CHUNK = chunk  # hypothesis runs no function-scoped fixture per example
+    try:
+        got = receive_symbols(_grid(trace, block), cfg, state, 10**6)
+    finally:
+        modem._CHUNK = saved
+    assert got == want
+    assert state == want_state
