@@ -10,6 +10,7 @@ classification over latency histograms, and keystroke timing recovery.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -110,11 +111,13 @@ def count_above(trace: LatencyTrace, theta_ns: int, bucket_s: float) -> list[int
     bucket of the last sample (above threshold or not), so quiet stretches
     show up as zeros.
     """
-    if bucket_s <= 0:
-        raise ValueError("bucket_s must be positive")
+    if not 0 < bucket_s * 1e9 < math.inf:
+        raise ValueError("bucket_s must be positive and finite")
+    bucket_ns = round(bucket_s * 1e9)
+    if bucket_ns == 0:
+        raise ValueError(f"bucket_s={bucket_s} rounds to a zero-width bucket")
     if len(trace) == 0:
         return []
-    bucket_ns = round(bucket_s * 1e9)
     ts = trace.timestamps_ns
     if ts[0] < 0:
         raise ValueError("timestamps must be nonnegative: buckets start at t=0")

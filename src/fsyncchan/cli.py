@@ -116,8 +116,6 @@ def _threshold_state(args, cfg: ChannelConfig, params: SimParams, seed: int) -> 
             theta_ns=theta,
             quiet_mean_ns=theta / 1.5,
             quiet_std_ns=0.0,
-            decision_rule=cfg.decision_rule,
-            provenance="manual",
         )
     return calibrate(calibration_trace(params.model(), cfg, derive_seed(seed, "calibrate")), cfg)
 
@@ -274,18 +272,21 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _analyze_episode_rows(args):
-    trace = trace_read(args.trace)
-    return trace, extract_episodes(trace, args.theta_ns, args.max_gap_ns)
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_episodes(args):
+    return extract_episodes(trace_read(args.trace), args.theta_ns, args.max_gap_ns)
 
 
 def cmd_analyze_episodes(args) -> int:
-    _, episodes = _analyze_episode_rows(args)
-    with open(args.out, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["start_ns", "end_ns", "est_latency_ns", "n_samples"])
-        for ep in episodes:
-            writer.writerow([ep.start_ns, ep.end_ns, ep.est_latency_ns, ep.n_samples])
+    episodes = _read_episodes(args)
+    rows = ([ep.start_ns, ep.end_ns, ep.est_latency_ns, ep.n_samples] for ep in episodes)
+    _write_csv(args.out, ["start_ns", "end_ns", "est_latency_ns", "n_samples"], rows)
     print(f"{len(episodes)} episode(s) -> {args.out}")
     return EXIT_OK
 
@@ -294,46 +295,51 @@ def cmd_analyze_rate(args) -> int:
     trace = trace_read(args.trace)
     counts = count_above(trace, args.theta_ns, args.bucket_s)
     rates = estimate_request_rate(counts, args.samples_per_request)
-    with open(args.out, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bucket", "t_start_s", "count_above", "est_requests"])
-        for i, (c, r) in enumerate(zip(counts, rates)):
-            writer.writerow([i, f"{i * args.bucket_s:.3f}", c, f"{r:.2f}"])
+    rows = (
+        [i, f"{i * args.bucket_s:.3f}", c, f"{r:.2f}"] for i, (c, r) in enumerate(zip(counts, rates))
+    )
+    _write_csv(args.out, ["bucket", "t_start_s", "count_above", "est_requests"], rows)
     print(f"{len(counts)} bucket(s), {sum(counts)} above-threshold samples -> {args.out}")
     return EXIT_OK
 
 
+_TRUTH_FLAGS = {"0": False, "false": False, "False": False, "1": True, "true": True, "True": True}
+
+
+def _read_truth(path) -> list[tuple[int, bool]]:
+    """The (start_ns, is_split) rows of a ground-truth CSV."""
+    truth = []
+    with open(path, newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["start_ns", "is_split"]:
+            raise ValueError("truth CSV must start with header 'start_ns,is_split'")
+        for row in filter(None, reader):  # blank lines are skipped
+            try:
+                start, is_split = row
+                truth.append((int(start), _TRUTH_FLAGS[is_split]))
+            except (ValueError, KeyError):
+                raise ValueError(
+                    f"truth CSV line {reader.line_num}: expected an integer start_ns and an "
+                    f"is_split of 0/1/true/false, got {','.join(row)!r}"
+                ) from None
+    return truth
+
+
 def cmd_analyze_splits(args) -> int:
-    _, episodes = _analyze_episode_rows(args)
-    with open(args.out, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["start_ns", "end_ns", "est_latency_ns", "n_samples", "label"])
-        for ep in episodes:
-            writer.writerow(
-                [
-                    ep.start_ns,
-                    ep.end_ns,
-                    ep.est_latency_ns,
-                    ep.n_samples,
-                    classify_split(ep, args.split_threshold_ns).value,
-                ]
-            )
-    n_split = sum(
-        classify_split(ep, args.split_threshold_ns).value == "split" for ep in episodes
+    episodes = _read_episodes(args)
+    labels = [classify_split(ep, args.split_threshold_ns).value for ep in episodes]
+    rows = (
+        [ep.start_ns, ep.end_ns, ep.est_latency_ns, ep.n_samples, label]
+        for ep, label in zip(episodes, labels)
     )
-    print(f"{len(episodes)} episode(s), {n_split} classified split -> {args.out}")
+    _write_csv(args.out, ["start_ns", "end_ns", "est_latency_ns", "n_samples", "label"], rows)
+    print(f"{len(episodes)} episode(s), {labels.count('split')} classified split -> {args.out}")
     if args.truth:
-        truth = []
-        with open(args.truth, newline="", encoding="ascii") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["start_ns", "is_split"]:
-                raise ValueError("truth CSV must start with header 'start_ns,is_split'")
-            for row in reader:
-                if row:
-                    truth.append((int(row[0]), row[1] in ("1", "true", "True")))
         m = split_detection_metrics(
-            episodes, truth, split_threshold_ns=args.split_threshold_ns, tol_ns=args.tol_ns
+            episodes,
+            _read_truth(args.truth),
+            split_threshold_ns=args.split_threshold_ns,
+            tol_ns=args.tol_ns,
         )
         print(
             f"tp={m.tp} fp={m.fp} fn={m.fn} tn={m.tn} "
@@ -373,11 +379,8 @@ def cmd_analyze_keystrokes(args) -> int:
         min_spacing_ns=round(args.min_spacing_ms * 1e6),
         max_gap_ns=args.max_gap_ns,
     )
-    with open(args.out, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "event_ns", "delta_to_next_ns"])
-        for i, event in enumerate(events):
-            writer.writerow([i, event, deltas[i] if i < len(deltas) else ""])
+    rows = ([i, event, deltas[i] if i < len(deltas) else ""] for i, event in enumerate(events))
+    _write_csv(args.out, ["index", "event_ns", "delta_to_next_ns"], rows)
     print(f"{len(events)} keystroke(s) -> {args.out}")
     return EXIT_OK
 

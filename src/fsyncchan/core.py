@@ -7,7 +7,6 @@ shared freely between the sender and receiver halves of a loopback run.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -54,7 +53,7 @@ class BitStream:
     """Immutable sequence of 0/1 bits.
 
     Stored as bytes with one byte per bit; supports slicing, concatenation,
-    and lossless text/hex round-trips.
+    and lossless text round-trips.
     """
 
     __slots__ = ("_bits",)
@@ -67,10 +66,6 @@ class BitStream:
 
     def __setattr__(self, name, value):
         raise AttributeError("BitStream is immutable")
-
-    @property
-    def length(self) -> int:
-        return len(self._bits)
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -123,36 +118,6 @@ class BitStream:
             elif not ch.isspace():
                 raise ValueError(f"invalid bit character {ch!r}")
         return cls(bits)
-
-    def to_hex(self) -> str:
-        """Pack big-endian into hex; the final nibble is zero-padded."""
-        if not self._bits:
-            return ""
-        value = 0
-        for b in self._bits:
-            value = (value << 1) | b
-        pad = (-len(self._bits)) % 4
-        value <<= pad
-        return format(value, f"0{(len(self._bits) + pad) // 4}x")
-
-    @classmethod
-    def from_hex(cls, text: str, n_bits: int | None = None) -> "BitStream":
-        """Inverse of to_hex; pass n_bits to trim the zero padding."""
-        text = text.strip()
-        total = 4 * len(text)
-        if n_bits is None:
-            n_bits = total
-        if n_bits > total or n_bits < total - 3:
-            raise ValueError(f"n_bits={n_bits} inconsistent with {len(text)} hex digits")
-        if not text:
-            return cls()
-        value = int(text, 16)
-        bits = [(value >> (total - 1 - i)) & 1 for i in range(n_bits)]
-        return cls(bits)
-
-    @classmethod
-    def random(cls, n: int, rng: random.Random) -> "BitStream":
-        return cls(rng.getrandbits(1) for _ in range(n))
 
 
 def prbs_sequence(n_bits: int, seed: int) -> BitStream:

@@ -19,16 +19,22 @@ Each probe advances the clock by its drawn latency plus a fixed per-probe
 overhead (PROBE_OVERHEAD_NS, 2 us) covering the mutation syscall and loop
 bookkeeping.
 
+Competing activity has one type, ActivityTimeline: sorted half-open windows
+in which overlapping or touching windows have merged.  A SenderSchedule is
+the timeline of a bit stream (one window per run of 1-bits), and the noise
+bursts materialize as another.
+
 The probe loop is simulated a stretch at a time.  The sender windows and
-the noise bursts merge into one sorted list of half-open activity windows,
-whose edges cut the clock into stretches of constant state.  The seeded RNG
-first materializes the noise bursts, then draws standard Gaussian variates
-in order, in chunks: probe i of the stream takes the next variate when its
-distribution has std_ns > 0, and none when std_ns == 0 (its latency is then
-the clamped mean).  Per chunk, each state's latencies plus the overhead are
-summed into a prefix sum; one bisection on it counts the probes that start
-before the stretch ends, and the clock jumps to the start of the first one
-that does not.  A stretch that outlasts a chunk continues on the next one.
+the noise bursts merge, by the function that builds every timeline, into one
+sorted list of windows, whose edges cut the clock into stretches of constant
+state.  The seeded RNG first materializes the noise bursts, then draws
+standard Gaussian variates in order, in chunks: probe i of the stream takes
+the next variate when its distribution has std_ns > 0, and none when
+std_ns == 0 (its latency is then the clamped mean).  Per chunk, each state's
+latencies plus the overhead are summed into a prefix sum; one bisection on
+it counts the probes that start before the stretch ends, and the clock jumps
+to the start of the first one that does not.  A stretch that outlasts a
+chunk continues on the next one.
 """
 
 from __future__ import annotations
@@ -47,21 +53,18 @@ from .core import (
     ChannelConfig,
     DecisionRule,
     LatencyTrace,
-    ProbeMode,
     TraceMeta,
     encode_frames,
     frames_to_bits,
 )
 from .metrics import ErrorReport, compare_bits
-from .modem import ScheduleBuilder, WindowGrid, calibrate, receive_frame, send_bits
+from .modem import WindowGrid, calibrate, receive_frame
 
 __all__ = [
     "LatencyDistribution",
     "ContentionModel",
     "SAME_DISK_PRESET",
     "CROSS_DISK_PRESET",
-    "CROSS_DISK_STANDALONE_FSYNC",
-    "CROSS_DISK_CONTENDED_FSYNC_PROBE",
     "default_model",
     "cross_disk_model",
     "ActivityTimeline",
@@ -110,24 +113,18 @@ class LatencyDistribution:
         return max(self.floor_ns, round(rng.gauss(self.mean_ns, self.std_ns)))
 
 
-# Bundled empirical presets (ns): profiled on a single rig with both parties'
-# files in one ext4 journal ("same disk") and with the probe file on a second
-# disk whose journal still shares the device queue ("cross disk").  The
-# contended values are for an fsync-only probe running against the named
-# competitor operation.  Recalibrate with `fsyncchan calibrate` for different
-# hardware.
-CROSS_DISK_STANDALONE_FSYNC: tuple[float, float] = (21045.51, 316.97)
-
-CROSS_DISK_CONTENDED_FSYNC_PROBE: dict[ProbeMode, tuple[float, float]] = {
-    ProbeMode.FSYNC_ONLY: (22253.03, 1611.29),
-    ProbeMode.FTRUNCATE_FSYNC: (22456.78, 2770.05),
-    ProbeMode.WRITE_FSYNC: (24262.37, 4272.32),
-}
-
-# Rounded same-disk fsync-vs-fsync pair (measured 21390.42 +- 2478.57 alone,
-# 43133.73 +- 2521.81 contended) used as the out-of-the-box model.
+# Bundled empirical presets (ns), (standalone, contended) fsync-vs-fsync pairs:
+# profiled on a single rig with both parties' files in one ext4 journal
+# ("same disk") and with the probe file on a second disk whose journal still
+# shares the device queue ("cross disk").  Recalibrate with `fsyncchan
+# calibrate` for different hardware.  Against a cross-disk competitor that
+# dirties the file first, the fsync-only probe measured 22456.78 +- 2770.05
+# (ftruncate) and 24262.37 +- 4272.32 (write) contended.
+#
+# Rounded same-disk pair (measured 21390.42 +- 2478.57 alone, 43133.73 +-
+# 2521.81 contended) used as the out-of-the-box model.
 SAME_DISK_PRESET = ((21390.0, 2479.0), (43134.0, 2522.0))
-CROSS_DISK_PRESET = (CROSS_DISK_STANDALONE_FSYNC, CROSS_DISK_CONTENDED_FSYNC_PROBE[ProbeMode.FSYNC_ONLY])
+CROSS_DISK_PRESET = ((21045.51, 316.97), (22253.03, 1611.29))
 
 
 @dataclass(frozen=True)
@@ -152,62 +149,74 @@ class ContentionModel:
 
 def default_model() -> ContentionModel:
     """Same-disk fsync-vs-fsync empirical preset."""
-    (sa_mean, sa_std), (co_mean, co_std) = SAME_DISK_PRESET
-    return ContentionModel.empirical(
-        LatencyDistribution(sa_mean, sa_std),
-        LatencyDistribution(co_mean, co_std),
-    )
+    return ContentionModel(*(LatencyDistribution(*pair) for pair in SAME_DISK_PRESET))
 
 
-def cross_disk_model(competitor: ProbeMode = ProbeMode.FSYNC_ONLY) -> ContentionModel:
+def cross_disk_model() -> ContentionModel:
     """Cross-disk preset: contention survives mostly as variance, not mean."""
-    sa = LatencyDistribution(*CROSS_DISK_STANDALONE_FSYNC)
-    co = LatencyDistribution(*CROSS_DISK_CONTENDED_FSYNC_PROBE[competitor])
-    return ContentionModel.empirical(sa, co)
+    return ContentionModel(*(LatencyDistribution(*pair) for pair in CROSS_DISK_PRESET))
+
+
+def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the half-open windows [starts[i], ends[i]) as sorted,
+    disjoint start and end columns: windows that overlap or touch join.
+    Raises ValueError on the first empty or inverted window in sorted order."""
+    order = np.lexsort((ends, starts))
+    starts, ends = starts[order], ends[order]
+    bad = np.flatnonzero(ends <= starts)
+    if len(bad):
+        raise ValueError(f"empty or inverted window ({starts[bad[0]]}, {ends[bad[0]]})")
+    if not len(starts):
+        return starts, ends
+    # a window opens a new run when it starts after every earlier window ended
+    reach = np.maximum.accumulate(ends)
+    opens = np.flatnonzero(starts[1:] > reach[:-1]) + 1
+    return starts[np.concatenate(([0], opens))], reach[np.concatenate((opens - 1, [-1]))]
 
 
 class ActivityTimeline:
-    """Sorted, merged half-open [start, end) windows of competing activity."""
+    """Sorted, merged half-open [start, end) windows of competing activity,
+    held as int64 start and end columns."""
 
     __slots__ = ("_starts", "_ends")
 
     def __init__(self, windows: Iterable[tuple[int, int]] = ()):
-        merged: list[list[int]] = []
-        for start, end in sorted(windows):
-            if end <= start:
-                raise ValueError(f"empty or inverted window ({start}, {end})")
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
-        self._starts = [w[0] for w in merged]
-        self._ends = [w[1] for w in merged]
+        columns = np.array(list(windows), dtype=np.int64).reshape(-1, 2)
+        starts, ends = _merge(columns[:, 0], columns[:, 1])
+        starts.setflags(write=False)
+        ends.setflags(write=False)
+        self._starts, self._ends = starts, ends
 
     def __len__(self) -> int:
-        return len(self._starts)
+        return len(self.window_bounds()[0])
 
     def windows(self) -> list[tuple[int, int]]:
-        return list(zip(self._starts, self._ends))
+        starts, ends = self.window_bounds()
+        return list(zip(starts.tolist(), ends.tolist()))
 
     @property
     def duration_ns(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return int(self._ends[-1]) if len(self._ends) else 0
 
     def active_at(self, t_ns: int) -> bool:
-        i = bisect_right(self._starts, t_ns) - 1
-        return i >= 0 and t_ns < self._ends[i]
+        i = bisect_right(memoryview(self._starts), t_ns) - 1
+        return i >= 0 and t_ns < int(self._ends[i])
 
     def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end columns of the windows."""
-        return np.array(self._starts, dtype=np.int64), np.array(self._ends, dtype=np.int64)
+        """Start and end columns of the windows (read-only)."""
+        return self._starts, self._ends
 
 
 IDLE = ActivityTimeline()
 
 
-class SenderSchedule:
+class SenderSchedule(ActivityTimeline):
     """Sender activity derived from a bit stream: bit i of value 1 occupies
-    [i*ts, (i+1)*ts) with back-to-back mutation+fsync, 0 is idle."""
+    [i*ts, (i+1)*ts) with back-to-back mutation+fsync, 0 is idle.
+
+    The windows (the runs of 1-bits) are derived from the bits when asked
+    for, not stored, and active_at indexes the bits directly.
+    """
 
     __slots__ = ("bits", "ts_us", "_ts_ns", "_raw")
 
@@ -226,13 +235,7 @@ class SenderSchedule:
     def duration_ns(self) -> int:
         return len(self._raw) * self._ts_ns
 
-    def intervals(self) -> list[tuple[int, int]]:
-        """Active [start, end) windows with runs of 1-bits merged."""
-        starts, ends = self.window_bounds()
-        return list(zip(starts.tolist(), ends.tolist()))
-
     def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end columns of the active windows."""
         steps = np.diff(np.frombuffer(self._raw, dtype=np.int8), prepend=0, append=0)
         return np.flatnonzero(steps == 1) * self._ts_ns, np.flatnonzero(steps == -1) * self._ts_ns
 
@@ -276,19 +279,18 @@ class NoiseProcess:
     """
 
     degree: NoiseDegree
-    bursts_per_second: float
     burst_len: LatencyDistribution
 
     @classmethod
     def from_degree(cls, degree: NoiseDegree, model: ContentionModel) -> "NoiseProcess | None":
         if degree is NoiseDegree.NONE:
             return None
-        return cls(degree, degree.bursts_per_second, model.contended)
+        return cls(degree, model.contended)
 
     def materialize(self, horizon_ns: int, rng: random.Random) -> ActivityTimeline:
-        if self.bursts_per_second <= 0 or horizon_ns <= 0:
+        rate_per_ns = self.degree.bursts_per_second / 1e9
+        if rate_per_ns <= 0 or horizon_ns <= 0:
             return IDLE
-        rate_per_ns = self.bursts_per_second / 1e9
         bursts = []
         t = 0.0
         while True:
@@ -304,38 +306,33 @@ _FIRST_CHUNK = 256  # variates in the first chunk; each next chunk doubles
 _MAX_CHUNK = 4096
 
 
-def _activity_edges(activity, noise: ActivityTimeline | None) -> memoryview:
-    """Sorted edges of the union of the activity and noise windows:
-    start, end, start, end, ...  A time t is contended when an odd number of
-    edges lie at or before it."""
+def _activity_edges(activity: ActivityTimeline, noise: ActivityTimeline | None) -> memoryview:
+    """Sorted edges of the union of the activity windows and the noise
+    bursts: start, end, start, end, ...  A time t is contended when an odd
+    number of edges lie at or before it."""
     starts, ends = activity.window_bounds()
-    if noise is not None and len(noise):
+    if noise is not None:
         noise_starts, noise_ends = noise.window_bounds()
-        starts = np.concatenate((starts, noise_starts))
-        order = np.argsort(starts, kind="stable")
-        starts = starts[order]
-        ends = np.concatenate((ends, noise_ends))[order]
+        starts, ends = _merge(
+            np.concatenate((starts, noise_starts)), np.concatenate((ends, noise_ends))
+        )
     edges = np.empty(2 * len(starts), dtype=np.int64)
-    if len(starts):
-        # a window opens a new run when it starts after every earlier window ended
-        reach = np.maximum.accumulate(ends)
-        opens = np.flatnonzero(starts[1:] > reach[:-1]) + 1
-        n_runs = len(opens) + 1
-        edges[0 : 2 * n_runs : 2] = starts[np.concatenate(([0], opens))]
-        edges[1 : 2 * n_runs : 2] = reach[np.concatenate((opens - 1, [len(starts) - 1]))]
-        edges = edges[: 2 * n_runs]
+    edges[0::2], edges[1::2] = starts, ends
     return memoryview(edges)
 
 
 def _probe_blocks(
-    activity, model: ContentionModel, seed: int, noise: NoiseProcess | None, horizon_ns: int
+    activity: ActivityTimeline,
+    model: ContentionModel,
+    seed: int,
+    noise: NoiseProcess | None,
+    horizon_ns: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The receiver probe loop from virtual time 0, without end, as blocks of
     (timestamps, latencies) columns, a few thousand probes each.
 
-    `activity` is a SenderSchedule or an ActivityTimeline.  The seeded RNG
-    first materializes noise bursts up to horizon_ns, then draws the probe
-    variates (see the module docstring).
+    The seeded RNG first materializes noise bursts up to horizon_ns, then
+    draws the probe variates (see the module docstring).
     """
     rng = random.Random(seed)
     timeline = noise.materialize(horizon_ns, rng) if noise is not None else None
@@ -421,7 +418,7 @@ def _sim_meta(seed: int) -> TraceMeta:
 
 
 def sim_receive(
-    activity,
+    activity: ActivityTimeline,
     model: ContentionModel,
     seed: int,
     *,
@@ -468,13 +465,13 @@ class SimSource(WindowGrid):
 
     def __init__(
         self,
-        activity,
+        activity: ActivityTimeline,
         model: ContentionModel,
         seed: int,
         *,
         noise: NoiseProcess | None = None,
     ):
-        horizon_ns = getattr(activity, "duration_ns", 0) + 100_000_000
+        horizon_ns = activity.duration_ns + 100_000_000
         super().__init__(_probe_blocks(activity, model, seed, noise, horizon_ns), _sim_meta(seed))
 
     @property
@@ -509,10 +506,9 @@ def loopback(
     bit.
     """
     frames = encode_frames(payload, cfg)
-    builder = ScheduleBuilder(cfg.ts_us, model)
-    send_bits(frames_to_bits(frames), cfg, builder)
+    schedule = SenderSchedule(frames_to_bits(frames), cfg.ts_us)
     state = calibrate(calibration_trace(model, cfg, calibration_seed), cfg)
-    source = SimSource(builder.schedule(), model, channel_seed, noise=noise)
+    source = SimSource(schedule, model, channel_seed, noise=noise)
     sent: list[int] = []
     received: list[int] = []
     for frame in frames:
@@ -531,16 +527,12 @@ class SimParams:
     contended_mean_ns: float = SAME_DISK_PRESET[1][0]
     contended_std_ns: float = SAME_DISK_PRESET[1][1]
     noise_degree: NoiseDegree = NoiseDegree.NONE
-    seed: int | None = None
 
     def model(self) -> ContentionModel:
         return ContentionModel.empirical(
             LatencyDistribution(self.standalone_mean_ns, self.standalone_std_ns),
             LatencyDistribution(self.contended_mean_ns, self.contended_std_ns),
         )
-
-    def noise(self, model: ContentionModel | None = None) -> NoiseProcess | None:
-        return NoiseProcess.from_degree(self.noise_degree, model or self.model())
 
 
 _SIM_PARAM_KEYS = {
@@ -549,7 +541,6 @@ _SIM_PARAM_KEYS = {
     "contended.mean_ns": ("contended_mean_ns", float),
     "contended.std_ns": ("contended_std_ns", float),
     "noise.degree": ("noise_degree", NoiseDegree),
-    "seed": ("seed", int),
 }
 
 

@@ -6,7 +6,8 @@ package against an implementation that shares no code with it.  The
 one-probe-per-call simulator, the sample-at-a-time window grid, the exact
 window statistics, the one-window-per-call decision stream and frame search,
 and the line-at-a-time trace parser are the package's earlier
-implementations, kept as references for the vectorized ones.
+implementations, kept as references for the vectorized ones, and so is the
+window merge loop of the activity timeline.
 """
 
 from __future__ import annotations
@@ -107,6 +108,21 @@ def exact_sq_distances(train, query):
         vt = sum(vc) or 1
         out.append(sum((Fraction(a, vt) - Fraction(b, qt)) ** 2 for a, b in zip(vc, qc)))
     return out
+
+
+def merge_windows_reference(windows):
+    """Sorted union of half-open [start, end) windows, one window at a time:
+    a window that overlaps or touches the last merged one extends it.  Raises
+    ValueError on the first empty or inverted window in sorted order."""
+    merged: list[list[int]] = []
+    for start, end in sorted(windows):
+        if end <= start:
+            raise ValueError(f"empty or inverted window ({start}, {end})")
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return [(start, end) for start, end in merged]
 
 
 def sim_probe_reference(clock_ns, activity, model, noise, rng):

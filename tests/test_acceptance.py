@@ -36,7 +36,6 @@ from fsyncchan.cli import BENCH_CSV_HEADER, derive_seed, main as cli_main
 from fsyncchan.core import (
     DEFAULT_HEADER,
     ChannelConfig,
-    DecisionRule,
     LatencySample,
     LatencyTrace,
     prbs_sequence,
@@ -125,7 +124,6 @@ def test_frame_sync_recovery():
         theta_ns=32_085,
         quiet_mean_ns=21_390.0,
         quiet_std_ns=0.0,
-        decision_rule=DecisionRule.MEAN,
         provenance="manual",
     )
     recovered = 0

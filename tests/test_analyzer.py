@@ -157,6 +157,14 @@ def test_count_above_validation_and_empty():
         count_above(LatencyTrace([]), 0, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         count_above(LatencyTrace([LatencySample(-5, 10), LatencySample(5, 10)]), 0, 1.0)
+    # buckets are whole ns: one that rounds to 0 ns is rejected, as are
+    # infinite and NaN widths, with or without samples
+    trace = LatencyTrace([LatencySample(5, 10)])
+    for bucket_s in (4e-10, float("inf"), 1e300, float("nan")):
+        for t in (trace, LatencyTrace([])):
+            with pytest.raises(ValueError, match="bucket"):
+                count_above(t, 0, bucket_s)
+    assert count_above(trace, 0, 6e-10) == [0, 0, 0, 0, 0, 1]  # rounds to 1 ns
 
 
 def test_estimate_request_rate():

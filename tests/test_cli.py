@@ -191,6 +191,15 @@ def test_bad_sim_params_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sim_params_seed_key_exits_2(tmp_path, capsys):
+    # the run seed comes from --seed only; a params file may not carry one
+    params = tmp_path / "params.txt"
+    params.write_text("contended.mean_ns = 50000\nseed = 7\n")
+    rc = main(["calibrate", "--seed", "1", "--sim-params", str(params)])
+    assert rc == 2
+    assert "line 2: unknown key 'seed'" in capsys.readouterr().err
+
+
 def test_payload_trim_too_long_exits_2(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     main(["send", "--seed", "2", "--payload-bits", "32",
@@ -376,6 +385,48 @@ def test_analyze_rate(ops_trace, tmp_path, capsys):
     assert sum(counts) > 0
     for r in rows[1:]:
         assert float(r[3]) == pytest.approx(int(r[2]) / 4, abs=0.01)
+
+
+def test_analyze_rate_zero_width_bucket_exits_2(ops_trace, tmp_path, capsys):
+    trace_path, _ = ops_trace
+    for bucket in ("1e-10", "inf"):
+        rc = main(["analyze", "rate", "--trace", str(trace_path), "--theta-ns", "70000",
+                   "--bucket-s", bucket, "--out", str(tmp_path / "rate.csv")])
+        assert rc == 2
+        assert "error: bucket_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["5", "5,1,0", "5.5,1", "x,0", "5,yes", "5,", "5,2"],
+    ids=["one-field", "three-fields", "float-start", "text-start", "yes", "empty-flag", "two"],
+)
+def test_analyze_splits_bad_truth_row_exits_2(ops_trace, row, tmp_path, capsys):
+    trace_path, _ = ops_trace
+    truth_path = tmp_path / "truth.csv"
+    truth_path.write_text(f"start_ns,is_split\n20000000,0\n{row}\n", encoding="ascii")
+    rc = main(["analyze", "splits", "--trace", str(trace_path), "--truth", str(truth_path),
+               "--out", str(tmp_path / "splits.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: truth CSV line 3:")
+    assert repr(row) in err
+
+
+def test_analyze_splits_truth_flags(ops_trace, tmp_path, capsys):
+    # 0/1/true/false/True/False are the is_split values; blank lines are skipped
+    trace_path, windows = ops_trace
+    truth_path = tmp_path / "truth.csv"
+    flags = ["1", "true", "True", "0", "false"]
+    rows = [f"{start},{flag}" for (start, _), flag in zip(windows, flags)]
+    truth_path.write_text("start_ns,is_split\n" + "\n\n".join(rows) + "\n", encoding="ascii")
+    rc = main(["analyze", "splits", "--trace", str(trace_path), "--max-gap-ns", "500000",
+               "--split-threshold-ns", "100000", "--truth", str(truth_path),
+               "--out", str(tmp_path / "splits.csv")])
+    assert rc == 0
+    stats = dict(part.split("=") for part in capsys.readouterr().out.splitlines()[-1].split())
+    # every 400 us op reads as a split at a 100 us threshold: 3 true, 2 false
+    assert (stats["tp"], stats["fp"], stats["fn"], stats["tn"]) == ("3", "2", "0", "0")
 
 
 def test_analyze_splits_with_truth(tmp_path, capsys):

@@ -75,37 +75,10 @@ def test_bitstream_text_round_trip():
         BitStream.from_text("10x1")
 
 
-def test_bitstream_hex_round_trip_examples():
-    bs = BitStream.from_text("10110101")
-    assert bs.to_hex() == "b5"
-    assert BitStream.from_hex("b5") == bs
-    # non-multiple-of-4 lengths pad the final nibble with zeros
-    bs5 = BitStream.from_text("10111")
-    assert bs5.to_hex() == "b8"
-    assert BitStream.from_hex("b8", n_bits=5) == bs5
-    assert BitStream().to_hex() == ""
-    assert BitStream.from_hex("") == BitStream()
-
-
-def test_bitstream_from_hex_length_validation():
-    with pytest.raises(ValueError):
-        BitStream.from_hex("b5", n_bits=9)  # more bits than digits carry
-    with pytest.raises(ValueError):
-        BitStream.from_hex("b5", n_bits=4)  # would drop a whole digit
-
-
 @given(st.lists(st.integers(0, 1), max_size=200))
-def test_bitstream_text_hex_round_trip_property(bits):
+def test_bitstream_text_round_trip_property(bits):
     bs = BitStream(bits)
     assert BitStream.from_text(bs.to_text()) == bs
-    assert BitStream.from_hex(bs.to_hex(), n_bits=len(bs)) == bs
-
-
-def test_bitstream_random_deterministic():
-    a = BitStream.random(100, random.Random(3))
-    b = BitStream.random(100, random.Random(3))
-    assert a == b
-    assert len(a) == 100
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ def test_compare_bits_validation():
 
 def test_compare_bits_identity():
     rng = random.Random(2)
-    sent = BitStream.random(500, rng)
-    recv = BitStream.random(500, rng)
+    sent = BitStream(rng.getrandbits(1) for _ in range(500))
+    recv = BitStream(rng.getrandbits(1) for _ in range(500))
     rep = compare_bits(sent, recv)
     assert rep.err_1to0 + rep.err_0to1 == round(rep.p * rep.n_bits)
     assert rep.n_ones + rep.n_zeros == rep.n_bits

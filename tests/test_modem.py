@@ -100,7 +100,7 @@ def test_calibrate_stddev_rule():
     cfg = ChannelConfig(ts_us=2000, decision_rule=DecisionRule.STDDEV)
     trace = sim_receive(IDLE, cross_disk_model(), 5, duration_ns=150_000_000)
     state = calibrate(trace, cfg)
-    assert state.decision_rule is DecisionRule.STDDEV
+    assert state.provenance.startswith("calibrated(rule=stddev,")
     # quiet window spread of the cross-disk preset is ~317 ns
     assert 200 < state.quiet_mean_ns < 450
     assert state.theta_ns < 1_000
@@ -366,7 +366,7 @@ def test_schedule_builder_matches_sender_schedule():
     report = send_bits(bits, cfg, builder)
     assert builder.bits == bits
     sched = builder.schedule()
-    assert sched.intervals() == SenderSchedule(bits, 50).intervals()
+    assert sched.windows() == SenderSchedule(bits, 50).windows()
     # nominal standalone fsync cycle is ~23.4 us -> 2 fit in a 50 us slot
     assert report.fsyncs_per_bit == (2, 0, 2, 0, 2, 0, 2, 0)
 
@@ -383,7 +383,7 @@ def test_schedule_builder_follows_probe_overhead(monkeypatch):
 
 def test_schedule_builder_validation():
     with pytest.raises(ValueError):
-        ScheduleBuilder(0)
+        ScheduleBuilder(0, default_model())
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +549,7 @@ class _ProbeOnly:
 
 def _theta_state(rule, update_period=64):
     theta = 32_085 if rule is DecisionRule.MEAN else 1_500
-    return ThresholdState(theta, theta / 1.5, 0.0, decision_rule=rule, update_period=update_period)
+    return ThresholdState(theta, theta / 1.5, 0.0, update_period=update_period)
 
 
 def _next_window(source, ts_us):

@@ -29,8 +29,10 @@ from fsyncchan.simchan import (
     sim_receive,
     sim_transmit,
 )
+from fsyncchan.simchan import _activity_edges
 from synthgen import (
     WindowGridReference,
+    merge_windows_reference,
     probe_stream_reference,
     sim_receive_reference,
 )
@@ -103,19 +105,60 @@ def test_activity_timeline_merges_and_sorts():
     assert tl.active_at(50) and not tl.active_at(80)
 
 
+_WINDOW_LISTS = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(-2, 25)).map(lambda w: (w[0], w[0] + w[1])),
+    max_size=30,
+)
+
+
+def _merged_or_error(merge, windows):
+    try:
+        return merge(windows)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows=_WINDOW_LISTS)
+def test_activity_timeline_matches_reference_merge(windows):
+    # small coordinates make overlapping, nested, touching and duplicate
+    # windows common; a nonpositive width must fail on the same window
+    got = _merged_or_error(lambda w: ActivityTimeline(w).windows(), windows)
+    assert got == _merged_or_error(merge_windows_reference, windows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 1), max_size=40),
+    ts_us=st.integers(1, 3),
+    bursts=_WINDOW_LISTS.map(lambda ws: [(s * 200, e * 200) for s, e in ws if e > s]),
+)
+def test_activity_edges_are_reference_union(bits, ts_us, bursts):
+    # the simulator's contention windows: the union of the sender's runs and
+    # the noise bursts, touching windows joined
+    runs = [(i * ts_us * 1000, (i + 1) * ts_us * 1000) for i, bit in enumerate(bits) if bit]
+    sched = SenderSchedule(BitStream(bits), ts_us)
+    for noise in (ActivityTimeline(bursts), None):
+        edges = _activity_edges(sched, noise).tolist()
+        want = merge_windows_reference(runs + (bursts if noise is not None else []))
+        assert list(zip(edges[0::2], edges[1::2])) == want
+
+
 def test_activity_timeline_validation_and_idle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"empty or inverted window \(10, 10\)"):
         ActivityTimeline([(10, 10)])
-    with pytest.raises(ValueError):
-        ActivityTimeline([(10, 5)])
+    with pytest.raises(ValueError, match=r"empty or inverted window \(10, 5\)"):
+        ActivityTimeline([(20, 30), (10, 5), (12, 3)])
     assert len(IDLE) == 0
     assert not IDLE.active_at(123)
 
 
 def test_sender_schedule_alternating_bits():
     sched = SenderSchedule(BitStream.from_text("10101010"), ts_us=50)
+    assert isinstance(sched, ActivityTimeline)
+    assert len(sched) == 4
     assert sched.duration_ns == 8 * 50_000
-    assert sched.intervals() == [
+    assert sched.windows() == [
         (0, 50_000),
         (100_000, 150_000),
         (200_000, 250_000),
@@ -129,7 +172,9 @@ def test_sender_schedule_alternating_bits():
 
 def test_sender_schedule_merges_runs():
     sched = SenderSchedule(BitStream.from_text("0110"), ts_us=50)
-    assert sched.intervals() == [(50_000, 150_000)]
+    assert sched.windows() == [(50_000, 150_000)]
+    # a trailing 0 is still part of the transmission
+    assert sched.duration_ns == 4 * 50_000
 
 
 def test_sender_schedule_validation():
@@ -148,7 +193,7 @@ def test_noise_degree_rates():
 def test_noise_from_degree_none_is_noiseless():
     assert NoiseProcess.from_degree(NoiseDegree.NONE, default_model()) is None
     proc = NoiseProcess.from_degree(NoiseDegree.HIGH, default_model())
-    assert proc.bursts_per_second == 500.0
+    assert proc.degree is NoiseDegree.HIGH
     assert proc.burst_len.mean_ns == 43_134.0
 
 
@@ -176,7 +221,7 @@ def test_noise_burst_count_scales_with_degree():
 
 def test_noise_timeline_queries():
     # materialized bursts are a merged ActivityTimeline the probe queries
-    proc = NoiseProcess(NoiseDegree.HIGH, 500.0, LatencyDistribution(40_000, 0))
+    proc = NoiseProcess(NoiseDegree.HIGH, LatencyDistribution(40_000, 0))
     tl = proc.materialize(100_000_000, random.Random(4))
     assert isinstance(tl, ActivityTimeline)
     assert len(tl) > 20
@@ -542,23 +587,20 @@ def test_parse_sim_params_full():
     contended.mean_ns = 44000   # during sender activity
     contended.std_ns = 2500
     noise.degree = medium
-    seed = 77
     """
     params = parse_sim_params(text)
     assert params.standalone_mean_ns == 21_000.0
     assert params.contended_mean_ns == 44_000.0
     assert params.noise_degree is NoiseDegree.MEDIUM
-    assert params.seed == 77
     model = params.model()
     assert model.standalone.mean_ns == 21_000.0
-    assert params.noise(model).bursts_per_second == 50.0
+    assert model.contended.std_ns == 2_500.0
 
 
 def test_parse_sim_params_defaults():
     params = parse_sim_params("")
     assert params == SimParams()
     assert params.noise_degree is NoiseDegree.NONE
-    assert params.noise() is None
     assert params.model().contended.mean_ns == 43_134.0
 
 
@@ -568,9 +610,12 @@ def test_parse_sim_params_errors():
     with pytest.raises(ValueError, match="unknown key"):
         parse_sim_params("standalone.meanns = 21000")
     with pytest.raises(ValueError, match="bad value"):
-        parse_sim_params("seed = abc")
+        parse_sim_params("standalone.mean_ns = abc")
     with pytest.raises(ValueError, match="line 2"):
-        parse_sim_params("seed = 3\nnoise.degree = extreme")
+        parse_sim_params("standalone.mean_ns = 3\nnoise.degree = extreme")
+    # every command takes its seed from --seed, so a params file has none
+    with pytest.raises(ValueError, match="line 1: unknown key 'seed'"):
+        parse_sim_params("seed = 3")
 
 
 def test_load_sim_params(tmp_path):
