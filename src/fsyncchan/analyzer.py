@@ -27,6 +27,7 @@ __all__ = [
     "default_max_gap",
     "extract_episodes",
     "count_above",
+    "MAX_BUCKETS",
     "estimate_request_rate",
     "SplitLabel",
     "classify_split",
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 SPLIT_THRESHOLD_NS = 1_000_000
+# count_above's largest bucket list: a CSV row each in `analyze rate`
+MAX_BUCKETS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ def count_above(trace: LatencyTrace, theta_ns: int, bucket_s: float) -> list[int
     Bucket k covers [k*bucket, (k+1)*bucket) from t=0; a sample exactly on a
     boundary belongs to the bucket it starts.  The list spans through the
     bucket of the last sample (above threshold or not), so quiet stretches
-    show up as zeros.
+    show up as zeros.  More than MAX_BUCKETS buckets is a ValueError.
     """
     if not 0 < bucket_s * 1e9 < math.inf:
         raise ValueError("bucket_s must be positive and finite")
@@ -122,6 +125,12 @@ def count_above(trace: LatencyTrace, theta_ns: int, bucket_s: float) -> list[int
     if ts[0] < 0:
         raise ValueError("timestamps must be nonnegative: buckets start at t=0")
     n_buckets = int(ts[-1]) // bucket_ns + 1
+    if n_buckets > MAX_BUCKETS:
+        fits_s = (int(ts[-1]) // MAX_BUCKETS + 1) / 1e9
+        raise ValueError(
+            f"bucket_s={bucket_s} makes {n_buckets:,} buckets, over the limit of "
+            f"{MAX_BUCKETS:,}; the smallest bucket_s that fits is {fits_s!r}"
+        )
     above = ts[trace.latencies_ns > theta_ns] // bucket_ns
     return np.bincount(above, minlength=n_buckets).tolist()
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: calibrate, send, recv, bench, analyze (episodes, rate, splits,
-classify, keystrokes).  Simulation is the default everywhere; real fsync
-probing is opt-in via --real --file PATH on a file the caller created.
+classify, keystrokes).  Simulation is the default everywhere; --file PATH, a
+file the caller created, selects real fsync probing.
 
 Exit codes: 0 success, 1 runtime failure (I/O, probe errors), 2 usage or
 configuration error, 3 protocol timeout (no frame within the receive window).
@@ -48,6 +48,7 @@ from .modem import (
     CalibrationError,
     ThresholdState,
     TraceSource,
+    WindowGrid,
     calibrate,
     receive_frame,
     send_bits,
@@ -91,16 +92,9 @@ def _channel_config(args, ts_us: int | None = None) -> ChannelConfig:
 
 
 def _sim_params(args) -> SimParams:
-    if getattr(args, "sim_params", None):
+    if args.sim_params:
         return load_sim_params(args.sim_params)
     return SimParams()
-
-
-def _noise_process(args, params: SimParams, model) -> NoiseProcess | None:
-    degree = params.noise_degree
-    if getattr(args, "noise", None):
-        degree = NoiseDegree(args.noise)
-    return NoiseProcess.from_degree(degree, model)
 
 
 def _require_seed(args) -> int:
@@ -109,19 +103,23 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _threshold_state(args, cfg: ChannelConfig, params: SimParams, seed: int) -> ThresholdState:
-    if args.theta_ns is not None:
-        theta = args.theta_ns
-        return ThresholdState(
-            theta_ns=theta,
-            quiet_mean_ns=theta / 1.5,
-            quiet_std_ns=0.0,
-        )
-    return calibrate(calibration_trace(params.model(), cfg, derive_seed(seed, "calibrate")), cfg)
+def _threshold_state(args, cfg: ChannelConfig) -> ThresholdState:
+    """The --theta-ns threshold; without it, one calibrated on simulated quiet
+    traffic, which only sim mode may use."""
+    seed = None if args.file else _require_seed(args)
+    params = _sim_params(args)
+    if args.theta_ns is None:
+        if args.file:
+            raise ValueError(
+                "live recv needs --theta-ns N; measure it with `fsyncchan calibrate --file PATH`"
+            )
+        return calibrate(calibration_trace(params.model(), cfg, derive_seed(seed, "calibrate")), cfg)
+    theta = args.theta_ns
+    return ThresholdState(theta_ns=theta, quiet_mean_ns=theta / 1.5, quiet_std_ns=0.0)
 
 
 def _payload_bits(args, seed: int) -> BitStream:
-    if getattr(args, "payload_file", None):
+    if args.payload_file:
         text = Path(args.payload_file).read_text(encoding="ascii")
         bits = BitStream.from_text(text)
         if len(bits) == 0:
@@ -132,9 +130,7 @@ def _payload_bits(args, seed: int) -> BitStream:
 
 def cmd_calibrate(args) -> int:
     cfg = _channel_config(args)
-    if args.real:
-        if not args.file:
-            raise ValueError("--real requires --file PATH")
+    if args.file:
         with ProbeHandle(args.file, cfg.probe_mode) as handle:
             trace = handle.probe_for(args.duration_us)
     else:
@@ -160,13 +156,11 @@ def cmd_calibrate(args) -> int:
 
 def cmd_send(args) -> int:
     cfg = _channel_config(args)
-    seed = _require_seed(args) if not args.real else (args.seed or 0)
+    seed = _require_seed(args) if not args.file else (args.seed or 0)
     payload = _payload_bits(args, seed)
     frames = encode_frames(payload, cfg)
     tx_bits = frames_to_bits(frames)
-    if args.real:
-        if not args.file:
-            raise ValueError("--real requires --file PATH")
+    if args.file:
         with ProbeHandle(args.file, cfg.probe_mode) as handle:
             report = send_bits(tx_bits, cfg, handle)
         print(
@@ -178,7 +172,7 @@ def cmd_send(args) -> int:
         raise ValueError("sim send requires --out TRACE_CSV")
     params = _sim_params(args)
     model = params.model()
-    noise = _noise_process(args, params, model)
+    noise = NoiseProcess.from_degree(NoiseDegree(args.noise or params.noise_degree), model)
     trace = sim_transmit(tx_bits, cfg, model, derive_seed(seed, "channel"), noise=noise)
     trace_write(trace, args.out)
     print(
@@ -188,41 +182,33 @@ def cmd_send(args) -> int:
     return EXIT_OK
 
 
-def _recv_frames(source, cfg, state, args, max_symbols) -> list[BitStream]:
+def _recv_frames(source, cfg, state, args) -> list[BitStream]:
+    """The payloads of args.frames frames; ProtocolTimeout if one is lost."""
+    max_symbols = args.max_symbols or 4 * cfg.frame_len
     payloads = []
     for _ in range(args.frames):
         p = receive_frame(
             source, cfg, state, max_symbols=max_symbols, max_mismatches=args.max_mismatches
         )
         if p is None:
-            break
+            raise ProtocolTimeout(
+                f"recovered {len(payloads)}/{args.frames} frame(s) within {max_symbols} symbols each"
+            )
         payloads.append(p)
     return payloads
 
 
 def cmd_recv(args) -> int:
     cfg = _channel_config(args)
-    seed = _require_seed(args) if not args.real else (args.seed or 0)
-    params = _sim_params(args)
-    state = _threshold_state(args, cfg, params, seed)
-    max_symbols = args.max_symbols or 4 * cfg.frame_len
-    if args.real:
-        if not args.file:
-            raise ValueError("--real requires --file PATH")
-        with ProbeHandle(args.file, cfg.probe_mode) as source:
-            payloads = _recv_frames(source, cfg, state, args, max_symbols)
+    state = _threshold_state(args, cfg)
+    if args.file:
+        with ProbeHandle(args.file, cfg.probe_mode) as handle:
+            payloads = _recv_frames(WindowGrid(handle.blocks(), handle.meta()), cfg, state, args)
+    elif args.trace:
+        payloads = _recv_frames(TraceSource(trace_read(args.trace)), cfg, state, args)
     else:
-        if not args.trace:
-            raise ValueError("sim recv requires --trace TRACE_CSV")
-        source = TraceSource(trace_read(args.trace))
-        payloads = _recv_frames(source, cfg, state, args, max_symbols)
-    if len(payloads) < args.frames:
-        raise ProtocolTimeout(
-            f"recovered {len(payloads)}/{args.frames} frame(s) within {max_symbols} symbols each"
-        )
-    joined = BitStream()
-    for p in payloads:
-        joined = joined + p
+        raise ValueError("sim recv requires --trace TRACE_CSV")
+    joined = BitStream(b"".join(map(bytes, payloads)))
     n_bits = args.payload_bits or len(joined)
     if n_bits > len(joined):
         raise ValueError(f"--payload-bits {n_bits} exceeds recovered {len(joined)} bits")
@@ -398,9 +384,11 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _add_channel_flags(p: argparse.ArgumentParser, include_ts: bool = True) -> None:
-    if include_ts:
+def _add_channel_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    """The flags of one channel; a sweep (bench) is sim-only and lists --ts-us."""
+    if not sweep:
         p.add_argument("--ts-us", type=int, default=50, help="symbol duration in microseconds")
+        p.add_argument("--file", help="probe this file (caller-created) instead of simulating")
     p.add_argument(
         "--mode",
         choices=[m.value for m in ProbeMode],
@@ -423,11 +411,6 @@ def _add_channel_flags(p: argparse.ArgumentParser, include_ts: bool = True) -> N
     p.add_argument("--seed", type=int, help="run seed (required in sim mode)")
 
 
-def _add_real_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--real", action="store_true", help="probe a real file instead of simulating")
-    p.add_argument("--file", help="probe file path (caller-created; required with --real)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsyncchan",
@@ -437,14 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="derive the decision threshold from quiet traffic")
     _add_channel_flags(p)
-    _add_real_flags(p)
     p.add_argument("--duration-us", type=float, default=5000.0, help="real-probe quiet duration")
     p.add_argument("--out", help="write calibration as key=value lines")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("send", help="transmit a payload (sim writes the receiver trace)")
     _add_channel_flags(p)
-    _add_real_flags(p)
     p.add_argument("--payload-file", help="text file of 0/1 payload bits")
     p.add_argument("--payload-bits", type=int, default=8000, help="PRBS payload length")
     p.add_argument("--noise", choices=[d.value for d in NoiseDegree], help="background noise degree")
@@ -453,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recv", help="receive frames from a trace (sim) or live probe")
     _add_channel_flags(p)
-    _add_real_flags(p)
     p.add_argument("--trace", help="trace CSV to decode (sim mode)")
     p.add_argument("--frames", type=_int_at_least(1), default=1, help="frames to recover")
     p.add_argument(
@@ -468,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recv)
 
     p = sub.add_parser("bench", help="loopback BER/capacity sweep on the simulator")
-    _add_channel_flags(p, include_ts=False)
+    _add_channel_flags(p, sweep=True)
     p.add_argument("--ts-us", default="50,200,400", help="comma-separated symbol durations (us)")
     p.add_argument("--noise", default="none", help="comma-separated noise degrees")
     p.add_argument("--payload-bits", type=int, default=8000, help="payload bits per run")

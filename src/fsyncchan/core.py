@@ -67,6 +67,10 @@ class BitStream:
     def __setattr__(self, name, value):
         raise AttributeError("BitStream is immutable")
 
+    def __reduce__(self):
+        # pickle rebuilds through __init__, since __setattr__ refuses
+        return BitStream, (self._bits,)
+
     def __len__(self) -> int:
         return len(self._bits)
 

@@ -15,13 +15,14 @@ it upward.  Frame boundaries are found by a sliding count of mismatches
 between the last header-length bits and the configured header.
 
 One decision core serves every source.  A WindowGrid (trace replay, the
-simulated channel) lets it look ahead at a chunk of up to _CHUNK windows
-without consuming them: the window statistics of the chunk come from exact
-prefix sums, bits are decided in blocks that end at each threshold refresh,
-and the grid then commits exactly the windows the caller used, so a frame
-search consumes what a window-at-a-time receiver would.  A source with only
-probe_for(duration_us) (the live probe handle) feeds the same core the
-windows it probes, and is asked only for windows the caller will consume.
+simulated channel, the live probe) lets it look ahead at a chunk of up to
+_CHUNK windows without consuming them: the window statistics of the chunk
+come from exact prefix sums, bits are decided in blocks that end at each
+threshold refresh, and the grid then commits exactly the windows the caller
+used, so a frame search consumes what a window-at-a-time receiver would.  A
+source with only probe_for(duration_us) (the benchmark's traced proxy) feeds
+the same core the windows it probes, and is asked only for windows the
+caller will consume.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ class WindowGrid:
         while self._ts_view[-1] < last and self._extend():
             pass
         i, ts, lat = self._i, self._ts, self._lat
-        # probe_for on a grid (tests, the benchmark's traced proxy; the live
-        # ProbeHandle goes through _ProbeWindows) and the rare one-window chunk:
-        # a bisection beats the numpy calls below (TraceSource.probe_for over
-        # a 50 us trace: 3.4 us a window, 14-16 without, on a 2-core VM)
+        # probe_for on a grid (tests, the benchmark's traced proxy) and the
+        # rare one-window chunk: a bisection beats the numpy calls below
+        # (TraceSource.probe_for over a 50 us trace: 3.4 us a window, 14-16
+        # without, on a 2-core VM)
         if n == 1:
             j = bisect_left(self._ts_view, last, i)
             self._ahead = (anchor, width, (j,))
@@ -353,9 +354,10 @@ _CHUNK = 1024
 
 
 class _ProbeWindows:
-    """look_ahead/commit over a source that has only probe_for (the live
-    probe handle): a look-ahead probes its windows, which are consumed at
-    once, so the decision core looks ahead only at windows it will consume."""
+    """look_ahead/commit over a source that has only probe_for (perfbench's
+    spans.TracedSource, until it passes look_ahead and commit through): a
+    look-ahead probes its windows, which are consumed at once, so the
+    decision core looks ahead only at windows it will consume."""
 
     def __init__(self, source):
         self._probe_for = source.probe_for
@@ -405,7 +407,7 @@ class _Decisions:
         """Bits of the next block of at most limit windows, not yet consumed;
         empty once the source is spent.  The caller will consume at least
         `sure` more windows, which is what a new chunk reads: a probe_for
-        source consumes the windows it probes."""
+        source (the benchmark's traced proxy) consumes the windows it probes."""
         a, stats = self._done, self._stats
         if a == len(stats):
             _, lat, self._lo, self._hi = self._look_ahead(self._ts_us, min(sure, _CHUNK))
@@ -432,9 +434,10 @@ class _Decisions:
 def receive_symbols(source, cfg: ChannelConfig, state: ThresholdState, n_symbols: int) -> list[SymbolDecision]:
     """Demodulate up to n_symbols from the source (fewer if it runs dry).
 
-    The source is a WindowGrid (TraceSource, SimSource), whose windows are
-    read a chunk at a time, or anything with probe_for(duration_us) ->
-    LatencyTrace, such as the live probe handle, probed one window per call.
+    The source is a WindowGrid (TraceSource, SimSource, the live probe's),
+    whose windows are read a chunk at a time, or anything with
+    probe_for(duration_us) -> LatencyTrace, such as the benchmark's traced
+    proxy, probed one window per call.
     """
     if n_symbols <= 0:
         raise ValueError("n_symbols must be positive")

@@ -280,7 +280,7 @@ def test_real_probe_contention(tmp_path):
 
     for mode in ProbeMode:
         with ProbeHandle(probe_path, mode) as handle:
-            assert handle.probe_once().latency_ns > 0
+            assert handle.probe_for(0.001)[0].latency_ns > 0
 
     hammer = (
         "from fsyncchan.probe import ProbeHandle\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsyncchan import analyzer
 from fsyncchan.analyzer import (
     DEFAULT_BIN_EDGES,
     Episode,
@@ -165,6 +166,17 @@ def test_count_above_validation_and_empty():
             with pytest.raises(ValueError, match="bucket"):
                 count_above(t, 0, bucket_s)
     assert count_above(trace, 0, 6e-10) == [0, 0, 0, 0, 0, 1]  # rounds to 1 ns
+
+
+def test_count_above_bucket_limit(monkeypatch):
+    # at most MAX_BUCKETS buckets; the error names the smallest width that fits
+    trace = LatencyTrace([LatencySample(0, 90_000), LatencySample(1_000, 90_000)])
+    monkeypatch.setattr(analyzer, "MAX_BUCKETS", 100)
+    with pytest.raises(ValueError, match=r"1,001 buckets, over the limit of 100; .* is 1.1e-08"):
+        count_above(trace, 50_000, 1e-9)
+    with pytest.raises(ValueError, match="101 buckets"):
+        count_above(trace, 50_000, 1e-8)
+    assert len(count_above(trace, 50_000, 1.1e-8)) == 91
 
 
 def test_estimate_request_rate():

@@ -179,8 +179,21 @@ def test_missing_seed_exits_2(tmp_path, capsys):
 
 
 def test_real_without_file_exits_2(capsys):
-    assert main(["calibrate", "--real"]) == 2
+    # --file PATH selects the real probe; the flag needs its path
+    assert main(["calibrate", "--file"]) == 2
     assert "--file" in capsys.readouterr().err
+    # there is no separate --real switch
+    assert main(["calibrate", "--real"]) == 2
+    assert "unrecognized arguments: --real" in capsys.readouterr().err
+
+
+def test_live_recv_without_theta_exits_2(tmp_path, capsys):
+    # a live receiver has no quiet traffic of its disk to calibrate on; it
+    # does not fall back to the simulator's threshold
+    probe = tmp_path / "probe.dat"
+    probe.write_bytes(b"\0" * 4096)
+    assert main(["recv", "--file", str(probe), "--seed", "1"]) == 2
+    assert "`fsyncchan calibrate --file PATH`" in capsys.readouterr().err
 
 
 def test_bad_sim_params_exits_2(tmp_path, capsys):
@@ -218,7 +231,7 @@ def test_missing_trace_file_exits_1(tmp_path, capsys):
 
 
 def test_missing_probe_file_exits_1(tmp_path, capsys):
-    rc = main(["calibrate", "--real", "--file", str(tmp_path / "absent.dat")])
+    rc = main(["calibrate", "--file", str(tmp_path / "absent.dat")])
     assert rc == 1
     capsys.readouterr()
 
@@ -385,6 +398,16 @@ def test_analyze_rate(ops_trace, tmp_path, capsys):
     assert sum(counts) > 0
     for r in rows[1:]:
         assert float(r[3]) == pytest.approx(int(r[2]) / 4, abs=0.01)
+
+
+def test_analyze_rate_too_many_buckets_exits_2(ops_trace, tmp_path, capsys):
+    # the ops trace lasts about 0.1 s: 1e-9 s buckets would be ~10^8 rows
+    trace_path, _ = ops_trace
+    rc = main(["analyze", "rate", "--trace", str(trace_path), "--theta-ns", "70000",
+               "--bucket-s", "1e-9", "--out", str(tmp_path / "rate.csv")])
+    assert rc == 2
+    assert "the smallest bucket_s that fits is" in capsys.readouterr().err
+    assert not (tmp_path / "rate.csv").exists()
 
 
 def test_analyze_rate_zero_width_bucket_exits_2(ops_trace, tmp_path, capsys):

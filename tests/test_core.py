@@ -1,6 +1,7 @@
 """Bit streams, framing, and trace CSV round trips."""
 
 import io
+import pickle
 import random
 
 import numpy as np
@@ -55,6 +56,16 @@ def test_bitstream_immutable():
     bs = BitStream([1, 0])
     with pytest.raises(AttributeError):
         bs._bits = b"\x01"
+
+
+def test_bitstream_pickle_round_trip():
+    # a sender started with multiprocessing's spawn receives its bits pickled
+    for bs in (BitStream(), BitStream([1, 0, 1, 1, 0])):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(bs, protocol))
+            assert back == bs and type(back) is BitStream
+    with pytest.raises(AttributeError):
+        back._bits = b"\x01"
 
 
 def test_bitstream_slice_and_concat():

@@ -1,20 +1,35 @@
 """Real-probe plumbing.
 
 Most tests here monkeypatch the mutation/fsync syscalls so they check the
-timing bracket and bookkeeping logic deterministically.  The tests that
-exercise actual fsync timing behavior are marked `hardware` and only run
-with FSYNC_HARDWARE_TESTS=1, since their physics depend on the host.
+timing bracket and bookkeeping logic deterministically; the fake-disk tests
+also replace the monotonic clock, so a live receive runs in virtual time
+against a sender's schedule.  The tests that exercise actual fsync timing
+behavior are marked `hardware` and only run with FSYNC_HARDWARE_TESTS=1,
+since their physics depend on the host.
 """
 
 import errno
 import os
+import random
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from fsyncchan.core import ProbeMode
+from fsyncchan import cli
+from fsyncchan.cli import derive_seed, main
+from fsyncchan.core import (
+    ChannelConfig,
+    LatencyTrace,
+    ProbeMode,
+    encode_frames,
+    frames_to_bits,
+    prbs_sequence,
+)
+from fsyncchan.modem import ThresholdState, TraceSource, WindowGrid, receive_frame
 from fsyncchan.probe import (
+    BLOCK_US,
     FTRUNCATE_MAX,
     FTRUNCATE_MIN,
     WARMUP_SAMPLES,
@@ -70,7 +85,7 @@ def test_probe_after_close_fails(probe_file):
     handle = ProbeHandle(probe_file)
     handle.close()
     with pytest.raises(ProbeError):
-        handle.probe_once()
+        handle.probe_for(0.001)
 
 
 def test_meta_fields(probe_file):
@@ -91,7 +106,7 @@ def test_only_fsync_is_timed_not_the_mutation(probe_file, monkeypatch):
     monkeypatch.setattr(os, "pwrite", lambda fd, buf, off: time.sleep(0.004))
     monkeypatch.setattr(os, "fsync", lambda fd: time.sleep(0.0005))
     with ProbeHandle(probe_file, ProbeMode.WRITE_FSYNC) as handle:
-        sample = handle.probe_once()
+        sample = handle.probe_for(0.001)[0]
     assert 400_000 < sample.latency_ns < 3_000_000  # ~0.5 ms, not ~4.5 ms
 
 
@@ -103,7 +118,7 @@ def test_fsync_only_mode_never_mutates(probe_file, monkeypatch):
     monkeypatch.setattr(os, "ftruncate", boom)
     monkeypatch.setattr(os, "fsync", lambda fd: None)
     with ProbeHandle(probe_file) as handle:
-        sample = handle.probe_once()
+        sample = handle.probe_for(0.001)[0]
     assert sample.latency_ns >= 1  # sub-resolution clamps, never zero
 
 
@@ -113,14 +128,14 @@ def test_ftruncate_sizes_bounded_and_seeded(probe_file, monkeypatch):
     monkeypatch.setattr(os, "fsync", lambda fd: None)
     with ProbeHandle(probe_file, ProbeMode.FTRUNCATE_FSYNC, rng_seed=7) as handle:
         for _ in range(50):
-            handle.probe_once()
+            handle.probe_for(0.001)
     assert len(sizes) == 50
     assert all(FTRUNCATE_MIN <= n <= FTRUNCATE_MAX for n in sizes)
     replay = []
     monkeypatch.setattr(os, "ftruncate", lambda fd, n: replay.append(n))
     with ProbeHandle(probe_file, ProbeMode.FTRUNCATE_FSYNC, rng_seed=7) as handle:
         for _ in range(50):
-            handle.probe_once()
+            handle.probe_for(0.001)
     assert replay == sizes
 
 
@@ -142,7 +157,7 @@ def test_fsync_failure_wraps_errno(probe_file, monkeypatch):
     monkeypatch.setattr(os, "fsync", fail)
     with ProbeHandle(probe_file) as handle:
         with pytest.raises(ProbeError) as exc:
-            handle.probe_once()
+            handle.probe_for(0.001)
         assert exc.value.errno == errno.EIO
         with pytest.raises(ProbeError):
             handle.busy_fsync_for(10.0)
@@ -155,7 +170,7 @@ def test_mutation_failure_wraps_errno(probe_file, monkeypatch):
     monkeypatch.setattr(os, "pwrite", fail)
     with ProbeHandle(probe_file, ProbeMode.WRITE_FSYNC) as handle:
         with pytest.raises(ProbeError) as exc:
-            handle.probe_once()
+            handle.probe_for(0.001)
     assert exc.value.errno == errno.ENOSPC
     assert "mutation failed" in str(exc.value)
 
@@ -213,8 +228,138 @@ def test_busy_and_idle_endpoints(probe_file, fast_fsync):
             handle.idle_for(-1.0)
 
 
+def test_busy_fsync_for_counts_every_fsync(probe_file, monkeypatch):
+    calls = 0
+
+    def counted(fd):
+        nonlocal calls
+        calls += 1
+
+    monkeypatch.setattr(os, "fsync", counted)
+    with ProbeHandle(probe_file) as handle:
+        count = handle.busy_fsync_for(200.0)
+    assert count == calls >= 1
+
+
+# ---------------------------------------------------------------------------
+# the live sample stream, against a fake disk in virtual time
+
+
+class FakeDisk:
+    """Stand-ins for the monotonic clock and fsync: the clock is virtual,
+    each read of it costs 300 ns, and an fsync takes about 21.4 us, or about
+    43.1 us when it starts inside a '1' symbol of the sender's schedule."""
+
+    def __init__(self, bits=(), ts_us=200, sender_start_ns=0, seed=0):
+        self.now = 0
+        self.bits = list(bits)
+        self.ts_ns = ts_us * 1000
+        self.sender_start_ns = sender_start_ns
+        self.rng = random.Random(seed)
+
+    def clock_gettime_ns(self, clock_id):
+        self.now += 300
+        return self.now
+
+    def fsync(self, fd):
+        k = (self.now - self.sender_start_ns) // self.ts_ns
+        busy = 0 <= k < len(self.bits) and self.bits[k]
+        self.now += round(self.rng.gauss(43_134 if busy else 21_390, 1_000))
+
+
+@pytest.fixture
+def fake_disk(monkeypatch):
+    def install(disk):
+        monkeypatch.setattr(time, "clock_gettime_ns", disk.clock_gettime_ns)
+        monkeypatch.setattr(os, "fsync", disk.fsync)
+        return disk
+
+    return install
+
+
+def test_blocks_are_int64_columns_of_about_block_us(probe_file, fake_disk):
+    fake_disk(FakeDisk())
+    with ProbeHandle(probe_file) as handle:
+        stream = handle.blocks()
+        blocks = [next(stream) for _ in range(3)]
+        trace = handle.probe_for(100.0)
+    for ts, lat in blocks:
+        assert ts.dtype == lat.dtype == np.int64 and len(ts) == len(lat)
+        # a block probes until an fsync returns past BLOCK_US from its start
+        assert ts[-1] + lat[-1] - ts[0] >= BLOCK_US * 1000 > ts[-1] - ts[0]
+    ts = np.concatenate([b[0] for b in blocks])
+    lat = np.concatenate([b[1] for b in blocks])
+    LatencyTrace.from_columns(ts, lat).validate_sequential()
+    assert trace.timestamps_ns[0] > ts[-1]
+    # the stream's probes count toward the session's warm-up
+    assert trace.meta.warmup_samples == 0
+
+
+def test_blocks_after_close_fails(probe_file):
+    handle = ProbeHandle(probe_file)
+    handle.close()
+    with pytest.raises(ProbeError):
+        next(handle.blocks())
+
+
+def test_fake_disk_live_recv_decodes_and_replays(probe_file, fake_disk, monkeypatch, capsys):
+    # live `recv --file` windows the probe stream on the same absolute grid
+    # as replay: with the sender's symbols a tenth of a symbol off the
+    # receiver's grid, both frames decode exactly, and the logged stream
+    # replayed through TraceSource gives the same payloads and threshold
+    ts_us, frame_len, seed = 200, 64, 5
+    payload = prbs_sequence(2 * frame_len, derive_seed(seed, "payload"))
+    cfg = ChannelConfig(ts_us=ts_us, payload_len=frame_len)
+    bits = frames_to_bits(encode_frames(payload, cfg))
+    fake_disk(FakeDisk(bits, ts_us, sender_start_ns=round(3.1 * ts_us * 1000), seed=seed))
+    logged = []
+    blocks = ProbeHandle.blocks
+
+    def logged_blocks(handle):
+        for block in blocks(handle):
+            logged.append(block)
+            yield block
+
+    monkeypatch.setattr(ProbeHandle, "blocks", logged_blocks)
+    calls = []
+
+    def spy(source, cfg, state, **kwargs):
+        calls.append((cfg, state, kwargs))
+        return receive_frame(source, cfg, state, **kwargs)
+
+    monkeypatch.setattr(cli, "receive_frame", spy)
+    rc = main(["recv", "--file", str(probe_file), "--ts-us", str(ts_us), "--theta-ns", "32000",
+               "--frame-payload-len", str(frame_len), "--frames", "2"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.out.strip() == payload.to_text()
+
+    trace = LatencyTrace.from_columns(
+        np.concatenate([b[0] for b in logged]), np.concatenate([b[1] for b in logged])
+    )
+    replay = TraceSource(trace)
+    state = ThresholdState(32000, 32000 / 1.5, 0.0)
+    got = [receive_frame(replay, cfg_, state, **kwargs) for cfg_, _, kwargs in calls]
+    assert got == [payload[:frame_len], payload[frame_len:]]
+    assert state == calls[-1][1]
+    assert state.provenance.startswith("adaptive@")
+
+
 # ---------------------------------------------------------------------------
 # hardware-gated behavior
+
+
+@pytest.mark.hardware
+def test_hw_live_windows_keep_nominal_time(probe_file):
+    # 2,000 live 50 us windows on the grid span 2,000 x 50 us of probing
+    # (window-by-window deadlines ran 1.5-2x nominal on a quiet disk)
+    with ProbeHandle(probe_file) as handle:
+        grid = WindowGrid(handle.blocks(), handle.meta())
+        windows = [grid.probe_for(50.0) for _ in range(2_000)]
+    first, last = windows[0], windows[-1]
+    span_ns = last.timestamps_ns[-1] + last.latencies_ns[-1] - first.timestamps_ns[0]
+    assert span_ns == pytest.approx(2_000 * 50_000, rel=0.01)
+
 
 
 @pytest.mark.hardware
