@@ -105,17 +105,17 @@ def _require_seed(args) -> int:
 
 def _threshold_state(args, cfg: ChannelConfig) -> ThresholdState:
     """The --theta-ns threshold; without it, one calibrated on simulated quiet
-    traffic, which only sim mode may use."""
-    seed = None if args.file else _require_seed(args)
-    params = _sim_params(args)
-    if args.theta_ns is None:
-        if args.file:
-            raise ValueError(
-                "live recv needs --theta-ns N; measure it with `fsyncchan calibrate --file PATH`"
-            )
-        return calibrate(calibration_trace(params.model(), cfg, derive_seed(seed, "calibrate")), cfg)
+    traffic, which only sim mode may use and which needs --seed."""
     theta = args.theta_ns
-    return ThresholdState(theta_ns=theta, quiet_mean_ns=theta / 1.5, quiet_std_ns=0.0)
+    if theta is not None:
+        return ThresholdState(theta_ns=theta, quiet_mean_ns=theta / 1.5, quiet_std_ns=0.0)
+    if args.file:
+        raise ValueError(
+            "live recv needs --theta-ns N; measure it with `fsyncchan calibrate --file PATH`"
+        )
+    seed = _require_seed(args)
+    model = _sim_params(args).model()
+    return calibrate(calibration_trace(model, cfg, derive_seed(seed, "calibrate")), cfg)
 
 
 def _payload_bits(args, seed: int) -> BitStream:

@@ -202,9 +202,7 @@ def encode_frames(payload_bits: BitStream, cfg: ChannelConfig) -> list[Frame]:
 
 def decode_frames(frames: Iterable[Frame], n_payload_bits: int) -> BitStream:
     """Concatenate frame payloads and trim padding back to n_payload_bits."""
-    joined = BitStream()
-    for frame in frames:
-        joined = joined + frame.payload
+    joined = BitStream(b"".join(bytes(frame.payload) for frame in frames))
     if n_payload_bits > len(joined):
         raise ValueError("n_payload_bits exceeds decoded frame payloads")
     return joined[:n_payload_bits]
@@ -212,10 +210,8 @@ def decode_frames(frames: Iterable[Frame], n_payload_bits: int) -> BitStream:
 
 def frames_to_bits(frames: Iterable[Frame]) -> BitStream:
     """Serialize frames into the on-channel symbol sequence."""
-    out = BitStream()
-    for frame in frames:
-        out = out + frame.header + frame.payload
-    return out
+    parts = (bytes(part) for frame in frames for part in (frame.header, frame.payload))
+    return BitStream(b"".join(parts))
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,18 @@ latencies plus the overhead are summed into a prefix sum; one bisection on
 it counts the probes that start before the stretch ends, and the clock jumps
 to the start of the first one that does not.  A stretch that outlasts a
 chunk continues on the next one.
+
+A chunk of variates is drawn as a block, equal value for value to that many
+rng.gauss(0.0, 1.0) calls and leaving the RNG in the same state, spare
+variate included: one getrandbits call yields the Mersenne Twister words the
+calls would consume, numpy builds the uniforms and the Box-Muller arithmetic
+from them, and the log, cos and sin are the math module's, as in
+random.gauss.  So the stream stays the one the seed has always given.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -304,6 +312,52 @@ class NoiseProcess:
 
 _FIRST_CHUNK = 256  # variates in the first chunk; each next chunk doubles
 _MAX_CHUNK = 4096
+_TWOPI = 2.0 * math.pi
+
+
+def _mapped(fn, values: list[float]) -> np.ndarray:
+    """fn of each value, as float64; numpy's own log/cos/sin may differ from
+    the C library's in the last bit."""
+    return np.fromiter(map(fn, values), np.float64, len(values))
+
+
+def _normals(rng: random.Random, n: int) -> np.ndarray:
+    """The next n values of rng.gauss(0.0, 1.0), leaving rng (its spare
+    variate included) in the state those n calls would leave.
+
+    random.gauss: a spare from the previous pair comes first; each new pair
+    takes two random() uniforms, each built from two 32-bit Mersenne Twister
+    words, and returns cos(x2pi) * g2rad, keeping sin(x2pi) * g2rad as the
+    spare.  Here all the words come from one getrandbits call (word i in bits
+    32i..32i+31), the float arithmetic runs in numpy, which rounds as IEEE
+    doubles do, and log/cos/sin are the math module's calls that random.gauss
+    makes, so every value is the same double.
+    """
+    out = np.empty(n)
+    if n == 0:
+        return out
+    spare = rng.gauss_next
+    rng.gauss_next = None
+    taken = 0
+    if spare is not None:
+        out[0] = spare
+        taken = 1
+    pairs = (n - taken + 1) // 2
+    if pairs:
+        words = np.frombuffer(rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little"), "<u4")
+        a1, b1, a2, b2 = words.reshape(pairs, 4).T
+        u1 = ((a1 >> 5) * 67108864.0 + (b1 >> 6)) * (1.0 / 9007199254740992.0)
+        u2 = ((a2 >> 5) * 67108864.0 + (b2 >> 6)) * (1.0 / 9007199254740992.0)
+        x2pi = (u1 * _TWOPI).tolist()
+        g2rad = np.sqrt(-2.0 * _mapped(math.log, (1.0 - u2).tolist()))
+        z = np.empty(2 * pairs)
+        z[0::2] = _mapped(math.cos, x2pi) * g2rad
+        z[1::2] = _mapped(math.sin, x2pi) * g2rad
+        out[taken:] = z[: n - taken]
+        if (n - taken) % 2:
+            rng.gauss_next = float(z[-1])
+    # gauss returns mu + z * sigma, which turns a -0.0 into 0.0
+    return out + 0.0
 
 
 def _activity_edges(activity: ActivityTimeline, noise: ActivityTimeline | None) -> memoryview:
@@ -342,7 +396,6 @@ def _probe_blocks(
     drawn = tuple(d.std_ns > 0 for d in dists)
     fixed = tuple(max(d.floor_ns, round(d.mean_ns)) for d in dists)
     any_drawn = any(drawn)
-    gauss = rng.gauss
     clock = 0
     k = bisect_right(edges, clock)  # edges at or before the clock
     size = 0 if any_drawn else _MAX_CHUNK  # variates in the current chunk
@@ -351,7 +404,7 @@ def _probe_blocks(
     while True:
         if any_drawn and zc == size:
             size = min(max(2 * size, _FIRST_CHUNK), _MAX_CHUNK)
-            z = np.array([gauss(0.0, 1.0) for _ in range(size)])
+            z = _normals(rng, size)
             lat_cols = [
                 np.maximum(d.floor_ns, np.rint(d.mean_ns + z * d.std_ns)).astype(np.int64)
                 if draws

@@ -6,8 +6,9 @@ package against an implementation that shares no code with it.  The
 one-probe-per-call simulator, the sample-at-a-time window grid, the exact
 window statistics, the one-window-per-call decision stream and frame search,
 and the line-at-a-time trace parser are the package's earlier
-implementations, kept as references for the vectorized ones, and so is the
-window merge loop of the activity timeline.
+implementations, kept as references for the vectorized ones, and so are the
+window merge loop of the activity timeline and the one-call-per-variate draw
+of the simulator's Gaussian chunks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import random
 import statistics
 from collections import Counter, deque
 from fractions import Fraction
+
+import numpy as np
 
 from fsyncchan.analyzer import Episode, FeatureVector
 from fsyncchan.core import (
@@ -123,6 +126,11 @@ def merge_windows_reference(windows):
         else:
             merged.append([start, end])
     return [(start, end) for start, end in merged]
+
+
+def normals_reference(rng, n):
+    """The next n standard Gaussian variates, one rng.gauss call each."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
 
 
 def sim_probe_reference(clock_ns, activity, model, noise, rng):

@@ -128,6 +128,23 @@ def test_recv_quiet_trace_times_out(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("timeout:")
 
 
+def test_recv_theta_needs_no_seed(tmp_path, capsys):
+    # the seed only feeds the simulated calibration, which --theta-ns skips
+    trace = tmp_path / "trace.csv"
+    main(["send", "--seed", "5", "--payload-bits", "64",
+          "--frame-payload-len", "64", "--out", str(trace)])
+    capsys.readouterr()
+    args = ["recv", "--trace", str(trace), "--frame-payload-len", "64"]
+    assert main([*args, "--theta-ns", "32000"]) == 0
+    unseeded = capsys.readouterr().out
+    assert main([*args, "--theta-ns", "32000", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == unseeded
+    assert unseeded.strip() == prbs_sequence(64, derive_seed(5, "payload")).to_text()
+    # without --theta-ns, recv calibrates and the seed is still required
+    assert main(args) == 2
+    assert "--seed is required in sim mode" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -2,13 +2,20 @@
 
 import hashlib
 import io
+import os
 import random
 import statistics
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsyncchan
 from fsyncchan.core import BitStream, ChannelConfig, TraceMeta, prbs_sequence, trace_write
 from fsyncchan.modem import SourceExhausted, TraceSource
 from fsyncchan.simchan import (
@@ -29,10 +36,11 @@ from fsyncchan.simchan import (
     sim_receive,
     sim_transmit,
 )
-from fsyncchan.simchan import _activity_edges
+from fsyncchan.simchan import _activity_edges, _normals
 from synthgen import (
     WindowGridReference,
     merge_windows_reference,
+    normals_reference,
     probe_stream_reference,
     sim_receive_reference,
 )
@@ -363,6 +371,56 @@ def test_noise_makes_quiet_probes_contended_monotonically():
     assert counts[0] == 0  # none
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
+
+
+# ---------------------------------------------------------------------------
+# block Gaussian draws against one rng.gauss call per variate
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    earlier=st.integers(0, 3),  # an odd number of earlier gauss calls leaves a spare
+    sizes=st.lists(
+        st.one_of(st.integers(0, 40), st.sampled_from([255, 256, 4096, 4097, 9001])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_normals_match_gauss_calls(seed, earlier, sizes):
+    want_rng, got_rng = random.Random(seed), random.Random(seed)
+    for rng in (want_rng, got_rng):
+        for _ in range(earlier):
+            rng.gauss(0.0, 1.0)
+    for n in sizes:  # a block's spare carries into the next block
+        want = normals_reference(want_rng, n)
+        got = _normals(got_rng, n)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_simulator_leaves_numpy_random_unimported():
+    # numpy.random adds about 6 MB of RSS on import; the simulator draws
+    # from the random module's generator instead
+    script = textwrap.dedent(
+        """
+        import sys
+        import fsyncchan as fc
+        model = fc.default_model()
+        noise = fc.NoiseProcess.from_degree(fc.NoiseDegree.HIGH, model)
+        cfg = fc.ChannelConfig(ts_us=50, payload_len=1000)
+        fc.sim_transmit(fc.prbs_sequence(2000, 1), cfg, model, 2, noise=noise)
+        fc.loopback(fc.prbs_sequence(2000, 3), cfg, model, calibration_seed=4, channel_seed=5,
+                    noise=noise)
+        assert "numpy.random" not in sys.modules, "numpy.random was imported"
+        """
+    )
+    src = str(Path(fsyncchan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
