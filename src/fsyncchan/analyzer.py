@@ -433,7 +433,9 @@ def keystroke_timings(
 
 def load_labeled_dataset(directory: Union[str, Path]) -> list[tuple[LatencyTrace, str]]:
     """Read a labeled trace directory: labels.csv (filename,label) plus one
-    trace CSV per row, all in the same directory."""
+    trace CSV per row, all in the same directory.  A filename that is
+    empty, absolute, holds a path separator, or is `.` or `..` raises
+    ValueError."""
     directory = Path(directory)
     labels_path = directory / "labels.csv"
     if not labels_path.is_file():
@@ -450,6 +452,11 @@ def load_labeled_dataset(directory: Union[str, Path]) -> list[tuple[LatencyTrace
             if len(row) != 2:
                 raise ValueError(f"bad labels.csv row: {row!r}")
             filename, label = row
+            if filename in ("", ".", "..") or Path(filename).name != filename:
+                raise ValueError(
+                    f"labels.csv line {reader.line_num}: {filename!r} is not a file name"
+                    " in the dataset directory"
+                )
             out.append((trace_read(directory / filename), label))
     if not out:
         raise ValueError("labels.csv lists no samples")

@@ -7,6 +7,7 @@ shared freely between the sender and receiver halves of a loopback run.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -60,7 +61,7 @@ class BitStream:
 
     def __init__(self, bits: Iterable[int] = ()):
         data = bytes(bits)
-        if data and set(data) - {0, 1}:
+        if data.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "_bits", data)
 
@@ -382,7 +383,7 @@ class TraceFormatError(ValueError):
 
 
 _WRITE_ROWS = 1 << 16  # rows formatted per write call
-_READ_HINT = 1 << 20  # characters of lines parsed per batch
+_READ_HINT = 1 << 20  # characters read and parsed per chunk
 
 
 def trace_write(trace: LatencyTrace, sink: Union[str, Path, IO[str]]) -> None:
@@ -404,77 +405,100 @@ def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None)
     Blank lines are skipped; each other line holds two base-10 integers that
     fit in int64.  Meta does not travel in the CSV; pass one if the caller
     knows it.
+
+    A path is opened with ``newline=""``, so a lone CR, CRLF and LF all end
+    lines; a text stream from the caller is split at LF alone, as
+    ``io.StringIO`` splits.  The rows are read in chunks of `_READ_HINT`
+    characters cut after their last LF; a chunk of plain integer rows is
+    parsed whole in numpy, and any other chunk line by line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii", newline="") as fh:
-            return trace_read(fh, meta)
+            return _read_rows(fh, meta, newline="")
+    return _read_rows(source, meta, newline="\n")
+
+
+def _read_rows(source: IO[str], meta: TraceMeta | None, newline: str) -> LatencyTrace:
+    """trace_read's body; `newline` is the io.StringIO newline argument that
+    splits a chunk into lines the way `source` splits them."""
     first = source.readline()
     if first.rstrip("\n") != TRACE_CSV_HEADER:
         raise TraceFormatError(1, f"expected header {TRACE_CSV_HEADER!r}")
     columns = []
     line_no = 2
     prev_ts = None
+    pending: list[str] = []  # text read after the last LF seen so far
     while True:
-        lines = source.readlines(_READ_HINT)
-        if not lines:
+        text = source.read(_READ_HINT)
+        cut = text.rfind("\n") + 1
+        if text and not cut:
+            pending.append(text)
+            continue
+        pending.append(text[:cut])
+        chunk = "".join(pending)
+        pending = [text[cut:]]
+        if chunk:
+            rows = _parse_plain_chunk(chunk, prev_ts)
+            if rows is None:
+                lines = io.StringIO(chunk, newline=newline).readlines()
+                rows = _parse_rows(lines, line_no, prev_ts)
+                line_no += len(lines)
+            else:
+                line_no += len(rows)  # one row on every line
+            if len(rows):
+                prev_ts = int(rows[-1, 0])
+            columns.append(rows)
+        if not text:
             break
-        rows = _parse_plain_rows(lines, prev_ts)
-        if rows is None:
-            rows = _parse_rows(lines, line_no, prev_ts)
-        if len(rows):
-            prev_ts = int(rows[-1, 0])
-        columns.append(rows)
-        line_no += len(lines)
     rows = np.concatenate(columns) if columns else np.zeros((0, 2), dtype=np.int64)
     return LatencyTrace.from_columns(rows[:, 0], rows[:, 1], meta)
 
 
-# Bytes allowed in the lines that _parse_plain_rows takes in one step.
+# Bytes allowed in a chunk that _parse_plain_chunk takes in one step.
 _PLAIN_BYTES = b"0123456789,-\n"
 _DIGIT = np.zeros(256, dtype=bool)
 _DIGIT[ord("0") : ord("9") + 1] = True
 
 
-def _parse_plain_rows(lines: list[str], prev_ts: int | None) -> np.ndarray | None:
-    """Vectorized parse of lines that are all blank or `-?D+,-?D+` with at
+def _parse_plain_chunk(chunk: str, prev_ts: int | None) -> np.ndarray | None:
+    """Vectorized parse of a chunk of lines that are all `-?D+,-?D+` with at
     most 18 characters per field and that pass the latency and ordering
     checks.  Returns None for anything else, which _parse_rows decides on."""
-    text = "".join(lines)
     try:
-        raw = text.encode("ascii")
+        raw = chunk.encode("ascii")
     except UnicodeEncodeError:
         return None
     if raw.translate(None, _PLAIN_BYTES):
         return None
-    b = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
-    # between two separators lies one field: a blank line between two line
-    # breaks, a nonempty field next to each comma, never two commas in a line
-    seps = np.flatnonzero((b == 44) | (b == 10))
-    comma = b[seps] == 44
-    width = np.diff(seps) - 1
-    beside_comma = comma[:-1] | comma[1:]
-    if (
-        np.any(comma[:-1] & comma[1:])
-        or np.any(width[beside_comma] == 0)
-        or np.any(width[~beside_comma] != 0)
-        or width.max() > 18
-    ):
+    if not raw.endswith(b"\n"):
+        raw += b"\n"  # the last line of the input may lack its end
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(b == 10)
+    commas = np.flatnonzero(b == 44)
+    if len(commas) != len(ends):
+        return None
+    # with widths of at least 1, comma i lies inside line i: one per line,
+    # so no line is blank
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ts_width = commas - starts
+    lat_width = ends - commas - 1
+    if min(ts_width.min(), lat_width.min()) < 1 or max(ts_width.max(), lat_width.max()) > 18:
         return None
     minus = np.flatnonzero(b == 45)
+    # b[-1] is the LF that ends the chunk, so a minus at 0 sees one before it
     if minus.size and not (
         np.all((b[minus - 1] == 44) | (b[minus - 1] == 10)) and np.all(_DIGIT[b[minus + 1]])
     ):
         return None
-    if "\n\n" in text or text[:1] == "\n":
-        fields = ",".join(text.split())  # drop the blank lines
-    else:
-        fields = text.replace("\n", ",")
-    rows = np.fromstring(fields, dtype=np.int64, sep=",").reshape(-1, 2)
+    rows = np.fromstring(raw.replace(b"\n", b","), dtype=np.int64, sep=",")
+    if rows.size != 2 * len(ends):
+        return None
+    rows = rows.reshape(-1, 2)
     ts = rows[:, 0]
     if (
         np.any(rows[:, 1] <= 0)
         or np.any(ts[1:] < ts[:-1])
-        or (len(ts) and prev_ts is not None and ts[0] < prev_ts)
+        or (prev_ts is not None and ts[0] < prev_ts)
     ):
         return None
     return rows

@@ -562,13 +562,17 @@ def loopback(
     schedule = SenderSchedule(frames_to_bits(frames), cfg.ts_us)
     state = calibrate(calibration_trace(model, cfg, calibration_seed), cfg)
     source = SimSource(schedule, model, channel_seed, noise=noise)
-    sent: list[int] = []
-    received: list[int] = []
+    sent: list[bytes] = []
+    received: list[bytes] = []
     for frame in frames:
         got = receive_frame(source, cfg, state, max_symbols=2 * cfg.frame_len, max_mismatches=1)
-        sent.extend(frame.payload)
-        received.extend(got if got is not None else [1 - b for b in frame.payload])
-    return compare_bits(BitStream(sent), BitStream(received))
+        payload = bytes(frame.payload)
+        sent.append(payload)
+        received.append(bytes(got) if got is not None else payload.translate(_COMPLEMENT))
+    return compare_bits(BitStream(b"".join(sent)), BitStream(b"".join(received)))
+
+
+_COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import random
 import statistics
 from collections import Counter, deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from fsyncchan.core import (
     LatencySample,
     LatencyTrace,
     TraceFormatError,
+    trace_write,
 )
 from fsyncchan.modem import SourceExhausted, SymbolDecision
 from fsyncchan.simchan import (
@@ -396,3 +398,22 @@ def trace_from_bits(
 
 def bits_from_text(text: str) -> BitStream:
     return BitStream.from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# labeled datasets whose labels.csv names a file outside the directory
+
+# `{outside}` stands for the absolute path of a trace next to the directory
+ESCAPING_NAMES = ("../outside.csv", "{outside}", "sub/b.csv", ".", "..", "")
+
+
+def escaping_dataset(root: Path, name: str) -> Path:
+    """A dataset directory under root whose labels.csv lists `a.csv` on line
+    2 and `name` on line 3; a valid trace lies wherever a name points."""
+    data = root / "data"
+    (data / "sub").mkdir(parents=True)
+    for path in (data / "a.csv", data / "sub" / "b.csv", root / "outside.csv"):
+        trace_write(LatencyTrace([LatencySample(0, 10_000), LatencySample(100_000, 90_000)]), path)
+    name = name.format(outside=root / "outside.csv")
+    (data / "labels.csv").write_text(f"filename,label\na.csv,busy\n{name},idle\n")
+    return data

@@ -31,7 +31,9 @@ from fsyncchan.analyzer import (
 )
 from fsyncchan.core import LatencySample, LatencyTrace, trace_write
 from synthgen import (
+    ESCAPING_NAMES,
     episodes_reference,
+    escaping_dataset,
     exact_sq_distances,
     knn_reference,
     random_episode_trace,
@@ -517,3 +519,10 @@ def test_load_labeled_dataset_errors(tmp_path):
     (tmp_path / "labels.csv").write_text("filename,label\nx.csv,busy,extra\n")
     with pytest.raises(ValueError, match="bad labels.csv row"):
         load_labeled_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name", ESCAPING_NAMES)
+def test_load_labeled_dataset_rejects_names_outside_directory(tmp_path, name):
+    data = escaping_dataset(tmp_path, name)
+    with pytest.raises(ValueError, match="labels.csv line 3: .* is not a file name"):
+        load_labeled_dataset(data)

@@ -19,7 +19,14 @@ from fsyncchan.cli import BENCH_CSV_HEADER, derive_seed, main
 from fsyncchan.core import LatencySample, LatencyTrace, prbs_sequence, trace_write
 from fsyncchan.simchan import CROSS_DISK_PRESET
 
-from synthgen import insert_workload, keystroke_workload, trace_from_bits, victim_trace
+from synthgen import (
+    ESCAPING_NAMES,
+    escaping_dataset,
+    insert_workload,
+    keystroke_workload,
+    trace_from_bits,
+    victim_trace,
+)
 
 
 def _read_csv(path):
@@ -550,6 +557,17 @@ def test_analyze_classify(tmp_path, capsys):
     rows = _read_csv(out)
     assert rows[0] == ["class", "support", "precision", "recall", "f1", "accuracy"]
     assert rows[-1][0] == "overall"
+
+
+@pytest.mark.parametrize("name", ESCAPING_NAMES)
+def test_classify_rejects_names_outside_directory(tmp_path, capsys, name):
+    data = escaping_dataset(tmp_path, name)
+    out = tmp_path / "report.csv"
+    rc = main(["analyze", "classify", "--dir", str(data), "--theta-ns", "50000",
+               "--seed", "9", "--out", str(out)])
+    assert rc == 2
+    assert "labels.csv line 3:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_classify_requires_seed(tmp_path, capsys):

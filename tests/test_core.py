@@ -27,6 +27,7 @@ from fsyncchan.core import (
     trace_write,
 )
 from fsyncchan.modem import MIN_CALIBRATION_SAMPLES, TraceSource, calibrate, receive_frame
+from fsyncchan.simchan import default_model, sim_transmit
 from synthgen import trace_from_bits, trace_read_reference
 
 # ---------------------------------------------------------------------------
@@ -467,6 +468,81 @@ def test_trace_read_matches_line_parser(hint, monkeypatch, tmp_path):
             want = _read_outcome(trace_read_reference, fh)
         assert _read_outcome(columns, path) == want, (case, text)
     assert 25 < n_ok < 275
+
+
+def _trace_rows(source):
+    trace = trace_read(source)
+    return zip(trace.timestamps_ns.tolist(), trace.latencies_ns.tolist())
+
+
+@pytest.fixture(scope="module")
+def long_trace_csv(tmp_path_factory):
+    trace = sim_transmit(prbs_sequence(3_200, 8), ChannelConfig(ts_us=2_000), default_model(), seed=8)
+    assert len(trace) > 200_000
+    path = tmp_path_factory.mktemp("long") / "trace.csv"
+    trace_write(trace, path)
+    return trace, path
+
+
+@pytest.mark.parametrize("hint,n_rows", [(7, 5_000), (4093, None), (1 << 16, None), (1 << 20, None)])
+def test_trace_read_takes_written_traces_whole(hint, n_rows, long_trace_csv, monkeypatch, tmp_path):
+    # every chunk of a written trace, cut mid-field by `hint`, is parsed in
+    # numpy: falling back to the line parser fails here instead of passing.
+    # A chunk of hint 7 holds about one row, so it reads a prefix only.
+    trace, path = long_trace_csv
+    if n_rows is not None:
+        trace = LatencyTrace.from_columns(trace.timestamps_ns[:n_rows], trace.latencies_ns[:n_rows])
+        path = tmp_path / "prefix.csv"
+        trace_write(trace, path)
+    monkeypatch.setattr(core, "_READ_HINT", hint)
+
+    def no_line_parse(*args):
+        raise AssertionError("chunk fell back to the line parser")
+
+    monkeypatch.setattr(core, "_parse_rows", no_line_parse)
+    back = trace_read(path)
+    assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
+    assert np.array_equal(back.latencies_ns, trace.latencies_ns)
+    with open(path, encoding="ascii") as fh:
+        back = trace_read(io.StringIO(fh.read()))
+    assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
+
+
+_HEADER = "timestamp_ns,latency_ns\n"
+_EDGE_CASES = {
+    "lone CR longer than a chunk": _HEADER + "".join(f"{t},{t + 1}\r" for t in range(0, 900, 9)),
+    "last row without line end": _HEADER + "1,2\n3,4\n5,6",
+    "chunk of blank lines": _HEADER + "1,2\n" + "\n" * 150 + "3,4\n" + "\n" * 40 + "5,6\n",
+    "negative timestamps": _HEADER + "-90,3\n-7,2\n-7,9\n0,1\n-0,5\n",
+    "18- and 19-character fields": _HEADER + "\n".join(
+        [
+            "-123456789012345678,3",
+            "-23456789012345678,1",
+            "0,2",
+            "123456789012345678,999999999999999999",
+            "1234567890123456789,1234567890123456789",
+            "9223372036854775807,9223372036854775807",
+        ]
+    ) + "\n",
+    "decrease at a chunk edge": _HEADER + "10,1\n20,1\n15,1\n30,1\n",
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_trace_read_chunk_edges_match_line_parser(case, monkeypatch, tmp_path):
+    # at every hint up to 24 characters, each edge of the rows falls on a
+    # chunk edge once; hint 10 ends the first chunk right before "15,1"
+    text = _EDGE_CASES[case]
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="ascii", newline="")
+    with open(path, encoding="ascii", newline="") as fh:
+        want_path = _read_outcome(trace_read_reference, fh)
+    want_text = _read_outcome(trace_read_reference, io.StringIO(text))
+    assert want_path[0] == ("TraceFormatError" if case.startswith("decrease") else "ok")
+    for hint in [*range(1, 25), 64, 1 << 20]:
+        monkeypatch.setattr(core, "_READ_HINT", hint)
+        assert _read_outcome(_trace_rows, path) == want_path, hint
+        assert _read_outcome(_trace_rows, io.StringIO(text)) == want_text, hint
 
 
 def test_frame_dataclass_is_frozen():
