@@ -85,7 +85,6 @@ def derive_seed(seed: int, tag: str) -> int:
 def _channel_config(args, ts_us: int | None = None) -> ChannelConfig:
     return ChannelConfig(
         ts_us=args.ts_us if ts_us is None else ts_us,
-        probe_mode=ProbeMode(args.mode),
         decision_rule=DecisionRule(args.decision),
         payload_len=args.frame_payload_len,
     )
@@ -131,7 +130,7 @@ def _payload_bits(args, seed: int) -> BitStream:
 def cmd_calibrate(args) -> int:
     cfg = _channel_config(args)
     if args.file:
-        with ProbeHandle(args.file, cfg.probe_mode) as handle:
+        with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
             trace = handle.probe_for(args.duration_us)
     else:
         seed = _require_seed(args)
@@ -161,7 +160,7 @@ def cmd_send(args) -> int:
     frames = encode_frames(payload, cfg)
     tx_bits = frames_to_bits(frames)
     if args.file:
-        with ProbeHandle(args.file, cfg.probe_mode) as handle:
+        with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
             report = send_bits(tx_bits, cfg, handle)
         print(
             f"sent {len(frames)} frame(s), {len(payload)} payload bits, "
@@ -202,7 +201,7 @@ def cmd_recv(args) -> int:
     cfg = _channel_config(args)
     state = _threshold_state(args, cfg)
     if args.file:
-        with ProbeHandle(args.file, cfg.probe_mode) as handle:
+        with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
             payloads = _recv_frames(WindowGrid(handle.blocks(), handle.meta()), cfg, state, args)
     elif args.trace:
         payloads = _recv_frames(TraceSource(trace_read(args.trace)), cfg, state, args)

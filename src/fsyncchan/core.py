@@ -154,7 +154,6 @@ class ChannelConfig:
     """Parameters shared by the sender and receiver of one channel."""
 
     ts_us: int = 50
-    probe_mode: ProbeMode = ProbeMode.FSYNC_ONLY
     decision_rule: DecisionRule = DecisionRule.MEAN
     header: BitStream = DEFAULT_HEADER
     payload_len: int = 8000

@@ -20,9 +20,11 @@ overhead (PROBE_OVERHEAD_NS, 2 us) covering the mutation syscall and loop
 bookkeeping.
 
 Competing activity has one type, ActivityTimeline: sorted half-open windows
-in which overlapping or touching windows have merged.  A SenderSchedule is
-the timeline of a bit stream (one window per run of 1-bits), and the noise
-bursts materialize as another.
+in which overlapping or touching windows have merged, held as read-only int64
+start and end columns plus a duration.  Every timeline is stored by one path,
+as columns: a list of windows and the materialized noise bursts go through
+the merge, and a SenderSchedule takes the runs of 1-bits of a bit stream,
+its duration covering every bit.
 
 The probe loop is simulated a stretch at a time.  The sender windows and
 the noise bursts merge, by the function that builds every timeline, into one
@@ -49,7 +51,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Union
@@ -92,6 +94,9 @@ __all__ = [
 ]
 
 PROBE_OVERHEAD_NS = 2000
+# largest mean or std a latency may have: draws are rint(mean + z * std) with
+# |z| < 9, so every draw, and the time of every 4,096-probe block, fits int64 ns
+_MAX_LATENCY_NS = 1e12
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,10 @@ class LatencyDistribution:
     floor_ns: int = 1000
 
     def __post_init__(self):
+        for name in ("mean_ns", "std_ns"):
+            value = getattr(self, name)
+            if not abs(value) <= _MAX_LATENCY_NS:  # NaN fails too
+                raise ValueError(f"{name} must be finite and at most 1e12 ns, got {value!r}")
         if self.mean_ns <= 0:
             raise ValueError("mean_ns must be positive")
         if self.std_ns < 0:
@@ -147,11 +156,9 @@ class ContentionModel:
             raise ValueError("contended mean must exceed standalone mean")
 
     @classmethod
-    def empirical(
-        cls,
-        standalone: LatencyDistribution,
-        contended: LatencyDistribution,
-    ) -> "ContentionModel":
+    def empirical(cls, standalone: LatencyDistribution, contended: LatencyDistribution):
+        """The constructor; kept only because perfbench/workloads.py calls it,
+        so the next change to the benchmark can delete it."""
         return cls(standalone, contended)
 
 
@@ -184,27 +191,32 @@ def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 class ActivityTimeline:
     """Sorted, merged half-open [start, end) windows of competing activity,
-    held as int64 start and end columns."""
+    held as read-only int64 start and end columns, plus a duration (by
+    default the last end)."""
 
-    __slots__ = ("_starts", "_ends")
+    __slots__ = ("_starts", "_ends", "_duration_ns")
 
     def __init__(self, windows: Iterable[tuple[int, int]] = ()):
         columns = np.array(list(windows), dtype=np.int64).reshape(-1, 2)
-        starts, ends = _merge(columns[:, 0], columns[:, 1])
+        self._store(*_merge(columns[:, 0], columns[:, 1]))
+
+    def _store(self, starts: np.ndarray, ends: np.ndarray, duration_ns: int | None = None) -> None:
         starts.setflags(write=False)
         ends.setflags(write=False)
         self._starts, self._ends = starts, ends
+        if duration_ns is None:
+            duration_ns = int(ends[-1]) if len(ends) else 0
+        self._duration_ns = duration_ns
 
     def __len__(self) -> int:
-        return len(self.window_bounds()[0])
+        return len(self._starts)
 
     def windows(self) -> list[tuple[int, int]]:
-        starts, ends = self.window_bounds()
-        return list(zip(starts.tolist(), ends.tolist()))
+        return list(zip(self._starts.tolist(), self._ends.tolist()))
 
     @property
     def duration_ns(self) -> int:
-        return int(self._ends[-1]) if len(self._ends) else 0
+        return self._duration_ns
 
     def active_at(self, t_ns: int) -> bool:
         i = bisect_right(memoryview(self._starts), t_ns) - 1
@@ -220,38 +232,22 @@ IDLE = ActivityTimeline()
 
 class SenderSchedule(ActivityTimeline):
     """Sender activity derived from a bit stream: bit i of value 1 occupies
-    [i*ts, (i+1)*ts) with back-to-back mutation+fsync, 0 is idle.
+    [i*ts, (i+1)*ts) with back-to-back mutation+fsync, 0 is idle.  The
+    windows are the runs of 1-bits; the duration spans every bit, trailing
+    0s included."""
 
-    The windows (the runs of 1-bits) are derived from the bits when asked
-    for, not stored, and active_at indexes the bits directly.
-    """
-
-    __slots__ = ("bits", "ts_us", "_ts_ns", "_raw")
+    __slots__ = ()
 
     def __init__(self, bits: BitStream, ts_us: int):
         if ts_us <= 0:
             raise ValueError("ts_us must be positive")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "ts_us", ts_us)
-        object.__setattr__(self, "_ts_ns", ts_us * 1000)
-        object.__setattr__(self, "_raw", bytes(bits))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SenderSchedule is immutable")
-
-    @property
-    def duration_ns(self) -> int:
-        return len(self._raw) * self._ts_ns
-
-    def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        steps = np.diff(np.frombuffer(self._raw, dtype=np.int8), prepend=0, append=0)
-        return np.flatnonzero(steps == 1) * self._ts_ns, np.flatnonzero(steps == -1) * self._ts_ns
-
-    def active_at(self, t_ns: int) -> bool:
-        if t_ns < 0:
-            return False
-        i = t_ns // self._ts_ns
-        return i < len(self._raw) and self._raw[i] == 1
+        ts_ns = ts_us * 1000
+        raw = bytes(bits)
+        # +1 where a run of 1-bits starts, -1 one past where it ends
+        steps = np.diff(np.frombuffer(raw, dtype=np.int8), prepend=0, append=0)
+        self._store(
+            np.flatnonzero(steps == 1) * ts_ns, np.flatnonzero(steps == -1) * ts_ns, len(raw) * ts_ns
+        )
 
 
 class NoiseDegree(str, Enum):
@@ -299,15 +295,18 @@ class NoiseProcess:
         rate_per_ns = self.degree.bursts_per_second / 1e9
         if rate_per_ns <= 0 or horizon_ns <= 0:
             return IDLE
-        bursts = []
+        starts, ends = [], []
         t = 0.0
         while True:
             t += rng.expovariate(rate_per_ns)
             if t >= horizon_ns:
                 break
             start = int(t)
-            bursts.append((start, start + self.burst_len.draw(rng)))
-        return ActivityTimeline(bursts)
+            starts.append(start)
+            ends.append(start + self.burst_len.draw(rng))
+        timeline = ActivityTimeline.__new__(ActivityTimeline)
+        timeline._store(*_merge(np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)))
+        return timeline
 
 
 _FIRST_CHUNK = 256  # variates in the first chunk; each next chunk doubles
@@ -529,7 +528,8 @@ class SimSource(WindowGrid):
 
     @property
     def elapsed_us(self) -> float:
-        return self._anchor / 1000.0
+        """Virtual time consumed by the windows so far (0.0 before the first)."""
+        return self._anchor / 1000.0 if self._anchor is not None else 0.0
 
 
 def calibration_trace(model: ContentionModel, cfg: ChannelConfig, seed: int) -> LatencyTrace:
@@ -586,24 +586,22 @@ class SimParams:
     noise_degree: NoiseDegree = NoiseDegree.NONE
 
     def model(self) -> ContentionModel:
-        return ContentionModel.empirical(
+        return ContentionModel(
             LatencyDistribution(self.standalone_mean_ns, self.standalone_std_ns),
             LatencyDistribution(self.contended_mean_ns, self.contended_std_ns),
         )
 
 
+# params-file key -> (SimParams field, converter): the key is the field name
+# with its first "_" as ".", the converter the type of the field's default
 _SIM_PARAM_KEYS = {
-    "standalone.mean_ns": ("standalone_mean_ns", float),
-    "standalone.std_ns": ("standalone_std_ns", float),
-    "contended.mean_ns": ("contended_mean_ns", float),
-    "contended.std_ns": ("contended_std_ns", float),
-    "noise.degree": ("noise_degree", NoiseDegree),
+    f.name.replace("_", ".", 1): (f.name, type(f.default)) for f in fields(SimParams)
 }
 
 
 def parse_sim_params(text: str) -> SimParams:
     """Parse `key=value` lines; `#` comments and blank lines are ignored."""
-    fields = {}
+    values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -615,10 +613,10 @@ def parse_sim_params(text: str) -> SimParams:
             raise ValueError(f"line {line_no}: unknown key {key!r}")
         attr, conv = _SIM_PARAM_KEYS[key]
         try:
-            fields[attr] = conv(value)
+            values[attr] = conv(value)
         except ValueError:
             raise ValueError(f"line {line_no}: bad value {value!r} for {key}") from None
-    return SimParams(**fields)
+    return SimParams(**values)
 
 
 def load_sim_params(path: Union[str, Path]) -> SimParams:

@@ -228,6 +228,28 @@ def test_bad_sim_params_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bench", "send"])
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("contended.std_ns = inf", "std_ns"),
+        ("contended.std_ns = 1e300", "std_ns"),
+        ("standalone.mean_ns = nan", "mean_ns"),
+    ],
+)
+def test_nonfinite_sim_params_exit_2(command, line, field, tmp_path, capsys):
+    # a latency the simulator cannot hold in int64 ns is a usage error that
+    # names the field, not a traceback from deep in the probe loop
+    params = tmp_path / "params.txt"
+    params.write_text(line + "\n")
+    argv = [command, "--seed", "1", "--payload-bits", "64", "--sim-params", str(params)]
+    argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be finite and at most 1e12 ns" in err
+    assert "Traceback" not in err
+
+
 def test_sim_params_seed_key_exits_2(tmp_path, capsys):
     # the run seed comes from --seed only; a params file may not carry one
     params = tmp_path / "params.txt"

@@ -2,12 +2,14 @@
 
 import hashlib
 import io
+import math
 import os
 import random
 import statistics
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from fsyncchan.simchan import (
     sim_receive,
     sim_transmit,
 )
-from fsyncchan.simchan import _activity_edges, _normals
+from fsyncchan.simchan import _SIM_PARAM_KEYS, _activity_edges, _normals
 from synthgen import (
     WindowGridReference,
     merge_windows_reference,
@@ -70,6 +72,27 @@ def test_distribution_validation():
         LatencyDistribution(100, -1)
     with pytest.raises(ValueError):
         LatencyDistribution(100, 1, floor_ns=0)
+
+
+@pytest.mark.parametrize("field", ["mean_ns", "std_ns"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e300, 1.000001e12])
+def test_distribution_rejects_nonfinite_and_huge(field, value):
+    # each draw is rint(mean + z * std) with |z| < 9: bounding both keeps
+    # every draw and every block's time sum inside int64 ns
+    kwargs = {"mean_ns": 21_390.0, "std_ns": 2_479.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite and at most 1e12 ns"):
+        LatencyDistribution(**kwargs)
+
+
+def test_largest_latencies_simulate_inside_int64():
+    # a wrapped int64 sum would break the nondecreasing timestamps the trace
+    # checks, and an out-of-range float cast warns, which fails the suite
+    wide = LatencyDistribution(1e12, 1e12)
+    model = ContentionModel(LatencyDistribution(21_390, 1e12), wide)
+    sched = SenderSchedule(BitStream([1, 0] * 50), 10**8)
+    trace = sim_receive(sched, model, 5, duration_ns=5 * 10**15)
+    assert len(trace) > 4_096  # more than one block of draws
+    assert int(trace.latencies_ns.max()) <= 10**13
 
 
 def test_distribution_draws_are_seed_stable():
@@ -188,6 +211,25 @@ def test_sender_schedule_merges_runs():
 def test_sender_schedule_validation():
     with pytest.raises(ValueError):
         SenderSchedule(BitStream([1]), ts_us=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), max_size=40), ts_us=st.integers(1, 400))
+def test_sender_schedule_is_the_bits(bits, ts_us):
+    # the timeline columns answer as indexing the bits would, trailing zeros
+    # and the empty stream included
+    ts = ts_us * 1000
+    sched = SenderSchedule(BitStream(bits), ts_us)
+    assert sched.duration_ns == len(bits) * ts
+    runs = merge_windows_reference([(i * ts, (i + 1) * ts) for i, bit in enumerate(bits) if bit])
+    assert sched.windows() == runs
+    assert len(sched) == len(runs)
+    probes = {-1, sched.duration_ns}
+    for start, end in runs:
+        probes.update((start - 1, start, start + 1, end - 1, end, end + 1))
+    for t in sorted(probes):
+        want = 0 <= t < sched.duration_ns and bits[t // ts] == 1
+        assert sched.active_at(t) == want, t
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +592,15 @@ def test_sim_source_windows_tile_the_clock():
     assert seen[: len(ref.samples)] == list(ref.samples)
 
 
+def test_sim_source_elapsed_before_first_window():
+    src = SimSource(IDLE, default_model(), 99)
+    assert src.elapsed_us == 0.0
+    src.look_ahead(50.0, 4)  # looking ahead consumes nothing
+    assert src.elapsed_us == 0.0
+    src.commit(3)
+    assert src.elapsed_us == 150.0
+
+
 def test_sim_source_window_bounds():
     src = SimSource(IDLE, default_model(), 42)
     for k in range(50):
@@ -682,3 +733,41 @@ def test_load_sim_params(tmp_path):
     from fsyncchan.simchan import load_sim_params
 
     assert load_sim_params(path).contended_mean_ns == 50_000.0
+
+
+def test_sim_params_keys_cover_every_field():
+    assert {attr for attr, _ in _SIM_PARAM_KEYS.values()} == {f.name for f in fields(SimParams)}
+    assert sorted(_SIM_PARAM_KEYS) == [
+        "contended.mean_ns",
+        "contended.std_ns",
+        "noise.degree",
+        "standalone.mean_ns",
+        "standalone.std_ns",
+    ]
+
+
+def test_sim_params_file_round_trip():
+    params = SimParams(20_500.25, 300.5, 30_000.75, 1_611.29, NoiseDegree.CRITICAL)
+    assert all(
+        getattr(params, f.name) != f.default for f in fields(SimParams)
+    ), "every field must differ from its default"
+    values = {key: getattr(params, attr) for key, (attr, _) in _SIM_PARAM_KEYS.items()}
+    text = "".join(
+        f"{key} = {value.value if isinstance(value, NoiseDegree) else repr(value)}\n"
+        for key, value in values.items()
+    )
+    assert parse_sim_params(text) == params
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("contended.std_ns = inf", "std_ns"),
+        ("contended.std_ns = 1e300", "std_ns"),
+        ("standalone.mean_ns = nan", "mean_ns"),
+    ],
+)
+def test_sim_params_nonfinite_latency_rejected_by_model(line, field):
+    params = parse_sim_params(line)  # parsing takes any float
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        params.model()
