@@ -7,6 +7,7 @@ shared freely between the sender and receiver halves of a loopback run.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from enum import Enum
@@ -386,16 +387,83 @@ _READ_HINT = 1 << 20  # characters read and parsed per chunk
 
 
 def trace_write(trace: LatencyTrace, sink: Union[str, Path, IO[str]]) -> None:
-    """Write the two-column trace CSV (LF line endings, ASCII integers)."""
+    """Write the two-column trace CSV (LF line endings, ASCII integers).
+
+    A path is written as bytes; a text stream from the caller gets str.
+    Both see the same characters, one write per block of `_WRITE_ROWS` rows.
+    """
+    header = (TRACE_CSV_HEADER + "\n").encode("ascii")
+    ts, lat = trace.timestamps_ns, trace.latencies_ns
+    blocks = (
+        _format_rows(ts[i : i + _WRITE_ROWS], lat[i : i + _WRITE_ROWS])
+        for i in range(0, len(trace), _WRITE_ROWS)
+    )
     if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="ascii", newline="") as fh:
-            trace_write(trace, fh)
+        with open(sink, "wb") as fh:
+            fh.write(header)
+            for block in blocks:
+                fh.write(block)
         return
-    sink.write(TRACE_CSV_HEADER + "\n")
-    rows = np.column_stack([trace.timestamps_ns, trace.latencies_ns])
-    for i in range(0, len(rows), _WRITE_ROWS):
-        block = rows[i : i + _WRITE_ROWS]
-        sink.write("%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+    sink.write(header.decode("ascii"))
+    for block in blocks:
+        sink.write(block.decode("ascii"))
+
+
+@functools.cache
+def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
+    """The text of the 4-digit groups of a number: two read-only tables of
+    little-endian uint32s of four ASCII bytes, (units, higher).  Entry g is
+    group g leading its number ("%4d" with NUL for each space), entry
+    10_000 + g is group g after a nonzero one ("%04d"); NUL stands for
+    nothing, and _format_rows deletes it.  A number's units group reads
+    `units`, where 0 alone is "0"; its higher groups read `higher`, where a
+    leading 0 is no text at all.  Built on first use: built at import, they
+    raised the peak RSS of a process that writes no trace by about 0.3 MB."""
+    g = np.arange(10_000, dtype=np.uint16)
+    inner = np.empty((10_000, 4), dtype=np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        inner[:, j] = g // place % 10 + ord("0")
+    leading = inner.copy()
+    for j, place in enumerate((1000, 100, 10)):
+        leading[g < place, j] = 0
+    units = np.concatenate((leading.view("<u4")[:, 0], inner.view("<u4")[:, 0]))
+    higher = units.copy()
+    higher[0] = 0
+    units.setflags(write=False)
+    higher.setflags(write=False)
+    return units, higher
+
+
+_INNER = np.uint64(10_000)  # offset of the "%04d" entries
+
+
+def _format_rows(ts: np.ndarray, lat: np.ndarray) -> bytes:
+    """The CSV rows "%d,%d\\n" of two equal-length int64 columns, as bytes.
+
+    Every row becomes the same number of uint32 slots: a sign for the
+    timestamps when any is negative, the 4-digit groups of each field, and
+    each field's end byte, each slot padded with NUL.  One translate then
+    deletes the NULs.
+    """
+    units, higher = _digit_groups()
+    slots = []
+    for col, end in ((ts, ","), (lat, "\n")):
+        mag = col.view(np.uint64)
+        negative = col < 0
+        if negative.any():
+            mag = np.where(negative, 0 - mag, mag)  # wraps to |v|, 2**63 for INT64_MIN
+            slots.append(negative.astype("<u4") * ord("-"))
+        groups = []
+        table = units
+        while True:
+            high = mag // 10_000
+            groups.append(table.take(mag - high * 10_000 + (high > 0) * _INNER))
+            if not high.any():
+                break
+            mag, table = high, higher
+        slots += reversed(groups)
+        slots.append(np.full(len(col), ord(end), "<u4"))
+    return np.stack(slots, axis=1, dtype="<u4").tobytes().translate(None, b"\0")
 
 
 def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None) -> LatencyTrace:

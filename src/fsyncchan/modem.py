@@ -236,7 +236,9 @@ def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> list[floa
     ascend and span lat (lo[0] == 0, hi[-1] == len(lat)).  From prefix sums
     of the column, exact (in Python ints where int64 could overflow): MEAN
     is float(sum) / n, which is statistics.fmean; STDDEV is _stdev_from_sums,
-    which is statistics.stdev, and 0.0 for one sample."""
+    which is statistics.stdev, and 0.0 for one sample (for a chunk of
+    _KERNEL_MIN_WINDOWS windows or more, _stdevs_from_sums over the int64
+    sums, the same floats)."""
     if not len(lat):
         return []
     lo, hi = np.asarray(lo), np.asarray(hi)
@@ -248,10 +250,94 @@ def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> list[floa
     if mean:
         return (sums.astype(np.float64) / counts).tolist()
     s2 = np.concatenate(([0], np.cumsum(lat * lat)))
-    return [
-        _stdev_from_sums(n, total, total_sq) if n > 1 else 0.0
-        for n, total, total_sq in zip(counts.tolist(), sums.tolist(), (s2[hi] - s2[lo]).tolist())
-    ]
+    sums_sq = s2[hi] - s2[lo]
+    if lat.dtype == object or len(counts) < _KERNEL_MIN_WINDOWS:
+        return [
+            _stdev_from_sums(n, total, total_sq) if n > 1 else 0.0
+            for n, total, total_sq in zip(counts.tolist(), sums.tolist(), sums_sq.tolist())
+        ]
+    return _stdevs_from_sums(counts, sums, sums_sq).tolist()
+
+
+# fewer windows than this take the per-window loop: the vector kernel costs
+# about 150 us a call and 0.02 us a window, the loop about 2 us a window
+# (2-core VM, numpy 2.4)
+_KERNEL_MIN_WINDOWS = 64
+# distance in ulps from a rounding midpoint within which _sqrt_of_ratios
+# leaves an element to _sqrt_of_ratio: far above the float error of its
+# position (about 2**-50 ulps)
+_MIDPOINT_TOLERANCE = 2.0**-30
+_FAST_NUM_MAX = 2**62  # num up to it rounds to a float within 2**9 that casts back to int64
+_FAST_DEN_LIMIT = 2**53  # every den below it is exact as a float
+
+
+def _stdevs_from_sums(n: np.ndarray, total: np.ndarray, total_sq: np.ndarray) -> np.ndarray:
+    """_stdev_from_sums over int64 columns of window sizes, sums and sums of
+    squares; 0.0 where n < 2.  n * total_sq - total**2 is taken in int64
+    where n * total_sq fits (total**2 is at most that), the other elements
+    in Python ints."""
+    wide = total_sq > _INT64_MAX // np.maximum(n, 1)
+    num = np.where(wide, 0, n * total_sq - total * total)
+    den = np.maximum(n * (n - 1), 1)  # n < 2 leaves num == 0: a 0.0 statistic
+    out = _sqrt_of_ratios(num, den)
+    for k in np.flatnonzero(wide).tolist():
+        out[k] = _stdev_from_sums(int(n[k]), int(total[k]), int(total_sq[k]))
+    return out
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of float64s into halves of 26 bits: a == hi + lo."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's error-free product: a * b == p + e exactly, p = fl(a * b)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _sqrt_of_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """_sqrt_of_ratio over int64 columns, num >= 0 and den > 0, in float64.
+
+    r = sqrt(num / den) in floats lies within 1.5 ulps of the exact root x.
+    The residual num - den * r**2, from error-free products, gives x - r in
+    ulps of r; r steps one ulp up or down where x lies past the midpoint on
+    that side (below a power of two the lower ulp is half the upper one).
+    Left to _sqrt_of_ratio: num above _FAST_NUM_MAX, den at or above
+    _FAST_DEN_LIMIT, and x within _MIDPOINT_TOLERANCE ulps of a midpoint or
+    past the next midpoint out.
+    """
+    fast = (num <= _FAST_NUM_MAX) & (den < _FAST_DEN_LIMIT)
+    num_i = np.where(fast, num, 0)
+    num_f = num_i.astype(np.float64)
+    den_f = np.where(fast, den, 1).astype(np.float64)
+    r = np.sqrt(num_f / den_f)
+    # num - den * r * r, to about 2**-100 of num: num_f - prod is exact
+    sq, sq_err = _two_product(r, r)
+    prod, prod_err = _two_product(den_f, sq)
+    num_lo = (num_i - num_f.astype(np.int64)).astype(np.float64)
+    residual = ((num_f - prod) + num_lo - prod_err) - den_f * sq_err
+    up = np.nextafter(r, np.inf) - r
+    down = r - np.nextafter(r, 0)
+    below = -0.5 * down / up  # the lower midpoint, in ulps up
+    with np.errstate(invalid="ignore"):
+        # (x - r) / up = residual / (den * (x + r) * up), here with 2r for
+        # x + r, off by about 2**-50; at num == 0 it is 0 / 0, NaN, which
+        # passes no test below and leaves r == 0.0
+        t = residual / (2 * den_f * r * up)
+    out = np.where(t > 0.5, r + up, np.where(t < below, r - down, r))
+    tol = _MIDPOINT_TOLERANCE
+    # the next midpoints out: 1.5 ulps up; 1.25 lower ulps down at the
+    # nearest, where r's lower neighbour is a power of two
+    exact = ~fast | (np.abs(t - 0.5) <= tol) | (np.abs(t - below) <= tol)
+    exact |= (t >= 1.5 - tol) | (t <= 2.5 * below + tol)
+    for k in np.flatnonzero(exact).tolist():
+        out[k] = _sqrt_of_ratio(int(num[k]), int(den[k]))
+    return out
 
 
 def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:

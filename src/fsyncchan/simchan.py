@@ -82,6 +82,7 @@ __all__ = [
     "SenderSchedule",
     "NoiseDegree",
     "NoiseProcess",
+    "MAX_NOISE_BURSTS",
     "PROBE_OVERHEAD_NS",
     "sim_receive",
     "sim_transmit",
@@ -273,6 +274,12 @@ _DEGREE_RATES = {
 }
 
 
+# the most bursts (rate x horizon) NoiseProcess.materialize draws: at the
+# cap, 2.7 s and 180 MB on a 2-core VM; the longest noisy run of the tests,
+# the acceptance gate and the benchmark is due about 41,000
+MAX_NOISE_BURSTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class NoiseProcess:
     """Poisson bursts of journal activity from an unrelated neighbor.
@@ -292,9 +299,17 @@ class NoiseProcess:
         return cls(degree, model.contended)
 
     def materialize(self, horizon_ns: int, rng: random.Random) -> ActivityTimeline:
+        """Draw the bursts that start before horizon_ns; a ValueError, before
+        any draw, when more than MAX_NOISE_BURSTS are due on average."""
         rate_per_ns = self.degree.bursts_per_second / 1e9
         if rate_per_ns <= 0 or horizon_ns <= 0:
             return IDLE
+        due = rate_per_ns * horizon_ns
+        if due > MAX_NOISE_BURSTS:
+            raise ValueError(
+                f"{self.degree.value} noise over a {horizon_ns / 1e9:,g} s horizon would draw "
+                f"about {due:,.0f} bursts, over the limit of {MAX_NOISE_BURSTS:,}"
+            )
         starts, ends = [], []
         t = 0.0
         while True:
@@ -586,10 +601,16 @@ class SimParams:
     noise_degree: NoiseDegree = NoiseDegree.NONE
 
     def model(self) -> ContentionModel:
-        return ContentionModel(
-            LatencyDistribution(self.standalone_mean_ns, self.standalone_std_ns),
-            LatencyDistribution(self.contended_mean_ns, self.contended_std_ns),
-        )
+        """The contention model; a latency out of range raises a ValueError
+        naming its params-file key, such as `contended.std_ns`."""
+        return ContentionModel(self._latency("standalone"), self._latency("contended"))
+
+    def _latency(self, side: str) -> LatencyDistribution:
+        mean, std = getattr(self, f"{side}_mean_ns"), getattr(self, f"{side}_std_ns")
+        try:
+            return LatencyDistribution(mean, std)
+        except ValueError as exc:
+            raise ValueError(f"{side}.{exc}") from None
 
 
 # params-file key -> (SimParams field, converter): the key is the field name

@@ -5,10 +5,10 @@ groupings that restate each contract from scratch, so the tests compare the
 package against an implementation that shares no code with it.  The
 one-probe-per-call simulator, the sample-at-a-time window grid, the exact
 window statistics, the one-window-per-call decision stream and frame search,
-and the line-at-a-time trace parser are the package's earlier
-implementations, kept as references for the vectorized ones, and so are the
-window merge loop of the activity timeline and the one-call-per-variate draw
-of the simulator's Gaussian chunks.
+the line-at-a-time trace parser and the "%d" trace writer are the
+package's earlier implementations, kept as references for the vectorized
+ones, and so are the window merge loop of the activity timeline and the
+one-call-per-variate draw of the simulator's Gaussian chunks.
 """
 
 from __future__ import annotations
@@ -271,6 +271,17 @@ def trace_read_reference(source):
         prev_ts = ts
         rows.append((ts, lat))
     return rows
+
+
+def trace_write_reference(trace, sink):
+    """Trace CSV writer formatting every row with "%d,%d\n" in Python."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w", encoding="ascii", newline="") as fh:
+            trace_write_reference(trace, fh)
+        return
+    sink.write(TRACE_CSV_HEADER + "\n")
+    rows = zip(trace.timestamps_ns.tolist(), trace.latencies_ns.tolist())
+    sink.write("".join("%d,%d\n" % row for row in rows))
 
 
 # ---------------------------------------------------------------------------

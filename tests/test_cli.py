@@ -7,9 +7,11 @@ else calls main() directly so coverage and debugging stay simple.
 import csv
 import hashlib
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ import pytest
 import fsyncchan
 from fsyncchan.cli import BENCH_CSV_HEADER, derive_seed, main
 from fsyncchan.core import LatencySample, LatencyTrace, prbs_sequence, trace_write
-from fsyncchan.simchan import CROSS_DISK_PRESET
+from fsyncchan.simchan import CROSS_DISK_PRESET, MAX_NOISE_BURSTS
 
 from synthgen import (
     ESCAPING_NAMES,
@@ -239,15 +241,34 @@ def test_bad_sim_params_exits_2(tmp_path, capsys):
 )
 def test_nonfinite_sim_params_exit_2(command, line, field, tmp_path, capsys):
     # a latency the simulator cannot hold in int64 ns is a usage error that
-    # names the field, not a traceback from deep in the probe loop
+    # names the params-file key, not a traceback from deep in the probe loop
     params = tmp_path / "params.txt"
     params.write_text(line + "\n")
     argv = [command, "--seed", "1", "--payload-bits", "64", "--sim-params", str(params)]
     argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {field} must be finite and at most 1e12 ns" in err
+    key = line.split("=")[0].strip()
+    assert key.endswith(field)
+    assert f"error: {key} must be finite and at most 1e12 ns" in err
     assert "Traceback" not in err
+
+
+def test_send_noise_past_burst_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # 8,024 s of critical noise would be about 4e7 bursts: refused before
+    # the first one is drawn, not minutes and gigabytes later
+    def no_draw(self, rate):
+        raise AssertionError("a noise burst was drawn")
+
+    monkeypatch.setattr(random.Random, "expovariate", no_draw)
+    argv = ["send", "--seed", "3", "--ts-us", "1000000", "--noise", "critical"]
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "over a 8,024 s horizon" in err
+    assert f"over the limit of {MAX_NOISE_BURSTS:,}" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_sim_params_seed_key_exits_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsyncchan import core
@@ -28,7 +28,7 @@ from fsyncchan.core import (
 )
 from fsyncchan.modem import MIN_CALIBRATION_SAMPLES, TraceSource, calibrate, receive_frame
 from fsyncchan.simchan import default_model, sim_transmit
-from synthgen import trace_from_bits, trace_read_reference
+from synthgen import trace_from_bits, trace_read_reference, trace_write_reference
 
 # ---------------------------------------------------------------------------
 # BitStream
@@ -349,6 +349,50 @@ def test_trace_csv_file_round_trip(tmp_path):
     trace_write(trace, path)
     assert trace_read(path).samples == trace.samples
     assert trace_read(str(path)).samples == trace.samples
+
+
+_INT64_MAX = 2**63 - 1
+# 10**k - 1, 10**k and 10**k + 1: the widths of a field change between them
+_WIDTH_EDGES = sorted({10**k + d for k in range(19) for d in (-1, 0, 1)} - {0})
+_TIMESTAMP_EDGES = [-(2**63), -(2**63) + 1, 0, _INT64_MAX] + [
+    s * v for v in _WIDTH_EDGES for s in (1, -1)
+]
+
+
+@st.composite
+def _csv_traces(draw):
+    """Traces whose timestamps come in runs of consecutive values, so runs
+    of one width span block edges, and whose values reach both int64 ends."""
+    ts = []
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(
+            st.one_of(st.sampled_from(_TIMESTAMP_EDGES), st.integers(-(2**63), _INT64_MAX))
+        )
+        ts += range(start, min(start + draw(st.integers(1, 8)), _INT64_MAX + 1))
+    latency = st.one_of(st.sampled_from(_WIDTH_EDGES + [_INT64_MAX]), st.integers(1, _INT64_MAX))
+    lat = draw(st.lists(latency, min_size=len(ts), max_size=len(ts)))
+    ts = np.array(sorted(ts), dtype=np.int64)
+    return LatencyTrace.from_columns(ts, np.array(lat, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_csv_traces(), rows=st.sampled_from((1, 2, 3, 7, 1 << 16)))
+def test_trace_write_matches_reference(tmp_path_factory, trace, rows):
+    # byte for byte the "%d,%d\n" writer, on a text stream and on a path,
+    # with _WRITE_ROWS small enough that blocks end inside runs of one width
+    want = io.StringIO()
+    trace_write_reference(trace, want)
+    path = tmp_path_factory.getbasetemp() / "write.csv"
+    saved = core._WRITE_ROWS
+    core._WRITE_ROWS = rows  # hypothesis runs no function-scoped fixture per example
+    try:
+        got = io.StringIO()
+        trace_write(trace, got)
+        trace_write(trace, path)
+    finally:
+        core._WRITE_ROWS = saved
+    assert got.getvalue() == want.getvalue()
+    assert path.read_bytes() == want.getvalue().encode("ascii")
 
 
 def test_trace_csv_empty_trace():

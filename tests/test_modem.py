@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -666,6 +667,81 @@ def test_window_statistics_exact_past_int64():
             for i in (0, 3)
         ]
         assert [d.statistic for d in got] == want
+
+
+@st.composite
+def _sqrt_ratio(draw):
+    """(num, den) for _sqrt_of_ratios, num in int64: near squares, ratios
+    next to powers of 4 and up to 2**-50 below one (roots up to 2 ulps below
+    a power of 2), num 0 or den 1, and num at the fast-path limit."""
+    window_den = st.integers(2, 10**5).map(lambda n: n * (n - 1))
+    den = draw(st.one_of(window_den, st.integers(1, 2**53 + 2)))
+    kind = draw(st.sampled_from(("square", "power4", "below4", "zero", "den1", "limit", "any")))
+    delta = draw(st.integers(-2, 2))
+    if kind == "square":
+        num = draw(st.integers(0, 2**31)) ** 2 * den + delta
+    elif kind == "power4":
+        k = draw(st.integers(-27, 31))
+        num = (den << 2 * k if k >= 0 else den >> -2 * k) + delta
+    elif kind == "below4":
+        top = den << 2 * ((62 - den.bit_length()) // 2)
+        num = top - draw(st.integers(0, top >> 50))
+    elif kind == "zero":
+        num = 0
+    elif kind == "den1":
+        num, den = draw(st.integers(0, 2**63 - 1)), 1
+    elif kind == "limit":
+        num = modem._FAST_NUM_MAX + delta
+    else:
+        num = draw(st.integers(0, 2**63 - 1))
+    return min(max(num, 0), 2**63 - 1), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(_sqrt_ratio(), min_size=1, max_size=40))
+def test_sqrt_of_ratios_matches_exact(pairs):
+    # the vector kernel gives the correctly rounded floats of _sqrt_of_ratio
+    num, den = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    want = [modem._sqrt_of_ratio(a, b) for a, b in pairs]
+    assert modem._sqrt_of_ratios(num, den).tolist() == want
+
+
+def test_sqrt_of_ratios_all_exact_at_tolerance_one(monkeypatch):
+    # a tolerance of one ulp sends every nonzero num to _sqrt_of_ratio, and
+    # the floats do not change
+    rng = random.Random(12)
+    pairs = [
+        (rng.randrange(2 ** rng.randrange(1, 63)), rng.randrange(1, 2 ** rng.randrange(1, 54)))
+        for _ in range(500)
+    ]
+    pairs += [(0, 7), (5, 1)]
+    num, den = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    fast = modem._sqrt_of_ratios(num, den).tolist()
+    calls = []
+    exact = modem._sqrt_of_ratio
+    monkeypatch.setattr(modem, "_sqrt_of_ratio", lambda a, b: calls.append(a) or exact(a, b))
+    monkeypatch.setattr(modem, "_MIDPOINT_TOLERANCE", 1.0)
+    assert modem._sqrt_of_ratios(num, den).tolist() == fast
+    assert len(calls) == sum(a > 0 for a, _ in pairs)
+
+
+def test_window_statistics_kernel_chunk_matches_reference():
+    # a chunk long enough for the vector kernel, with windows of one sample,
+    # and two windows whose n * sum of squares is past int64 though every
+    # prefix sum fits: n * sum_sq - sum**2 fits in int64 for the first, not
+    # for the second
+    rng = random.Random(13)
+    big = 50_000_000
+    windows = [[rng.randrange(1, 50_000) for _ in range(rng.randrange(1, 20))] for _ in range(80)]
+    windows[40] = [big - rng.randrange(7) for _ in range(1_000)]
+    windows[60] = [rng.choice((1, big)) for _ in range(1_000)]
+    lat = np.array([v for w in windows for v in w], dtype=np.int64)
+    assert big**2 * len(lat) <= 2**63 - 1 < 1_000**2 * (big - 6) ** 2
+    hi = np.cumsum([len(w) for w in windows])
+    lo = hi - [len(w) for w in windows]
+    assert len(windows) >= modem._KERNEL_MIN_WINDOWS
+    got = modem._window_statistics(lat, lo, hi, DecisionRule.STDDEV)
+    assert got == [window_statistic_reference(w, DecisionRule.STDDEV) for w in windows]
 
 
 @st.composite

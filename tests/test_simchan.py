@@ -5,6 +5,7 @@ import io
 import math
 import os
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsyncchan
+from fsyncchan import simchan
 from fsyncchan.core import BitStream, ChannelConfig, TraceMeta, prbs_sequence, trace_write
 from fsyncchan.modem import SourceExhausted, TraceSource
 from fsyncchan.simchan import (
@@ -267,6 +269,18 @@ def test_noise_burst_count_scales_with_degree():
         n = sum(len(proc.materialize(horizon, random.Random(seed))) for seed in range(10))
         totals.append(n)
     assert totals[0] < totals[1] < totals[2]
+
+
+def test_noise_burst_cap_checked_before_drawing(monkeypatch):
+    # the expected count, rate * horizon, is checked before the first draw
+    monkeypatch.setattr(simchan, "MAX_NOISE_BURSTS", 100)
+    proc = NoiseProcess.from_degree(NoiseDegree.HIGH, default_model())  # 500 bursts a second
+    assert len(proc.materialize(190_000_000, random.Random(1))) > 0
+    drawn = random.Random(1)
+    message = r"^high noise over a 0\.21 s horizon .* over the limit of 100$"
+    with pytest.raises(ValueError, match=message):
+        proc.materialize(210_000_000, drawn)
+    assert drawn.getstate() == random.Random(1).getstate()
 
 
 def test_noise_timeline_queries():
@@ -769,5 +783,7 @@ def test_sim_params_file_round_trip():
 )
 def test_sim_params_nonfinite_latency_rejected_by_model(line, field):
     params = parse_sim_params(line)  # parsing takes any float
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    key = line.split("=")[0].strip()  # the error names the side as well as the field
+    assert key.endswith(field)
+    with pytest.raises(ValueError, match=f"^{re.escape(key)} must be finite"):
         params.model()
