@@ -238,10 +238,8 @@ class LatencyTrace:
 
     `timestamps_ns` and `latencies_ns` are read-only int64 arrays of equal
     length.  Construction enforces positive latencies and nondecreasing
-    timestamps.  Traces produced by an actual sequential probe additionally
-    satisfy nonoverlap (next probe starts after the previous fsync returned);
-    that stricter property is checked by validate_sequential() because
-    analyzer inputs may legitimately be resampled or hand-built.
+    timestamps, not that probes never overlap: analyzer inputs may
+    legitimately be resampled or hand-built.
 
     Iterating, indexing or reading `samples` builds LatencySample objects on
     demand; code that walks whole traces reads the columns instead.
@@ -316,23 +314,9 @@ class LatencyTrace:
             )
         return NotImplemented
 
-    def validate_sequential(self) -> None:
-        """Assert the sequential-probe property: probes never overlap."""
-        ts, lat = self.timestamps_ns, self.latencies_ns
-        finish = ts[:-1] + lat[:-1]
-        bad = np.flatnonzero(ts[1:] < finish)
-        if bad.size:
-            i = int(bad[0]) + 1
-            raise ValueError(
-                f"sample {i} starts at {ts[i]} before previous fsync finished at {finish[i - 1]}"
-            )
-
     def non_warmup(self) -> tuple[LatencySample, ...]:
         """Samples past the warm-up prefix recorded in meta."""
         return self[self.meta.warmup_samples :]
-
-    def latencies(self) -> list[int]:
-        return self.latencies_ns.tolist()
 
     @property
     def duration_ns(self) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -190,42 +189,17 @@ class SymbolDecision:
 
 def _fit(values: Sequence[float]) -> tuple[int, float, float]:
     """The threshold fitted on quiet statistics (at least one), with their
-    mean and sample standard deviation: (theta, mean, std)."""
+    mean and sample standard deviation: (theta, mean, std).  The standard
+    deviation is the corrected two-pass one (Chan, Golub & LeVeque 1983)
+    over deviations from the float mean, summed with math.fsum: within 2
+    ulps of statistics.stdev, and 0.0 for one value."""
     mean = statistics.fmean(values)
-    std = _stdev(values) if len(values) >= 2 else 0.0
+    n = len(values)
+    std = 0.0
+    if n >= 2:
+        d = [v - mean for v in values]
+        std = math.sqrt((math.fsum(map(mul, d, d)) - math.fsum(d) ** 2 / n) / (n - 1))
     return round(mean + max(3.0 * std, 0.5 * mean)), mean, std
-
-
-# bits of the scaled square root in _sqrt_of_ratio: enough that rounding it
-# to odd and then to a float rounds correctly
-_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
-
-
-def _sqrt_of_ratio(num: int, den: int) -> float:
-    """sqrt(num / den) for integers num >= 0 and den > 0, correctly rounded."""
-    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
-    if q >= 0:
-        den <<= 2 * q
-    else:
-        num <<= -2 * q
-    root = math.isqrt(num // den)
-    root |= root * root * den != num  # round to odd: a sticky bit for the remainder
-    return float(root << q) if q >= 0 else root / (1 << -q)
-
-
-def _stdev_from_sums(n: int, total: int, total_sq: int, scale: int = 1) -> float:
-    """Sample standard deviation of n >= 2 numbers X_i / scale from the exact
-    integer sums of X_i and X_i**2: sqrt((n*sum_sq - sum**2) / (n*(n-1))) / scale,
-    correctly rounded, so equal to statistics.stdev of the numbers."""
-    return _sqrt_of_ratio(n * total_sq - total * total, n * (n - 1) * scale * scale)
-
-
-def _stdev(values: list[float]) -> float:
-    """statistics.stdev of n >= 2 ints or floats, in integer arithmetic."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = max(den for _, den in ratios)  # a power of two: every denominator divides it
-    xs = [num * (scale // den) for num, den in ratios]
-    return _stdev_from_sums(len(xs), sum(xs), sum(map(mul, xs, xs)), scale)
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -233,111 +207,29 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> list[float]:
     """The decision statistic of each window lat[lo[k]:hi[k]]; the windows
-    ascend and span lat (lo[0] == 0, hi[-1] == len(lat)).  From prefix sums
-    of the column, exact (in Python ints where int64 could overflow): MEAN
-    is float(sum) / n, which is statistics.fmean; STDDEV is _stdev_from_sums,
-    which is statistics.stdev, and 0.0 for one sample (for a chunk of
-    _KERNEL_MIN_WINDOWS windows or more, _stdevs_from_sums over the int64
-    sums, the same floats)."""
+    ascend and span lat (lo[0] == 0, hi[-1] == len(lat)).  A window of n
+    samples has the sums S1 and S2 of its samples and of their squares,
+    exact from prefix sums of the column (in Python ints where int64 could
+    overflow).  MEAN is float(S1) / n, which is statistics.fmean.  STDDEV is
+    sqrt(float(n*S2 - S1**2) / float(n*(n-1))) in float64, 0.0 for one
+    sample: within 2 ulps of statistics.stdev."""
     if not len(lat):
         return []
     lo, hi = np.asarray(lo), np.asarray(hi)
+    counts = hi - lo
     mean = rule is DecisionRule.MEAN
-    if int(lat.max()) ** (1 if mean else 2) * len(lat) > _INT64_MAX:
+    peak = int(lat.max())
+    # the largest integers formed: the prefix sums, and for STDDEV each window's n*S2
+    widest = peak * len(lat) if mean else peak**2 * max(len(lat), int(counts.max()) ** 2)
+    if widest > _INT64_MAX:
         lat = lat.astype(object)
     s1 = np.concatenate(([0], np.cumsum(lat)))
-    sums, counts = s1[hi] - s1[lo], hi - lo
+    sums = s1[hi] - s1[lo]
     if mean:
         return (sums.astype(np.float64) / counts).tolist()
     s2 = np.concatenate(([0], np.cumsum(lat * lat)))
-    sums_sq = s2[hi] - s2[lo]
-    if lat.dtype == object or len(counts) < _KERNEL_MIN_WINDOWS:
-        return [
-            _stdev_from_sums(n, total, total_sq) if n > 1 else 0.0
-            for n, total, total_sq in zip(counts.tolist(), sums.tolist(), sums_sq.tolist())
-        ]
-    return _stdevs_from_sums(counts, sums, sums_sq).tolist()
-
-
-# fewer windows than this take the per-window loop: the vector kernel costs
-# about 150 us a call and 0.02 us a window, the loop about 2 us a window
-# (2-core VM, numpy 2.4)
-_KERNEL_MIN_WINDOWS = 64
-# distance in ulps from a rounding midpoint within which _sqrt_of_ratios
-# leaves an element to _sqrt_of_ratio: far above the float error of its
-# position (about 2**-50 ulps)
-_MIDPOINT_TOLERANCE = 2.0**-30
-_FAST_NUM_MAX = 2**62  # num up to it rounds to a float within 2**9 that casts back to int64
-_FAST_DEN_LIMIT = 2**53  # every den below it is exact as a float
-
-
-def _stdevs_from_sums(n: np.ndarray, total: np.ndarray, total_sq: np.ndarray) -> np.ndarray:
-    """_stdev_from_sums over int64 columns of window sizes, sums and sums of
-    squares; 0.0 where n < 2.  n * total_sq - total**2 is taken in int64
-    where n * total_sq fits (total**2 is at most that), the other elements
-    in Python ints."""
-    wide = total_sq > _INT64_MAX // np.maximum(n, 1)
-    num = np.where(wide, 0, n * total_sq - total * total)
-    den = np.maximum(n * (n - 1), 1)  # n < 2 leaves num == 0: a 0.0 statistic
-    out = _sqrt_of_ratios(num, den)
-    for k in np.flatnonzero(wide).tolist():
-        out[k] = _stdev_from_sums(int(n[k]), int(total[k]), int(total_sq[k]))
-    return out
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of float64s into halves of 26 bits: a == hi + lo."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's error-free product: a * b == p + e exactly, p = fl(a * b)."""
-    p = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _sqrt_of_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """_sqrt_of_ratio over int64 columns, num >= 0 and den > 0, in float64.
-
-    r = sqrt(num / den) in floats lies within 1.5 ulps of the exact root x.
-    The residual num - den * r**2, from error-free products, gives x - r in
-    ulps of r; r steps one ulp up or down where x lies past the midpoint on
-    that side (below a power of two the lower ulp is half the upper one).
-    Left to _sqrt_of_ratio: num above _FAST_NUM_MAX, den at or above
-    _FAST_DEN_LIMIT, and x within _MIDPOINT_TOLERANCE ulps of a midpoint or
-    past the next midpoint out.
-    """
-    fast = (num <= _FAST_NUM_MAX) & (den < _FAST_DEN_LIMIT)
-    num_i = np.where(fast, num, 0)
-    num_f = num_i.astype(np.float64)
-    den_f = np.where(fast, den, 1).astype(np.float64)
-    r = np.sqrt(num_f / den_f)
-    # num - den * r * r, to about 2**-100 of num: num_f - prod is exact
-    sq, sq_err = _two_product(r, r)
-    prod, prod_err = _two_product(den_f, sq)
-    num_lo = (num_i - num_f.astype(np.int64)).astype(np.float64)
-    residual = ((num_f - prod) + num_lo - prod_err) - den_f * sq_err
-    up = np.nextafter(r, np.inf) - r
-    down = r - np.nextafter(r, 0)
-    below = -0.5 * down / up  # the lower midpoint, in ulps up
-    with np.errstate(invalid="ignore"):
-        # (x - r) / up = residual / (den * (x + r) * up), here with 2r for
-        # x + r, off by about 2**-50; at num == 0 it is 0 / 0, NaN, which
-        # passes no test below and leaves r == 0.0
-        t = residual / (2 * den_f * r * up)
-    out = np.where(t > 0.5, r + up, np.where(t < below, r - down, r))
-    tol = _MIDPOINT_TOLERANCE
-    # the next midpoints out: 1.5 ulps up; 1.25 lower ulps down at the
-    # nearest, where r's lower neighbour is a power of two
-    exact = ~fast | (np.abs(t - 0.5) <= tol) | (np.abs(t - below) <= tol)
-    exact |= (t >= 1.5 - tol) | (t <= 2.5 * below + tol)
-    for k in np.flatnonzero(exact).tolist():
-        out[k] = _sqrt_of_ratio(int(num[k]), int(den[k]))
-    return out
+    num = counts * (s2[hi] - s2[lo]) - sums * sums
+    return np.sqrt(num.astype(np.float64) / np.maximum(counts * (counts - 1), 1)).tolist()
 
 
 def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:

@@ -3,10 +3,10 @@
 Everything here is deliberately naive: plain-Python scans and brute-force
 groupings that restate each contract from scratch, so the tests compare the
 package against an implementation that shares no code with it.  The
-one-probe-per-call simulator, the sample-at-a-time window grid, the exact
-window statistics, the one-window-per-call decision stream and frame search,
-the line-at-a-time trace parser and the "%d" trace writer are the
-package's earlier implementations, kept as references for the vectorized
+one-probe-per-call simulator, the sample-at-a-time window grid, the window
+statistics from Python-int sums, the one-window-per-call decision stream and
+frame search, the line-at-a-time trace parser and the "%d" trace writer are
+the package's earlier implementations, kept as references for the vectorized
 ones, and so are the window merge loop of the activity timeline and the
 one-call-per-variate draw of the simulator's Gaussian chunks.
 """
@@ -194,11 +194,30 @@ class WindowGridReference:
         return LatencyTrace(window, self._meta)
 
 
+def validate_sequential(trace):
+    """Raise ValueError unless the trace has the sequential-probe property:
+    each probe starts at or after the previous fsync returned."""
+    ts, lat = trace.timestamps_ns, trace.latencies_ns
+    finish = ts[:-1] + lat[:-1]
+    bad = np.flatnonzero(ts[1:] < finish)
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise ValueError(
+            f"sample {i} starts at {ts[i]} before previous fsync finished at {finish[i - 1]}"
+        )
+
+
 def window_statistic_reference(latencies, rule):
-    """Window mean or exact (rational-arithmetic) sample standard deviation."""
+    """Window mean, or the STDDEV statistic of n samples from their Python-int
+    sum S1 and sum of squares S2: sqrt(float(n*S2 - S1**2) / float(n*(n-1))),
+    0.0 for one sample."""
     if rule is DecisionRule.MEAN:
         return statistics.fmean(latencies)
-    return statistics.stdev(latencies) if len(latencies) >= 2 else 0.0
+    n = len(latencies)
+    if n < 2:
+        return 0.0
+    num = n * sum(x * x for x in latencies) - sum(latencies) ** 2
+    return math.sqrt(float(num) / float(n * (n - 1)))
 
 
 def decision_stream_reference(source, cfg, state):
@@ -210,7 +229,7 @@ def decision_stream_reference(source, cfg, state):
             trace = source.probe_for(cfg.ts_us)
         except SourceExhausted:
             return
-        latencies = trace.latencies()
+        latencies = trace.latencies_ns.tolist()
         stat = window_statistic_reference(latencies, cfg.decision_rule)
         bit = 1 if stat > state.theta_ns else 0
         state.observe(stat, index)

@@ -28,7 +28,12 @@ from fsyncchan.core import (
 )
 from fsyncchan.modem import MIN_CALIBRATION_SAMPLES, TraceSource, calibrate, receive_frame
 from fsyncchan.simchan import default_model, sim_transmit
-from synthgen import trace_from_bits, trace_read_reference, trace_write_reference
+from synthgen import (
+    trace_from_bits,
+    trace_read_reference,
+    trace_write_reference,
+    validate_sequential,
+)
 
 # ---------------------------------------------------------------------------
 # BitStream
@@ -307,7 +312,7 @@ def test_latency_trace_accessors():
     trace = LatencyTrace(samples, TraceMeta(warmup_samples=1))
     assert len(trace) == 2
     assert trace[1] == samples[1]
-    assert trace.latencies() == [100, 50]
+    assert trace.latencies_ns.tolist() == [100, 50]
     assert trace.non_warmup() == (samples[1],)
     assert trace.samples == tuple(samples) and list(trace) == samples
     assert trace[-1] == samples[1] and trace[0:1] == (samples[0],)
@@ -317,10 +322,12 @@ def test_latency_trace_accessors():
 
 
 def test_validate_sequential():
-    LatencyTrace([LatencySample(0, 100), LatencySample(100, 50)]).validate_sequential()
+    # the tests' check of the sequential-probe property, which construction
+    # does not enforce
+    validate_sequential(LatencyTrace([LatencySample(0, 100), LatencySample(100, 50)]))
     overlapping = LatencyTrace([LatencySample(0, 100), LatencySample(60, 50)])
-    with pytest.raises(ValueError):
-        overlapping.validate_sequential()
+    with pytest.raises(ValueError, match="sample 1 starts at 60 before previous fsync finished at 100"):
+        validate_sequential(overlapping)
 
 
 def test_trace_csv_round_trip():

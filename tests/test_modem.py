@@ -1,6 +1,8 @@
 """Calibration, symbol decisions, and frame recovery."""
 
+import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -500,7 +502,8 @@ def test_look_ahead_and_commit_match_reference_grid(block):
                     windows.append((ts[a:b].tolist(), lat[a:b].tolist()))
             for i, (ts, lat) in enumerate(windows):
                 window = want.probe_for(duration_us)
-                assert (ts, lat) == (window.timestamps_ns.tolist(), window.latencies()), f"window {i}"
+                columns = (window.timestamps_ns.tolist(), window.latencies_ns.tolist())
+                assert (ts, lat) == columns, f"window {i}"
             with pytest.raises(SourceExhausted):
                 want.probe_for(duration_us)
 
@@ -630,10 +633,10 @@ def test_decisions_match_reference(monkeypatch, rule):
     # the differential gate of the batch demodulator: the same SymbolDecision
     # stream and final ThresholdState as the one-window reference stream,
     # over traces with empty windows and in-flight samples, whatever the
-    # blocks the grid reads and the chunks the core decides.  The window
-    # mean is float(sum) / n like statistics.fmean, and the STDDEV statistic
-    # is the correctly rounded square root of the exact variance, like
-    # statistics.stdev, so no tolerance is needed.
+    # blocks the grid reads and the chunks the core decides.  Both sides
+    # take each window statistic with the same float64 formula over exact
+    # integer sums (float(sum) / n; sqrt(float(n*S2 - S1**2) / float(n*(n-1))))
+    # and the same _fit, so no tolerance is needed.
     for trace in _replay_traces():
         for ts_us, update_period in ((7, 64), (50, 5), (400, 64)):
             cfg = ChannelConfig(ts_us=ts_us, decision_rule=rule)
@@ -669,67 +672,11 @@ def test_window_statistics_exact_past_int64():
         assert [d.statistic for d in got] == want
 
 
-@st.composite
-def _sqrt_ratio(draw):
-    """(num, den) for _sqrt_of_ratios, num in int64: near squares, ratios
-    next to powers of 4 and up to 2**-50 below one (roots up to 2 ulps below
-    a power of 2), num 0 or den 1, and num at the fast-path limit."""
-    window_den = st.integers(2, 10**5).map(lambda n: n * (n - 1))
-    den = draw(st.one_of(window_den, st.integers(1, 2**53 + 2)))
-    kind = draw(st.sampled_from(("square", "power4", "below4", "zero", "den1", "limit", "any")))
-    delta = draw(st.integers(-2, 2))
-    if kind == "square":
-        num = draw(st.integers(0, 2**31)) ** 2 * den + delta
-    elif kind == "power4":
-        k = draw(st.integers(-27, 31))
-        num = (den << 2 * k if k >= 0 else den >> -2 * k) + delta
-    elif kind == "below4":
-        top = den << 2 * ((62 - den.bit_length()) // 2)
-        num = top - draw(st.integers(0, top >> 50))
-    elif kind == "zero":
-        num = 0
-    elif kind == "den1":
-        num, den = draw(st.integers(0, 2**63 - 1)), 1
-    elif kind == "limit":
-        num = modem._FAST_NUM_MAX + delta
-    else:
-        num = draw(st.integers(0, 2**63 - 1))
-    return min(max(num, 0), 2**63 - 1), den
-
-
-@settings(max_examples=300, deadline=None)
-@given(pairs=st.lists(_sqrt_ratio(), min_size=1, max_size=40))
-def test_sqrt_of_ratios_matches_exact(pairs):
-    # the vector kernel gives the correctly rounded floats of _sqrt_of_ratio
-    num, den = (np.array(column, dtype=np.int64) for column in zip(*pairs))
-    want = [modem._sqrt_of_ratio(a, b) for a, b in pairs]
-    assert modem._sqrt_of_ratios(num, den).tolist() == want
-
-
-def test_sqrt_of_ratios_all_exact_at_tolerance_one(monkeypatch):
-    # a tolerance of one ulp sends every nonzero num to _sqrt_of_ratio, and
-    # the floats do not change
-    rng = random.Random(12)
-    pairs = [
-        (rng.randrange(2 ** rng.randrange(1, 63)), rng.randrange(1, 2 ** rng.randrange(1, 54)))
-        for _ in range(500)
-    ]
-    pairs += [(0, 7), (5, 1)]
-    num, den = (np.array(column, dtype=np.int64) for column in zip(*pairs))
-    fast = modem._sqrt_of_ratios(num, den).tolist()
-    calls = []
-    exact = modem._sqrt_of_ratio
-    monkeypatch.setattr(modem, "_sqrt_of_ratio", lambda a, b: calls.append(a) or exact(a, b))
-    monkeypatch.setattr(modem, "_MIDPOINT_TOLERANCE", 1.0)
-    assert modem._sqrt_of_ratios(num, den).tolist() == fast
-    assert len(calls) == sum(a > 0 for a, _ in pairs)
-
-
-def test_window_statistics_kernel_chunk_matches_reference():
-    # a chunk long enough for the vector kernel, with windows of one sample,
-    # and two windows whose n * sum of squares is past int64 though every
-    # prefix sum fits: n * sum_sq - sum**2 fits in int64 for the first, not
-    # for the second
+def test_window_statistics_n_sum_sq_past_int64():
+    # an 80-window chunk with windows of one sample, and two windows whose
+    # n * sum of squares is past int64 though every prefix sum fits:
+    # n * sum_sq - sum**2 fits in int64 for the first, not for the second.
+    # The chunk takes the Python-int path and matches the reference.
     rng = random.Random(13)
     big = 50_000_000
     windows = [[rng.randrange(1, 50_000) for _ in range(rng.randrange(1, 20))] for _ in range(80)]
@@ -739,9 +686,88 @@ def test_window_statistics_kernel_chunk_matches_reference():
     assert big**2 * len(lat) <= 2**63 - 1 < 1_000**2 * (big - 6) ** 2
     hi = np.cumsum([len(w) for w in windows])
     lo = hi - [len(w) for w in windows]
-    assert len(windows) >= modem._KERNEL_MIN_WINDOWS
     got = modem._window_statistics(lat, lo, hi, DecisionRule.STDDEV)
     assert got == [window_statistic_reference(w, DecisionRule.STDDEV) for w in windows]
+
+
+def _ulps(a: float, b: float) -> int:
+    """How many floats apart two nonnegative floats are."""
+    x, y = np.array([a, b]).view(np.int64).tolist()
+    return abs(x - y)
+
+
+@st.composite
+def _stat_windows(draw, past_int64):
+    """One chunk's windows of latencies: any spread, near-constant (a value
+    plus offsets of 0-3), equal values and single samples.  Up to 2**24 the
+    chunk's n * sum of squares fits in int64; past_int64 draws up to 2**62
+    and ends on a sample of at least 2**32, whose square alone passes it."""
+    top = 2**62 if past_int64 else 2**24
+    windows = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(("any", "near", "equal", "one")))
+        size = 1 if kind == "one" else draw(st.integers(2, 30))
+        if kind == "any":
+            window = draw(st.lists(st.integers(1, top), min_size=size, max_size=size))
+        elif kind == "near":
+            base = draw(st.integers(1, top - 3))
+            window = [base + draw(st.integers(0, 3)) for _ in range(size)]
+        else:
+            window = [draw(st.integers(1, top))] * size
+        windows.append(window)
+    if past_int64:
+        windows.append([draw(st.integers(2**32, top))])
+    return windows
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows=st.one_of(_stat_windows(False), _stat_windows(True)))
+def test_window_statistics_stddev_within_two_ulps_of_stdev(windows):
+    # the float64 STDDEV statistic over int64 sums, and over Python-int sums
+    # where the overflow guard sends the chunk to the object path, is within
+    # 2 ulps of statistics.stdev; 0.0 exactly for one sample or equal values
+    lat = np.array([v for w in windows for v in w], dtype=np.int64)
+    sizes = [len(w) for w in windows]
+    # the two kinds of chunk fall on the two sides of the overflow guard
+    past_int64 = int(lat.max()) ** 2 * max(len(lat), max(sizes) ** 2) > 2**63 - 1
+    assert past_int64 == (lat.max() >= 2**32)
+    hi = np.cumsum(sizes)
+    got = modem._window_statistics(lat, hi - sizes, hi, DecisionRule.STDDEV)
+    for stat, window in zip(got, windows):
+        if len(set(window)) == 1:
+            assert stat == 0.0
+        else:
+            assert _ulps(stat, statistics.stdev(window)) <= 2, window
+
+
+@st.composite
+def _quiet_statistics(draw):
+    """Values for _fit: float statistics of any spread, integer latencies
+    (the MEAN rule's calibration), and near-constant floats whose spread goes
+    down to one ulp of their mean, equal values included."""
+    n = draw(st.integers(2, 80))
+    kind = draw(st.sampled_from(("floats", "ints", "near")))
+    if kind == "floats":
+        return draw(st.lists(st.floats(0.0, 1e7), min_size=n, max_size=n))
+    if kind == "ints":
+        return draw(st.lists(st.integers(1, 10**7), min_size=n, max_size=n))
+    base = draw(st.floats(1e-3, 1e9))
+    step = math.ulp(base) * draw(st.sampled_from((1, 2, 16, 2**20)))
+    return [base + k * step for k in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=_quiet_statistics())
+def test_fit_std_within_two_ulps_of_stdev(values):
+    # the corrected two-pass standard deviation of _fit is within 2 ulps of
+    # statistics.stdev, 0.0 exactly for equal values; the mean is fmean
+    _, mean, std = modem._fit(values)
+    assert mean == statistics.fmean(values)
+    want = statistics.stdev(values)
+    if want == 0.0:
+        assert std == 0.0
+    assert _ulps(std, want) <= 2, values
+    assert modem._fit(values[:1])[2] == 0.0
 
 
 @st.composite

@@ -37,6 +37,7 @@ from fsyncchan.probe import (
     ProbeError,
     ProbeHandle,
 )
+from synthgen import validate_sequential
 
 
 @pytest.fixture
@@ -143,7 +144,7 @@ def test_timestamps_are_session_relative_and_sequential(probe_file, fast_fsync):
     with ProbeHandle(probe_file) as handle:
         trace = handle.probe_for(300.0)
     assert trace[0].timestamp_ns >= 0
-    trace.validate_sequential()
+    validate_sequential(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,7 @@ def test_blocks_are_int64_columns_of_about_block_us(probe_file, fake_disk):
         assert ts[-1] + lat[-1] - ts[0] >= BLOCK_US * 1000 > ts[-1] - ts[0]
     ts = np.concatenate([b[0] for b in blocks])
     lat = np.concatenate([b[1] for b in blocks])
-    LatencyTrace.from_columns(ts, lat).validate_sequential()
+    validate_sequential(LatencyTrace.from_columns(ts, lat))
     assert trace.timestamps_ns[0] > ts[-1]
     # the stream's probes count toward the session's warm-up
     assert trace.meta.warmup_samples == 0
@@ -368,7 +369,7 @@ def test_hw_probe_smoke(probe_file):
         trace = handle.probe_for(20_000.0)
     assert len(trace) >= 2
     assert all(s.latency_ns > 0 for s in trace)
-    trace.validate_sequential()
+    validate_sequential(trace)
 
 
 @pytest.mark.hardware

@@ -47,6 +47,7 @@ from synthgen import (
     normals_reference,
     probe_stream_reference,
     sim_receive_reference,
+    validate_sequential,
 )
 
 # ---------------------------------------------------------------------------
@@ -326,24 +327,24 @@ def test_sim_probe_idle_uses_standalone():
 def test_sim_probe_arrival_rule_ignores_future_activity():
     activity = ActivityTimeline([(25_000, 26_000)])  # starts after the arrival
     trace = sim_receive(activity, _fixed_model(), 0, duration_ns=40_000)
-    assert trace.latencies() == [30_000, 30_000]
+    assert trace.latencies_ns.tolist() == [30_000, 30_000]
 
 
 def test_sim_probe_contended_at_arrival():
     activity = ActivityTimeline([(0, 10_000)])
     trace = sim_receive(activity, _fixed_model(), 0, duration_ns=60_000)
-    assert trace.latencies() == [50_000, 30_000]
+    assert trace.latencies_ns.tolist() == [50_000, 30_000]
     # noise bursts count the same way, and a window's end is not in it
     noise = _FixedNoise([(20_000, 32_000), (60_000, 70_000)])
     trace = sim_receive(IDLE, _fixed_model(), 0, duration_ns=120_000, noise=noise)
     assert trace.timestamps_ns.tolist() == [0, 32_000, 64_000, 116_000]
-    assert trace.latencies() == [30_000, 30_000, 50_000, 30_000]
+    assert trace.latencies_ns.tolist() == [30_000, 30_000, 50_000, 30_000]
 
 
 def test_sim_receive_idle_stays_standalone():
     trace = sim_receive(IDLE, default_model(), 123, duration_ns=5_000_000)
     assert len(trace) > 100
-    trace.validate_sequential()
+    validate_sequential(trace)
     lo, hi = 21_390 - 5 * 2_479, 21_390 + 5 * 2_479
     assert all(lo <= s.latency_ns <= hi for s in trace)
     assert trace.meta.probe_mode == "sim-empirical"
@@ -365,7 +366,7 @@ def test_sim_receive_validation():
 def test_sim_receive_all_active_matches_contended_mean():
     activity = ActivityTimeline([(0, 10**9)])
     trace = sim_receive(activity, default_model(), 5, duration_ns=460_000_000)
-    lats = trace.latencies()
+    lats = trace.latencies_ns.tolist()
     assert len(lats) >= 10_000
     mean = statistics.fmean(lats[:10_000])
     assert abs(mean - 43_134) / 43_134 < 0.01
@@ -376,7 +377,7 @@ def test_sim_transmit_separates_symbols():
     cfg = ChannelConfig(ts_us=50)
     sched = SenderSchedule(bits, 50)
     trace = sim_transmit(bits, cfg, default_model(), 31)
-    trace.validate_sequential()
+    validate_sequential(trace)
     assert trace.duration_ns <= sched.duration_ns + 50_000  # last fsync may run over
     active = [s.latency_ns for s in trace if sched.active_at(s.timestamp_ns)]
     idle = [s.latency_ns for s in trace if not sched.active_at(s.timestamp_ns)]
