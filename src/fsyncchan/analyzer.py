@@ -141,8 +141,8 @@ def estimate_request_rate(counts: Sequence[int], samples_per_request: float = 10
     The factor is workload- and hardware-specific; 10 probe hits per request
     is the bundled profiling default and should be re-measured per target.
     """
-    if samples_per_request <= 0:
-        raise ValueError("samples_per_request must be positive")
+    if not 0 < samples_per_request < math.inf:  # NaN fails too
+        raise ValueError("samples_per_request must be positive and finite")
     return [c / samples_per_request for c in counts]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -357,6 +358,8 @@ def cmd_analyze_classify(args) -> int:
 
 
 def cmd_analyze_keystrokes(args) -> int:
+    if not math.isfinite(args.min_spacing_ms):
+        raise ValueError(f"--min-spacing-ms must be finite, got {args.min_spacing_ms}")
     trace = trace_read(args.trace)
     events, deltas = keystroke_timings(
         trace,

@@ -198,7 +198,12 @@ def _fit(values: Sequence[float]) -> tuple[int, float, float]:
     std = 0.0
     if n >= 2:
         d = [v - mean for v in values]
-        std = math.sqrt((math.fsum(map(mul, d, d)) - math.fsum(d) ** 2 / n) / (n - 1))
+        # scaled by a power of two near the largest deviation: exact, and the
+        # squares of deviations below 1e-154 no longer underflow to 0
+        e = math.frexp(max(map(abs, d)))[1]
+        d = [math.ldexp(x, -e) for x in d]
+        var = (math.fsum(map(mul, d, d)) - math.fsum(d) ** 2 / n) / (n - 1)
+        std = math.ldexp(math.sqrt(var), e)
     return round(mean + max(3.0 * std, 0.5 * mean)), mean, std
 
 

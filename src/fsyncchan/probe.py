@@ -14,6 +14,7 @@ the first 16 as warm-up in the trace metadata and calibration skips them.
 from __future__ import annotations
 
 import errno
+import math
 import os
 import random
 import time
@@ -122,8 +123,8 @@ class ProbeHandle:
                 return ts, lat
 
     def _deadline(self, duration_us: float) -> int:
-        if duration_us <= 0:
-            raise ValueError("duration_us must be positive")
+        if not 0 < duration_us < math.inf:  # NaN fails too
+            raise ValueError(f"duration_us must be positive and finite, got {duration_us!r}")
         return time.clock_gettime_ns(_CLOCK) + round(duration_us * 1000)
 
     def probe_for(self, duration_us: float) -> LatencyTrace:

@@ -31,12 +31,11 @@ the noise bursts merge, by the function that builds every timeline, into one
 sorted list of windows, whose edges cut the clock into stretches of constant
 state.  The seeded RNG first materializes the noise bursts, then draws
 standard Gaussian variates in order, in chunks: probe i of the stream takes
-the next variate when its distribution has std_ns > 0, and none when
-std_ns == 0 (its latency is then the clamped mean).  Per chunk, each state's
-latencies plus the overhead are summed into a prefix sum; one bisection on
-it counts the probes that start before the stretch ends, and the clock jumps
-to the start of the first one that does not.  A stretch that outlasts a
-chunk continues on the next one.
+variate i, whatever its state, and each chunk yields one block of probes.
+Per chunk, each state's latencies plus the overhead are summed into a prefix
+sum; one bisection on it counts the probes that start before the stretch
+ends, and the clock jumps to the start of the first one that does not.  A
+stretch that outlasts a chunk continues on the next one.
 
 A chunk of variates is drawn as a block, equal value for value to that many
 rng.gauss(0.0, 1.0) calls and leaving the RNG in the same state, spare
@@ -84,6 +83,7 @@ __all__ = [
     "NoiseProcess",
     "MAX_NOISE_BURSTS",
     "PROBE_OVERHEAD_NS",
+    "LATENCY_FLOOR_NS",
     "sim_receive",
     "sim_transmit",
     "SimSource",
@@ -95,6 +95,8 @@ __all__ = [
 ]
 
 PROBE_OVERHEAD_NS = 2000
+# every latency draw is clamped to at least this many ns
+LATENCY_FLOOR_NS = 1000
 # largest mean or std a latency may have: draws are rint(mean + z * std) with
 # |z| < 9, so every draw, and the time of every 4,096-probe block, fits int64 ns
 _MAX_LATENCY_NS = 1e12
@@ -102,16 +104,15 @@ _MAX_LATENCY_NS = 1e12
 
 @dataclass(frozen=True)
 class LatencyDistribution:
-    """Gaussian latency in ns, truncated below at floor_ns.
+    """Gaussian latency in ns, truncated below at LATENCY_FLOOR_NS (1 us).
 
     Truncation is a clamp, not a redraw, so each draw consumes exactly one
-    Gaussian variate; for every preset here the floor sits >7 sigma below the
-    mean, where the two schemes are indistinguishable.
+    Gaussian variate, a zero std_ns included; for every preset here the floor
+    sits >7 sigma below the mean, where the two schemes are indistinguishable.
     """
 
     mean_ns: float
     std_ns: float
-    floor_ns: int = 1000
 
     def __post_init__(self):
         for name in ("mean_ns", "std_ns"):
@@ -122,13 +123,9 @@ class LatencyDistribution:
             raise ValueError("mean_ns must be positive")
         if self.std_ns < 0:
             raise ValueError("std_ns must be nonnegative")
-        if self.floor_ns <= 0:
-            raise ValueError("floor_ns must be positive")
 
     def draw(self, rng: random.Random) -> int:
-        if self.std_ns == 0:
-            return max(self.floor_ns, round(self.mean_ns))
-        return max(self.floor_ns, round(rng.gauss(self.mean_ns, self.std_ns)))
+        return max(LATENCY_FLOOR_NS, round(rng.gauss(self.mean_ns, self.std_ns)))
 
 
 # Bundled empirical presets (ns), (standalone, contended) fsync-vs-fsync pairs:
@@ -406,78 +403,36 @@ def _probe_blocks(
     timeline = noise.materialize(horizon_ns, rng) if noise is not None else None
     edges = _activity_edges(activity, timeline)
     n_edges = len(edges)
-    dists = (model.standalone, model.contended)
-    drawn = tuple(d.std_ns > 0 for d in dists)
-    fixed = tuple(max(d.floor_ns, round(d.mean_ns)) for d in dists)
-    any_drawn = any(drawn)
     clock = 0
     k = bisect_right(edges, clock)  # edges at or before the clock
-    size = 0 if any_drawn else _MAX_CHUNK  # variates in the current chunk
-    zc = 0  # variates of the current chunk used so far
-    lat_cols = prefixes = None
+    size = 0  # variates in the current chunk, one per probe of the block
     while True:
-        if any_drawn and zc == size:
-            size = min(max(2 * size, _FIRST_CHUNK), _MAX_CHUNK)
-            z = _normals(rng, size)
-            lat_cols = [
-                np.maximum(d.floor_ns, np.rint(d.mean_ns + z * d.std_ns)).astype(np.int64)
-                if draws
-                else None
-                for d, draws in zip(dists, drawn)
-            ]
-            prefixes = [
-                memoryview(np.concatenate(([0], np.cumsum(lat + PROBE_OVERHEAD_NS))))
-                if lat is not None
-                else None
-                for lat in lat_cols
-            ]
-            zc = 0
-        start, z0, n = clock, zc, 0
+        size = min(max(2 * size, _FIRST_CHUNK), _MAX_CHUNK)
+        z = _normals(rng, size)
+        lat_cols = [
+            np.maximum(LATENCY_FLOOR_NS, np.rint(d.mean_ns + z * d.std_ns)).astype(np.int64)
+            for d in (model.standalone, model.contended)
+        ]
+        prefixes = [
+            memoryview(np.concatenate(([0], np.cumsum(lat + PROBE_OVERHEAD_NS))))
+            for lat in lat_cols
+        ]
+        start, n = clock, 0
         states: list[int] = []
         lengths: list[int] = []
-        while n < size and zc < size:
+        while n < size:
             state = k & 1
-            limit = edges[k] if k < n_edges else None
-            if drawn[state]:
-                q = prefixes[state]
-                stop = size
-                if limit is not None:
-                    stop = min(bisect_left(q, limit - clock + q[zc], zc), size)
-                m = stop - zc
-                clock += q[stop] - q[zc]
-                zc = stop
-            else:
-                step = fixed[state] + PROBE_OVERHEAD_NS
-                m = size - n if limit is None else min(size - n, -(-(limit - clock) // step))
-                clock += m * step
+            q = prefixes[state]
+            stop = min(bisect_left(q, edges[k] - clock + q[n], n), size) if k < n_edges else size
+            clock += q[stop] - q[n]
             states.append(state)
-            lengths.append(m)
-            n += m
+            lengths.append(stop - n)
+            n = stop
             while k < n_edges and edges[k] <= clock:
                 k += 1
-        yield _assemble(start, states, lengths, z0, lat_cols, drawn, fixed)
-
-
-def _assemble(start, states, lengths, z0, lat_cols, drawn, fixed) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of one block of runs: probe j of the block takes the state of
-    its run and, when that state draws, the next variate from z0 on."""
-    contended = np.repeat(np.array(states, dtype=bool), lengths)
-    uses = np.where(contended, drawn[1], drawn[0])
-    zi = z0 + np.cumsum(uses) - uses
-
-    def pick(state):
-        if not drawn[state]:
-            return fixed[state]
-        col = lat_cols[state]
-        # a probe of the other state may point one past the chunk; np.where drops it
-        return col[np.minimum(zi, len(col) - 1)]
-
-    lat = np.where(contended, pick(1), pick(0)).astype(np.int64)
-    ts = np.empty(len(lat), dtype=np.int64)
-    ts[0] = 0
-    np.cumsum(lat[:-1] + PROBE_OVERHEAD_NS, out=ts[1:])
-    ts += start
-    return ts, lat
+        contended = np.repeat(np.array(states, dtype=bool), lengths)
+        lat = np.where(contended, lat_cols[1], lat_cols[0])
+        yield start + np.concatenate(([0], np.cumsum(lat[:-1] + PROBE_OVERHEAD_NS))), lat
 
 
 def _sim_meta(seed: int) -> TraceMeta:
@@ -571,20 +526,19 @@ def loopback(
     on quiet traffic, then searches each frame within two frame lengths and
     one header mismatch.  A lost frame is scored as the complement of its
     payload: every one of its bits is an error, in the direction of the sent
-    bit.
+    bit.  Only the len(payload) payload bits are scored, not the zeros that
+    pad the last frame.
     """
     frames = encode_frames(payload, cfg)
     schedule = SenderSchedule(frames_to_bits(frames), cfg.ts_us)
     state = calibrate(calibration_trace(model, cfg, calibration_seed), cfg)
     source = SimSource(schedule, model, channel_seed, noise=noise)
-    sent: list[bytes] = []
     received: list[bytes] = []
     for frame in frames:
         got = receive_frame(source, cfg, state, max_symbols=2 * cfg.frame_len, max_mismatches=1)
-        payload = bytes(frame.payload)
-        sent.append(payload)
-        received.append(bytes(got) if got is not None else payload.translate(_COMPLEMENT))
-    return compare_bits(BitStream(b"".join(sent)), BitStream(b"".join(received)))
+        sent = bytes(frame.payload)
+        received.append(bytes(got) if got is not None else sent.translate(_COMPLEMENT))
+    return compare_bits(payload, BitStream(b"".join(received)[: len(payload)]))
 
 
 _COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")

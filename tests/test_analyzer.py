@@ -1,5 +1,6 @@
 """Episode extraction, counting, split detection, k-NN, keystrokes."""
 
+import math
 import random
 
 import numpy as np
@@ -186,6 +187,9 @@ def test_estimate_request_rate():
     assert estimate_request_rate([7], samples_per_request=3.5) == [2.0]
     with pytest.raises(ValueError):
         estimate_request_rate([1], samples_per_request=0)
+    for factor in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="samples_per_request must be positive and finite"):
+            estimate_request_rate([1], samples_per_request=factor)
 
 
 def test_request_rate_of_simulated_victim():

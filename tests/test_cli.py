@@ -367,6 +367,20 @@ def test_bench_rows_pinned(capsys):
     ]
 
 
+def test_bench_scores_payload_bits_not_padding(capsys):
+    # 8,100 bits fill one 8,000-bit frame and 100 bits of a second; its
+    # 7,900 padding zeros are not scored
+    rc = main(["bench", "--seed", "1234", "--ts-us", "50", "--noise", "none,critical",
+               "--payload-bits", "8100"])
+    assert rc == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[2] for row in rows] == ["8100", "8100"]
+    # critical noise loses both frames: every payload bit is an error, the
+    # lost partial last frame counting its 100 real bits only
+    ones = prbs_sequence(8100, derive_seed(1234, "payload:50:critical")).count(1)
+    assert rows[1][3:5] == [str(ones), str(8100 - ones)]
+
+
 def _replay_channel_args(tmp_path):
     """The replay benchmark's channel: cross-disk preset, 400 us stddev
     symbols, 8000-bit frames."""
@@ -570,6 +584,26 @@ def test_analyze_keystrokes(tmp_path, capsys):
         got_delta = int(rows[1 + i][2])
         true_delta = key_times[i + 1] - key_times[i]
         assert abs(got_delta - true_delta) < 400_000
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["calibrate", "--file", "PROBE", "--duration-us", "inf"], "duration_us"),
+    (["analyze", "keystrokes", "--trace", "TRACE", "--theta-ns", "54000",
+      "--min-spacing-ms", "inf", "--out", "OUT"], "--min-spacing-ms"),
+    (["analyze", "rate", "--trace", "TRACE", "--theta-ns", "70000",
+      "--samples-per-request", "nan", "--out", "OUT"], "samples_per_request"),
+], ids=["calibrate-duration", "keystrokes-spacing", "rate-samples-per-request"])
+def test_nonfinite_float_flags_exit_2(argv, flag, ops_trace, tmp_path, capsys, monkeypatch):
+    # the value is refused before any fsync of the probe file
+    monkeypatch.setattr(os, "fsync", lambda fd: pytest.fail("fsync called"))
+    probe = tmp_path / "probe.dat"
+    probe.write_bytes(b"\0" * 4096)
+    paths = {"PROBE": str(probe), "TRACE": str(ops_trace[0]), "OUT": str(tmp_path / "out.csv")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_analyze_classify(tmp_path, capsys):

@@ -184,6 +184,9 @@ def test_probe_for_validation_and_minimum_sample(probe_file, fast_fsync):
     with ProbeHandle(probe_file) as handle:
         with pytest.raises(ValueError):
             handle.probe_for(0)
+        for duration_us in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="duration_us must be positive and finite"):
+                handle.probe_for(duration_us)
         trace = handle.probe_for(0.001)  # far below one probe's cost
         assert len(trace) >= 1
 

@@ -58,10 +58,15 @@ def test_distribution_zero_std_is_exact():
     dist = LatencyDistribution(30_000, 0)
     rng = random.Random(1)
     assert all(dist.draw(rng) == 30_000 for _ in range(10))
+    # every draw takes one Gaussian variate, so probe i always reads variate i
+    twin = random.Random(1)
+    for _ in range(10):
+        twin.gauss(0.0, 1.0)
+    assert rng.getstate() == twin.getstate()
 
 
 def test_distribution_clamps_at_floor():
-    dist = LatencyDistribution(1_500, 10_000, floor_ns=1_000)
+    dist = LatencyDistribution(1_500, 10_000)
     rng = random.Random(1)
     draws = [dist.draw(rng) for _ in range(2_000)]
     assert min(draws) == 1_000  # heavy left tail must hit the clamp
@@ -73,8 +78,6 @@ def test_distribution_validation():
         LatencyDistribution(0, 10)
     with pytest.raises(ValueError):
         LatencyDistribution(100, -1)
-    with pytest.raises(ValueError):
-        LatencyDistribution(100, 1, floor_ns=0)
 
 
 @pytest.mark.parametrize("field", ["mean_ns", "std_ns"])
@@ -531,6 +534,19 @@ def test_sim_receive_matches_reference(activity, model, degree, duration_ns):
             (0, 20_000), (22_000, 20_000), (44_000, 42_000), (88_000, 20_000), (110_000, 20_000)
         ]
 
+
+
+@pytest.mark.parametrize("degree", [NoiseDegree.NONE, NoiseDegree.HIGH])
+def test_zero_std_keeps_the_variate_stream(degree):
+    # a zero std takes its variate like any other, so a state's std moving
+    # from 0 to 1e-9 ns moves no later probe in the stream
+    activity = SenderSchedule(prbs_sequence(2_000, 5), 50)
+    traces = []
+    for std in (0, 1e-9):
+        model = ContentionModel(LatencyDistribution(21_390, std), LatencyDistribution(43_134, 2_522))
+        noise = NoiseProcess.from_degree(degree, model)
+        traces.append(sim_receive(activity, model, 7, duration_ns=activity.duration_ns, noise=noise))
+    assert traces[0] == traces[1]
 
 
 def test_sim_receive_drawn_probes_on_window_edges():
