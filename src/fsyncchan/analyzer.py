@@ -189,8 +189,10 @@ def split_detection_metrics(
 
     Each truth op is matched to the unused episode with the nearest start
     within tol_ns.  Unmatched split ops count as misses; unmatched episodes
-    classified as splits count as false alarms.
+    classified as splits count as false alarms.  tol_ns must be nonnegative.
     """
+    if tol_ns < 0:
+        raise ValueError(f"tol_ns must be nonnegative, got {tol_ns}")
     episodes = sorted(episodes, key=lambda e: e.start_ns)
     used = [False] * len(episodes)
     starts = [e.start_ns for e in episodes]

@@ -38,6 +38,7 @@ from .core import (
     ChannelConfig,
     DecisionRule,
     ProbeMode,
+    decode_frames,
     encode_frames,
     frames_to_bits,
     prbs_sequence,
@@ -162,17 +163,16 @@ def cmd_send(args) -> int:
     tx_bits = frames_to_bits(frames)
     if args.file:
         with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
-            report = send_bits(tx_bits, cfg, handle)
+            fsyncs = send_bits(tx_bits, cfg, handle)
         print(
             f"sent {len(frames)} frame(s), {len(payload)} payload bits, "
-            f"{len(tx_bits)} symbols, {report.total_fsyncs} fsyncs"
+            f"{len(tx_bits)} symbols, {fsyncs} fsyncs"
         )
         return EXIT_OK
     if not args.out:
         raise ValueError("sim send requires --out TRACE_CSV")
-    params = _sim_params(args)
-    model = params.model()
-    noise = NoiseProcess.from_degree(NoiseDegree(args.noise or params.noise_degree), model)
+    model = _sim_params(args).model()
+    noise = NoiseProcess.from_degree(NoiseDegree(args.noise), model)
     trace = sim_transmit(tx_bits, cfg, model, derive_seed(seed, "channel"), noise=noise)
     trace_write(trace, args.out)
     print(
@@ -208,11 +208,8 @@ def cmd_recv(args) -> int:
         payloads = _recv_frames(TraceSource(trace_read(args.trace)), cfg, state, args)
     else:
         raise ValueError("sim recv requires --trace TRACE_CSV")
-    joined = BitStream(b"".join(map(bytes, payloads)))
-    n_bits = args.payload_bits or len(joined)
-    if n_bits > len(joined):
-        raise ValueError(f"--payload-bits {n_bits} exceeds recovered {len(joined)} bits")
-    text = joined[:n_bits].to_text()
+    n_bits = args.payload_bits or len(payloads) * cfg.payload_len
+    text = decode_frames(payloads, n_bits).to_text()
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="ascii")
     else:
@@ -313,6 +310,13 @@ def _read_truth(path) -> list[tuple[int, bool]]:
 
 def cmd_analyze_splits(args) -> int:
     episodes = _read_episodes(args)
+    if args.truth:  # scored before the CSV is written, so a bad truth writes nothing
+        m = split_detection_metrics(
+            episodes,
+            _read_truth(args.truth),
+            split_threshold_ns=args.split_threshold_ns,
+            tol_ns=args.tol_ns,
+        )
     labels = [classify_split(ep, args.split_threshold_ns).value for ep in episodes]
     rows = (
         [ep.start_ns, ep.end_ns, ep.est_latency_ns, ep.n_samples, label]
@@ -321,12 +325,6 @@ def cmd_analyze_splits(args) -> int:
     _write_csv(args.out, ["start_ns", "end_ns", "est_latency_ns", "n_samples", "label"], rows)
     print(f"{len(episodes)} episode(s), {labels.count('split')} classified split -> {args.out}")
     if args.truth:
-        m = split_detection_metrics(
-            episodes,
-            _read_truth(args.truth),
-            split_threshold_ns=args.split_threshold_ns,
-            tol_ns=args.tol_ns,
-        )
         print(
             f"tp={m.tp} fp={m.fp} fn={m.fn} tn={m.tn} "
             f"precision={m.precision:.4f} recall={m.recall:.4f} f1={m.f1:.4f}"
@@ -387,16 +385,16 @@ def _int_at_least(minimum: int):
 
 
 def _add_channel_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
-    """The flags of one channel; a sweep (bench) is sim-only and lists --ts-us."""
+    """The flags of one channel; a sweep (bench) is sim-only, with no --file or --mode."""
     if not sweep:
         p.add_argument("--ts-us", type=int, default=50, help="symbol duration in microseconds")
         p.add_argument("--file", help="probe this file (caller-created) instead of simulating")
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in ProbeMode],
-        default=ProbeMode.FSYNC_ONLY.value,
-        help="probe mutation mode",
-    )
+        p.add_argument(
+            "--mode",
+            choices=[m.value for m in ProbeMode],
+            default=ProbeMode.FSYNC_ONLY.value,
+            help="probe mutation mode",
+        )
     p.add_argument(
         "--decision",
         choices=[r.value for r in DecisionRule],
@@ -430,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p)
     p.add_argument("--payload-file", help="text file of 0/1 payload bits")
     p.add_argument("--payload-bits", type=int, default=8000, help="PRBS payload length")
-    p.add_argument("--noise", choices=[d.value for d in NoiseDegree], help="background noise degree")
+    degrees = [d.value for d in NoiseDegree]
+    p.add_argument("--noise", choices=degrees, default="none", help="background noise degree")
     p.add_argument("--out", help="trace CSV to write (sim mode)")
     p.set_defaults(func=cmd_send)
 

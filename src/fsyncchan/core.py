@@ -22,6 +22,7 @@ __all__ = [
     "BitStream",
     "prbs_sequence",
     "DEFAULT_HEADER",
+    "MAX_PAYLOAD_LEN",
     "ChannelConfig",
     "Frame",
     "encode_frames",
@@ -147,7 +148,12 @@ def prbs_sequence(n_bits: int, seed: int) -> BitStream:
 
 # 16-bit alternating preamble followed by an 8-bit sync word.  13 ones total,
 # so a quiet (all-zero) prefix can never alias the header within one mismatch.
+# Every frame starts with it.
 DEFAULT_HEADER = BitStream.from_text("1010101010101010" "10110101")
+
+# The largest payload_len: 125x the default.  Every symbol of a frame is
+# simulated and scanned, its zero padding included.
+MAX_PAYLOAD_LEN = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -156,16 +162,13 @@ class ChannelConfig:
 
     ts_us: int = 50
     decision_rule: DecisionRule = DecisionRule.MEAN
-    header: BitStream = DEFAULT_HEADER
     payload_len: int = 8000
 
     def __post_init__(self):
         if self.ts_us <= 0:
             raise ValueError("ts_us must be positive")
-        if self.payload_len <= 0:
-            raise ValueError("payload_len must be positive")
-        if len(self.header) < 8:
-            raise ValueError("header must be at least 8 bits")
+        if not 0 < self.payload_len <= MAX_PAYLOAD_LEN:
+            raise ValueError(f"payload_len must be 1 to {MAX_PAYLOAD_LEN}, got {self.payload_len}")
 
     @property
     def ts_ns(self) -> int:
@@ -173,46 +176,43 @@ class ChannelConfig:
 
     @property
     def frame_len(self) -> int:
-        return len(self.header) + self.payload_len
+        return len(DEFAULT_HEADER) + self.payload_len
 
 
 @dataclass(frozen=True)
 class Frame:
-    """One transmission unit: sync header followed by a fixed-size payload."""
+    """One transmission unit's payload of payload_len bits; on the channel
+    it follows DEFAULT_HEADER (see frames_to_bits)."""
 
-    header: BitStream
     payload: BitStream
 
 
 def encode_frames(payload_bits: BitStream, cfg: ChannelConfig) -> list[Frame]:
     """Split payload into fixed-size frames, zero-padding the last one.
 
-    The total payload bit count is carried out-of-band by the caller; decoding
-    trims the padding against it.
+    The total payload bit count is carried out-of-band by the caller;
+    decode_frames trims the padding against it.
     """
     if len(payload_bits) == 0:
         raise ValueError("payload must not be empty")
-    frames = []
-    for off in range(0, len(payload_bits), cfg.payload_len):
-        chunk = payload_bits[off : off + cfg.payload_len]
-        if len(chunk) < cfg.payload_len:
-            chunk = chunk + BitStream([0] * (cfg.payload_len - len(chunk)))
-        frames.append(Frame(cfg.header, chunk))
-    return frames
+    bits, n = bytes(payload_bits), cfg.payload_len
+    return [Frame(BitStream(bits[i : i + n].ljust(n, b"\0"))) for i in range(0, len(bits), n)]
 
 
-def decode_frames(frames: Iterable[Frame], n_payload_bits: int) -> BitStream:
-    """Concatenate frame payloads and trim padding back to n_payload_bits."""
-    joined = BitStream(b"".join(bytes(frame.payload) for frame in frames))
+def decode_frames(payloads: Iterable[BitStream], n_payload_bits: int) -> BitStream:
+    """The payload bits of received frames: their payloads joined, the
+    padding trimmed back to the n_payload_bits the sender framed."""
+    joined = b"".join(map(bytes, payloads))
     if n_payload_bits > len(joined):
-        raise ValueError("n_payload_bits exceeds decoded frame payloads")
-    return joined[:n_payload_bits]
+        raise ValueError(f"{n_payload_bits} payload bits exceed the {len(joined)} received")
+    return BitStream(joined[:n_payload_bits])
 
 
 def frames_to_bits(frames: Iterable[Frame]) -> BitStream:
-    """Serialize frames into the on-channel symbol sequence."""
-    parts = (bytes(part) for frame in frames for part in (frame.header, frame.payload))
-    return BitStream(b"".join(parts))
+    """Serialize frames into the on-channel symbol sequence, each payload
+    after DEFAULT_HEADER."""
+    header = bytes(DEFAULT_HEADER)
+    return BitStream(b"".join(header + bytes(frame.payload) for frame in frames))
 
 
 @dataclass(frozen=True)

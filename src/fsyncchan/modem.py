@@ -12,7 +12,7 @@ traffic:
 The threshold is re-derived every update_period symbols from the quiet mode
 of the recent window statistics, so a long run of '1' symbols does not drag
 it upward.  Frame boundaries are found by a sliding count of mismatches
-between the last header-length bits and the configured header.
+between the last header-length bits and core.DEFAULT_HEADER.
 
 One decision core serves every source.  A WindowGrid (trace replay, the
 simulated channel, the live probe) lets it look ahead at a chunk of up to
@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BitStream, ChannelConfig, DecisionRule, LatencyTrace, TraceMeta
+from .core import DEFAULT_HEADER, BitStream, ChannelConfig, DecisionRule, LatencyTrace, TraceMeta
 
 __all__ = [
     "CalibrationError",
@@ -48,7 +48,6 @@ __all__ = [
     "calibrate",
     "receive_symbols",
     "receive_frame",
-    "SendReport",
     "send_bits",
     "ScheduleBuilder",
     "TraceSource",
@@ -239,7 +238,10 @@ def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> list[floa
 
 def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
     """The STDDEV statistic of each window with >= 2 samples, on the grid of
-    width ts_ns anchored at the first sample, in window order."""
+    width ts_ns anchored at the first sample, in window order.  It visits only
+    the windows that hold samples; a WindowGrid look-ahead walks every window
+    of the span, and two samples 10**15 ns apart at 50 us would ask it for
+    2 * 10**10 windows."""
     window = (ts - ts[0]) // ts_ns
     starts = np.flatnonzero(np.diff(window, prepend=-1))
     ends = np.append(starts[1:], len(ts))
@@ -450,9 +452,9 @@ def receive_frame(
 
     Returns the payload bits, or None when no header (or only a truncated
     payload) appears within max_symbols (default 4 frame lengths).  The
-    header search is a sliding mismatch count over the last len(header)
-    bits; the call consumes the windows up to the payload's end, or exactly
-    max_symbols when no header completes within them.
+    header search is a sliding mismatch count of the last header-length
+    bits against DEFAULT_HEADER; the call consumes the windows up to the
+    payload's end, or exactly max_symbols when no header completes in them.
     """
     if max_symbols is None:
         max_symbols = 4 * cfg.frame_len
@@ -460,8 +462,8 @@ def receive_frame(
         raise ValueError("max_symbols must be positive")
     if max_mismatches < 0:
         raise ValueError("max_mismatches must be nonnegative")
-    h = len(cfg.header)
-    header = int(cfg.header.to_text(), 2)
+    h = len(DEFAULT_HEADER)
+    header = int(DEFAULT_HEADER.to_text(), 2)
     mask = (1 << h) - 1
     need = cfg.payload_len
     core = _Decisions(source, cfg, state)
@@ -495,36 +497,23 @@ def receive_frame(
     return BitStream(payload)
 
 
-@dataclass(frozen=True)
-class SendReport:
-    """What the sender actually did, bit by bit."""
-
-    bits: BitStream
-    ts_us: int
-    fsyncs_per_bit: tuple[int, ...]
-
-    @property
-    def total_fsyncs(self) -> int:
-        return sum(self.fsyncs_per_bit)
-
-
-def send_bits(bits: BitStream, cfg: ChannelConfig, endpoint) -> SendReport:
+def send_bits(bits: BitStream, cfg: ChannelConfig, endpoint) -> int:
     """Drive the sender endpoint: hammer fsyncs for '1', idle for '0'.
 
     The endpoint contract is busy_fsync_for(duration_us) -> count and
     idle_for(duration_us); a real probe handle transmits on hardware, a
-    ScheduleBuilder records the equivalent simulator schedule.
+    ScheduleBuilder records the equivalent simulator schedule.  Returns the
+    endpoint's fsync count, the sum of its busy_fsync_for results.
     """
     if len(bits) == 0:
         raise ValueError("bits must not be empty")
-    counts = []
+    fsyncs = 0
     for bit in bits:
         if bit:
-            counts.append(endpoint.busy_fsync_for(cfg.ts_us))
+            fsyncs += endpoint.busy_fsync_for(cfg.ts_us)
         else:
             endpoint.idle_for(cfg.ts_us)
-            counts.append(0)
-    return SendReport(bits=bits, ts_us=cfg.ts_us, fsyncs_per_bit=tuple(counts))
+    return fsyncs
 
 
 class ScheduleBuilder:

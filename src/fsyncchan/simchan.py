@@ -63,6 +63,7 @@ from .core import (
     DecisionRule,
     LatencyTrace,
     TraceMeta,
+    decode_frames,
     encode_frames,
     frames_to_bits,
 )
@@ -533,12 +534,13 @@ def loopback(
     schedule = SenderSchedule(frames_to_bits(frames), cfg.ts_us)
     state = calibrate(calibration_trace(model, cfg, calibration_seed), cfg)
     source = SimSource(schedule, model, channel_seed, noise=noise)
-    received: list[bytes] = []
+    received = []
     for frame in frames:
         got = receive_frame(source, cfg, state, max_symbols=2 * cfg.frame_len, max_mismatches=1)
-        sent = bytes(frame.payload)
-        received.append(bytes(got) if got is not None else sent.translate(_COMPLEMENT))
-    return compare_bits(payload, BitStream(b"".join(received)[: len(payload)]))
+        if got is None:
+            got = BitStream(bytes(frame.payload).translate(_COMPLEMENT))
+        received.append(got)
+    return compare_bits(payload, decode_frames(received, len(payload)))
 
 
 _COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -546,13 +548,13 @@ _COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 @dataclass(frozen=True)
 class SimParams:
-    """Model settings parsed from a key=value params file."""
+    """The contention model's settings, parsed from a key=value params file.
+    Noise is not one: it is set per run (`--noise`)."""
 
     standalone_mean_ns: float = SAME_DISK_PRESET[0][0]
     standalone_std_ns: float = SAME_DISK_PRESET[0][1]
     contended_mean_ns: float = SAME_DISK_PRESET[1][0]
     contended_std_ns: float = SAME_DISK_PRESET[1][1]
-    noise_degree: NoiseDegree = NoiseDegree.NONE
 
     def model(self) -> ContentionModel:
         """The contention model; a latency out of range raises a ValueError
@@ -567,11 +569,8 @@ class SimParams:
             raise ValueError(f"{side}.{exc}") from None
 
 
-# params-file key -> (SimParams field, converter): the key is the field name
-# with its first "_" as ".", the converter the type of the field's default
-_SIM_PARAM_KEYS = {
-    f.name.replace("_", ".", 1): (f.name, type(f.default)) for f in fields(SimParams)
-}
+# params-file key -> SimParams field: the field name with its first "_" as "."
+_SIM_PARAM_KEYS = {f.name.replace("_", ".", 1): f.name for f in fields(SimParams)}
 
 
 def parse_sim_params(text: str) -> SimParams:
@@ -586,9 +585,8 @@ def parse_sim_params(text: str) -> SimParams:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SIM_PARAM_KEYS:
             raise ValueError(f"line {line_no}: unknown key {key!r}")
-        attr, conv = _SIM_PARAM_KEYS[key]
         try:
-            values[attr] = conv(value)
+            values[_SIM_PARAM_KEYS[key]] = float(value)
         except ValueError:
             raise ValueError(f"line {line_no}: bad value {value!r} for {key}") from None
     return SimParams(**values)

@@ -24,6 +24,7 @@ import numpy as np
 
 from fsyncchan.analyzer import Episode, FeatureVector
 from fsyncchan.core import (
+    DEFAULT_HEADER,
     TRACE_CSV_HEADER,
     BitStream,
     DecisionRule,
@@ -241,7 +242,7 @@ def receive_frame_reference(source, cfg, state, *, max_symbols, max_mismatches=0
     """Frame search over the reference decision stream: the payload after
     the first window of header length within the mismatch budget, or None
     when no header completes within max_symbols or the source runs dry."""
-    header = bytes(cfg.header)
+    header = bytes(DEFAULT_HEADER)
     window: deque = deque(maxlen=len(header))
     payload: list[int] = []
     collecting = False

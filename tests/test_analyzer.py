@@ -243,6 +243,14 @@ def test_split_detection_out_of_tolerance():
     assert m.fn == 1 and m.fp == 1 and m.tp == 0
 
 
+def test_split_detection_rejects_negative_tolerance():
+    episodes = [Episode(0, 2_000_000, 10)]
+    # tol 0 matches an exact start only; a negative tol matches nothing at all
+    assert split_detection_metrics(episodes, [(0, True)], tol_ns=0).tp == 1
+    with pytest.raises(ValueError, match="tol_ns must be nonnegative, got -1"):
+        split_detection_metrics(episodes, [(0, True)], tol_ns=-1)
+
+
 def test_split_metrics_degenerate_rates():
     from fsyncchan.analyzer import SplitMetrics
 

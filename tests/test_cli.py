@@ -17,8 +17,15 @@ from pathlib import Path
 import pytest
 
 import fsyncchan
+from fsyncchan import cli
 from fsyncchan.cli import BENCH_CSV_HEADER, derive_seed, main
-from fsyncchan.core import LatencySample, LatencyTrace, prbs_sequence, trace_write
+from fsyncchan.core import (
+    MAX_PAYLOAD_LEN,
+    LatencySample,
+    LatencyTrace,
+    prbs_sequence,
+    trace_write,
+)
 from fsyncchan.simchan import CROSS_DISK_PRESET, MAX_NOISE_BURSTS
 
 from synthgen import (
@@ -280,6 +287,36 @@ def test_sim_params_seed_key_exits_2(tmp_path, capsys):
     assert "line 2: unknown key 'seed'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["send", "bench", "calibrate"])
+def test_sim_params_noise_key_exits_2(command, tmp_path, capsys):
+    # a params file describes the contention model; noise is set per run
+    # with --noise, so a noise.degree line is an unknown key, not a default
+    params = tmp_path / "params.txt"
+    params.write_text("contended.mean_ns = 50000\nnoise.degree = high\n")
+    argv = [command, "--seed", "1", "--sim-params", str(params)]
+    if command != "calibrate":
+        argv += ["--ts-us", "50", "--payload-bits", "64", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert "line 2: unknown key 'noise.degree'" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_bench_has_no_mode_flag(capsys):
+    # bench never probes a file, so it takes neither --file nor --mode
+    assert main(["bench", "--seed", "1", "--ts-us", "50", "--payload-bits", "64",
+                 "--mode", "fsync"]) == 2
+    assert "unrecognized arguments: --mode fsync" in capsys.readouterr().err
+
+
+def test_bench_frame_payload_len_over_limit_exits_2(capsys, monkeypatch):
+    # every symbol of a frame is simulated and scanned, its padding included,
+    # so a frame past the limit is refused before the simulator runs
+    monkeypatch.setattr(cli, "loopback", lambda *a, **k: pytest.fail("simulator called"))
+    argv = ["bench", "--seed", "1", "--ts-us", "50", "--payload-bits", "10"]
+    assert main(argv + ["--frame-payload-len", str(MAX_PAYLOAD_LEN + 1)]) == 2
+    assert "payload_len must be 1 to 1000000, got 1000001" in capsys.readouterr().err
+
+
 def test_payload_trim_too_long_exits_2(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     main(["send", "--seed", "2", "--payload-bits", "32",
@@ -515,6 +552,19 @@ def test_analyze_splits_bad_truth_row_exits_2(ops_trace, row, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: truth CSV line 3:")
     assert repr(row) in err
+
+
+def test_analyze_splits_negative_tol_exits_2(ops_trace, tmp_path, capsys):
+    # a negative tolerance matches no op; it is refused, not scored as misses
+    trace_path, windows = ops_trace
+    truth_path = tmp_path / "truth.csv"
+    truth_path.write_text(f"start_ns,is_split\n{windows[0][0]},1\n", encoding="ascii")
+    out = tmp_path / "splits.csv"
+    rc = main(["analyze", "splits", "--trace", str(trace_path), "--truth", str(truth_path),
+               "--tol-ns", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "error: tol_ns must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_splits_truth_flags(ops_trace, tmp_path, capsys):

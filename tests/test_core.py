@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fsyncchan import core
 from fsyncchan.core import (
     DEFAULT_HEADER,
+    MAX_PAYLOAD_LEN,
     BitStream,
     ChannelConfig,
     Frame,
@@ -145,8 +146,12 @@ def test_channel_config_validation():
         ChannelConfig(ts_us=0)
     with pytest.raises(ValueError):
         ChannelConfig(payload_len=0)
-    with pytest.raises(ValueError):
-        ChannelConfig(header=BitStream([1, 0, 1]))
+
+
+def test_channel_config_payload_len_limit():
+    assert ChannelConfig(payload_len=MAX_PAYLOAD_LEN).frame_len == 24 + 1_000_000
+    with pytest.raises(ValueError, match="payload_len must be 1 to 1000000, got 1000001"):
+        ChannelConfig(payload_len=MAX_PAYLOAD_LEN + 1)
 
 
 def test_encode_frames_exact_fit():
@@ -154,8 +159,8 @@ def test_encode_frames_exact_fit():
     payload = BitStream.from_text("10110010")
     frames = encode_frames(payload, cfg)
     assert len(frames) == 1
-    assert frames[0].header == cfg.header
     assert frames[0].payload == payload
+    assert frames_to_bits(frames) == DEFAULT_HEADER + payload
 
 
 def test_encode_frames_pads_last():
@@ -164,7 +169,7 @@ def test_encode_frames_pads_last():
     frames = encode_frames(payload, cfg)
     assert len(frames) == 2
     assert frames[1].payload == BitStream.from_text("10000000")
-    assert decode_frames(frames, 9) == payload
+    assert decode_frames([f.payload for f in frames], 9) == payload
 
 
 def test_encode_frames_rejects_empty():
@@ -176,14 +181,14 @@ def test_decode_frames_trim_validation():
     cfg = ChannelConfig(payload_len=8)
     frames = encode_frames(BitStream.from_text("1111"), cfg)
     with pytest.raises(ValueError):
-        decode_frames(frames, 9)
+        decode_frames([f.payload for f in frames], 9)
 
 
 def test_frames_to_bits_layout():
     cfg = ChannelConfig(payload_len=4)
     frames = encode_frames(BitStream.from_text("11110000"), cfg)
     bits = frames_to_bits(frames)
-    h = cfg.header.to_text()
+    h = DEFAULT_HEADER.to_text()
     assert bits.to_text() == h + "1111" + h + "0000"
 
 
@@ -196,7 +201,7 @@ def test_frame_codec_round_trip_property(payload, payload_len):
     bits = BitStream(payload)
     frames = encode_frames(bits, cfg)
     assert all(len(f.payload) == payload_len for f in frames)
-    assert decode_frames(frames, len(bits)) == bits
+    assert decode_frames([f.payload for f in frames], len(bits)) == bits
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +249,6 @@ def test_find_frame_start_zero_prefix_never_aliases():
 
 
 def test_find_frame_start_validation():
-    with pytest.raises(ValueError):
-        ChannelConfig(header=BitStream())
     with pytest.raises(ValueError):
         _scan(DEFAULT_HEADER, max_mismatches=-1)
     with pytest.raises(ValueError):
@@ -597,6 +600,6 @@ def test_trace_read_chunk_edges_match_line_parser(case, monkeypatch, tmp_path):
 
 
 def test_frame_dataclass_is_frozen():
-    frame = Frame(DEFAULT_HEADER, BitStream([1]))
+    frame = Frame(BitStream([1]))
     with pytest.raises(Exception):
         frame.payload = BitStream([0])

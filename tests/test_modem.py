@@ -350,11 +350,22 @@ class _RecordingEndpoint:
 def test_send_bits_drives_endpoint():
     cfg = ChannelConfig(ts_us=50)
     endpoint = _RecordingEndpoint()
-    report = send_bits(BitStream.from_text("1101"), cfg, endpoint)
+    fsyncs = send_bits(BitStream.from_text("1101"), cfg, endpoint)
     assert endpoint.calls == [("busy", 50), ("busy", 50), ("idle", 50), ("busy", 50)]
-    assert report.fsyncs_per_bit == (7, 7, 0, 7)
-    assert report.total_fsyncs == 21
-    assert report.ts_us == 50
+    assert fsyncs == 21
+
+
+def test_send_bits_returns_the_endpoints_fsync_count():
+    # the sum of what busy_fsync_for returned, slot by slot, not a nominal rate
+    class Varying(_RecordingEndpoint):
+        def busy_fsync_for(self, duration_us):
+            super().busy_fsync_for(duration_us)
+            return len(self.calls) ** 2
+
+    endpoint = Varying()
+    fsyncs = send_bits(BitStream.from_text("10110"), ChannelConfig(ts_us=200), endpoint)
+    assert fsyncs == 1 + 9 + 16
+    assert [kind for kind, _ in endpoint.calls] == ["busy", "idle", "busy", "busy", "idle"]
 
 
 def test_send_bits_validation():
@@ -366,12 +377,12 @@ def test_schedule_builder_matches_sender_schedule():
     cfg = ChannelConfig(ts_us=50)
     builder = ScheduleBuilder(cfg.ts_us, default_model())
     bits = BitStream.from_text("10101010")
-    report = send_bits(bits, cfg, builder)
+    fsyncs = send_bits(bits, cfg, builder)
     assert builder.bits == bits
     sched = builder.schedule()
     assert sched.windows() == SenderSchedule(bits, 50).windows()
-    # nominal standalone fsync cycle is ~23.4 us -> 2 fit in a 50 us slot
-    assert report.fsyncs_per_bit == (2, 0, 2, 0, 2, 0, 2, 0)
+    # nominal standalone fsync cycle is ~23.4 us -> 2 fit in each of 4 busy 50 us slots
+    assert fsyncs == 8
 
 
 def test_schedule_builder_follows_probe_overhead(monkeypatch):

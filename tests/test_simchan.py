@@ -726,12 +726,10 @@ def test_parse_sim_params_full():
     standalone.std_ns = 2400
     contended.mean_ns = 44000   # during sender activity
     contended.std_ns = 2500
-    noise.degree = medium
     """
     params = parse_sim_params(text)
     assert params.standalone_mean_ns == 21_000.0
     assert params.contended_mean_ns == 44_000.0
-    assert params.noise_degree is NoiseDegree.MEDIUM
     model = params.model()
     assert model.standalone.mean_ns == 21_000.0
     assert model.contended.std_ns == 2_500.0
@@ -740,7 +738,6 @@ def test_parse_sim_params_full():
 def test_parse_sim_params_defaults():
     params = parse_sim_params("")
     assert params == SimParams()
-    assert params.noise_degree is NoiseDegree.NONE
     assert params.model().contended.mean_ns == 43_134.0
 
 
@@ -752,7 +749,10 @@ def test_parse_sim_params_errors():
     with pytest.raises(ValueError, match="bad value"):
         parse_sim_params("standalone.mean_ns = abc")
     with pytest.raises(ValueError, match="line 2"):
-        parse_sim_params("standalone.mean_ns = 3\nnoise.degree = extreme")
+        parse_sim_params("standalone.mean_ns = 3\ncontended.std_ns = extreme")
+    # noise is a setting of each run (--noise), not of the model
+    with pytest.raises(ValueError, match="line 1: unknown key 'noise.degree'"):
+        parse_sim_params("noise.degree = high")
     # every command takes its seed from --seed, so a params file has none
     with pytest.raises(ValueError, match="line 1: unknown key 'seed'"):
         parse_sim_params("seed = 3")
@@ -767,26 +767,28 @@ def test_load_sim_params(tmp_path):
 
 
 def test_sim_params_keys_cover_every_field():
-    assert {attr for attr, _ in _SIM_PARAM_KEYS.values()} == {f.name for f in fields(SimParams)}
+    assert set(_SIM_PARAM_KEYS.values()) == {f.name for f in fields(SimParams)}
     assert sorted(_SIM_PARAM_KEYS) == [
         "contended.mean_ns",
         "contended.std_ns",
-        "noise.degree",
         "standalone.mean_ns",
         "standalone.std_ns",
     ]
 
 
+def test_readme_lists_every_sim_params_key():
+    # README lists the keys by hand; the parser derives them from SimParams
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    keys = re.search(r"^  Keys: (.*?)\.$", readme, re.MULTILINE | re.DOTALL).group(1)
+    assert sorted(re.findall(r"`([^`]+)`", keys)) == sorted(_SIM_PARAM_KEYS)
+
+
 def test_sim_params_file_round_trip():
-    params = SimParams(20_500.25, 300.5, 30_000.75, 1_611.29, NoiseDegree.CRITICAL)
+    params = SimParams(20_500.25, 300.5, 30_000.75, 1_611.29)
     assert all(
         getattr(params, f.name) != f.default for f in fields(SimParams)
     ), "every field must differ from its default"
-    values = {key: getattr(params, attr) for key, (attr, _) in _SIM_PARAM_KEYS.items()}
-    text = "".join(
-        f"{key} = {value.value if isinstance(value, NoiseDegree) else repr(value)}\n"
-        for key, value in values.items()
-    )
+    text = "".join(f"{key} = {getattr(params, attr)!r}\n" for key, attr in _SIM_PARAM_KEYS.items())
     assert parse_sim_params(text) == params
 
 
