@@ -33,7 +33,6 @@ __all__ = [
     "classify_split",
     "SplitMetrics",
     "split_detection_metrics",
-    "DEFAULT_BIN_EDGES",
     "default_bin_edges",
     "FeatureVector",
     "histogram_features",
@@ -234,9 +233,6 @@ def split_detection_metrics(
 def default_bin_edges() -> np.ndarray:
     """32 log-spaced latency bins spanning 10 us to 10 ms (in ns)."""
     return np.logspace(np.log10(10_000), np.log10(10_000_000), 33)
-
-
-DEFAULT_BIN_EDGES = default_bin_edges()
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,9 @@ shared freely between the sender and receiver halves of a loopback run.
 from __future__ import annotations
 
 import functools
-import io
+import lzma
+import os
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -367,7 +369,6 @@ class TraceFormatError(ValueError):
 
 
 _WRITE_ROWS = 1 << 16  # rows formatted per write call
-_READ_HINT = 1 << 20  # characters read and parsed per chunk
 
 
 def trace_write(trace: LatencyTrace, sink: Union[str, Path, IO[str]]) -> None:
@@ -453,114 +454,51 @@ def _format_rows(ts: np.ndarray, lat: np.ndarray) -> bytes:
 def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None) -> LatencyTrace:
     """Parse a trace CSV; the exact inverse of trace_write on the sample rows.
 
-    Blank lines are skipped; each other line holds two base-10 integers that
-    fit in int64.  Meta does not travel in the CSV; pass one if the caller
-    knows it.
-
-    A path is opened with ``newline=""``, so a lone CR, CRLF and LF all end
-    lines; a text stream from the caller is split at LF alone, as
-    ``io.StringIO`` splits.  The rows are read in chunks of `_READ_HINT`
-    characters cut after their last LF; a chunk of plain integer rows is
-    parsed whole in numpy, and any other chunk line by line.
+    After the header, each line holds two base-10 integers that fit in int64;
+    a line left empty once its CRs and LFs are stripped is skipped.  A path
+    is opened with ``newline=""`` (a lone CR, CRLF and LF end lines); a text
+    stream is split where it splits itself (``io.StringIO``: at LF).  numpy's
+    C reader, ``np.loadtxt``, parses the rows; text it rejects, or rows that
+    fail the latency or ordering check, go to a line parser that takes every
+    spelling int() takes and raises TraceFormatError with the number of the
+    first bad line.  Only the named local file is opened: its header is
+    checked first.  Meta does not travel in the CSV; pass one if known.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii", newline="") as fh:
-            return _read_rows(fh, meta, newline="")
-    return _read_rows(source, meta, newline="\n")
+            # an absolute name, so that numpy never takes it for a URL
+            return _read_rows(fh, os.path.abspath(source), meta)
+    return _read_rows(source, None, meta)
 
 
-def _read_rows(source: IO[str], meta: TraceMeta | None, newline: str) -> LatencyTrace:
-    """trace_read's body; `newline` is the io.StringIO newline argument that
-    splits a chunk into lines the way `source` splits them."""
-    first = source.readline()
-    if first.rstrip("\n") != TRACE_CSV_HEADER:
+def _read_rows(source: IO[str], path: str | None, meta: TraceMeta | None) -> LatencyTrace:
+    """trace_read's body; numpy reads `path` when given, else source's lines."""
+    if source.readline().rstrip("\r\n") != TRACE_CSV_HEADER:
         raise TraceFormatError(1, f"expected header {TRACE_CSV_HEADER!r}")
-    columns = []
-    line_no = 2
-    prev_ts = None
-    pending: list[str] = []  # text read after the last LF seen so far
-    while True:
-        text = source.read(_READ_HINT)
-        cut = text.rfind("\n") + 1
-        if text and not cut:
-            pending.append(text)
-            continue
-        pending.append(text[:cut])
-        chunk = "".join(pending)
-        pending = [text[cut:]]
-        if chunk:
-            rows = _parse_plain_chunk(chunk, prev_ts)
-            if rows is None:
-                lines = io.StringIO(chunk, newline=newline).readlines()
-                rows = _parse_rows(lines, line_no, prev_ts)
-                line_no += len(lines)
-            else:
-                line_no += len(rows)  # one row on every line
-            if len(rows):
-                prev_ts = int(rows[-1, 0])
-            columns.append(rows)
-        if not text:
-            break
-    rows = np.concatenate(columns) if columns else np.zeros((0, 2), dtype=np.int64)
+    lines = source if path else source.readlines()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
+            rows = np.loadtxt(
+                path or lines, dtype=np.int64, delimiter=",", comments=None,
+                skiprows=1 if path else 0, ndmin=2, encoding="ascii",
+            )
+        rows = rows.reshape(0, 2) if rows.size == 0 else rows
+        if rows.shape[1] == 2:  # from_columns raises ValueError on a failed check
+            return LatencyTrace.from_columns(rows[:, 0], rows[:, 1], meta)
+    except (ValueError, OSError, lzma.LZMAError):
+        pass  # OSError, LZMAError: numpy decompresses by suffix, failing on a plain *.gz or *.xz
+    rows = _parse_rows(lines)
     return LatencyTrace.from_columns(rows[:, 0], rows[:, 1], meta)
 
 
-# Bytes allowed in a chunk that _parse_plain_chunk takes in one step.
-_PLAIN_BYTES = b"0123456789,-\n"
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[ord("0") : ord("9") + 1] = True
-
-
-def _parse_plain_chunk(chunk: str, prev_ts: int | None) -> np.ndarray | None:
-    """Vectorized parse of a chunk of lines that are all `-?D+,-?D+` with at
-    most 18 characters per field and that pass the latency and ordering
-    checks.  Returns None for anything else, which _parse_rows decides on."""
-    try:
-        raw = chunk.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    if raw.translate(None, _PLAIN_BYTES):
-        return None
-    if not raw.endswith(b"\n"):
-        raw += b"\n"  # the last line of the input may lack its end
-    b = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(b == 10)
-    commas = np.flatnonzero(b == 44)
-    if len(commas) != len(ends):
-        return None
-    # with widths of at least 1, comma i lies inside line i: one per line,
-    # so no line is blank
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    ts_width = commas - starts
-    lat_width = ends - commas - 1
-    if min(ts_width.min(), lat_width.min()) < 1 or max(ts_width.max(), lat_width.max()) > 18:
-        return None
-    minus = np.flatnonzero(b == 45)
-    # b[-1] is the LF that ends the chunk, so a minus at 0 sees one before it
-    if minus.size and not (
-        np.all((b[minus - 1] == 44) | (b[minus - 1] == 10)) and np.all(_DIGIT[b[minus + 1]])
-    ):
-        return None
-    rows = np.fromstring(raw.replace(b"\n", b","), dtype=np.int64, sep=",")
-    if rows.size != 2 * len(ends):
-        return None
-    rows = rows.reshape(-1, 2)
-    ts = rows[:, 0]
-    if (
-        np.any(rows[:, 1] <= 0)
-        or np.any(ts[1:] < ts[:-1])
-        or (prev_ts is not None and ts[0] < prev_ts)
-    ):
-        return None
-    return rows
-
-
-def _parse_rows(lines: list[str], line_no: int, prev_ts: int | None) -> np.ndarray:
-    """Line-by-line parse that accepts every spelling int() accepts and
-    raises TraceFormatError at the first bad line (line_no is lines[0]'s)."""
+def _parse_rows(lines: Iterable[str]) -> np.ndarray:
+    """Line-by-line parse from line 2 that accepts every spelling int()
+    accepts and raises TraceFormatError at the first bad line."""
     rows = []
-    for line_no, line in enumerate(lines, start=line_no):
-        line = line.rstrip("\n")
+    prev_ts = None
+    for line_no, line in enumerate(lines, start=2):
+        line = line.rstrip("\r\n")
         if not line:
             continue
         parts = line.split(",")

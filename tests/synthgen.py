@@ -267,14 +267,15 @@ def receive_frame_reference(source, cfg, state, *, max_symbols, max_mismatches=0
 def trace_read_reference(source):
     """Line-at-a-time trace CSV parser: the rows as (timestamp, latency)
     tuples, or TraceFormatError at the first bad line.  Fields may be any
-    spelling int() accepts, of any size."""
+    spelling int() accepts, of any size.  Each line's trailing CRs and LFs
+    are stripped, and a line left empty is blank."""
     first = source.readline()
-    if first.rstrip("\n") != TRACE_CSV_HEADER:
+    if first.rstrip("\r\n") != TRACE_CSV_HEADER:
         raise TraceFormatError(1, f"expected header {TRACE_CSV_HEADER!r}")
     rows = []
     prev_ts = None
     for line_no, line in enumerate(source, start=2):
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if not line:
             continue
         parts = line.split(",")

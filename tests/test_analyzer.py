@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fsyncchan import analyzer
 from fsyncchan.analyzer import (
-    DEFAULT_BIN_EDGES,
     Episode,
     FeatureVector,
     SplitLabel,
@@ -268,7 +267,6 @@ def test_default_bin_edges_shape():
     assert edges[0] == pytest.approx(10_000)
     assert edges[-1] == pytest.approx(10_000_000)
     assert np.all(np.diff(edges) > 0)
-    assert np.allclose(edges, DEFAULT_BIN_EDGES)
 
 
 def test_histogram_features_counts_and_clipping():

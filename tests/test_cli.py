@@ -26,7 +26,8 @@ from fsyncchan.core import (
     prbs_sequence,
     trace_write,
 )
-from fsyncchan.simchan import CROSS_DISK_PRESET, MAX_NOISE_BURSTS
+from fsyncchan import simchan
+from fsyncchan.simchan import CROSS_DISK_PRESET, MAX_NOISE_BURSTS, MAX_SIM_PROBES
 
 from synthgen import (
     ESCAPING_NAMES,
@@ -275,6 +276,24 @@ def test_send_noise_past_burst_cap_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "over a 8,024 s horizon" in err
     assert f"over the limit of {MAX_NOISE_BURSTS:,}" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_send_past_probe_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # 124 symbols of 1,000 s would be about 5e9 probes: refused before the
+    # first probe variate is drawn
+    def no_draw(rng, n):
+        raise AssertionError("a probe variate was drawn")
+
+    monkeypatch.setattr(simchan, "_normals", no_draw)
+    argv = ["send", "--seed", "1", "--ts-us", "1000000000", "--payload-bits", "100"]
+    argv += ["--frame-payload-len", "100", "--out", str(tmp_path / "out.csv")]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "simulating a 124,000 s horizon" in err
+    assert f"over the limit of {MAX_SIM_PROBES:,}" in err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -1,5 +1,6 @@
 """Bit streams, framing, and trace CSV round trips."""
 
+import gzip
 import io
 import pickle
 import random
@@ -430,6 +431,9 @@ def test_trace_read_meta_passthrough():
         ("timestamp_ns,latency_ns\n5,2\n4,2\n", 3),
         ("timestamp_ns,latency_ns\n1.5,2\n", 2),
         ("timestamp_ns,latency_ns\n1,2\n9223372036854775808,3\n", 3),
+        # numpy reads these as one row (5, 6) and two rows of three fields
+        ("timestamp_ns,latency_ns\n5\n6\n", 2),
+        ("timestamp_ns,latency_ns\n1,2,3\n4,5,6\n", 2),
     ],
 )
 def test_trace_read_rejects_malformed(text, line_no):
@@ -442,6 +446,34 @@ def test_trace_read_rejects_malformed(text, line_no):
 def test_trace_read_skips_blank_lines():
     text = "timestamp_ns,latency_ns\n1,2\n\n3,4\n"
     assert len(trace_read(io.StringIO(text))) == 2
+
+
+def test_trace_read_crlf_and_cr_files(tmp_path):
+    # CRLF and lone-CR files, header included, read as the LF file does,
+    # and a line holding only CR is blank
+    rows = "1,2\n3,4\n\n5,6\n"
+    want = trace_read(io.StringIO("timestamp_ns,latency_ns\n" + rows))
+    assert len(want) == 3
+    for end in ("\r\n", "\r"):
+        path = tmp_path / "trace.csv"
+        path.write_text(("timestamp_ns,latency_ns\n" + rows).replace("\n", end), newline="")
+        assert trace_read(path) == want, repr(end)
+    assert trace_read(io.StringIO("timestamp_ns,latency_ns\r\n1,2\r\n\r\n3,4\n5,6\r\n")) == want
+
+
+def test_trace_read_opens_only_the_named_file(tmp_path):
+    # numpy would open trace.csv.gz for a missing trace.csv; the header
+    # check on our own handle comes first
+    trace = LatencyTrace.from_columns([1, 3], [2, 4])
+    trace_write(trace, tmp_path / "plain.csv")
+    with gzip.open(tmp_path / "trace.csv.gz", "wb") as fh:
+        fh.write((tmp_path / "plain.csv").read_bytes())
+    with pytest.raises(FileNotFoundError):
+        trace_read(tmp_path / "trace.csv")
+    # a plain file whose name ends in a compression suffix is read as text
+    for name in ("plain.gz", "plain.bz2", "plain.xz", "plain.lzma"):
+        trace_write(trace, tmp_path / name)
+        assert trace_read(tmp_path / name) == trace, name
 
 
 @given(
@@ -496,32 +528,28 @@ def _read_outcome(read, source):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize(
-    "hint", [1 << 20, 1, 64], ids=["one-batch", "line-batches", "64-char-batches"]
-)
-def test_trace_read_matches_line_parser(hint, monkeypatch, tmp_path):
-    # the column parser accepts and rejects exactly what the line-at-a-time
-    # parser does, at the same line, from a string or from a file (where a
-    # lone CR also ends a line); batches of lines split the input at `hint`
-    monkeypatch.setattr(core, "_READ_HINT", hint)
-
+def test_trace_read_matches_line_parser(tmp_path):
+    # numpy's reader with the line parser behind it accepts and rejects
+    # exactly what the line-at-a-time parser does, at the same line, from a
+    # string or from a file (where a lone CR also ends a line)
     def columns(source):
         trace = trace_read(source)
         return zip(trace.timestamps_ns.tolist(), trace.latencies_ns.tolist())
 
-    rng = random.Random(hint)
     path = tmp_path / "trace.csv"
-    n_ok = 0
-    for case in range(300):
-        text = _random_csv(rng)
-        want = _read_outcome(trace_read_reference, io.StringIO(text))
-        assert _read_outcome(columns, io.StringIO(text)) == want, (case, text)
-        n_ok += want[0] == "ok"
-        path.write_bytes(text.encode("utf-8"))
-        with open(path, encoding="ascii", newline="") as fh:
-            want = _read_outcome(trace_read_reference, fh)
-        assert _read_outcome(columns, path) == want, (case, text)
-    assert 25 < n_ok < 275
+    for seed in (1 << 20, 1, 64):
+        rng = random.Random(seed)
+        n_ok = 0
+        for case in range(300):
+            text = _random_csv(rng)
+            want = _read_outcome(trace_read_reference, io.StringIO(text))
+            assert _read_outcome(columns, io.StringIO(text)) == want, (seed, case, text)
+            n_ok += want[0] == "ok"
+            path.write_bytes(text.encode("utf-8"))
+            with open(path, encoding="ascii", newline="") as fh:
+                want = _read_outcome(trace_read_reference, fh)
+            assert _read_outcome(columns, path) == want, (seed, case, text)
+        assert 25 < n_ok < 275
 
 
 def _trace_rows(source):
@@ -538,20 +566,18 @@ def long_trace_csv(tmp_path_factory):
     return trace, path
 
 
-@pytest.mark.parametrize("hint,n_rows", [(7, 5_000), (4093, None), (1 << 16, None), (1 << 20, None)])
-def test_trace_read_takes_written_traces_whole(hint, n_rows, long_trace_csv, monkeypatch, tmp_path):
-    # every chunk of a written trace, cut mid-field by `hint`, is parsed in
-    # numpy: falling back to the line parser fails here instead of passing.
-    # A chunk of hint 7 holds about one row, so it reads a prefix only.
+@pytest.mark.parametrize("n_rows", [5_000, None])
+def test_trace_read_takes_written_traces_whole(n_rows, long_trace_csv, monkeypatch, tmp_path):
+    # numpy reads every row of a written trace: falling back to the line
+    # parser fails here instead of passing
     trace, path = long_trace_csv
     if n_rows is not None:
         trace = LatencyTrace.from_columns(trace.timestamps_ns[:n_rows], trace.latencies_ns[:n_rows])
         path = tmp_path / "prefix.csv"
         trace_write(trace, path)
-    monkeypatch.setattr(core, "_READ_HINT", hint)
 
     def no_line_parse(*args):
-        raise AssertionError("chunk fell back to the line parser")
+        raise AssertionError("a written trace fell back to the line parser")
 
     monkeypatch.setattr(core, "_parse_rows", no_line_parse)
     back = trace_read(path)
@@ -583,9 +609,9 @@ _EDGE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_EDGE_CASES))
-def test_trace_read_chunk_edges_match_line_parser(case, monkeypatch, tmp_path):
-    # at every hint up to 24 characters, each edge of the rows falls on a
-    # chunk edge once; hint 10 ends the first chunk right before "15,1"
+def test_trace_read_chunk_edges_match_line_parser(case, tmp_path):
+    # lone CRs, no final line end, runs of blank lines, negative and
+    # 19-digit fields, and an order fault after two good rows
     text = _EDGE_CASES[case]
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="ascii", newline="")
@@ -593,10 +619,8 @@ def test_trace_read_chunk_edges_match_line_parser(case, monkeypatch, tmp_path):
         want_path = _read_outcome(trace_read_reference, fh)
     want_text = _read_outcome(trace_read_reference, io.StringIO(text))
     assert want_path[0] == ("TraceFormatError" if case.startswith("decrease") else "ok")
-    for hint in [*range(1, 25), 64, 1 << 20]:
-        monkeypatch.setattr(core, "_READ_HINT", hint)
-        assert _read_outcome(_trace_rows, path) == want_path, hint
-        assert _read_outcome(_trace_rows, io.StringIO(text)) == want_text, hint
+    assert _read_outcome(_trace_rows, path) == want_path
+    assert _read_outcome(_trace_rows, io.StringIO(text)) == want_text
 
 
 def test_frame_dataclass_is_frozen():

@@ -287,6 +287,27 @@ def test_noise_burst_cap_checked_before_drawing(monkeypatch):
     assert drawn.getstate() == random.Random(1).getstate()
 
 
+def test_probe_cap_checked_before_drawing(monkeypatch):
+    # the probes due at the mean standalone draw are checked before the
+    # first probe variate; the mean counts the clamp at the latency floor
+    monkeypatch.setattr(simchan, "MAX_SIM_PROBES", 1000)
+    model = default_model()
+    per_probe = model.standalone.mean_draw_ns() + PROBE_OVERHEAD_NS
+    assert len(sim_receive(IDLE, model, 1, duration_ns=int(990 * per_probe))) > 900
+
+    def no_draw(rng, n):
+        raise AssertionError("a probe variate was drawn")
+
+    monkeypatch.setattr(simchan, "_normals", no_draw)
+    with pytest.raises(ValueError, match=r"about 1,010 probes, over the limit of 1,000$"):
+        sim_receive(IDLE, model, 1, duration_ns=int(1010 * per_probe))
+    clamped = LatencyDistribution(1_000, 1_000)
+    rng = random.Random(3)
+    mean = statistics.fmean(clamped.draw(rng) for _ in range(100_000))
+    assert clamped.mean_draw_ns() == pytest.approx(mean, rel=0.01)
+    assert LatencyDistribution(500, 0).mean_draw_ns() == 1_000
+
+
 def test_noise_timeline_queries():
     # materialized bursts are a merged ActivityTimeline the probe queries
     proc = NoiseProcess(NoiseDegree.HIGH, LatencyDistribution(40_000, 0))
