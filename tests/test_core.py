@@ -528,28 +528,42 @@ def _read_outcome(read, source):
         return type(exc).__name__, str(exc)
 
 
-def test_trace_read_matches_line_parser(tmp_path):
+def _chunked_stream(data: bytes, chunk: int) -> io.TextIOWrapper:
+    """A text stream split at LF, as io.StringIO is, whose decoder takes
+    `chunk` bytes a read."""
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    stream._CHUNK_SIZE = chunk
+    return stream
+
+
+@pytest.mark.parametrize(
+    "chunk", [1 << 20, 1, 64], ids=["one-batch", "line-batches", "64-char-batches"]
+)
+def test_trace_read_matches_line_parser(chunk, tmp_path):
     # numpy's reader with the line parser behind it accepts and rejects
     # exactly what the line-at-a-time parser does, at the same line, from a
-    # string or from a file (where a lone CR also ends a line)
+    # string, from a stream read `chunk` bytes at a time (1: no read passes
+    # the end of the line being read), or from a file (where a lone CR also
+    # ends a line)
     def columns(source):
         trace = trace_read(source)
         return zip(trace.timestamps_ns.tolist(), trace.latencies_ns.tolist())
 
+    rng = random.Random(chunk)
     path = tmp_path / "trace.csv"
-    for seed in (1 << 20, 1, 64):
-        rng = random.Random(seed)
-        n_ok = 0
-        for case in range(300):
-            text = _random_csv(rng)
-            want = _read_outcome(trace_read_reference, io.StringIO(text))
-            assert _read_outcome(columns, io.StringIO(text)) == want, (seed, case, text)
-            n_ok += want[0] == "ok"
-            path.write_bytes(text.encode("utf-8"))
-            with open(path, encoding="ascii", newline="") as fh:
-                want = _read_outcome(trace_read_reference, fh)
-            assert _read_outcome(columns, path) == want, (seed, case, text)
-        assert 25 < n_ok < 275
+    n_ok = 0
+    for case in range(300):
+        text = _random_csv(rng)
+        want = _read_outcome(trace_read_reference, io.StringIO(text))
+        assert _read_outcome(columns, io.StringIO(text)) == want, (case, text)
+        data = text.encode("utf-8")
+        assert _read_outcome(columns, _chunked_stream(data, chunk)) == want, (case, text)
+        n_ok += want[0] == "ok"
+        path.write_bytes(data)
+        with open(path, encoding="ascii", newline="") as fh:
+            want = _read_outcome(trace_read_reference, fh)
+        assert _read_outcome(columns, path) == want, (case, text)
+    assert 25 < n_ok < 275
 
 
 def _trace_rows(source):
@@ -566,10 +580,12 @@ def long_trace_csv(tmp_path_factory):
     return trace, path
 
 
-@pytest.mark.parametrize("n_rows", [5_000, None])
-def test_trace_read_takes_written_traces_whole(n_rows, long_trace_csv, monkeypatch, tmp_path):
-    # numpy reads every row of a written trace: falling back to the line
-    # parser fails here instead of passing
+@pytest.mark.parametrize("chunk,n_rows", [(7, 5_000), (4093, None), (1 << 16, None), (1 << 20, None)])
+def test_trace_read_takes_written_traces_whole(chunk, n_rows, long_trace_csv, monkeypatch, tmp_path):
+    # numpy reads every row of a written trace, from its path or from a
+    # stream read `chunk` bytes at a time, cut mid-field: falling back to the
+    # line parser fails here instead of passing. A 7-byte read holds about
+    # one row, so that case reads a prefix only.
     trace, path = long_trace_csv
     if n_rows is not None:
         trace = LatencyTrace.from_columns(trace.timestamps_ns[:n_rows], trace.latencies_ns[:n_rows])
@@ -583,9 +599,9 @@ def test_trace_read_takes_written_traces_whole(n_rows, long_trace_csv, monkeypat
     back = trace_read(path)
     assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
     assert np.array_equal(back.latencies_ns, trace.latencies_ns)
-    with open(path, encoding="ascii") as fh:
-        back = trace_read(io.StringIO(fh.read()))
+    back = trace_read(_chunked_stream(path.read_bytes(), chunk))
     assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
+    assert np.array_equal(back.latencies_ns, trace.latencies_ns)
 
 
 _HEADER = "timestamp_ns,latency_ns\n"
