@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import lzma
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -462,12 +463,14 @@ def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None)
     fail the latency or ordering check, go to a line parser that takes every
     spelling int() takes and raises TraceFormatError with the number of the
     first bad line.  Only the named local file is opened: its header is
-    checked first.  Meta does not travel in the CSV; pass one if known.
+    checked first, and numpy opens it again only if it is a regular file (a
+    pipe is read once, through one handle).  Meta does not travel in the CSV.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii", newline="") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             # an absolute name, so that numpy never takes it for a URL
-            return _read_rows(fh, os.path.abspath(source), meta)
+            return _read_rows(fh, os.path.abspath(source) if regular else None, meta)
     return _read_rows(source, None, meta)
 
 

@@ -53,7 +53,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from statistics import NormalDist
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -129,15 +128,6 @@ class LatencyDistribution:
 
     def draw(self, rng: random.Random) -> int:
         return max(LATENCY_FLOOR_NS, round(rng.gauss(self.mean_ns, self.std_ns)))
-
-    def mean_draw_ns(self) -> float:
-        """The mean of a draw, its clamp at LATENCY_FLOOR_NS included."""
-        if not self.std_ns:
-            return max(LATENCY_FLOOR_NS, self.mean_ns)
-        normal = NormalDist(self.mean_ns, self.std_ns)
-        below = normal.cdf(LATENCY_FLOOR_NS)
-        above = self.mean_ns * (1 - below) + self.std_ns**2 * normal.pdf(LATENCY_FLOOR_NS)
-        return LATENCY_FLOOR_NS * below + above
 
 
 # Bundled empirical presets (ns), (standalone, contended) fsync-vs-fsync pairs:
@@ -287,11 +277,19 @@ _DEGREE_RATES = {
 # cap, 2.7 s and 180 MB on a 2-core VM; the longest noisy run of the tests,
 # the acceptance gate and the benchmark is due about 41,000
 MAX_NOISE_BURSTS = 1_000_000
-# the most probes the probe loop may be due, horizon / (mean standalone
-# draw + PROBE_OVERHEAD_NS): at the cap, a quiet sim_receive took 3.4 s and
-# 498 MB on a 2-core VM; the longest simulated run of the tests, the
-# acceptance sweep's 80,240 symbols of 400 us, is due about 1.4 million
+# the most probes the probe loop may be due, horizon / (_mean_draw_bound_ns
+# of the standalone draw + PROBE_OVERHEAD_NS): at the cap, a quiet sim_receive
+# took 3.4 s and 498 MB on a 2-core VM; the acceptance sweep's 80,240 symbols
+# of 400 us, the longest simulated run of the tests, is due about 1.4 million
 MAX_SIM_PROBES = 10_000_000
+
+
+def _mean_draw_bound_ns(dist: LatencyDistribution) -> float:
+    """A lower bound on the mean of dist.draw, max(F, X) for F the floor and
+    X ~ N(mu, sigma): at least F, at least mu, and, as max(F, X) >= m +
+    max(0, X - mu) for m = min(F, mu), at least m + sigma / sqrt(2 pi)."""
+    least = min(LATENCY_FLOOR_NS, dist.mean_ns)
+    return max(LATENCY_FLOOR_NS, dist.mean_ns, least + dist.std_ns / math.sqrt(2 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -415,12 +413,12 @@ def _probe_blocks(
 
     The seeded RNG first materializes noise bursts up to horizon_ns, then
     draws the probe variates (see the module docstring).  A ValueError, before
-    any probe variate is drawn, when more than MAX_SIM_PROBES probes of the
-    mean standalone draw fit in horizon_ns.
+    any probe variate is drawn, when more than MAX_SIM_PROBES probes fit in
+    horizon_ns at _mean_draw_bound_ns of the standalone draw.
     """
     rng = random.Random(seed)
     timeline = noise.materialize(horizon_ns, rng) if noise is not None else None
-    due = horizon_ns / (model.standalone.mean_draw_ns() + PROBE_OVERHEAD_NS)
+    due = horizon_ns / (_mean_draw_bound_ns(model.standalone) + PROBE_OVERHEAD_NS)
     if due > MAX_SIM_PROBES:
         raise ValueError(
             f"simulating a {horizon_ns / 1e9:,g} s horizon would take about {due:,.0f} "

@@ -1,9 +1,12 @@
 """Bit streams, framing, and trace CSV round trips."""
 
+import contextlib
 import gzip
 import io
+import os
 import pickle
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -528,41 +531,67 @@ def _read_outcome(read, source):
         return type(exc).__name__, str(exc)
 
 
-def _chunked_stream(data: bytes, chunk: int) -> io.TextIOWrapper:
-    """A text stream split at LF, as io.StringIO is, whose decoder takes
-    `chunk` bytes a read."""
-    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
-    stream._CHUNK_SIZE = chunk
-    return stream
+@contextlib.contextmanager
+def _pipe_path(data: bytes, write_size: int | None = None):
+    """A /dev/fd path naming the read end of a pipe that carries `data`.
+
+    With no write_size, `data` (which must fit the pipe's buffer) is written
+    and the write end closed before the path is read; otherwise a thread
+    writes `data` write_size bytes at a time while it is read."""
+    read_fd, write_fd = os.pipe()
+
+    size = write_size or max(len(data), 1)
+
+    def write():
+        try:
+            with open(write_fd, "wb") as out:
+                for i in range(0, len(data), size):
+                    out.write(data[i : i + size])
+                    out.flush()
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=write)
+    if write_size is None:
+        write()
+    else:
+        writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        if writer.is_alive():
+            writer.join()
 
 
 @pytest.mark.parametrize(
-    "chunk", [1 << 20, 1, 64], ids=["one-batch", "line-batches", "64-char-batches"]
+    "seed", [1 << 20, 1, 64], ids=["one-batch", "line-batches", "64-char-batches"]
 )
-def test_trace_read_matches_line_parser(chunk, tmp_path):
+def test_trace_read_matches_line_parser(seed, tmp_path):
     # numpy's reader with the line parser behind it accepts and rejects
     # exactly what the line-at-a-time parser does, at the same line, from a
-    # string, from a stream read `chunk` bytes at a time (1: no read passes
-    # the end of the line being read), or from a file (where a lone CR also
-    # ends a line)
+    # string, from a file (where a lone CR also ends a line) and from a pipe
+    # whose writer has finished, read by path through one handle; `seed`
+    # only seeds the random corpus
     def columns(source):
         trace = trace_read(source)
         return zip(trace.timestamps_ns.tolist(), trace.latencies_ns.tolist())
 
-    rng = random.Random(chunk)
+    rng = random.Random(seed)
     path = tmp_path / "trace.csv"
     n_ok = 0
     for case in range(300):
         text = _random_csv(rng)
         want = _read_outcome(trace_read_reference, io.StringIO(text))
         assert _read_outcome(columns, io.StringIO(text)) == want, (case, text)
-        data = text.encode("utf-8")
-        assert _read_outcome(columns, _chunked_stream(data, chunk)) == want, (case, text)
         n_ok += want[0] == "ok"
+        data = text.encode("utf-8")
         path.write_bytes(data)
         with open(path, encoding="ascii", newline="") as fh:
             want = _read_outcome(trace_read_reference, fh)
         assert _read_outcome(columns, path) == want, (case, text)
+        with _pipe_path(data) as pipe:
+            assert _read_outcome(columns, pipe) == want, (case, text)
     assert 25 < n_ok < 275
 
 
@@ -580,12 +609,13 @@ def long_trace_csv(tmp_path_factory):
     return trace, path
 
 
-@pytest.mark.parametrize("chunk,n_rows", [(7, 5_000), (4093, None), (1 << 16, None), (1 << 20, None)])
-def test_trace_read_takes_written_traces_whole(chunk, n_rows, long_trace_csv, monkeypatch, tmp_path):
-    # numpy reads every row of a written trace, from its path or from a
-    # stream read `chunk` bytes at a time, cut mid-field: falling back to the
-    # line parser fails here instead of passing. A 7-byte read holds about
-    # one row, so that case reads a prefix only.
+@pytest.mark.parametrize("write_size,n_rows", [(7, 5_000), (4093, None), (1 << 16, None), (1 << 20, None)])
+def test_trace_read_takes_written_traces_whole(write_size, n_rows, long_trace_csv, monkeypatch, tmp_path):
+    # numpy reads every row of a written trace, from its path, from a text
+    # stream, and from a pipe read by path while a writer feeds it
+    # `write_size` bytes at a time: falling back to the line parser fails
+    # here instead of passing. A 7-byte write holds about one row, so that
+    # case reads a prefix only.
     trace, path = long_trace_csv
     if n_rows is not None:
         trace = LatencyTrace.from_columns(trace.timestamps_ns[:n_rows], trace.latencies_ns[:n_rows])
@@ -596,12 +626,11 @@ def test_trace_read_takes_written_traces_whole(chunk, n_rows, long_trace_csv, mo
         raise AssertionError("a written trace fell back to the line parser")
 
     monkeypatch.setattr(core, "_parse_rows", no_line_parse)
-    back = trace_read(path)
-    assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
-    assert np.array_equal(back.latencies_ns, trace.latencies_ns)
-    back = trace_read(_chunked_stream(path.read_bytes(), chunk))
-    assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
-    assert np.array_equal(back.latencies_ns, trace.latencies_ns)
+    with _pipe_path(path.read_bytes(), write_size) as pipe:
+        sources = [path, io.StringIO(path.read_text()), pipe]
+        for back in map(trace_read, sources):
+            assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
+            assert np.array_equal(back.latencies_ns, trace.latencies_ns)
 
 
 _HEADER = "timestamp_ns,latency_ns\n"

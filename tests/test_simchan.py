@@ -288,11 +288,12 @@ def test_noise_burst_cap_checked_before_drawing(monkeypatch):
 
 
 def test_probe_cap_checked_before_drawing(monkeypatch):
-    # the probes due at the mean standalone draw are checked before the
-    # first probe variate; the mean counts the clamp at the latency floor
+    # the probes due at a lower bound on the mean standalone draw are
+    # checked before the first probe variate; the bound counts the clamp at
+    # the latency floor, and is exact where the mean sits on the floor
     monkeypatch.setattr(simchan, "MAX_SIM_PROBES", 1000)
     model = default_model()
-    per_probe = model.standalone.mean_draw_ns() + PROBE_OVERHEAD_NS
+    per_probe = simchan._mean_draw_bound_ns(model.standalone) + PROBE_OVERHEAD_NS
     assert len(sim_receive(IDLE, model, 1, duration_ns=int(990 * per_probe))) > 900
 
     def no_draw(rng, n):
@@ -304,8 +305,12 @@ def test_probe_cap_checked_before_drawing(monkeypatch):
     clamped = LatencyDistribution(1_000, 1_000)
     rng = random.Random(3)
     mean = statistics.fmean(clamped.draw(rng) for _ in range(100_000))
-    assert clamped.mean_draw_ns() == pytest.approx(mean, rel=0.01)
-    assert LatencyDistribution(500, 0).mean_draw_ns() == 1_000
+    assert simchan._mean_draw_bound_ns(clamped) == pytest.approx(mean, rel=0.01)
+    assert simchan._mean_draw_bound_ns(LatencyDistribution(500, 0)) == 1_000
+    for mean_ns, std_ns in ((1_400, 1_000), (200, 5_000), (30_000, 900)):
+        dist = LatencyDistribution(mean_ns, std_ns)
+        mean = statistics.fmean(dist.draw(rng) for _ in range(100_000))
+        assert 0.8 * mean < simchan._mean_draw_bound_ns(dist) < 1.01 * mean, (mean_ns, std_ns)
 
 
 def test_noise_timeline_queries():

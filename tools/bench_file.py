@@ -1,16 +1,17 @@
 """Write a BENCH JSON file: the benchmark's end-to-end metrics over fixed seeds.
 
-    python3 tools/bench_file.py --out BENCH_<n>.json [--root DIR] [--seconds T]
+    python3 tools/bench_file.py --out BENCH_<n>.json [--root DIR]
 
 For each workload that DIR/BENCHMARK.json lists (DIR defaults to the checkout
 holding this script), runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-from DIR at each seed of SEEDS, one run at a time, and writes the median and
-quartiles of every end-to-end metric per workload, each run's `correct` and
-`failed` values, and the run context from the benchmark's report line
-(Python, numpy, nproc, commit and the line count of each source file).
+from DIR at each seed of SEEDS, with T = SECONDS, one run at a time, and
+writes the median and quartiles of every end-to-end metric per workload,
+each run's `correct` and `failed` values, and the run context from the
+benchmark's report line (Python, numpy, nproc, commit and the line count of
+each source file).  T is fixed so that any two BENCH files compare.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ import sys
 from pathlib import Path
 
 SEEDS = (1, 2, 3, 4, 5)
+SECONDS = 10.0
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 CONTEXT_KEYS = ("python", "numpy", "nproc", "git_commit", "src_lines")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """The report and metrics lines of one untraced benchmark run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", "0"]
+    argv += ["--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -43,14 +45,14 @@ def summary(values: list[float], unit: str) -> dict:
     return {"unit": unit, "median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def bench(root: Path, seconds: float) -> dict:
+def bench(root: Path) -> dict:
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     units: dict[str, str] = {}
     context = None
     for seed in SEEDS:
         for workload in workloads:
-            report, result = run_once(root, workload, seed, seconds)
+            report, result = run_once(root, workload, seed)
             context = context or {k: report["context"][k] for k in CONTEXT_KEYS}
             run = {k: result[k] for k in ("correct", "failed", "attempted")}
             run["seed"] = seed
@@ -63,7 +65,7 @@ def bench(root: Path, seconds: float) -> dict:
     return {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "seeds": list(SEEDS),
-        "seconds": seconds,
+        "seconds": SECONDS,
         "context": context,
         "workloads": {
             w: {
@@ -79,9 +81,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path, help="BENCH JSON file to write")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--seconds", type=float, default=10.0, help="timed seconds per run")
     args = parser.parse_args()
-    result = bench(args.root.resolve(), args.seconds)
+    result = bench(args.root.resolve())
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 
