@@ -470,11 +470,11 @@ def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None)
         with open(source, "r", encoding="ascii", newline="") as fh:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             # an absolute name, so that numpy never takes it for a URL
-            return _read_rows(fh, os.path.abspath(source) if regular else None, meta)
-    return _read_rows(source, None, meta)
+            return _read_trace(fh, os.path.abspath(source) if regular else None, meta)
+    return _read_trace(source, None, meta)
 
 
-def _read_rows(source: IO[str], path: str | None, meta: TraceMeta | None) -> LatencyTrace:
+def _read_trace(source: IO[str], path: str | None, meta: TraceMeta | None) -> LatencyTrace:
     """trace_read's body; numpy reads `path` when given, else source's lines."""
     if source.readline().rstrip("\r\n") != TRACE_CSV_HEADER:
         raise TraceFormatError(1, f"expected header {TRACE_CSV_HEADER!r}")
