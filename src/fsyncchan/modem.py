@@ -33,7 +33,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -196,12 +195,14 @@ def _fit(values: Sequence[float]) -> tuple[int, float, float]:
     n = len(values)
     std = 0.0
     if n >= 2:
-        d = [v - mean for v in values]
+        # numpy's elementwise float64 operations round as Python's float ones
+        # do, so every deviation, scaled value and square is the same double
+        d = np.asarray(values, dtype=np.float64) - mean
         # scaled by a power of two near the largest deviation: exact, and the
         # squares of deviations below 1e-154 no longer underflow to 0
-        e = math.frexp(max(map(abs, d)))[1]
-        d = [math.ldexp(x, -e) for x in d]
-        var = (math.fsum(map(mul, d, d)) - math.fsum(d) ** 2 / n) / (n - 1)
+        e = math.frexp(float(np.abs(d).max()))[1]
+        d = np.ldexp(d, -e)
+        var = (math.fsum((d * d).tolist()) - math.fsum(d.tolist()) ** 2 / n) / (n - 1)
         std = math.ldexp(math.sqrt(var), e)
     return round(mean + max(3.0 * std, 0.5 * mean)), mean, std
 
@@ -292,7 +293,8 @@ class ThresholdState:
         if self._since_update < self.update_period:
             return
         self._since_update = 0
-        quiet = [s for s in self._window if s <= self.theta_ns]
+        theta = self.theta_ns
+        quiet = [s for s in self._window if s <= theta]
         if len(quiet) < self.min_quiet_cluster:
             return
         self.theta_ns, self.quiet_mean_ns, self.quiet_std_ns = _fit(quiet)

@@ -33,9 +33,13 @@ state.  The seeded RNG first materializes the noise bursts, then draws
 standard Gaussian variates in order, in chunks: probe i of the stream takes
 variate i, whatever its state, and each chunk yields one block of probes.
 Per chunk, each state's latencies plus the overhead are summed into a prefix
-sum; one bisection on it counts the probes that start before the stretch
-ends, and the clock jumps to the start of the first one that does not.  A
-stretch that outlasts a chunk continues on the next one.
+sum; a bisection on it counts the probes that start before the stretch
+ends, and the clock jumps to the start of the first one that does not.
+Most stretches are a few probes long, so the bisection looks at the next
+eight probes first and at the rest of the chunk only when the stretch is
+longer.  The edges end with one INT64_MAX sentinel, which no clock reaches,
+so the loop needs no test for having passed the last edge.  A stretch that
+outlasts a chunk continues on the next one.
 
 A chunk of variates is drawn as a block, equal value for value to that many
 rng.gauss(0.0, 1.0) calls and leaving the RNG in the same state, spare
@@ -292,6 +296,19 @@ def _mean_draw_bound_ns(dist: LatencyDistribution) -> float:
     return max(LATENCY_FLOOR_NS, dist.mean_ns, least + dist.std_ns / math.sqrt(2 * math.pi))
 
 
+def _check_burst_cap(degree: NoiseDegree, horizon_ns: int) -> float:
+    """The burst rate of degree per ns; a ValueError when more than
+    MAX_NOISE_BURSTS bursts (rate x horizon_ns) are due on average."""
+    rate_per_ns = degree.bursts_per_second / 1e9
+    due = rate_per_ns * horizon_ns
+    if due > MAX_NOISE_BURSTS:
+        raise ValueError(
+            f"{degree.value} noise over a {horizon_ns / 1e9:,g} s horizon would draw "
+            f"about {due:,.0f} bursts, over the limit of {MAX_NOISE_BURSTS:,}"
+        )
+    return rate_per_ns
+
+
 @dataclass(frozen=True)
 class NoiseProcess:
     """Poisson bursts of journal activity from an unrelated neighbor.
@@ -313,15 +330,9 @@ class NoiseProcess:
     def materialize(self, horizon_ns: int, rng: random.Random) -> ActivityTimeline:
         """Draw the bursts that start before horizon_ns; a ValueError, before
         any draw, when more than MAX_NOISE_BURSTS are due on average."""
-        rate_per_ns = self.degree.bursts_per_second / 1e9
+        rate_per_ns = _check_burst_cap(self.degree, horizon_ns)
         if rate_per_ns <= 0 or horizon_ns <= 0:
             return IDLE
-        due = rate_per_ns * horizon_ns
-        if due > MAX_NOISE_BURSTS:
-            raise ValueError(
-                f"{self.degree.value} noise over a {horizon_ns / 1e9:,g} s horizon would draw "
-                f"about {due:,.0f} bursts, over the limit of {MAX_NOISE_BURSTS:,}"
-            )
         starts, ends = [], []
         t = 0.0
         while True:
@@ -338,6 +349,7 @@ class NoiseProcess:
 
 _FIRST_CHUNK = 256  # variates in the first chunk; each next chunk doubles
 _MAX_CHUNK = 4096
+_NEAR = 8  # a stretch's end is first sought among its first _NEAR probes
 _TWOPI = 2.0 * math.pi
 
 
@@ -388,16 +400,18 @@ def _normals(rng: random.Random, n: int) -> np.ndarray:
 
 def _activity_edges(activity: ActivityTimeline, noise: ActivityTimeline | None) -> memoryview:
     """Sorted edges of the union of the activity windows and the noise
-    bursts: start, end, start, end, ...  A time t is contended when an odd
-    number of edges lie at or before it."""
+    bursts: start, end, start, end, ..., then one INT64_MAX sentinel, which
+    no clock reaches.  A time t is contended when an odd number of edges lie
+    at or before it."""
     starts, ends = activity.window_bounds()
     if noise is not None:
         noise_starts, noise_ends = noise.window_bounds()
         starts, ends = _merge(
             np.concatenate((starts, noise_starts)), np.concatenate((ends, noise_ends))
         )
-    edges = np.empty(2 * len(starts), dtype=np.int64)
-    edges[0::2], edges[1::2] = starts, ends
+    edges = np.empty(2 * len(starts) + 1, dtype=np.int64)
+    edges[0:-1:2], edges[1::2] = starts, ends
+    edges[-1] = np.iinfo(np.int64).max
     return memoryview(edges)
 
 
@@ -412,20 +426,22 @@ def _probe_blocks(
     (timestamps, latencies) columns, a few thousand probes each.
 
     The seeded RNG first materializes noise bursts up to horizon_ns, then
-    draws the probe variates (see the module docstring).  A ValueError, before
-    any probe variate is drawn, when more than MAX_SIM_PROBES probes fit in
-    horizon_ns at _mean_draw_bound_ns of the standalone draw.
+    draws the probe variates (see the module docstring).  A ValueError before
+    anything is drawn when more than MAX_NOISE_BURSTS bursts are due, or
+    more than MAX_SIM_PROBES probes fit in horizon_ns at _mean_draw_bound_ns
+    of the standalone draw; the burst cap is checked first.
     """
-    rng = random.Random(seed)
-    timeline = noise.materialize(horizon_ns, rng) if noise is not None else None
+    if noise is not None:
+        _check_burst_cap(noise.degree, horizon_ns)
     due = horizon_ns / (_mean_draw_bound_ns(model.standalone) + PROBE_OVERHEAD_NS)
     if due > MAX_SIM_PROBES:
         raise ValueError(
             f"simulating a {horizon_ns / 1e9:,g} s horizon would take about {due:,.0f} "
             f"probes, over the limit of {MAX_SIM_PROBES:,}"
         )
+    rng = random.Random(seed)
+    timeline = noise.materialize(horizon_ns, rng) if noise is not None else None
     edges = _activity_edges(activity, timeline)
-    n_edges = len(edges)
     clock = 0
     k = bisect_right(edges, clock)  # edges at or before the clock
     size = 0  # variates in the current chunk, one per probe of the block
@@ -446,12 +462,19 @@ def _probe_blocks(
         while n < size:
             state = k & 1
             q = prefixes[state]
-            stop = min(bisect_left(q, edges[k] - clock + q[n], n), size) if k < n_edges else size
-            clock += q[stop] - q[n]
+            qn = q[n]
+            # the first probe at or past the next edge: most stretches are a
+            # few probes long, so look at the next _NEAR ones first
+            target = edges[k] - clock + qn
+            near = n + _NEAR
+            stop = bisect_left(q, target, n + 1, near if near < size else size)
+            if stop == near:
+                stop = bisect_left(q, target, near, size)
+            clock += q[stop] - qn
             states.append(state)
             lengths.append(stop - n)
             n = stop
-            while k < n_edges and edges[k] <= clock:
+            while edges[k] <= clock:
                 k += 1
         contended = np.repeat(np.array(states, dtype=bool), lengths)
         lat = np.where(contended, lat_cols[1], lat_cols[0])

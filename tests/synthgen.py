@@ -8,7 +8,8 @@ statistics from Python-int sums, the one-window-per-call decision stream and
 frame search, the line-at-a-time trace parser and the "%d" trace writer are
 the package's earlier implementations, kept as references for the vectorized
 ones, and so are the window merge loop of the activity timeline and the
-one-call-per-variate draw of the simulator's Gaussian chunks.
+one-call-per-variate draw of the simulator's Gaussian chunks and the
+per-value threshold fit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 import statistics
 from collections import Counter, deque
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +221,22 @@ def window_statistic_reference(latencies, rule):
         return 0.0
     num = n * sum(x * x for x in latencies) - sum(latencies) ** 2
     return math.sqrt(float(num) / float(n * (n - 1)))
+
+
+def fit_reference(values):
+    """The threshold fit, (theta, mean, std), one Python float operation per
+    value: deviations from the fmean, scaled by the power of two of the
+    largest one, and the corrected two-pass variance summed with math.fsum."""
+    mean = statistics.fmean(values)
+    n = len(values)
+    std = 0.0
+    if n >= 2:
+        d = [v - mean for v in values]
+        e = math.frexp(max(map(abs, d)))[1]
+        d = [math.ldexp(x, -e) for x in d]
+        var = (math.fsum(map(mul, d, d)) - math.fsum(d) ** 2 / n) / (n - 1)
+        std = math.ldexp(math.sqrt(var), e)
+    return round(mean + max(3.0 * std, 0.5 * mean)), mean, std
 
 
 def decision_stream_reference(source, cfg, state):

@@ -297,6 +297,24 @@ def test_send_past_probe_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_send_noise_past_probe_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # 1,240 s of high noise is about 620,000 bursts, under the burst cap, but
+    # about 5e7 probes: refused before the first burst is drawn
+    def no_draw(self, rate):
+        raise AssertionError("a noise burst was drawn")
+
+    monkeypatch.setattr(random.Random, "expovariate", no_draw)
+    argv = ["send", "--seed", "1", "--ts-us", "10000000", "--payload-bits", "100"]
+    argv += ["--frame-payload-len", "100", "--noise", "high", "--out", str(tmp_path / "out.csv")]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "simulating a 1,240 s horizon" in err
+    assert f"over the limit of {MAX_SIM_PROBES:,}" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sim_params_seed_key_exits_2(tmp_path, capsys):
     # the run seed comes from --seed only; a params file may not carry one
     params = tmp_path / "params.txt"

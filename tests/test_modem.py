@@ -47,6 +47,7 @@ from fsyncchan.simchan import (
 from synthgen import (
     WindowGridReference,
     decision_stream_reference,
+    fit_reference,
     receive_frame_reference,
     trace_from_bits,
     window_statistic_reference,
@@ -780,6 +781,31 @@ def test_fit_std_within_two_ulps_of_stdev(values):
         assert std == 0.0
     assert _ulps(std, want) <= 2, values
     assert modem._fit(values[:1])[2] == 0.0
+
+
+@st.composite
+def _fit_inputs(draw):
+    """1 to 200 ints, some past 2**53, or floats, their spread from 1e-300
+    to 1e12 and their center up to a million spreads away from 0."""
+    n = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        lo = draw(st.integers(-(10**12), 2**62))
+        spread = 10 ** draw(st.integers(0, 12))
+        return draw(st.lists(st.integers(lo, lo + spread), min_size=n, max_size=n))
+    spread = 10.0 ** draw(st.integers(-300, 12))
+    center = draw(st.floats(-1e6, 1e6))
+    units = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return [spread * (center + u) for u in units]
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=_fit_inputs())
+@example(values=[0.0, 2.438350755454362e-288])
+@example(values=[21_390])
+def test_fit_matches_reference(values):
+    # the numpy deviations, scaling and squares give the same doubles as the
+    # per-value Python loop, so theta, mean and std are equal exactly
+    assert modem._fit(values) == fit_reference(values)
 
 
 @st.composite

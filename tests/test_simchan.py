@@ -179,6 +179,7 @@ def test_activity_edges_are_reference_union(bits, ts_us, bursts):
         edges = _activity_edges(sched, noise).tolist()
         want = merge_windows_reference(runs + (bursts if noise is not None else []))
         assert list(zip(edges[0::2], edges[1::2])) == want
+        assert len(edges) == 2 * len(want) + 1 and edges[-1] == 2**63 - 1  # the sentinel
 
 
 def test_activity_timeline_validation_and_idle():
@@ -337,6 +338,8 @@ def _fixed_model():
 
 class _FixedNoise:
     """A noise process whose bursts are given up front."""
+
+    degree = NoiseDegree.NONE  # no rate, so no burst cap
 
     def __init__(self, windows):
         self.windows = windows
@@ -560,6 +563,51 @@ def test_sim_receive_matches_reference(activity, model, degree, duration_ns):
             (0, 20_000), (22_000, 20_000), (44_000, 42_000), (88_000, 20_000), (110_000, 20_000)
         ]
 
+
+
+def _stretch_timeline(lengths):
+    """Windows under _FIXED_EDGES (22 us idle and 44 us contended probe
+    cycles) in which the probes from time 0 fall in stretches of these
+    lengths, idle first and alternating; the last length is contended."""
+    t, windows = 0, []
+    for i, length in enumerate(lengths):
+        cycle = 44_000 if i % 2 else 22_000
+        if i % 2:
+            windows.append((t, t + cycle * length))
+        t += cycle * length
+    return ActivityTimeline(windows)
+
+
+def _runs(trace):
+    """Lengths of the runs of equal latency in a trace."""
+    lat = trace.latencies_ns.tolist()
+    cuts = [i for i in range(1, len(lat)) if lat[i] != lat[i - 1]]
+    return [b - a for a, b in zip([0] + cuts, cuts + [len(lat)])]
+
+
+@pytest.mark.parametrize(
+    "lengths,tail_probes",
+    [
+        # both states, on either side of the first search's 8 probes
+        ([7, 8, 9, 16, 17, 7, 8, 9, 16, 17], 20),
+        # stretches that start in the last 8 probes of a chunk, and a
+        # stretch of each state that ends on the last probe of a chunk (256
+        # and 768 probes), its edge on the next chunk's first probe
+        ([200, 50, 3, 3, 300, 212], 30),
+        # the last edge passes mid-chunk, and the idle tail reads the
+        # sentinel edge across three chunks
+        ([3, 5], 1_500),
+    ],
+    ids=["short-stretches", "chunk-last-probe", "past-last-edge"],
+)
+def test_sim_receive_matches_reference_bounded_search(lengths, tail_probes):
+    activity = _stretch_timeline(lengths)
+    duration_ns = activity.duration_ns + 22_000 * tail_probes
+    for seed in (1, 2024):
+        got = sim_receive(activity, _FIXED_EDGES, seed, duration_ns=duration_ns)
+        want = sim_receive_reference(activity, _FIXED_EDGES, seed, duration_ns=duration_ns)
+        assert _sim_columns(got) == _reference_columns(want)
+        assert _runs(got) == lengths + [tail_probes]
 
 
 @pytest.mark.parametrize("degree", [NoiseDegree.NONE, NoiseDegree.HIGH])
