@@ -13,7 +13,6 @@ from .core import (
     ChannelConfig,
     DecisionRule,
     Frame,
-    LatencySample,
     LatencyTrace,
     ProbeMode,
     TraceMeta,

@@ -284,10 +284,6 @@ class KnnModel:
     k: int
     _matrix: np.ndarray  # normalized training histograms, row per vector
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(fv.label for fv in self.features)
-
 
 def knn_train(features: Sequence[FeatureVector], k: int = 5) -> KnnModel:
     if k < 1:

@@ -31,7 +31,6 @@ __all__ = [
     "encode_frames",
     "decode_frames",
     "frames_to_bits",
-    "LatencySample",
     "TraceMeta",
     "LatencyTrace",
     "TraceFormatError",
@@ -239,40 +238,17 @@ class TraceMeta:
 class LatencyTrace:
     """Ordered latency samples plus session metadata, stored as two columns.
 
-    `timestamps_ns` and `latencies_ns` are read-only int64 arrays of equal
-    length.  Construction enforces positive latencies and nondecreasing
-    timestamps, not that probes never overlap: analyzer inputs may
-    legitimately be resampled or hand-built.
-
-    Iterating, indexing or reading `samples` builds LatencySample objects on
-    demand; code that walks whole traces reads the columns instead.
+    `LatencyTrace(timestamps_ns, latencies_ns, meta)` copies two equal-length
+    integer columns into read-only int64 arrays.  Construction enforces
+    positive latencies, nondecreasing timestamps and that every completion,
+    and the span from the first start to the latest completion, fit in int64;
+    not that probes never overlap: analyzer inputs may legitimately be
+    resampled or hand-built.
     """
 
     __slots__ = ("timestamps_ns", "latencies_ns", "meta", "_samples")
 
-    def __init__(self, samples: Iterable[LatencySample], meta: TraceMeta | None = None):
-        samples = tuple(samples)
-        self._set([s.timestamp_ns for s in samples], [s.latency_ns for s in samples], meta)
-
-    @classmethod
-    def from_columns(
-        cls, timestamps_ns, latencies_ns, meta: TraceMeta | None = None
-    ) -> "LatencyTrace":
-        """Build a trace from two equal-length integer columns (copied)."""
-        trace = cls.__new__(cls)
-        trace._set(timestamps_ns, latencies_ns, meta)
-        return trace
-
-    @classmethod
-    def _view(cls, ts: np.ndarray, lat: np.ndarray, meta: TraceMeta) -> "LatencyTrace":
-        """Wrap read-only columns already known to be valid, without copying."""
-        trace = cls.__new__(cls)
-        _setattr(trace, "timestamps_ns", ts)
-        _setattr(trace, "latencies_ns", lat)
-        _setattr(trace, "meta", meta)
-        return trace
-
-    def _set(self, timestamps_ns, latencies_ns, meta: TraceMeta | None) -> None:
+    def __init__(self, timestamps_ns, latencies_ns, meta: TraceMeta | None = None):
         ts = _int64_column(timestamps_ns, "timestamps")
         lat = _int64_column(latencies_ns, "latencies")
         if len(ts) != len(lat):
@@ -285,6 +261,15 @@ class LatencyTrace:
         _setattr(self, "latencies_ns", lat.view())
         _setattr(self, "meta", meta if meta is not None else TraceMeta())
 
+    @classmethod
+    def _view(cls, ts: np.ndarray, lat: np.ndarray, meta: TraceMeta) -> "LatencyTrace":
+        """Wrap read-only columns already known to be valid, without copying."""
+        trace = cls.__new__(cls)
+        _setattr(trace, "timestamps_ns", ts)
+        _setattr(trace, "latencies_ns", lat)
+        _setattr(trace, "meta", meta)
+        return trace
+
     def __setattr__(self, name, value):
         raise AttributeError("LatencyTrace is immutable")
 
@@ -293,20 +278,17 @@ class LatencyTrace:
 
     @property
     def samples(self) -> tuple[LatencySample, ...]:
-        """The samples as objects, built on first use and kept."""
+        """The samples as objects, built on first use and kept.  Kept only
+        because perfbench/spans.py and perfbench/hwprobe.py read it; code
+        that walks a trace reads the columns."""
         try:
             return self._samples
         except AttributeError:
-            _setattr(self, "_samples", tuple(iter(self)))
-            return self._samples
-
-    def __iter__(self) -> Iterator[LatencySample]:
-        return map(LatencySample, self.timestamps_ns.tolist(), self.latencies_ns.tolist())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.samples[index]
-        return LatencySample(int(self.timestamps_ns[index]), int(self.latencies_ns[index]))
+            samples = tuple(
+                map(LatencySample, self.timestamps_ns.tolist(), self.latencies_ns.tolist())
+            )
+            _setattr(self, "_samples", samples)
+            return samples
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LatencyTrace):
@@ -318,8 +300,9 @@ class LatencyTrace:
         return NotImplemented
 
     def non_warmup(self) -> tuple[LatencySample, ...]:
-        """Samples past the warm-up prefix recorded in meta."""
-        return self[self.meta.warmup_samples :]
+        """Samples past the warm-up prefix recorded in meta.  Kept only
+        because perfbench/hwprobe.py reads it."""
+        return self.samples[self.meta.warmup_samples :]
 
     @property
     def duration_ns(self) -> int:
@@ -342,16 +325,30 @@ def _int64_column(values, what: str) -> np.ndarray:
 
 
 def _check_columns(ts: np.ndarray, lat: np.ndarray) -> None:
-    """Raise for the first sample with a nonpositive latency or a timestamp
-    below its predecessor's (the latency check wins on the same sample)."""
+    """Raise for the first sample with a nonpositive latency, a timestamp
+    below its predecessor's, or a completion (timestamp + latency) that
+    passes INT64_MAX or lies more than INT64_MAX after the first timestamp,
+    so that every completion and the trace's span fit in int64; on one
+    sample the checks win in that order."""
+    if not len(ts):
+        return
+    limit = _INT64_MAX + min(int(ts[0]), 0)
     bad_lat = np.flatnonzero(lat <= 0)
-    bad_ts = np.flatnonzero(ts[1:] < ts[:-1])
-    i_lat = int(bad_lat[0]) if bad_lat.size else len(lat)
-    i_ts = int(bad_ts[0]) + 1 if bad_ts.size else len(ts)
-    if i_lat < len(lat) and i_lat <= i_ts:
-        raise ValueError(f"sample {i_lat}: latency must be positive")
-    if i_ts < len(ts):
-        raise ValueError(f"sample {i_ts}: timestamps must be nondecreasing")
+    bad_ts = np.flatnonzero(ts[1:] < ts[:-1]) + 1
+    bad_end = ()
+    if int(ts.max()) + int(lat.max()) > limit:  # else no completion can pass it
+        bad_end = np.flatnonzero(ts > limit - np.maximum(lat, 0))  # no wrap: limit >= -1
+    first = [(int(bad[0]), rank) for rank, bad in enumerate((bad_lat, bad_ts, bad_end)) if len(bad)]
+    if not first:
+        return
+    i, rank = min(first)
+    if rank == 0:
+        raise ValueError(f"sample {i}: latency must be positive")
+    if rank == 1:
+        raise ValueError(f"sample {i}: timestamps must be nondecreasing")
+    if int(ts[i]) + int(lat[i]) > _INT64_MAX:
+        raise ValueError(f"sample {i}: timestamp + latency passes INT64_MAX")
+    raise ValueError(f"sample {i}: completion lies more than INT64_MAX ns after the first timestamp")
 
 
 _INT64_MIN = -(2**63)
@@ -460,11 +457,13 @@ def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None)
     is opened with ``newline=""`` (a lone CR, CRLF and LF end lines); a text
     stream is split where it splits itself (``io.StringIO``: at LF).  numpy's
     C reader, ``np.loadtxt``, parses the rows; text it rejects, or rows that
-    fail the latency or ordering check, go to a line parser that takes every
-    spelling int() takes and raises TraceFormatError with the number of the
-    first bad line.  Only the named local file is opened: its header is
-    checked first, and numpy opens it again only if it is a regular file (a
-    pipe is read once, through one handle).  Meta does not travel in the CSV.
+    fail a LatencyTrace check, go to a line parser that takes every spelling
+    int() takes and raises TraceFormatError with the number of the first bad
+    line.  Rows that all parse but end past what a trace may span raise
+    LatencyTrace's ValueError.  Only the named local file is opened: its
+    header is checked first, and numpy opens it again only if it is a
+    regular file (a pipe is read once, through one handle).  Meta does not
+    travel in the CSV.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii", newline="") as fh:
@@ -487,12 +486,12 @@ def _read_trace(source: IO[str], path: str | None, meta: TraceMeta | None) -> La
                 skiprows=1 if path else 0, ndmin=2, encoding="ascii",
             )
         rows = rows.reshape(0, 2) if rows.size == 0 else rows
-        if rows.shape[1] == 2:  # from_columns raises ValueError on a failed check
-            return LatencyTrace.from_columns(rows[:, 0], rows[:, 1], meta)
+        if rows.shape[1] == 2:  # LatencyTrace raises ValueError on a failed check
+            return LatencyTrace(rows[:, 0], rows[:, 1], meta)
     except (ValueError, OSError, lzma.LZMAError):
         pass  # OSError, LZMAError: numpy decompresses by suffix, failing on a plain *.gz or *.xz
     rows = _parse_rows(lines)
-    return LatencyTrace.from_columns(rows[:, 0], rows[:, 1], meta)
+    return LatencyTrace(rows[:, 0], rows[:, 1], meta)
 
 
 def _parse_rows(lines: Iterable[str]) -> np.ndarray:

@@ -273,10 +273,6 @@ class ThresholdState:
         """Symbols left to observe before theta next refreshes."""
         return self.update_period - self._since_update
 
-    def observe(self, statistic: float, symbol_index: int) -> None:
-        """Feed one symbol statistic; see observe_block."""
-        self.observe_block((statistic,), symbol_index)
-
     def observe_block(self, statistics_: Sequence[float], symbol_index: int) -> None:
         """Feed the statistics of consecutive symbols, the last one numbered
         symbol_index; theta refreshes when they complete an update period, so

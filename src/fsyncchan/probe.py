@@ -133,7 +133,7 @@ class ProbeHandle:
         before = self._n_session_samples
         ts, lat = self._probe_until(self._deadline(duration_us))
         warmup = max(0, min(WARMUP_SAMPLES - before, len(ts)))
-        return LatencyTrace.from_columns(ts, lat, self.meta(warmup_samples=warmup))
+        return LatencyTrace(ts, lat, self.meta(warmup_samples=warmup))
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Probe back-to-back without end, as int64 (timestamps, latencies)

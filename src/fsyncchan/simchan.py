@@ -503,9 +503,7 @@ def sim_receive(
         lat_parts.append(lat[:cut])
         if cut < len(ts):
             break
-    return LatencyTrace.from_columns(
-        np.concatenate(ts_parts), np.concatenate(lat_parts), _sim_meta(seed)
-    )
+    return LatencyTrace(np.concatenate(ts_parts), np.concatenate(lat_parts), _sim_meta(seed))
 
 
 def sim_transmit(

@@ -30,7 +30,6 @@ from fsyncchan.core import (
     TRACE_CSV_HEADER,
     BitStream,
     DecisionRule,
-    LatencySample,
     LatencyTrace,
     TraceFormatError,
     trace_write,
@@ -59,20 +58,17 @@ def find_frame_start_reference(bits, header, max_mismatches=0):
 
 
 def episodes_reference(samples, theta_ns, max_gap_ns):
-    """Group above-threshold samples by start-to-start gap, brute force."""
-    above = [s for s in samples if s.latency_ns > theta_ns]
-    groups: list[list[LatencySample]] = []
-    for s in above:
-        if groups and s.timestamp_ns - groups[-1][-1].timestamp_ns <= max_gap_ns:
-            groups[-1].append(s)
+    """Group above-threshold (timestamp, latency) samples by start-to-start
+    gap, brute force."""
+    above = [(t, lat) for t, lat in samples if lat > theta_ns]
+    groups: list[list[tuple[int, int]]] = []
+    for t, lat in above:
+        if groups and t - groups[-1][-1][0] <= max_gap_ns:
+            groups[-1].append((t, lat))
         else:
-            groups.append([s])
+            groups.append([(t, lat)])
     return [
-        Episode(
-            start_ns=g[0].timestamp_ns,
-            end_ns=max(x.timestamp_ns + x.latency_ns for x in g),
-            n_samples=len(g),
-        )
+        Episode(start_ns=g[0][0], end_ns=max(t + lat for t, lat in g), n_samples=len(g))
         for g in groups
     ]
 
@@ -140,11 +136,12 @@ def normals_reference(rng, n):
 
 def sim_probe_reference(clock_ns, activity, model, noise, rng):
     """One timed fsync at virtual time clock_ns: contended when the activity
-    or a noise burst is active at that instant.  Returns the sample and the
-    clock advanced past the fsync plus the per-probe overhead."""
+    or a noise burst is active at that instant.  Returns the (timestamp,
+    latency) sample and the clock advanced past the fsync plus the per-probe
+    overhead."""
     contended = activity.active_at(clock_ns) or (noise is not None and noise.active_at(clock_ns))
     latency = (model.contended if contended else model.standalone).draw(rng)
-    return LatencySample(clock_ns, latency), clock_ns + latency + PROBE_OVERHEAD_NS
+    return (clock_ns, latency), clock_ns + latency + PROBE_OVERHEAD_NS
 
 
 def probe_stream_reference(activity, model, seed, noise, horizon_ns):
@@ -162,19 +159,20 @@ def sim_receive_reference(activity, model, seed, *, duration_ns, noise=None):
     """Samples of the reference probe loop that start before duration_ns."""
     out = []
     for sample in probe_stream_reference(activity, model, seed, noise, duration_ns):
-        if sample.timestamp_ns >= duration_ns:
+        if sample[0] >= duration_ns:
             return out
         out.append(sample)
 
 
 class WindowGridReference:
-    """The window grid over a stream of samples, one sample at a time."""
+    """The window grid over a stream of (timestamp, latency) samples, one
+    sample at a time."""
 
     def __init__(self, samples, meta):
         self._samples = iter(samples)
         self._meta = meta
         self._pending = next(self._samples, None)
-        self._anchor = self._pending.timestamp_ns if self._pending is not None else 0
+        self._anchor = self._pending[0] if self._pending is not None else 0
         self._last_consumed = None
 
     def probe_for(self, duration_us):
@@ -185,7 +183,7 @@ class WindowGridReference:
             raise SourceExhausted()
         window_end = self._anchor + round(duration_us * 1000)
         window = []
-        while pending is not None and pending.timestamp_ns < window_end:
+        while pending is not None and pending[0] < window_end:
             window.append(pending)
             pending = next(self._samples, None)
         self._pending = pending
@@ -194,7 +192,24 @@ class WindowGridReference:
             self._last_consumed = window[-1]
         else:
             window = [self._last_consumed if self._last_consumed is not None else pending]
-        return LatencyTrace(window, self._meta)
+        return trace_from_pairs(window, self._meta)
+
+
+def columns(trace):
+    """A trace's (timestamps, latencies) columns as two lists of ints."""
+    return trace.timestamps_ns.tolist(), trace.latencies_ns.tolist()
+
+
+def pairs(trace):
+    """A trace's samples as a list of (timestamp, latency) int pairs, the
+    form the references walk."""
+    return list(zip(*columns(trace)))
+
+
+def trace_from_pairs(samples, meta=None):
+    """The trace of a sequence of (timestamp, latency) pairs."""
+    samples = list(samples)
+    return LatencyTrace([t for t, _ in samples], [lat for _, lat in samples], meta)
 
 
 def validate_sequential(trace):
@@ -241,7 +256,7 @@ def fit_reference(values):
 
 def decision_stream_reference(source, cfg, state):
     """Yield SymbolDecisions one window at a time from source.probe_for
-    until it is exhausted, feeding each statistic to state.observe."""
+    until it is exhausted, feeding each statistic to state.observe_block."""
     index = 0
     while True:
         try:
@@ -251,7 +266,7 @@ def decision_stream_reference(source, cfg, state):
         latencies = trace.latencies_ns.tolist()
         stat = window_statistic_reference(latencies, cfg.decision_rule)
         bit = 1 if stat > state.theta_ns else 0
-        state.observe(stat, index)
+        state.observe_block((stat,), index)
         yield SymbolDecision(index=index, bit=bit, statistic=stat, n_samples=len(latencies))
         index += 1
 
@@ -286,7 +301,9 @@ def trace_read_reference(source):
     """Line-at-a-time trace CSV parser: the rows as (timestamp, latency)
     tuples, or TraceFormatError at the first bad line.  Fields may be any
     spelling int() accepts, of any size.  Each line's trailing CRs and LFs
-    are stripped, and a line left empty is blank."""
+    are stripped, and a line left empty is blank.  Rows that all parse still
+    make no trace when one ends past INT64_MAX, or more than INT64_MAX after
+    the first row starts: ValueError names the first such sample."""
     first = source.readline()
     if first.rstrip("\r\n") != TRACE_CSV_HEADER:
         raise TraceFormatError(1, f"expected header {TRACE_CSV_HEADER!r}")
@@ -309,6 +326,13 @@ def trace_read_reference(source):
             raise TraceFormatError(line_no, "timestamps must be nondecreasing")
         prev_ts = ts
         rows.append((ts, lat))
+    for i, (ts, lat) in enumerate(rows):
+        if ts + lat > 2**63 - 1:
+            raise ValueError(f"sample {i}: timestamp + latency passes INT64_MAX")
+        if ts + lat - rows[0][0] > 2**63 - 1:
+            raise ValueError(
+                f"sample {i}: completion lies more than INT64_MAX ns after the first timestamp"
+            )
     return rows
 
 
@@ -328,8 +352,9 @@ def trace_write_reference(trace, sink):
 
 
 def random_episode_trace(rng: random.Random):
-    """Trace with alternating quiet/loud stretches; may contain overlapping
-    samples (latency running past the next timestamp) on purpose."""
+    """(timestamp, latency) samples with alternating quiet/loud stretches;
+    may contain overlapping samples (latency running past the next
+    timestamp) on purpose."""
     samples = []
     t = rng.randrange(0, 1_000_000)
     for _ in range(rng.randrange(0, 180)):
@@ -339,7 +364,7 @@ def random_episode_trace(rng: random.Random):
             lat = max(1, round(rng.gauss(21_000, 3_000)))
         else:
             lat = max(1, round(rng.gauss(120_000, 60_000)))
-        samples.append(LatencySample(t, lat))
+        samples.append((t, lat))
     return samples
 
 
@@ -435,15 +460,16 @@ def trace_from_bits(
     """Noise-free trace whose per-window statistics reproduce the given bits:
     every probe arriving inside a '1' window has the loud latency, '0' the
     quiet one.  Arrival timestamps advance exactly like the blocking probe."""
-    samples = []
+    ts, lats = [], []
     t = start_ns
     end = start_ns + len(bits) * ts_ns
     while t < end:
         idx = (t - start_ns) // ts_ns
         lat = loud_ns if bits[idx] == 1 else quiet_ns
-        samples.append(LatencySample(t, lat))
+        ts.append(t)
+        lats.append(lat)
         t += lat + overhead_ns
-    return LatencyTrace(samples)
+    return LatencyTrace(ts, lats)
 
 
 def bits_from_text(text: str) -> BitStream:
@@ -463,7 +489,7 @@ def escaping_dataset(root: Path, name: str) -> Path:
     data = root / "data"
     (data / "sub").mkdir(parents=True)
     for path in (data / "a.csv", data / "sub" / "b.csv", root / "outside.csv"):
-        trace_write(LatencyTrace([LatencySample(0, 10_000), LatencySample(100_000, 90_000)]), path)
+        trace_write(LatencyTrace([0, 100_000], [10_000, 90_000]), path)
     name = name.format(outside=root / "outside.csv")
     (data / "labels.csv").write_text(f"filename,label\na.csv,busy\n{name},idle\n")
     return data

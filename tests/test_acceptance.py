@@ -36,7 +36,6 @@ from fsyncchan.cli import BENCH_CSV_HEADER, derive_seed, main as cli_main
 from fsyncchan.core import (
     DEFAULT_HEADER,
     ChannelConfig,
-    LatencySample,
     LatencyTrace,
     prbs_sequence,
 )
@@ -55,6 +54,7 @@ from synthgen import (
     knn_reference,
     random_episode_trace,
     trace_from_bits,
+    trace_from_pairs,
     victim_trace,
     workload_latencies,
 )
@@ -156,7 +156,7 @@ def test_episode_extraction_matches_reference():
         samples = random_episode_trace(rng)
         theta_ns = rng.randrange(25_000, 100_000)
         max_gap_ns = rng.randrange(10_000, 2_000_000)
-        got = list(extract_episodes(LatencyTrace(samples), theta_ns, max_gap_ns))
+        got = list(extract_episodes(trace_from_pairs(samples), theta_ns, max_gap_ns))
         ref = episodes_reference(samples, theta_ns, max_gap_ns)
         assert got == ref, f"case {case}: {got} != {ref}"
 
@@ -216,14 +216,13 @@ def test_workload_classification_accuracy():
     for label in sorted(WORKLOAD_LATENCY_PROFILES):
         for _ in range(40):
             op_latencies = workload_latencies(label, 60, rng)
-            samples, t = [], 0
-            for lat in op_latencies:
-                samples.append(LatencySample(t, 5_000))  # idle filler, below theta
-                t += 1_000_000
-                samples.append(LatencySample(t, lat))
-                t += 20_000_000
+            ts, lat = [], []
+            for i, op in enumerate(op_latencies):
+                # an idle filler, below theta, then the op 1 ms later
+                ts += [i * 21_000_000, i * 21_000_000 + 1_000_000]
+                lat += [5_000, op]
             episodes = extract_episodes(
-                LatencyTrace(samples), theta_ns=10_000, max_gap_ns=5_000_000
+                LatencyTrace(ts, lat), theta_ns=10_000, max_gap_ns=5_000_000
             )
             assert len(episodes) == 60
             features.append(
@@ -280,7 +279,7 @@ def test_real_probe_contention(tmp_path):
 
     for mode in ProbeMode:
         with ProbeHandle(probe_path, mode) as handle:
-            assert handle.probe_for(0.001)[0].latency_ns > 0
+            assert handle.probe_for(0.001).latencies_ns[0] > 0
 
     hammer = (
         "from fsyncchan.probe import ProbeHandle\n"
@@ -298,6 +297,6 @@ def test_real_probe_contention(tmp_path):
         finally:
             proc.wait()
 
-    quiet_mean = statistics.fmean(s.latency_ns for s in quiet.non_warmup())
-    busy_mean = statistics.fmean(s.latency_ns for s in busy.non_warmup())
+    quiet_mean = statistics.fmean(quiet.latencies_ns[quiet.meta.warmup_samples :].tolist())
+    busy_mean = statistics.fmean(busy.latencies_ns[busy.meta.warmup_samples :].tolist())
     assert busy_mean > quiet_mean, f"quiet {quiet_mean:.0f} ns, busy {busy_mean:.0f} ns"

@@ -29,7 +29,7 @@ from fsyncchan.analyzer import (
     train_test_split,
     write_classification_report,
 )
-from fsyncchan.core import LatencySample, LatencyTrace, trace_write
+from fsyncchan.core import LatencyTrace, trace_write
 from synthgen import (
     ESCAPING_NAMES,
     episodes_reference,
@@ -37,6 +37,7 @@ from synthgen import (
     exact_sq_distances,
     knn_reference,
     random_episode_trace,
+    trace_from_pairs,
     victim_trace,
     workload_latencies,
 )
@@ -46,20 +47,14 @@ from synthgen import (
 
 
 def test_extract_episodes_merges_overlapping_burst():
-    samples = [
-        LatencySample(0, 80_000),
-        LatencySample(60_000, 80_000),
-        LatencySample(120_000, 80_000),
-    ]
-    trace = LatencyTrace(samples)
+    trace = LatencyTrace([0, 60_000, 120_000], [80_000] * 3)
     episodes = extract_episodes(trace, theta_ns=50_000, max_gap_ns=200_000)
     assert episodes == [Episode(start_ns=0, end_ns=200_000, n_samples=3)]
     assert episodes[0].est_latency_ns == 200_000
 
 
 def test_extract_episodes_gap_boundary_is_inclusive():
-    samples = [LatencySample(0, 60_000), LatencySample(100_000, 60_000)]
-    trace = LatencyTrace(samples)
+    trace = LatencyTrace([0, 100_000], [60_000, 60_000])
     same = extract_episodes(trace, theta_ns=50_000, max_gap_ns=100_000)
     assert len(same) == 1 and same[0].n_samples == 2
     split = extract_episodes(trace, theta_ns=50_000, max_gap_ns=99_999)
@@ -67,39 +62,36 @@ def test_extract_episodes_gap_boundary_is_inclusive():
 
 
 def test_extract_episodes_threshold_is_strict():
-    trace = LatencyTrace([LatencySample(0, 50_000), LatencySample(10_000, 50_001)])
+    trace = LatencyTrace([0, 10_000], [50_000, 50_001])
     episodes = extract_episodes(trace, theta_ns=50_000, max_gap_ns=10**6)
     assert episodes == [Episode(10_000, 10_000 + 50_001, 1)]
 
 
 def test_extract_episodes_end_is_max_completion():
     # a long early fsync outlives the last sample of the episode
-    samples = [LatencySample(0, 500_000), LatencySample(20_000, 60_000)]
-    episodes = extract_episodes(LatencyTrace(samples), 50_000, max_gap_ns=100_000)
+    trace = LatencyTrace([0, 20_000], [500_000, 60_000])
+    episodes = extract_episodes(trace, 50_000, max_gap_ns=100_000)
     assert episodes[0].end_ns == 500_000
 
 
 def test_extract_episodes_quiet_trace_and_empty():
-    quiet = LatencyTrace([LatencySample(i * 10_000, 1_000) for i in range(20)])
+    quiet = LatencyTrace([i * 10_000 for i in range(20)], [1_000] * 20)
     assert extract_episodes(quiet, theta_ns=50_000, max_gap_ns=10**6) == []
-    assert extract_episodes(LatencyTrace([]), theta_ns=50_000, max_gap_ns=10**6) == []
+    assert extract_episodes(LatencyTrace([], []), theta_ns=50_000, max_gap_ns=10**6) == []
 
 
 def test_default_max_gap():
-    ts = [0, 10, 30, 60, 100]
-    trace = LatencyTrace([LatencySample(t, 1) for t in ts])
+    trace = LatencyTrace([0, 10, 30, 60, 100], [1] * 5)
     assert default_max_gap(trace) == 3 * 25
     with pytest.raises(ValueError):
-        default_max_gap(LatencyTrace([LatencySample(0, 1)]))
+        default_max_gap(LatencyTrace([0], [1]))
 
 
 def test_extract_episodes_default_gap_needs_samples():
     with pytest.raises(ValueError):
-        extract_episodes(LatencyTrace([LatencySample(0, 1)]), theta_ns=0)
+        extract_episodes(LatencyTrace([0], [1]), theta_ns=0)
     with pytest.raises(ValueError):
-        extract_episodes(
-            LatencyTrace([LatencySample(0, 1), LatencySample(5, 1)]), 0, max_gap_ns=-1
-        )
+        extract_episodes(LatencyTrace([0, 5], [1, 1]), 0, max_gap_ns=-1)
 
 
 def test_extract_episodes_matches_reference_seeded():
@@ -108,7 +100,7 @@ def test_extract_episodes_matches_reference_seeded():
         samples = random_episode_trace(rng)
         theta = rng.choice((32_085, 50_000, 70_000))
         max_gap = rng.randrange(50_000, 3_000_000)
-        got = extract_episodes(LatencyTrace(samples), theta, max_gap)
+        got = extract_episodes(trace_from_pairs(samples), theta, max_gap)
         assert got == episodes_reference(samples, theta, max_gap)
 
 
@@ -123,8 +115,8 @@ def test_extract_episodes_matches_reference_property(raw, theta, max_gap):
     samples = []
     for gap, lat in raw:
         t += gap
-        samples.append(LatencySample(t, lat))
-    got = extract_episodes(LatencyTrace(samples), theta, max_gap)
+        samples.append((t, lat))
+    got = extract_episodes(trace_from_pairs(samples), theta, max_gap)
     assert got == episodes_reference(samples, theta, max_gap)
 
 
@@ -145,26 +137,25 @@ def test_episodes_of_simulated_victim_ops():
 
 
 def test_count_above_buckets():
-    samples = [
-        LatencySample(500_000_000, 90_000),  # bucket 0, above
-        LatencySample(1_000_000_000, 90_000),  # boundary -> bucket 1
-        LatencySample(2_700_000_000, 10_000),  # bucket 2, below
-    ]
-    counts = count_above(LatencyTrace(samples), theta_ns=50_000, bucket_s=1.0)
+    trace = LatencyTrace(
+        [500_000_000, 1_000_000_000, 2_700_000_000],  # bucket 0, boundary -> 1, bucket 2
+        [90_000, 90_000, 10_000],  # above, above, below
+    )
+    counts = count_above(trace, theta_ns=50_000, bucket_s=1.0)
     assert counts == [1, 1, 0]
 
 
 def test_count_above_validation_and_empty():
-    assert count_above(LatencyTrace([]), 0, 1.0) == []
+    assert count_above(LatencyTrace([], []), 0, 1.0) == []
     with pytest.raises(ValueError):
-        count_above(LatencyTrace([]), 0, 0.0)
+        count_above(LatencyTrace([], []), 0, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        count_above(LatencyTrace([LatencySample(-5, 10), LatencySample(5, 10)]), 0, 1.0)
+        count_above(LatencyTrace([-5, 5], [10, 10]), 0, 1.0)
     # buckets are whole ns: one that rounds to 0 ns is rejected, as are
     # infinite and NaN widths, with or without samples
-    trace = LatencyTrace([LatencySample(5, 10)])
+    trace = LatencyTrace([5], [10])
     for bucket_s in (4e-10, float("inf"), 1e300, float("nan")):
-        for t in (trace, LatencyTrace([])):
+        for t in (trace, LatencyTrace([], [])):
             with pytest.raises(ValueError, match="bucket"):
                 count_above(t, 0, bucket_s)
     assert count_above(trace, 0, 6e-10) == [0, 0, 0, 0, 0, 1]  # rounds to 1 ns
@@ -172,7 +163,7 @@ def test_count_above_validation_and_empty():
 
 def test_count_above_bucket_limit(monkeypatch):
     # at most MAX_BUCKETS buckets; the error names the smallest width that fits
-    trace = LatencyTrace([LatencySample(0, 90_000), LatencySample(1_000, 90_000)])
+    trace = LatencyTrace([0, 1_000], [90_000, 90_000])
     monkeypatch.setattr(analyzer, "MAX_BUCKETS", 100)
     with pytest.raises(ValueError, match=r"1,001 buckets, over the limit of 100; .* is 1.1e-08"):
         count_above(trace, 50_000, 1e-9)
@@ -467,11 +458,8 @@ def test_write_classification_report(tmp_path):
 
 
 def test_keystroke_timings_debounce():
-    def burst(at):
-        return [LatencySample(at + i * 30_000, 90_000) for i in range(3)]
-
-    samples = burst(0) + burst(30_000_000) + burst(200_000_000)
-    trace = LatencyTrace(samples)
+    starts = [at + i * 30_000 for at in (0, 30_000_000, 200_000_000) for i in range(3)]
+    trace = LatencyTrace(starts, [90_000] * len(starts))
     events, deltas = keystroke_timings(trace, theta_ns=50_000, max_gap_ns=1_000_000)
     # the 30 ms echo is inside the 50 ms dead time; the 200 ms one is real
     assert events == [0, 200_000_000]
@@ -479,14 +467,14 @@ def test_keystroke_timings_debounce():
 
 
 def test_keystroke_timings_empty_and_single():
-    assert keystroke_timings(LatencyTrace([]), 50_000, max_gap_ns=10**6) == ([], [])
-    one = LatencyTrace([LatencySample(0, 90_000)])
+    assert keystroke_timings(LatencyTrace([], []), 50_000, max_gap_ns=10**6) == ([], [])
+    one = LatencyTrace([0], [90_000])
     assert keystroke_timings(one, 50_000, max_gap_ns=10**6) == ([0], [])
 
 
 def test_keystroke_timings_validation():
     with pytest.raises(ValueError):
-        keystroke_timings(LatencyTrace([]), 0, min_spacing_ns=-1, max_gap_ns=1)
+        keystroke_timings(LatencyTrace([], []), 0, min_spacing_ns=-1, max_gap_ns=1)
 
 
 def test_keystroke_recovery_from_simulated_typing():
@@ -505,8 +493,7 @@ def test_keystroke_recovery_from_simulated_typing():
 
 
 def _write_trace(path, latencies, spacing=100_000):
-    samples = [LatencySample(i * spacing, lat) for i, lat in enumerate(latencies)]
-    trace_write(LatencyTrace(samples), path)
+    trace_write(LatencyTrace([i * spacing for i in range(len(latencies))], latencies), path)
 
 
 def test_load_labeled_dataset(tmp_path):

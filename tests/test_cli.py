@@ -8,6 +8,7 @@ import csv
 import hashlib
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from fsyncchan import cli
 from fsyncchan.cli import BENCH_CSV_HEADER, derive_seed, main
 from fsyncchan.core import (
     MAX_PAYLOAD_LEN,
-    LatencySample,
     LatencyTrace,
     prbs_sequence,
     trace_write,
@@ -539,6 +539,31 @@ def test_analyze_episodes(ops_trace, tmp_path, capsys):
         assert n >= 1
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (["9223372036854775000,1000", "9223372036854775100,90000"],
+         "sample 0: timestamp \\+ latency passes INT64_MAX"),
+        (["-9223372036854775808,1000", "9223372036854774000,1000", "9223372036854774500,90000"],
+         "sample 1: completion lies more than INT64_MAX ns after the first timestamp"),
+    ],
+    ids=["completion-past-int64", "span-past-int64"],
+)
+def test_analyze_episodes_trace_past_int64_exits_2(rows, message, tmp_path, capsys):
+    # int64 completions and gaps would wrap: the trace is refused on reading
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("timestamp_ns,latency_ns\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "episodes.csv"
+    for gap in ([], ["--max-gap-ns", "1000"]):
+        rc = main(["analyze", "episodes", "--trace", str(trace_path), "--theta-ns", "500",
+                   *gap, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search("error: " + message, err), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_analyze_rate(ops_trace, tmp_path, capsys):
     trace_path, _ = ops_trace
     out = tmp_path / "rate.csv"
@@ -698,15 +723,13 @@ def test_analyze_classify(tmp_path, capsys):
     labels_rows = [("filename", "label")]
     for i in range(6):
         for label, base, step in (("slow", 2_000_000, 10_000), ("fast", 60_000, 1_000)):
-            samples = []
-            t = 0
+            ts, lat = [], []
             for j in range(30):
-                samples.append(LatencySample(t, 21_390))
-                t += 1_000_000
-                samples.append(LatencySample(t, base + i * step + j * 137))
-                t += 5_000_000
+                # a quiet probe, then the op 1 ms later
+                ts += [j * 6_000_000, j * 6_000_000 + 1_000_000]
+                lat += [21_390, base + i * step + j * 137]
             name = f"{label}_{i}.csv"
-            trace_write(LatencyTrace(samples), tmp_path / name)
+            trace_write(LatencyTrace(ts, lat), tmp_path / name)
             labels_rows.append((name, label))
     with open(tmp_path / "labels.csv", "w", newline="", encoding="ascii") as fh:
         csv.writer(fh, lineterminator="\n").writerows(labels_rows)

@@ -215,9 +215,8 @@ def test_frame_codec_round_trip_property(payload, payload_len):
 
 def _scan(stream, *, payload_len=4, max_mismatches=0, max_symbols=None):
     cfg = ChannelConfig(ts_us=50, payload_len=payload_len)
-    quiet = LatencyTrace(
-        [LatencySample(i * 23_390, 21_390) for i in range(MIN_CALIBRATION_SAMPLES)]
-    )
+    n = MIN_CALIBRATION_SAMPLES
+    quiet = LatencyTrace([i * 23_390 for i in range(n)], [21_390] * n)
     state = calibrate(quiet, cfg)
     source = TraceSource(trace_from_bits(stream))
     return receive_frame(
@@ -264,30 +263,48 @@ def test_find_frame_start_validation():
 
 
 def test_latency_trace_validation():
-    LatencyTrace([LatencySample(0, 5), LatencySample(0, 5), LatencySample(3, 1)])
+    LatencyTrace([0, 0, 3], [5, 5, 1])
     with pytest.raises(ValueError, match="sample 0: latency"):
-        LatencyTrace([LatencySample(0, 0)])
+        LatencyTrace([0], [0])
     with pytest.raises(ValueError, match="sample 0: latency"):
-        LatencyTrace([LatencySample(0, -5)])
+        LatencyTrace([0], [-5])
     with pytest.raises(ValueError, match="sample 1: timestamps"):
-        LatencyTrace([LatencySample(10, 5), LatencySample(9, 5)])
+        LatencyTrace([10, 9], [5, 5])
     # the first bad sample is reported; on one sample the latency comes first
     with pytest.raises(ValueError, match="sample 1: latency"):
-        LatencyTrace([LatencySample(10, 5), LatencySample(9, 0), LatencySample(8, -1)])
+        LatencyTrace([10, 9, 8], [5, 0, -1])
     with pytest.raises(ValueError, match="sample 1: timestamps"):
-        LatencyTrace.from_columns([10, 9, 9], [5, 5, 0])
+        LatencyTrace([10, 9, 9], [5, 5, 0])
     with pytest.raises(ValueError, match="timestamps must be .* int64 integers"):
-        LatencyTrace([LatencySample(0, 5), LatencySample(2**63, 5)])
+        LatencyTrace([0, 2**63], [5, 5])
     with pytest.raises(ValueError, match="latencies must be .* int64 integers"):
-        LatencyTrace.from_columns([0, 1], [5, 2.5])
+        LatencyTrace([0, 1], [5, 2.5])
     with pytest.raises(ValueError, match="lengths differ"):
-        LatencyTrace.from_columns([0, 1], [5])
+        LatencyTrace([0, 1], [5])
+
+
+def test_latency_trace_completions_and_span_fit_int64():
+    # every completion and the span from the first start to the latest
+    # completion fit in int64, at both ends of the range
+    assert LatencyTrace([_INT64_MAX - 1], [1]).duration_ns == 1
+    assert LatencyTrace([-(2**63), -2], [_INT64_MAX, 1]).duration_ns == _INT64_MAX
+    with pytest.raises(ValueError, match="sample 0: timestamp \\+ latency passes INT64_MAX"):
+        LatencyTrace([_INT64_MAX], [1])
+    with pytest.raises(ValueError, match="sample 1: timestamp \\+ latency passes INT64_MAX"):
+        LatencyTrace([0, _INT64_MAX - 100], [1, 101])
+    with pytest.raises(ValueError, match="sample 1: completion lies more than INT64_MAX"):
+        LatencyTrace([-(2**63), -1], [1, 1])
+    # the order and latency checks still win on their sample
+    with pytest.raises(ValueError, match="sample 1: latency"):
+        LatencyTrace([0, _INT64_MAX], [1, -1])
+    with pytest.raises(ValueError, match="sample 1: timestamps"):
+        LatencyTrace([_INT64_MAX - 1, -(2**63)], [1, _INT64_MAX])
 
 
 def test_latency_trace_columns_are_immutable():
     ts = np.array([0, 10, 20])
     lat = np.array([5, 5, 5])
-    trace = LatencyTrace.from_columns(ts, lat)
+    trace = LatencyTrace(ts, lat)
     ts[0] = 99  # the trace holds its own copy
     assert trace.timestamps_ns.tolist() == [0, 10, 20]
     assert trace.timestamps_ns.dtype == np.int64 and trace.latencies_ns.dtype == np.int64
@@ -303,36 +320,39 @@ def test_latency_trace_columns_are_immutable():
 
 
 def test_latency_trace_equality_over_columns():
-    samples = [LatencySample(0, 100), LatencySample(150, 50)]
-    trace = LatencyTrace(samples)
-    assert trace == LatencyTrace.from_columns([0, 150], [100, 50])
-    assert trace == LatencyTrace.from_columns(np.array([0, 150], dtype=np.uint8), [100, 50])
-    assert trace != LatencyTrace.from_columns([0, 150], [100, 51])
-    assert trace != LatencyTrace.from_columns([0, 151], [100, 50])
-    assert trace != LatencyTrace.from_columns([0], [100])
-    assert trace != LatencyTrace(samples, TraceMeta(session="other"))
-    assert LatencyTrace([]) == LatencyTrace.from_columns([], [])
+    trace = LatencyTrace([0, 150], [100, 50])
+    assert trace == LatencyTrace(np.array([0, 150], dtype=np.uint8), [100, 50])
+    assert trace != LatencyTrace([0, 150], [100, 51])
+    assert trace != LatencyTrace([0, 151], [100, 50])
+    assert trace != LatencyTrace([0], [100])
+    assert trace != LatencyTrace([0, 150], [100, 50], TraceMeta(session="other"))
+    assert LatencyTrace([], []) == LatencyTrace(np.zeros(0, dtype=np.int64), [])
 
 
 def test_latency_trace_accessors():
-    samples = [LatencySample(0, 100), LatencySample(150, 50)]
-    trace = LatencyTrace(samples, TraceMeta(warmup_samples=1))
-    assert len(trace) == 2
-    assert trace[1] == samples[1]
-    assert trace.latencies_ns.tolist() == [100, 50]
-    assert trace.non_warmup() == (samples[1],)
-    assert trace.samples == tuple(samples) and list(trace) == samples
-    assert trace[-1] == samples[1] and trace[0:1] == (samples[0],)
-    assert trace.timestamps_ns.tolist() == [0, 150]
-    assert trace.duration_ns == 150 + 50 - 0
-    assert LatencyTrace([]).duration_ns == 0
+    trace = LatencyTrace([0, 150, 300], [100, 50, 7], TraceMeta(warmup_samples=1))
+    assert len(trace) == 3
+    assert trace.timestamps_ns.tolist() == [0, 150, 300]
+    assert trace.latencies_ns.tolist() == [100, 50, 7]
+    assert trace.duration_ns == 300 + 7 - 0
+    assert LatencyTrace([], []).duration_ns == 0
+
+
+def test_latency_trace_sample_objects():
+    # the object view the benchmark's span proxy and hardware probe read:
+    # the zipped columns, and past the warm-up prefix for non_warmup()
+    trace = LatencyTrace([0, 150, 300], [100, 50, 7], TraceMeta(warmup_samples=1))
+    zipped = [LatencySample(t, lat) for t, lat in zip([0, 150, 300], [100, 50, 7])]
+    assert trace.samples == tuple(zipped)
+    assert trace.non_warmup() == tuple(zipped[1:])
+    assert LatencyTrace([], []).samples == ()
 
 
 def test_validate_sequential():
     # the tests' check of the sequential-probe property, which construction
     # does not enforce
-    validate_sequential(LatencyTrace([LatencySample(0, 100), LatencySample(100, 50)]))
-    overlapping = LatencyTrace([LatencySample(0, 100), LatencySample(60, 50)])
+    validate_sequential(LatencyTrace([0, 100], [100, 50]))
+    overlapping = LatencyTrace([0, 60], [100, 50])
     with pytest.raises(ValueError, match="sample 1 starts at 60 before previous fsync finished at 100"):
         validate_sequential(overlapping)
 
@@ -340,17 +360,18 @@ def test_validate_sequential():
 def test_trace_csv_round_trip():
     rng = random.Random(5)
     t = 0
-    samples = []
+    ts, lat = [], []
     for _ in range(1000):
         t += rng.randrange(0, 50_000)
-        samples.append(LatencySample(t, rng.randrange(1, 100_000)))
-    trace = LatencyTrace(samples)
+        ts.append(t)
+        lat.append(rng.randrange(1, 100_000))
+    trace = LatencyTrace(ts, lat)
     buf = io.StringIO()
     trace_write(trace, buf)
     text = buf.getvalue()
     assert text.startswith("timestamp_ns,latency_ns\n")
     back = trace_read(io.StringIO(text))
-    assert back.samples == trace.samples
+    assert back == trace
     # writing the parsed trace again is byte-identical
     buf2 = io.StringIO()
     trace_write(back, buf2)
@@ -359,10 +380,10 @@ def test_trace_csv_round_trip():
 
 def test_trace_csv_file_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
-    trace = LatencyTrace([LatencySample(10, 20), LatencySample(40, 1)])
+    trace = LatencyTrace([10, 40], [20, 1])
     trace_write(trace, path)
-    assert trace_read(path).samples == trace.samples
-    assert trace_read(str(path)).samples == trace.samples
+    assert trace_read(path) == trace
+    assert trace_read(str(path)) == trace
 
 
 _INT64_MAX = 2**63 - 1
@@ -376,7 +397,11 @@ _TIMESTAMP_EDGES = [-(2**63), -(2**63) + 1, 0, _INT64_MAX] + [
 @st.composite
 def _csv_traces(draw):
     """Traces whose timestamps come in runs of consecutive values, so runs
-    of one width span block edges, and whose values reach both int64 ends."""
+    of one width span block edges, and whose values reach both int64 ends:
+    INT64_MIN timestamps and INT64_MAX latencies.  A trace may end no more
+    than INT64_MAX past its first start, and never past INT64_MAX: a sample
+    that starts at that limit is dropped, and a latency that would run past
+    it is cut to end there."""
     ts = []
     for _ in range(draw(st.integers(0, 6))):
         start = draw(
@@ -385,8 +410,10 @@ def _csv_traces(draw):
         ts += range(start, min(start + draw(st.integers(1, 8)), _INT64_MAX + 1))
     latency = st.one_of(st.sampled_from(_WIDTH_EDGES + [_INT64_MAX]), st.integers(1, _INT64_MAX))
     lat = draw(st.lists(latency, min_size=len(ts), max_size=len(ts)))
-    ts = np.array(sorted(ts), dtype=np.int64)
-    return LatencyTrace.from_columns(ts, np.array(lat, dtype=np.int64))
+    ts.sort()
+    limit = _INT64_MAX + min(ts[0], 0) if ts else 0
+    rows = [(t, min(x, limit - t)) for t, x in zip(ts, lat) if t < limit]
+    return LatencyTrace([t for t, _ in rows], [x for _, x in rows])
 
 
 @settings(max_examples=300, deadline=None)
@@ -411,7 +438,7 @@ def test_trace_write_matches_reference(tmp_path_factory, trace, rows):
 
 def test_trace_csv_empty_trace():
     buf = io.StringIO()
-    trace_write(LatencyTrace([]), buf)
+    trace_write(LatencyTrace([], []), buf)
     assert buf.getvalue() == "timestamp_ns,latency_ns\n"
     assert len(trace_read(io.StringIO(buf.getvalue()))) == 0
 
@@ -467,7 +494,7 @@ def test_trace_read_crlf_and_cr_files(tmp_path):
 def test_trace_read_opens_only_the_named_file(tmp_path):
     # numpy would open trace.csv.gz for a missing trace.csv; the header
     # check on our own handle comes first
-    trace = LatencyTrace.from_columns([1, 3], [2, 4])
+    trace = LatencyTrace([1, 3], [2, 4])
     trace_write(trace, tmp_path / "plain.csv")
     with gzip.open(tmp_path / "trace.csv.gz", "wb") as fh:
         fh.write((tmp_path / "plain.csv").read_bytes())
@@ -486,15 +513,11 @@ def test_trace_read_opens_only_the_named_file(tmp_path):
     )
 )
 def test_trace_csv_round_trip_property(raw):
-    t = 0
-    samples = []
-    for gap, lat in raw:
-        t += gap
-        samples.append(LatencySample(t, lat))
-    trace = LatencyTrace(samples)
+    gaps, lat = zip(*raw) if raw else ((), ())
+    trace = LatencyTrace(np.cumsum(gaps, dtype=np.int64), lat)
     buf = io.StringIO()
     trace_write(trace, buf)
-    assert trace_read(io.StringIO(buf.getvalue())).samples == trace.samples
+    assert trace_read(io.StringIO(buf.getvalue())) == trace
 
 
 _FIELD_SPELLINGS = (
@@ -527,7 +550,7 @@ def _random_csv(rng: random.Random) -> str:
 def _read_outcome(read, source):
     try:
         return "ok", [tuple(row) for row in read(source)]
-    except (TraceFormatError, UnicodeError) as exc:
+    except (ValueError, UnicodeError) as exc:  # TraceFormatError is a ValueError
         return type(exc).__name__, str(exc)
 
 
@@ -618,7 +641,7 @@ def test_trace_read_takes_written_traces_whole(write_size, n_rows, long_trace_cs
     # case reads a prefix only.
     trace, path = long_trace_csv
     if n_rows is not None:
-        trace = LatencyTrace.from_columns(trace.timestamps_ns[:n_rows], trace.latencies_ns[:n_rows])
+        trace = LatencyTrace(trace.timestamps_ns[:n_rows], trace.latencies_ns[:n_rows])
         path = tmp_path / "prefix.csv"
         trace_write(trace, path)
 
@@ -646,9 +669,11 @@ _EDGE_CASES = {
             "0,2",
             "123456789012345678,999999999999999999",
             "1234567890123456789,1234567890123456789",
-            "9223372036854775807,9223372036854775807",
+            "9099915247842430128,1",  # ends INT64_MAX after the first row starts
         ]
     ) + "\n",
+    "int64 ends": _HEADER + "-9223372036854775808,9223372036854775807\n-2,1\n",
+    "latest completion": _HEADER + "9223372036854775806,1\n",
     "decrease at a chunk edge": _HEADER + "10,1\n20,1\n15,1\n30,1\n",
 }
 

@@ -15,7 +15,6 @@ from fsyncchan.core import (
     BitStream,
     ChannelConfig,
     DecisionRule,
-    LatencySample,
     LatencyTrace,
     TraceMeta,
     prbs_sequence,
@@ -46,8 +45,10 @@ from fsyncchan.simchan import (
 )
 from synthgen import (
     WindowGridReference,
+    columns,
     decision_stream_reference,
     fit_reference,
+    pairs,
     receive_frame_reference,
     trace_from_bits,
     window_statistic_reference,
@@ -58,8 +59,8 @@ LOUD = 43_134
 
 
 def _const_quiet_trace(n=MIN_CALIBRATION_SAMPLES, latency=QUIET, warmup=0):
-    samples = [LatencySample(i * (latency + 2_000), latency) for i in range(n)]
-    return LatencyTrace(samples, TraceMeta(warmup_samples=warmup))
+    ts = [i * (latency + 2_000) for i in range(n)]
+    return LatencyTrace(ts, [latency] * n, TraceMeta(warmup_samples=warmup))
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +84,13 @@ def test_calibrate_requires_enough_samples():
 
 
 def test_calibrate_excludes_warmup():
-    warm = [LatencySample(i * 25_000, 900_000) for i in range(16)]
-    clean = [LatencySample(500_000 + i * 25_000, QUIET) for i in range(64)]
-    trace = LatencyTrace(warm + clean, TraceMeta(warmup_samples=16))
+    ts = [i * 25_000 for i in range(16)] + [500_000 + i * 25_000 for i in range(64)]
+    lat = [900_000] * 16 + [QUIET] * 64
+    trace = LatencyTrace(ts, lat, TraceMeta(warmup_samples=16))
     state = calibrate(trace, ChannelConfig())
     assert state.theta_ns == 32_085
     # without the warm-up marker those 900 us samples poison the threshold
-    poisoned = calibrate(LatencyTrace(warm + clean), ChannelConfig())
+    poisoned = calibrate(LatencyTrace(ts, lat), ChannelConfig())
     assert poisoned.theta_ns > 100_000
 
 
@@ -115,7 +116,7 @@ def test_calibrate_stddev_needs_windows():
     with pytest.raises(CalibrationError):
         calibrate(_const_quiet_trace(n=80), cfg)  # 80 samples, too few windows
     with pytest.raises(CalibrationError):
-        calibrate(LatencyTrace([]), cfg)
+        calibrate(LatencyTrace([], []), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def test_threshold_state_update_from_quiet_cluster():
         min_quiet_cluster=2,
     )
     for i, stat in enumerate([500.0, 520.0, 2_000.0, 510.0]):
-        state.observe(stat, i)
+        state.observe_block((stat,), i)
     assert state.quiet_mean_ns == 510.0
     assert state.theta_ns == round(510.0 + max(3 * 10.0, 255.0))
     assert state.provenance == "adaptive@symbol3"
@@ -140,7 +141,7 @@ def test_threshold_state_update_from_quiet_cluster():
 def test_threshold_state_ignores_loud_only_window():
     state = ThresholdState(theta_ns=1_000, quiet_mean_ns=600.0, quiet_std_ns=10.0, update_period=4)
     for i in range(12):
-        state.observe(5_000.0, i)
+        state.observe_block((5_000.0,), i)
     assert state.theta_ns == 1_000
     assert state.provenance == "manual"
 
@@ -150,7 +151,7 @@ def test_threshold_state_requires_min_cluster():
         theta_ns=1_000, quiet_mean_ns=600.0, quiet_std_ns=0.0, update_period=4, min_quiet_cluster=3
     )
     for i, stat in enumerate([500.0, 5_000.0, 5_000.0, 510.0]):
-        state.observe(stat, i)
+        state.observe_block((stat,), i)
     assert state.theta_ns == 1_000  # only 2 quiet stats, below the cluster floor
 
 
@@ -406,31 +407,26 @@ def test_schedule_builder_validation():
 
 
 def test_trace_source_windows_and_inheritance():
-    samples = [
-        LatencySample(0, 20_000),
-        LatencySample(25_000, 90_000),  # runs until 115k: swallows window 1
-        LatencySample(117_000, 20_000),
-    ]
-    src = TraceSource(LatencyTrace(samples))
+    # the second probe runs until 115k: it swallows window 1
+    src = TraceSource(LatencyTrace([0, 25_000, 117_000], [20_000, 90_000, 20_000]))
     w0 = src.probe_for(50.0)
-    assert w0.samples == (samples[0], samples[1])
+    assert columns(w0) == ([0, 25_000], [20_000, 90_000])
     w1 = src.probe_for(50.0)
-    assert w1.samples == (samples[1],)  # inherited from the in-flight probe
+    assert columns(w1) == ([25_000], [90_000])  # inherited from the in-flight probe
     w2 = src.probe_for(50.0)
-    assert w2.samples == (samples[2],)
+    assert columns(w2) == ([117_000], [20_000])
     with pytest.raises(SourceExhausted):
         src.probe_for(50.0)
 
 
 def test_trace_source_anchors_at_first_sample():
-    samples = [LatencySample(1_000_000, 10_000), LatencySample(1_030_000, 10_000)]
-    src = TraceSource(LatencyTrace(samples))
-    win = src.probe_for(50.0)
-    assert win.samples == tuple(samples)
+    trace = LatencyTrace([1_000_000, 1_030_000], [10_000, 10_000])
+    win = TraceSource(trace).probe_for(50.0)
+    assert columns(win) == columns(trace)
 
 
 def test_trace_source_empty_trace_exhausts_immediately():
-    src = TraceSource(LatencyTrace([]))
+    src = TraceSource(LatencyTrace([], []))
     with pytest.raises(SourceExhausted):
         src.probe_for(50.0)
 
@@ -441,20 +437,15 @@ def _replay_traces():
     bits = prbs_sequence(1_500, 17)
     model = default_model()
     noise = NoiseProcess.from_degree(NoiseDegree.HIGH, model)
-    swallowing = [
-        LatencySample(0, 20_000),
-        LatencySample(25_000, 90_000),
-        LatencySample(117_000, 20_000),
-        LatencySample(117_000, 400_000),
-        LatencySample(519_000, 20_000),
-    ]
+    swallowing_ts = [0, 25_000, 117_000, 117_000, 519_000]
+    swallowing_lat = [20_000, 90_000, 20_000, 400_000, 20_000]
     return [
         sim_transmit(bits, ChannelConfig(ts_us=50), model, 3, noise=noise),
         sim_transmit(bits, ChannelConfig(ts_us=400), cross_disk_model(), 4),
         trace_from_bits(bits[:200], ts_ns=50_000, start_ns=1_234_567),
-        LatencyTrace(swallowing),
-        LatencyTrace(swallowing[:1]),
-        LatencyTrace([]),
+        LatencyTrace(swallowing_ts, swallowing_lat),
+        LatencyTrace(swallowing_ts[:1], swallowing_lat[:1]),
+        LatencyTrace([], []),
     ]
 
 
@@ -475,7 +466,7 @@ def test_trace_source_matches_reference_grid(block):
     for trace in _replay_traces():
         for duration_us in (7.0, 50.0, 400.0, None):
             got = _grid(trace, block)
-            want = WindowGridReference(trace.samples, trace.meta)
+            want = WindowGridReference(pairs(trace), trace.meta)
             for i in range(20_000):
                 step = duration_us or rng.choice((3.0, 50.0, 120.5, 1000.0))
                 try:
@@ -497,7 +488,7 @@ def test_look_ahead_and_commit_match_reference_grid(block):
     for trace in _replay_traces():
         for duration_us in (7.0, 50.0, 400.0):
             got = _grid(trace, block)
-            want = WindowGridReference(trace.samples, trace.meta)
+            want = WindowGridReference(pairs(trace), trace.meta)
             windows = []
             while True:
                 n = rng.choice((1, 2, 3, 17, 64))
@@ -528,7 +519,7 @@ def test_threshold_state_observe_block():
         ThresholdState(1_000, 600.0, 10.0, update_period=4, min_quiet_cluster=2) for _ in range(2)
     )
     for i, stat in enumerate(stats):
-        one.observe(stat, i)
+        one.observe_block((stat,), i)
     assert block.until_refresh == 4
     block.observe_block(stats[:3], 2)
     assert block.until_refresh == 1
@@ -618,7 +609,7 @@ def test_receive_frame_probe_for_only_source(monkeypatch, rule, chunk):
         cfg = ChannelConfig(ts_us=ts_us, payload_len=FRAME_PAYLOAD, decision_rule=rule)
         for update_period in (64, 5):
             batch, live = TraceSource(trace), TraceSource(trace)
-            ref = WindowGridReference(trace.samples, trace.meta)
+            ref = WindowGridReference(pairs(trace), trace.meta)
             states = [_theta_state(rule, update_period) for _ in range(3)]
             for frame in range(FRAMES + 1):
                 kwargs = dict(max_symbols=2 * cfg.frame_len, max_mismatches=1)
@@ -636,7 +627,7 @@ def test_receive_frame_probe_for_only_source(monkeypatch, rule, chunk):
 
 def _reference_decisions(trace, cfg, update_period):
     state = _theta_state(cfg.decision_rule, update_period)
-    ref = WindowGridReference(trace.samples, trace.meta)
+    ref = WindowGridReference(pairs(trace), trace.meta)
     return list(decision_stream_reference(ref, cfg, state)), state
 
 
@@ -666,21 +657,12 @@ def test_decisions_match_reference(monkeypatch, rule):
 
 def test_window_statistics_exact_past_int64():
     # window sums, or sums of squares, beyond the int64 range stay exact
-    samples = [
-        LatencySample(0, 2**62),
-        LatencySample(10, 2**62 - 1),
-        LatencySample(20, 3),
-        LatencySample(60_000, 2**40),
-        LatencySample(60_010, 2**40 + 7),
-        LatencySample(60_020, 1),
-    ]
+    ts = [0, 10, 20, 60_000, 60_010, 60_020]
+    lat = [2**62, 2**62 - 1, 3, 2**40, 2**40 + 7, 1]
     for rule in DecisionRule:
         cfg = ChannelConfig(ts_us=50, decision_rule=rule)
-        got = receive_symbols(TraceSource(LatencyTrace(samples)), cfg, _theta_state(rule), 10)
-        want = [
-            window_statistic_reference([s.latency_ns for s in samples[i : i + 3]], rule)
-            for i in (0, 3)
-        ]
+        got = receive_symbols(TraceSource(LatencyTrace(ts, lat)), cfg, _theta_state(rule), 10)
+        want = [window_statistic_reference(lat[i : i + 3], rule) for i in (0, 3)]
         assert [d.statistic for d in got] == want
 
 
@@ -814,12 +796,12 @@ def _random_traces(draw):
     swallow windows, equal timestamps and idle gaps."""
     n = draw(st.integers(0, 60))
     t = draw(st.integers(0, 10**6))
-    samples = []
+    ts, lat = [], []
     for _ in range(n):
         t += draw(st.sampled_from((0, 1, 500, 9_000, 23_000, 60_000, 300_000)))
-        lat = draw(st.sampled_from((1, 21_000, 22_000, 45_000, 400_000, 2**40)))
-        samples.append(LatencySample(t, lat))
-    return LatencyTrace(samples)
+        ts.append(t)
+        lat.append(draw(st.sampled_from((1, 21_000, 22_000, 45_000, 400_000, 2**40))))
+    return LatencyTrace(ts, lat)
 
 
 @settings(max_examples=300, deadline=None)

@@ -107,8 +107,8 @@ def test_only_fsync_is_timed_not_the_mutation(probe_file, monkeypatch):
     monkeypatch.setattr(os, "pwrite", lambda fd, buf, off: time.sleep(0.004))
     monkeypatch.setattr(os, "fsync", lambda fd: time.sleep(0.0005))
     with ProbeHandle(probe_file, ProbeMode.WRITE_FSYNC) as handle:
-        sample = handle.probe_for(0.001)[0]
-    assert 400_000 < sample.latency_ns < 3_000_000  # ~0.5 ms, not ~4.5 ms
+        latency = handle.probe_for(0.001).latencies_ns[0]
+    assert 400_000 < latency < 3_000_000  # ~0.5 ms, not ~4.5 ms
 
 
 def test_fsync_only_mode_never_mutates(probe_file, monkeypatch):
@@ -119,8 +119,8 @@ def test_fsync_only_mode_never_mutates(probe_file, monkeypatch):
     monkeypatch.setattr(os, "ftruncate", boom)
     monkeypatch.setattr(os, "fsync", lambda fd: None)
     with ProbeHandle(probe_file) as handle:
-        sample = handle.probe_for(0.001)[0]
-    assert sample.latency_ns >= 1  # sub-resolution clamps, never zero
+        latency = handle.probe_for(0.001).latencies_ns[0]
+    assert latency >= 1  # sub-resolution clamps, never zero
 
 
 def test_ftruncate_sizes_bounded_and_seeded(probe_file, monkeypatch):
@@ -143,7 +143,7 @@ def test_ftruncate_sizes_bounded_and_seeded(probe_file, monkeypatch):
 def test_timestamps_are_session_relative_and_sequential(probe_file, fast_fsync):
     with ProbeHandle(probe_file) as handle:
         trace = handle.probe_for(300.0)
-    assert trace[0].timestamp_ns >= 0
+    assert trace.timestamps_ns[0] >= 0
     validate_sequential(trace)
 
 
@@ -196,7 +196,6 @@ def test_warmup_accounting_across_calls(probe_file, fast_fsync):
         first = handle.probe_for(200.0)
         assert len(first) > WARMUP_SAMPLES
         assert first.meta.warmup_samples == WARMUP_SAMPLES
-        assert len(first.non_warmup()) == len(first) - WARMUP_SAMPLES
         later = handle.probe_for(100.0)
         assert later.meta.warmup_samples == 0
 
@@ -293,7 +292,7 @@ def test_blocks_are_int64_columns_of_about_block_us(probe_file, fake_disk):
         assert ts[-1] + lat[-1] - ts[0] >= BLOCK_US * 1000 > ts[-1] - ts[0]
     ts = np.concatenate([b[0] for b in blocks])
     lat = np.concatenate([b[1] for b in blocks])
-    validate_sequential(LatencyTrace.from_columns(ts, lat))
+    validate_sequential(LatencyTrace(ts, lat))
     assert trace.timestamps_ns[0] > ts[-1]
     # the stream's probes count toward the session's warm-up
     assert trace.meta.warmup_samples == 0
@@ -338,7 +337,7 @@ def test_fake_disk_live_recv_decodes_and_replays(probe_file, fake_disk, monkeypa
     assert rc == 0, captured.err
     assert captured.out.strip() == payload.to_text()
 
-    trace = LatencyTrace.from_columns(
+    trace = LatencyTrace(
         np.concatenate([b[0] for b in logged]), np.concatenate([b[1] for b in logged])
     )
     replay = TraceSource(trace)
@@ -371,7 +370,7 @@ def test_hw_probe_smoke(probe_file):
     with ProbeHandle(probe_file) as handle:
         trace = handle.probe_for(20_000.0)
     assert len(trace) >= 2
-    assert all(s.latency_ns > 0 for s in trace)
+    assert (trace.latencies_ns > 0).all()
     validate_sequential(trace)
 
 
@@ -382,7 +381,7 @@ def test_hw_mutating_modes_smoke(tmp_path, mode):
     path.write_bytes(b"\0" * 4096)
     with ProbeHandle(path, mode) as handle:
         trace = handle.probe_for(20_000.0)
-    assert all(s.latency_ns > 0 for s in trace)
+    assert (trace.latencies_ns > 0).all()
 
 
 @pytest.mark.hardware
@@ -416,6 +415,6 @@ def test_hw_contention_raises_probe_latency(tmp_path):
 
     import statistics
 
-    quiet_mean = statistics.fmean(s.latency_ns for s in quiet.non_warmup())
-    busy_mean = statistics.fmean(s.latency_ns for s in busy.non_warmup())
+    quiet_mean = statistics.fmean(quiet.latencies_ns[quiet.meta.warmup_samples :].tolist())
+    busy_mean = statistics.fmean(busy.latencies_ns[busy.meta.warmup_samples :].tolist())
     assert busy_mean > 0.8 * quiet_mean

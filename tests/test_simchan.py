@@ -43,8 +43,10 @@ from fsyncchan.simchan import (
 from fsyncchan.simchan import _SIM_PARAM_KEYS, _activity_edges, _normals
 from synthgen import (
     WindowGridReference,
+    columns,
     merge_windows_reference,
     normals_reference,
+    pairs,
     probe_stream_reference,
     sim_receive_reference,
     validate_sequential,
@@ -350,10 +352,7 @@ class _FixedNoise:
 
 def test_sim_probe_idle_uses_standalone():
     trace = sim_receive(IDLE, _fixed_model(), 0, duration_ns=40_000)
-    assert [(s.timestamp_ns, s.latency_ns) for s in trace] == [
-        (0, 30_000),
-        (30_000 + PROBE_OVERHEAD_NS, 30_000),
-    ]
+    assert columns(trace) == ([0, 30_000 + PROBE_OVERHEAD_NS], [30_000, 30_000])
 
 
 def test_sim_probe_arrival_rule_ignores_future_activity():
@@ -378,16 +377,16 @@ def test_sim_receive_idle_stays_standalone():
     assert len(trace) > 100
     validate_sequential(trace)
     lo, hi = 21_390 - 5 * 2_479, 21_390 + 5 * 2_479
-    assert all(lo <= s.latency_ns <= hi for s in trace)
+    assert lo <= trace.latencies_ns.min() and trace.latencies_ns.max() <= hi
     assert trace.meta.probe_mode == "sim-empirical"
 
 
 def test_sim_receive_deterministic():
     a = sim_receive(IDLE, default_model(), 7, duration_ns=2_000_000)
     b = sim_receive(IDLE, default_model(), 7, duration_ns=2_000_000)
-    assert a.samples == b.samples
+    assert a == b
     c = sim_receive(IDLE, default_model(), 8, duration_ns=2_000_000)
-    assert a.samples != c.samples
+    assert columns(a) != columns(c)  # their meta differs too: compare the columns
 
 
 def test_sim_receive_validation():
@@ -411,8 +410,8 @@ def test_sim_transmit_separates_symbols():
     trace = sim_transmit(bits, cfg, default_model(), 31)
     validate_sequential(trace)
     assert trace.duration_ns <= sched.duration_ns + 50_000  # last fsync may run over
-    active = [s.latency_ns for s in trace if sched.active_at(s.timestamp_ns)]
-    idle = [s.latency_ns for s in trace if not sched.active_at(s.timestamp_ns)]
+    active = [lat for t, lat in pairs(trace) if sched.active_at(t)]
+    idle = [lat for t, lat in pairs(trace) if not sched.active_at(t)]
     assert len(active) > 40 and len(idle) > 70
     assert all(lat > 32_085 for lat in active)
     assert all(lat < 32_085 for lat in idle)
@@ -432,7 +431,7 @@ def test_sim_transmit_seed_determinism_property(seed):
     cfg = ChannelConfig(ts_us=50)
     a = sim_transmit(bits, cfg, default_model(), seed)
     b = sim_transmit(bits, cfg, default_model(), seed)
-    assert a.samples == b.samples
+    assert a == b
 
 
 def test_sim_transmit_pinned():
@@ -455,7 +454,7 @@ def test_noise_makes_quiet_probes_contended_monotonically():
         for seed in range(10):
             proc = NoiseProcess.from_degree(degree, model)
             trace = sim_receive(IDLE, model, seed, duration_ns=50_000_000, noise=proc)
-            total += sum(1 for s in trace if s.latency_ns > 32_085)
+            total += int((trace.latencies_ns > 32_085).sum())
         counts.append(total)
     assert counts[0] == 0  # none
     assert counts == sorted(counts)
@@ -523,14 +522,6 @@ _FIXED_EDGES = ContentionModel.empirical(
 )
 
 
-def _sim_columns(trace):
-    return list(zip(trace.timestamps_ns.tolist(), trace.latencies_ns.tolist()))
-
-
-def _reference_columns(samples):
-    return [(s.timestamp_ns, s.latency_ns) for s in samples]
-
-
 @pytest.mark.parametrize(
     "activity,model,degree,duration_ns",
     [
@@ -557,9 +548,9 @@ def test_sim_receive_matches_reference(activity, model, degree, duration_ns):
     for seed in (1, 2024):
         got = sim_receive(activity, model, seed, duration_ns=duration_ns, noise=noise)
         want = sim_receive_reference(activity, model, seed, duration_ns=duration_ns, noise=noise)
-        assert _sim_columns(got) == _reference_columns(want)
+        assert pairs(got) == want
     if activity is not IDLE and model is _FIXED_EDGES:
-        assert _sim_columns(got)[:5] == [
+        assert pairs(got)[:5] == [
             (0, 20_000), (22_000, 20_000), (44_000, 42_000), (88_000, 20_000), (110_000, 20_000)
         ]
 
@@ -606,7 +597,7 @@ def test_sim_receive_matches_reference_bounded_search(lengths, tail_probes):
     for seed in (1, 2024):
         got = sim_receive(activity, _FIXED_EDGES, seed, duration_ns=duration_ns)
         want = sim_receive_reference(activity, _FIXED_EDGES, seed, duration_ns=duration_ns)
-        assert _sim_columns(got) == _reference_columns(want)
+        assert pairs(got) == want
         assert _runs(got) == lengths + [tail_probes]
 
 
@@ -628,17 +619,16 @@ def test_sim_receive_drawn_probes_on_window_edges():
     # exactly at a later one's: the first probe is contended, the last is not
     model = default_model()
     idle = sim_receive_reference(IDLE, model, 5, duration_ns=2_000_000)
-    start = idle[10].timestamp_ns
+    start = idle[10][0]
     busy_from_start = ActivityTimeline([(start, 10**9)])
     busy = sim_receive_reference(busy_from_start, model, 5, duration_ns=2_000_000)
-    end = busy[30].timestamp_ns
+    end = busy[30][0]
     activity = ActivityTimeline([(start, end)])
     got = sim_receive(activity, model, 5, duration_ns=2_000_000)
-    assert _sim_columns(got) == _reference_columns(
-        sim_receive_reference(activity, model, 5, duration_ns=2_000_000)
-    )
-    assert got[10].timestamp_ns == start and got[10].latency_ns > 32_085
-    assert got[30].timestamp_ns == end and got[30].latency_ns < 32_085
+    assert pairs(got) == sim_receive_reference(activity, model, 5, duration_ns=2_000_000)
+    ts, lat = columns(got)
+    assert ts[10] == start and lat[10] > 32_085
+    assert ts[30] == end and lat[30] < 32_085
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -659,7 +649,7 @@ def test_sim_receive_matches_reference_property(seed, gaps, stds, degree):
     duration_ns = (edges[-1] if edges else 0) + 500_000
     got = sim_receive(activity, model, seed, duration_ns=duration_ns, noise=noise)
     want = sim_receive_reference(activity, model, seed, duration_ns=duration_ns, noise=noise)
-    assert _sim_columns(got) == _reference_columns(want)
+    assert pairs(got) == want
 
 
 def test_sim_source_matches_reference_stream():
@@ -690,11 +680,11 @@ def test_sim_source_windows_tile_the_clock():
     for _ in range(100):
         win = src.probe_for(50.0)
         assert len(win) >= 1
-        seen.extend(win.samples)
+        seen.extend(pairs(win))
     assert src.elapsed_us == 100 * 50.0
     # same stream as the batch API: windows partition the arrivals in order
     ref = sim_receive(IDLE, default_model(), 99, duration_ns=5_000_000)
-    assert seen[: len(ref.samples)] == list(ref.samples)
+    assert seen[: len(ref)] == pairs(ref)
 
 
 def test_sim_source_elapsed_before_first_window():
@@ -709,9 +699,8 @@ def test_sim_source_elapsed_before_first_window():
 def test_sim_source_window_bounds():
     src = SimSource(IDLE, default_model(), 42)
     for k in range(50):
-        win = src.probe_for(50.0)
-        for s in win:
-            assert k * 50_000 <= s.timestamp_ns < (k + 1) * 50_000
+        ts = src.probe_for(50.0).timestamps_ns
+        assert k * 50_000 <= ts.min() and ts.max() < (k + 1) * 50_000
 
 
 def test_sim_source_swallowed_window_reports_inflight_probe():
@@ -724,19 +713,12 @@ def test_sim_source_swallowed_window_reports_inflight_probe():
     activity = ActivityTimeline([(40_000, 50_000)])
     src = SimSource(activity, model, 3)
     first = src.probe_for(50.0)
-    assert [(s.timestamp_ns, s.latency_ns) for s in first] == [
-        (0, 20_000),
-        (22_000, 20_000),
-        (44_000, 180_000),
-    ]
-    stuck = first[-1]
+    assert columns(first) == ([0, 22_000, 44_000], [20_000, 20_000, 180_000])
     # the 180 us fsync covers [44k, 224k): windows 2-4 are fully swallowed
     for _ in range(3):
-        win = src.probe_for(50.0)
-        assert win.samples == (stuck,)
-    resumed = src.probe_for(50.0)
-    assert resumed[0].timestamp_ns == 226_000
-    assert resumed[0].latency_ns == 20_000
+        assert columns(src.probe_for(50.0)) == ([44_000], [180_000])
+    ts, lat = columns(src.probe_for(50.0))
+    assert (ts[0], lat[0]) == (226_000, 20_000)
 
 
 def test_sim_source_validation():
