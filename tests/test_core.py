@@ -288,6 +288,8 @@ def test_latency_trace_completions_and_span_fit_int64():
     # completion fit in int64, at both ends of the range
     assert LatencyTrace([_INT64_MAX - 1], [1]).duration_ns == 1
     assert LatencyTrace([-(2**63), -2], [_INT64_MAX, 1]).duration_ns == _INT64_MAX
+    # the largest latency and the latest start on different samples
+    assert len(LatencyTrace([0, 100], [_INT64_MAX - 50, 1])) == 2
     with pytest.raises(ValueError, match="sample 0: timestamp \\+ latency passes INT64_MAX"):
         LatencyTrace([_INT64_MAX], [1])
     with pytest.raises(ValueError, match="sample 1: timestamp \\+ latency passes INT64_MAX"):
