@@ -243,23 +243,25 @@ class LatencyTrace:
     positive latencies, nondecreasing timestamps and that every completion,
     and the span from the first start to the latest completion, fit in int64;
     not that probes never overlap: analyzer inputs may legitimately be
-    resampled or hand-built.
+    resampled or hand-built.  The simulator hands over the fresh columns it
+    builds without a copy (`_adopt`), and they pass the same checks.
     """
 
     __slots__ = ("timestamps_ns", "latencies_ns", "meta", "_samples")
 
     def __init__(self, timestamps_ns, latencies_ns, meta: TraceMeta | None = None):
-        ts = _int64_column(timestamps_ns, "timestamps")
-        lat = _int64_column(latencies_ns, "latencies")
-        if len(ts) != len(lat):
-            raise ValueError(f"column lengths differ: {len(ts)} timestamps, {len(lat)} latencies")
-        _check_columns(ts, lat)
-        ts.setflags(write=False)
-        lat.setflags(write=False)
-        # views of read-only arrays cannot be made writeable again
-        _setattr(self, "timestamps_ns", ts.view())
-        _setattr(self, "latencies_ns", lat.view())
+        ts, lat = _read_only_columns(
+            _int64_column(timestamps_ns, "timestamps"), _int64_column(latencies_ns, "latencies")
+        )
+        _setattr(self, "timestamps_ns", ts)
+        _setattr(self, "latencies_ns", lat)
         _setattr(self, "meta", meta if meta is not None else TraceMeta())
+
+    @classmethod
+    def _adopt(cls, ts: np.ndarray, lat: np.ndarray, meta: TraceMeta) -> "LatencyTrace":
+        """Wrap two int64 columns that nothing else holds, without copying:
+        the constructor's checks, then the columns are made read-only in place."""
+        return cls._view(*_read_only_columns(ts, lat), meta)
 
     @classmethod
     def _view(cls, ts: np.ndarray, lat: np.ndarray, meta: TraceMeta) -> "LatencyTrace":
@@ -324,6 +326,21 @@ def _int64_column(values, what: str) -> np.ndarray:
     return col.astype(np.int64)
 
 
+def _read_only_columns(ts: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check two one-dimensional int64 columns, make them read-only in place
+    and return views of them: a view of a read-only array cannot be made
+    writeable again."""
+    for col, what in ((ts, "timestamps"), (lat, "latencies")):
+        if col.ndim != 1 or col.dtype != np.int64:
+            raise ValueError(f"{what} must be a one-dimensional column of int64 integers")
+    if len(ts) != len(lat):
+        raise ValueError(f"column lengths differ: {len(ts)} timestamps, {len(lat)} latencies")
+    _check_columns(ts, lat)
+    ts.setflags(write=False)
+    lat.setflags(write=False)
+    return ts.view(), lat.view()
+
+
 def _check_columns(ts: np.ndarray, lat: np.ndarray) -> None:
     """Raise for the first sample with a nonpositive latency, a timestamp
     below its predecessor's, or a completion (timestamp + latency) that
@@ -368,7 +385,7 @@ class TraceFormatError(ValueError):
         self.line_no = line_no
 
 
-_WRITE_ROWS = 1 << 16  # rows formatted per write call
+_WRITE_ROWS = 1 << 14  # rows formatted per write call
 
 
 def trace_write(trace: LatencyTrace, sink: Union[str, Path, IO[str]]) -> None:
@@ -458,11 +475,12 @@ def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None)
     a line left empty once its CRs and LFs are stripped is skipped.  A path
     is opened with ``newline=""`` (a lone CR, CRLF and LF end lines); a text
     stream is split where it splits itself (``io.StringIO``: at LF).  numpy's
-    C reader, ``np.loadtxt``, parses the rows; text it rejects, or rows that
-    fail a LatencyTrace check, go to a line parser that takes every spelling
-    int() takes and raises TraceFormatError with the number of the first bad
-    line.  Rows that all parse but end past what a trace may span raise
-    LatencyTrace's ValueError.  Only the named local file is opened: its
+    C reader, ``np.loadtxt``, parses the rows; text it rejects, or rows with a
+    latency that is not positive or a timestamp that goes backwards, go to a
+    line parser that takes every spelling int() takes and raises
+    TraceFormatError with the number of the first bad line.  Rows that
+    otherwise pass but end past what a trace may span raise LatencyTrace's
+    ValueError at once.  Only the named local file is opened: its
     header is checked first, and numpy opens it again only if it is a
     regular file (a pipe is read once, through one handle).  Meta does not
     travel in the CSV.
@@ -488,10 +506,17 @@ def _read_trace(source: IO[str], path: str | None, meta: TraceMeta | None) -> La
                 skiprows=1 if path else 0, ndmin=2, encoding="ascii",
             )
         rows = rows.reshape(0, 2) if rows.size == 0 else rows
-        if rows.shape[1] == 2:  # LatencyTrace raises ValueError on a failed check
-            return LatencyTrace(rows[:, 0], rows[:, 1], meta)
     except (ValueError, OSError, lzma.LZMAError):
-        pass  # OSError, LZMAError: numpy decompresses by suffix, failing on a plain *.gz or *.xz
+        rows = None  # OSError, LZMAError: numpy decompresses by suffix, failing on a plain *.gz or *.xz
+    if rows is not None and rows.shape[1] == 2:
+        ts, lat = rows[:, 0], rows[:, 1]
+        try:
+            return LatencyTrace(ts, lat, meta)
+        except ValueError:
+            # the line parser names the line of a latency or order fault only;
+            # a completion or span fault is raised as the constructor words it
+            if lat.min() > 0 and not (ts[1:] < ts[:-1]).any():
+                raise
     rows = _parse_rows(lines)
     return LatencyTrace(rows[:, 0], rows[:, 1], meta)
 

@@ -283,8 +283,10 @@ _DEGREE_RATES = {
 MAX_NOISE_BURSTS = 1_000_000
 # the most probes the probe loop may be due, horizon / (_mean_draw_bound_ns
 # of the standalone draw + PROBE_OVERHEAD_NS): at the cap, a quiet sim_receive
-# took 3.4 s and 498 MB on a 2-core VM; the acceptance sweep's 80,240 symbols
-# of 400 us, the longest simulated run of the tests, is due about 1.4 million
+# of 10,000,018 probes (a 160 MB trace) took 2.2-3.1 s and a peak RSS of
+# 336 MB in a fresh process on a 2-core VM; the acceptance sweep's 80,240
+# symbols of 400 us, the longest simulated run of the tests, is due about
+# 1.4 million
 MAX_SIM_PROBES = 10_000_000
 
 
@@ -503,7 +505,13 @@ def sim_receive(
         lat_parts.append(lat[:cut])
         if cut < len(ts):
             break
-    return LatencyTrace(np.concatenate(ts_parts), np.concatenate(lat_parts), _sim_meta(seed))
+    # one column at a time, each dropping its blocks, and no copy on the way
+    # in: numpy's peak allocation is about 1.5x the trace, not 3x
+    ts = np.concatenate(ts_parts)
+    del ts_parts
+    lat = np.concatenate(lat_parts)
+    del lat_parts
+    return LatencyTrace._adopt(ts, lat, _sim_meta(seed))
 
 
 def sim_transmit(

@@ -7,6 +7,7 @@ import os
 import pickle
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from fsyncchan.core import (
     trace_write,
 )
 from fsyncchan.modem import MIN_CALIBRATION_SAMPLES, TraceSource, calibrate, receive_frame
-from fsyncchan.simchan import default_model, sim_transmit
+from fsyncchan.simchan import IDLE, default_model, sim_receive, sim_transmit
 from synthgen import (
     trace_from_bits,
     trace_read_reference,
@@ -656,6 +657,37 @@ def test_trace_read_takes_written_traces_whole(write_size, n_rows, long_trace_cs
         for back in map(trace_read, sources):
             assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
             assert np.array_equal(back.latencies_ns, trace.latencies_ns)
+
+
+def test_trace_read_raises_a_span_fault_without_the_line_parser(monkeypatch, tmp_path):
+    # the line parser names no line for a completion past INT64_MAX, so the
+    # rows numpy read raise the constructor's ValueError at once
+    n = 300_000
+    path = tmp_path / "trace.csv"
+    trace_write(LatencyTrace(np.arange(n) * 30_000, np.full(n, 20_000)), path)
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("9223372036854775000,1000\n")
+
+    def no_line_parse(*args):
+        raise AssertionError("a span fault went to the line parser")
+
+    monkeypatch.setattr(core, "_parse_rows", no_line_parse)
+    with pytest.raises(ValueError, match="^sample 300000: timestamp \\+ latency passes INT64_MAX$") as exc:
+        trace_read(path)
+    assert not isinstance(exc.value, TraceFormatError)
+
+
+def test_trace_write_transient_memory_is_one_small_block(tmp_path):
+    trace = sim_receive(IDLE, default_model(), 7, duration_ns=200_000 * 23_400)
+    trace_write(LatencyTrace([1], [1]), tmp_path / "warm.csv")  # builds the digit tables once
+    tracemalloc.start()
+    try:
+        trace_write(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 190_000
+    assert peak < 3_000_000, peak
 
 
 _HEADER = "timestamp_ns,latency_ns\n"

@@ -10,6 +10,7 @@ import statistics
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -392,6 +393,34 @@ def test_sim_receive_deterministic():
 def test_sim_receive_validation():
     with pytest.raises(ValueError):
         sim_receive(IDLE, default_model(), 1, duration_ns=0)
+
+
+def test_sim_receive_peak_memory_is_about_one_trace():
+    # the blocks are joined one column at a time and handed over uncopied
+    model = default_model()
+    sim_receive(IDLE, model, 7, duration_ns=1_000_000)  # warm lazy state outside the window
+    tracemalloc.start()
+    try:
+        trace = sim_receive(IDLE, model, 7, duration_ns=200_000 * 23_400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column_bytes = trace.timestamps_ns.nbytes + trace.latencies_ns.nbytes
+    assert len(trace) > 190_000
+    assert peak <= 1.75 * column_bytes + 1_000_000, (peak, column_bytes)
+
+
+def test_sim_receive_checks_the_columns_it_hands_over(monkeypatch):
+    def backwards_block(activity, model, seed, noise, horizon_ns):
+        yield np.array([0, 40_000, 30_000, 90_000]), np.array([20_000, 20_000, 20_000, 20_000])
+
+    trace = sim_receive(IDLE, default_model(), 3, duration_ns=1_000_000)
+    for column in (trace.timestamps_ns, trace.latencies_ns):
+        with pytest.raises(ValueError):
+            column.setflags(write=True)
+    monkeypatch.setattr(simchan, "_probe_blocks", backwards_block)
+    with pytest.raises(ValueError, match="^sample 2: timestamps must be nondecreasing$"):
+        sim_receive(IDLE, default_model(), 3, duration_ns=1_000_000)
 
 
 def test_sim_receive_all_active_matches_contended_mean():
