@@ -41,12 +41,24 @@ longer.  The edges end with one INT64_MAX sentinel, which no clock reaches,
 so the loop needs no test for having passed the last edge.  A stretch that
 outlasts a chunk continues on the next one.
 
-A chunk of variates is drawn as a block, equal value for value to that many
-rng.gauss(0.0, 1.0) calls and leaving the RNG in the same state, spare
-variate included: one getrandbits call yields the Mersenne Twister words the
-calls would consume, numpy builds the uniforms and the Box-Muller arithmetic
-from them, and the log, cos and sin are the math module's, as in
-random.gauss.  So the stream stays the one the seed has always given.
+A chunk of variates is drawn as a block, straight to each state's integer
+latencies, equal value for value to max(LATENCY_FLOOR_NS, round(
+rng.gauss(mean, std))) per variate and leaving the RNG in the same state,
+spare variate included: one getrandbits call yields the Mersenne Twister
+words the calls would consume, and numpy builds the uniforms and the whole
+Box-Muller arithmetic from them, its own log, cos and sin included.  Those
+may differ from the math module's, which random.gauss calls, in the last
+bits, but only the rounded latency is an output, and it moves only when
+v = mean + z * std lies within that error of a half-integer.  A rounding
+guard therefore draws again, from its pair's uniforms with the math module's
+log, cos and sin, every variate whose v (in either state) lies within
+std * g * 2**-38 + 4 ulp(|mean| + |z| * std) of a half-integer, for g =
+sqrt(-2 log(1 - u2)) the pair's radius; the guard takes g = |z| = 9, above
+any radius random() allows.  The margin holds while numpy's log is within
+2**-40 relative and its cos and sin within 2**-40 absolute of the math
+module's, thousands of times looser than any real implementation (4 ulp is
+about 2**-50).  The sine kept as the RNG's spare is always the math
+module's.  So the stream stays the one the seed has always given.
 """
 
 from __future__ import annotations
@@ -283,8 +295,8 @@ _DEGREE_RATES = {
 MAX_NOISE_BURSTS = 1_000_000
 # the most probes the probe loop may be due, horizon / (_mean_draw_bound_ns
 # of the standalone draw + PROBE_OVERHEAD_NS): at the cap, a quiet sim_receive
-# of 10,000,018 probes (a 160 MB trace) took 2.2-3.1 s and a peak RSS of
-# 336 MB in a fresh process on a 2-core VM; the acceptance sweep's 80,240
+# of 10,000,018 probes (a 160 MB trace) took 1.0-1.2 s and a peak RSS of
+# 193 MB in a fresh process on a 2-core VM; the acceptance sweep's 80,240
 # symbols of 400 us, the longest simulated run of the tests, is due about
 # 1.4 million
 MAX_SIM_PROBES = 10_000_000
@@ -355,49 +367,78 @@ _NEAR = 8  # a stretch's end is first sought among its first _NEAR probes
 _TWOPI = 2.0 * math.pi
 
 
-def _mapped(fn, values: list[float]) -> np.ndarray:
-    """fn of each value, as float64; numpy's own log/cos/sin may differ from
-    the C library's in the last bit."""
-    return np.fromiter(map(fn, values), np.float64, len(values))
+# every g = sqrt(-2 log(1 - u)) random.gauss can form is below 8.58, as
+# 1 - u >= 2**-53, so _G_BOUND bounds g and |z| in the rounding guard
+_G_BOUND = 9.0
 
 
-def _normals(rng: random.Random, n: int) -> np.ndarray:
-    """The next n values of rng.gauss(0.0, 1.0), leaving rng (its spare
-    variate included) in the state those n calls would leave.
+def _draw_latencies(
+    rng: random.Random, n: int, model: ContentionModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """The standalone and contended int64 latency columns of the next n
+    Gaussian variates: entry i of a state's column is its
+    max(LATENCY_FLOOR_NS, round(rng.gauss(mean_ns, std_ns))) for the i-th of
+    n gauss calls, and rng, its spare variate included, is left as those n
+    calls would leave it.
 
     random.gauss: a spare from the previous pair comes first; each new pair
     takes two random() uniforms, each built from two 32-bit Mersenne Twister
     words, and returns cos(x2pi) * g2rad, keeping sin(x2pi) * g2rad as the
     spare.  Here all the words come from one getrandbits call (word i in bits
-    32i..32i+31), the float arithmetic runs in numpy, which rounds as IEEE
-    doubles do, and log/cos/sin are the math module's calls that random.gauss
-    makes, so every value is the same double.
+    32i..32i+31) and the arithmetic, log, cos and sin included, runs in
+    numpy; the rounding guard of the module docstring draws again, with the
+    math module's calls, every variate whose latency numpy's last bits could
+    move, and the spare left in rng is always the math module's sine.
     """
-    out = np.empty(n)
-    if n == 0:
-        return out
-    spare = rng.gauss_next
-    rng.gauss_next = None
+    z = np.empty(n)
     taken = 0
-    if spare is not None:
-        out[0] = spare
+    if n and rng.gauss_next is not None:
+        z[0] = rng.gauss_next
+        rng.gauss_next = None
         taken = 1
     pairs = (n - taken + 1) // 2
     if pairs:
         words = np.frombuffer(rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little"), "<u4")
         a1, b1, a2, b2 = words.reshape(pairs, 4).T
-        u1 = ((a1 >> 5) * 67108864.0 + (b1 >> 6)) * (1.0 / 9007199254740992.0)
-        u2 = ((a2 >> 5) * 67108864.0 + (b2 >> 6)) * (1.0 / 9007199254740992.0)
-        x2pi = (u1 * _TWOPI).tolist()
-        g2rad = np.sqrt(-2.0 * _mapped(math.log, (1.0 - u2).tolist()))
-        z = np.empty(2 * pairs)
-        z[0::2] = _mapped(math.cos, x2pi) * g2rad
-        z[1::2] = _mapped(math.sin, x2pi) * g2rad
-        out[taken:] = z[: n - taken]
+        x2pi = ((a1 >> 5) * 67108864.0 + (b1 >> 6)) * (1.0 / 9007199254740992.0)
+        x2pi *= _TWOPI
+        # 1.0 - random(), the argument of the log
+        w = ((a2 >> 5) * 67108864.0 + (b2 >> 6)) * (1.0 / 9007199254740992.0)
+        np.subtract(1.0, w, out=w)
+        g2rad = np.log(w)
+        g2rad *= -2.0
+        np.sqrt(g2rad, out=g2rad)
+        trig = np.cos(x2pi)
+        np.multiply(trig, g2rad, out=z[taken::2])
+        np.sin(x2pi, out=trig)
+        trig *= g2rad
+        z[taken + 1 :: 2] = trig[: (n - taken) // 2]
         if (n - taken) % 2:
-            rng.gauss_next = float(z[-1])
-    # gauss returns mu + z * sigma, which turns a -0.0 into 0.0
-    return out + 0.0
+            last = pairs - 1
+            rng.gauss_next = math.sin(x2pi[last]) * math.sqrt(-2.0 * math.log(w[last]))
+    columns = []
+    for d in (model.standalone, model.contended):
+        v = z * d.std_ns
+        v += d.mean_ns
+        lat = np.rint(v)
+        # |v - rint(v)| is exact, and at least 0.5 - margin where v lies
+        # within margin of a half-integer
+        v -= lat
+        np.abs(v, out=v)
+        margin = d.std_ns * _G_BOUND * 2.0**-38 + (d.mean_ns + _G_BOUND * d.std_ns) * 2.0**-50
+        near = np.flatnonzero(v >= 0.5 - margin).tolist()
+        lat = lat.astype(np.int64)
+        np.maximum(lat, LATENCY_FLOOR_NS, out=lat)
+        for i in near:
+            j = i - taken
+            if j < 0:  # the spare is the math module's already
+                continue
+            p = j >> 1
+            trig_fn = math.sin if j & 1 else math.cos
+            zi = trig_fn(x2pi[p]) * math.sqrt(-2.0 * math.log(w[p]))
+            lat[i] = max(LATENCY_FLOOR_NS, round(d.mean_ns + zi * d.std_ns))
+        columns.append(lat)
+    return columns[0], columns[1]
 
 
 def _activity_edges(activity: ActivityTimeline, noise: ActivityTimeline | None) -> memoryview:
@@ -449,11 +490,7 @@ def _probe_blocks(
     size = 0  # variates in the current chunk, one per probe of the block
     while True:
         size = min(max(2 * size, _FIRST_CHUNK), _MAX_CHUNK)
-        z = _normals(rng, size)
-        lat_cols = [
-            np.maximum(LATENCY_FLOOR_NS, np.rint(d.mean_ns + z * d.std_ns)).astype(np.int64)
-            for d in (model.standalone, model.contended)
-        ]
+        lat_cols = _draw_latencies(rng, size, model)
         prefixes = [
             memoryview(np.concatenate(([0], np.cumsum(lat + PROBE_OVERHEAD_NS))))
             for lat in lat_cols
@@ -498,19 +535,21 @@ def sim_receive(
     """Run the receiver probe loop for duration_ns of virtual time."""
     if duration_ns <= 0:
         raise ValueError("duration_ns must be positive")
-    ts_parts, lat_parts = [], []
+    lat_parts = []
     for ts, lat in _probe_blocks(activity, model, seed, noise, duration_ns):
         cut = int(np.searchsorted(ts, duration_ns))
-        ts_parts.append(ts[:cut])
         lat_parts.append(lat[:cut])
         if cut < len(ts):
             break
-    # one column at a time, each dropping its blocks, and no copy on the way
-    # in: numpy's peak allocation is about 1.5x the trace, not 3x
-    ts = np.concatenate(ts_parts)
-    del ts_parts
+    # only the latency blocks are kept: the timestamps are 0, then the
+    # running sum of latency plus overhead, as each block's are, built in
+    # place once the blocks are joined and freed, and no copy on the way in
     lat = np.concatenate(lat_parts)
     del lat_parts
+    ts = np.empty_like(lat)
+    ts[0] = 0
+    np.add(lat[:-1], PROBE_OVERHEAD_NS, out=ts[1:])
+    np.cumsum(ts[1:], out=ts[1:])
     return LatencyTrace._adopt(ts, lat, _sim_meta(seed))
 
 

@@ -129,11 +129,6 @@ def merge_windows_reference(windows):
     return [(start, end) for start, end in merged]
 
 
-def normals_reference(rng, n):
-    """The next n standard Gaussian variates, one rng.gauss call each."""
-    return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-
-
 def sim_probe_reference(clock_ns, activity, model, noise, rng):
     """One timed fsync at virtual time clock_ns: contended when the activity
     or a noise burst is active at that instant.  Returns the (timestamp,

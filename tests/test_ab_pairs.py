@@ -1,0 +1,56 @@
+"""The pair comparison that tools/ab_pairs.py prints, on fixed numbers."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture
+def ab_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    return importlib.import_module("ab_pairs")
+
+
+def test_lower_is_better_gain(ab_pairs):
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    change = [p - 6.0 for p in parent[:-1]] + [19.0]  # the last pair is a tie
+    result = ab_pairs.compare(parent, change, "s", "lower")
+    assert result["wins"] == 9 and result["pairs"] == 10
+    # statistics.quantiles' default (exclusive) method
+    assert result["parent"] == {"unit": "s", "median": 14.5, "q1": 11.75, "q3": 17.25, "n": 10}
+    assert result["change"]["median"] == 8.5
+    assert result["gain"]  # 9 of 10 won, and 14.5 - 8.5 > 17.25 - 11.75
+    line = ab_pairs.report_line("wall_s", "lower", result)
+    assert line == (
+        "wall_s (s, lower is better): parent 14.5 [11.75, 17.25]  change 8.5 [5.75, 11.25]  "
+        "change won 9/10  gain: yes"
+    )
+
+
+def test_gain_needs_the_wins_and_the_gap(ab_pairs):
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    # every pair won, but the medians differ by 3 against an IQR of 5.5
+    result = ab_pairs.compare(parent, [p - 3.0 for p in parent], "s", "lower")
+    assert result["wins"] == 10 and not result["gain"]
+    # a wide gap, but only 8 of 10 pairs won
+    change = [p - 9.0 for p in parent[:8]] + [20.0, 21.0]
+    result = ab_pairs.compare(parent, change, "s", "lower")
+    assert result["wins"] == 8 and not result["gain"]
+
+
+def test_higher_is_better(ab_pairs):
+    parent = [1.0, 2.0, 3.0, 4.0]
+    result = ab_pairs.compare(parent, [p + 10.0 for p in parent], "1/s", "higher")
+    assert result["wins"] == 4 and result["gain"]
+    result = ab_pairs.compare(parent, [p - 10.0 for p in parent], "1/s", "higher")
+    assert result["wins"] == 0 and not result["gain"]
+
+
+def test_unequal_or_single_runs_refused(ab_pairs):
+    with pytest.raises(ValueError):
+        ab_pairs.compare([1.0, 2.0], [1.0], "s", "lower")
+    with pytest.raises(ValueError):
+        ab_pairs.compare([1.0], [1.0], "s", "lower")

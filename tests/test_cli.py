@@ -282,10 +282,10 @@ def test_send_noise_past_burst_cap_exits_2(tmp_path, capsys, monkeypatch):
 def test_send_past_probe_cap_exits_2(tmp_path, capsys, monkeypatch):
     # 124 symbols of 1,000 s would be about 5e9 probes: refused before the
     # first probe variate is drawn
-    def no_draw(rng, n):
+    def no_draw(rng, n, model):
         raise AssertionError("a probe variate was drawn")
 
-    monkeypatch.setattr(simchan, "_normals", no_draw)
+    monkeypatch.setattr(simchan, "_draw_latencies", no_draw)
     argv = ["send", "--seed", "1", "--ts-us", "1000000000", "--payload-bits", "100"]
     argv += ["--frame-payload-len", "100", "--out", str(tmp_path / "out.csv")]
     start = time.perf_counter()

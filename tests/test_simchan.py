@@ -41,12 +41,11 @@ from fsyncchan.simchan import (
     sim_receive,
     sim_transmit,
 )
-from fsyncchan.simchan import _SIM_PARAM_KEYS, _activity_edges, _normals
+from fsyncchan.simchan import _SIM_PARAM_KEYS, _activity_edges, _draw_latencies
 from synthgen import (
     WindowGridReference,
     columns,
     merge_windows_reference,
-    normals_reference,
     pairs,
     probe_stream_reference,
     sim_receive_reference,
@@ -300,10 +299,10 @@ def test_probe_cap_checked_before_drawing(monkeypatch):
     per_probe = simchan._mean_draw_bound_ns(model.standalone) + PROBE_OVERHEAD_NS
     assert len(sim_receive(IDLE, model, 1, duration_ns=int(990 * per_probe))) > 900
 
-    def no_draw(rng, n):
+    def no_draw(rng, n, model):
         raise AssertionError("a probe variate was drawn")
 
-    monkeypatch.setattr(simchan, "_normals", no_draw)
+    monkeypatch.setattr(simchan, "_draw_latencies", no_draw)
     with pytest.raises(ValueError, match=r"about 1,010 probes, over the limit of 1,000$"):
         sim_receive(IDLE, model, 1, duration_ns=int(1010 * per_probe))
     clamped = LatencyDistribution(1_000, 1_000)
@@ -411,15 +410,17 @@ def test_sim_receive_peak_memory_is_about_one_trace():
 
 
 def test_sim_receive_checks_the_columns_it_hands_over(monkeypatch):
-    def backwards_block(activity, model, seed, noise, horizon_ns):
-        yield np.array([0, 40_000, 30_000, 90_000]), np.array([20_000, 20_000, 20_000, 20_000])
+    # the timestamps are rebuilt from the latencies, so the fault a block
+    # can still carry into the trace is a latency
+    def zero_latency_block(activity, model, seed, noise, horizon_ns):
+        yield np.array([0, 22_000, 44_000, 46_000]), np.array([20_000, 20_000, 0, 20_000])
 
     trace = sim_receive(IDLE, default_model(), 3, duration_ns=1_000_000)
     for column in (trace.timestamps_ns, trace.latencies_ns):
         with pytest.raises(ValueError):
             column.setflags(write=True)
-    monkeypatch.setattr(simchan, "_probe_blocks", backwards_block)
-    with pytest.raises(ValueError, match="^sample 2: timestamps must be nondecreasing$"):
+    monkeypatch.setattr(simchan, "_probe_blocks", zero_latency_block)
+    with pytest.raises(ValueError, match="^sample 2: latency must be positive$"):
         sim_receive(IDLE, default_model(), 3, duration_ns=1_000_000)
 
 
@@ -491,7 +492,17 @@ def test_noise_makes_quiet_probes_contended_monotonically():
 
 
 # ---------------------------------------------------------------------------
-# block Gaussian draws against one rng.gauss call per variate
+# block latency draws against one rng.gauss call per variate
+
+_MEANS = st.one_of(
+    st.sampled_from([1_000.0, 21_390.0, 43_134.0, 1e12]), st.floats(1e-3, 1e12)
+)
+_STDS = st.one_of(st.sampled_from([0.0, 2_479.0, 1e9, 1e12]), st.floats(0.0, 1e12))
+
+
+def _draws(rng, n, dist):
+    """dist's next n latencies, one rng.gauss call each."""
+    return np.array([dist.draw(rng) for _ in range(n)], dtype=np.int64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -503,18 +514,90 @@ def test_noise_makes_quiet_probes_contended_monotonically():
         min_size=1,
         max_size=3,
     ),
+    means=st.tuples(_MEANS, _MEANS).map(sorted).filter(lambda m: m[0] < m[1]),
+    stds=st.tuples(_STDS, _STDS),
 )
-def test_normals_match_gauss_calls(seed, earlier, sizes):
-    want_rng, got_rng = random.Random(seed), random.Random(seed)
-    for rng in (want_rng, got_rng):
+def test_draw_latencies_match_gauss_calls(seed, earlier, sizes, means, stds):
+    model = ContentionModel(*(LatencyDistribution(m, s) for m, s in zip(means, stds)))
+    got_rng = random.Random(seed)
+    twins = [random.Random(seed), random.Random(seed)]  # one per state
+    for rng in [got_rng, *twins]:
         for _ in range(earlier):
             rng.gauss(0.0, 1.0)
     for n in sizes:  # a block's spare carries into the next block
-        want = normals_reference(want_rng, n)
-        got = _normals(got_rng, n)
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()  # signed zeros too
-        assert got_rng.getstate() == want_rng.getstate()
+        got = _draw_latencies(got_rng, n, model)
+        for column, twin, dist in zip(got, twins, (model.standalone, model.contended)):
+            assert column.dtype == np.int64
+            assert np.array_equal(column, _draws(twin, n, dist))
+            assert got_rng.getstate() == twin.getstate()
+
+
+def _off_by(monkeypatch, sign):
+    """Make numpy's log 2**-42 off relative to itself, and its cos and sin
+    2**-42 off absolute, in the direction of sign."""
+    for name, relative in (("log", True), ("cos", False), ("sin", False)):
+        fn = getattr(np, name)
+
+        def off(x, *args, _fn=fn, _relative=relative, **kwargs):
+            r = _fn(x, *args, **kwargs)
+            if _relative:
+                r *= 1.0 + sign * 2.0**-42
+            else:
+                r += sign * 2.0**-42
+            return r
+
+        monkeypatch.setattr(np, name, off)
+
+
+@pytest.mark.parametrize("sign", [0, 1, -1], ids=["numpy", "above", "below"])
+@pytest.mark.parametrize("index", [0, 1, 1_001])
+def test_draw_latencies_on_a_tie(monkeypatch, sign, index):
+    # mean + z * std lands within 1 ulp of k + 0.5 for one known variate (a
+    # cosine, a sine, one deep in the block), where a last-bit change in z
+    # would move the rounded latency; the odd count leaves a spare in rng
+    std = 2_479.0
+    twin = random.Random(11)
+    z = [twin.gauss(0.0, 1.0) for _ in range(index + 1)][-1]
+    dists = []
+    for tie in (21_390.5, 43_134.5):
+        mean = tie - z * std
+        assert abs(mean + z * std - tie) <= math.ulp(tie)
+        dists.append(LatencyDistribution(mean, std))
+    twins = [random.Random(11), random.Random(11)]
+    want = [_draws(twin, 4_097, dist) for twin, dist in zip(twins, dists)]
+    if sign:
+        _off_by(monkeypatch, sign)
+    got_rng = random.Random(11)
+    got = _draw_latencies(got_rng, 4_097, ContentionModel(*dists))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got_rng.getstate() == twins[0].getstate()
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+def test_sim_receive_exact_with_numpy_off_by_2_to_the_minus_42(monkeypatch, sign):
+    # at stds of 1e9 and 3e9 ns, numpy 2**-42 off moves mean + z * std by
+    # up to about 1e-3 ns, so a few of the wide run's 7,000 probes round
+    # the other way unless the guard (margins 0.03 and 0.1 ns) draws them
+    # again with the math module
+    wide = ContentionModel.empirical(
+        LatencyDistribution(5e9, 1e9), LatencyDistribution(2e10, 3e9)
+    )
+    wide_activity = ActivityTimeline([(3 * 10**12, 5 * 10**12), (7 * 10**12, 10**13)])
+    runs = [
+        (wide, wide_activity, 4 * 10**13, NoiseDegree.NONE),
+        (default_model(), SenderSchedule(prbs_sequence(2_000, 6), 50), None, NoiseDegree.HIGH),
+    ]
+    want = []
+    for model, activity, duration_ns, degree in runs:
+        noise = NoiseProcess.from_degree(degree, model)
+        duration_ns = duration_ns or activity.duration_ns
+        want.append(sim_receive_reference(activity, model, 9, duration_ns=duration_ns, noise=noise))
+    _off_by(monkeypatch, sign)
+    for (model, activity, duration_ns, degree), expected in zip(runs, want):
+        noise = NoiseProcess.from_degree(degree, model)
+        duration_ns = duration_ns or activity.duration_ns
+        got = sim_receive(activity, model, 9, duration_ns=duration_ns, noise=noise)
+        assert pairs(got) == expected
 
 
 def test_simulator_leaves_numpy_random_unimported():
