@@ -63,6 +63,7 @@ from .simchan import (
     calibration_trace,
     load_sim_params,
     loopback,
+    quiet_duration_ns,
     sim_transmit,
 )
 
@@ -72,6 +73,10 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 
 BENCH_CSV_HEADER = "t_s_us,noise,n_bits,err_1to0,err_0to1,rate_1to0,rate_0to1,p_err,B_bps,C_bps"
+
+# live calibration probes this many times quiet_duration_ns: only 63% of real
+# quiet 50 us windows held the 2 samples a STDDEV statistic needs (2-core VM)
+LIVE_QUIET_FACTOR = 4
 
 
 class ProtocolTimeout(Exception):
@@ -114,9 +119,15 @@ def _threshold_state(args, cfg: ChannelConfig) -> ThresholdState:
         raise ValueError(
             "live recv needs --theta-ns N; measure it with `fsyncchan calibrate --file PATH`"
         )
+    return calibrate(_sim_quiet_trace(args, cfg), cfg)
+
+
+def _sim_quiet_trace(args, cfg: ChannelConfig, duration_ns: int | None = None):
+    """duration_ns of simulated quiet traffic, by default quiet_duration_ns(cfg);
+    needs --seed."""
     seed = _require_seed(args)
     model = _sim_params(args).model()
-    return calibrate(calibration_trace(model, cfg, derive_seed(seed, "calibrate")), cfg)
+    return calibration_trace(model, cfg, derive_seed(seed, "calibrate"), duration_ns)
 
 
 def _payload_bits(args, seed: int) -> BitStream:
@@ -131,13 +142,15 @@ def _payload_bits(args, seed: int) -> BitStream:
 
 def cmd_calibrate(args) -> int:
     cfg = _channel_config(args)
+    duration_us = args.duration_us
+    if duration_us is not None and not 0 < duration_us < math.inf:  # NaN fails too
+        raise ValueError(f"--duration-us must be positive and finite, got {duration_us!r}")
     if args.file:
+        live_us = duration_us or LIVE_QUIET_FACTOR * quiet_duration_ns(cfg) / 1000
         with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
-            trace = handle.probe_for(args.duration_us)
+            trace = handle.probe_for(live_us)
     else:
-        seed = _require_seed(args)
-        params = _sim_params(args)
-        trace = calibration_trace(params.model(), cfg, derive_seed(seed, "calibrate"))
+        trace = _sim_quiet_trace(args, cfg, duration_us and math.ceil(duration_us * 1000))
     state = calibrate(trace, cfg)
     print(
         f"theta_ns={state.theta_ns} quiet_mean_ns={state.quiet_mean_ns:.1f} "
@@ -420,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="derive the decision threshold from quiet traffic")
     _add_channel_flags(p)
-    p.add_argument("--duration-us", type=float, default=5000.0, help="real-probe quiet duration")
+    quiet = f"5 ms, under stddev at least 70 symbols; {LIVE_QUIET_FACTOR}x that with --file"
+    p.add_argument("--duration-us", type=float, help=f"quiet traffic to fit on (default {quiet})")
     p.add_argument("--out", help="write calibration as key=value lines")
     p.set_defaults(func=cmd_calibrate)
 

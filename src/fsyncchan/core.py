@@ -468,7 +468,7 @@ def _format_rows(ts: np.ndarray, lat: np.ndarray) -> bytes:
     return np.stack(slots, axis=1, dtype="<u4").tobytes().translate(None, b"\0")
 
 
-def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None) -> LatencyTrace:
+def trace_read(source: Union[str, Path, IO[str]]) -> LatencyTrace:
     """Parse a trace CSV; the exact inverse of trace_write on the sample rows.
 
     After the header, each line holds two base-10 integers that fit in int64;
@@ -483,17 +483,17 @@ def trace_read(source: Union[str, Path, IO[str]], meta: TraceMeta | None = None)
     ValueError at once.  Only the named local file is opened: its
     header is checked first, and numpy opens it again only if it is a
     regular file (a pipe is read once, through one handle).  Meta does not
-    travel in the CSV.
+    travel in the CSV: the trace has the default TraceMeta.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii", newline="") as fh:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             # an absolute name, so that numpy never takes it for a URL
-            return _read_trace(fh, os.path.abspath(source) if regular else None, meta)
-    return _read_trace(source, None, meta)
+            return _read_trace(fh, os.path.abspath(source) if regular else None)
+    return _read_trace(source, None)
 
 
-def _read_trace(source: IO[str], path: str | None, meta: TraceMeta | None) -> LatencyTrace:
+def _read_trace(source: IO[str], path: str | None) -> LatencyTrace:
     """trace_read's body; numpy reads `path` when given, else source's lines."""
     if source.readline().rstrip("\r\n") != TRACE_CSV_HEADER:
         raise TraceFormatError(1, f"expected header {TRACE_CSV_HEADER!r}")
@@ -511,14 +511,14 @@ def _read_trace(source: IO[str], path: str | None, meta: TraceMeta | None) -> La
     if rows is not None and rows.shape[1] == 2:
         ts, lat = rows[:, 0], rows[:, 1]
         try:
-            return LatencyTrace(ts, lat, meta)
+            return LatencyTrace(ts, lat)
         except ValueError:
             # the line parser names the line of a latency or order fault only;
             # a completion or span fault is raised as the constructor words it
             if lat.min() > 0 and not (ts[1:] < ts[:-1]).any():
                 raise
     rows = _parse_rows(lines)
-    return LatencyTrace(rows[:, 0], rows[:, 1], meta)
+    return LatencyTrace(rows[:, 0], rows[:, 1])
 
 
 def _parse_rows(lines: Iterable[str]) -> np.ndarray:

@@ -9,8 +9,8 @@ traffic:
 
     theta = quiet_mean + max(3 * quiet_std, 0.5 * quiet_mean)
 
-The threshold is re-derived every update_period symbols from the quiet mode
-of the recent window statistics, so a long run of '1' symbols does not drag
+The threshold is re-derived every 64 symbols from the quiet mode of the
+recent window statistics, so a long run of '1' symbols does not drag
 it upward.  Frame boundaries are found by a sliding count of mismatches
 between the last header-length bits and core.DEFAULT_HEADER.
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -250,28 +249,25 @@ def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
     return [s for s, n in zip(stats, (ends - starts).tolist()) if n >= 2]
 
 
+# symbols between threshold refreshes, and the fewest quiet statistics a refresh fits
+_UPDATE_PERIOD = 64
+_MIN_QUIET_CLUSTER = 8
+
+
 @dataclass
 class ThresholdState:
-    """Decision threshold plus the rolling evidence used to refresh it."""
+    """Decision threshold plus the evidence seen since its last refresh."""
 
     theta_ns: int
     quiet_mean_ns: float
     quiet_std_ns: float
-    update_period: int = 64
     provenance: str = "manual"
-    min_quiet_cluster: int = 8
-    _window: deque = field(default_factory=deque, repr=False)
-    _since_update: int = field(default=0, repr=False)
-
-    def __post_init__(self):
-        if self.update_period < 1:
-            raise ValueError("update_period must be >= 1")
-        self._window = deque(self._window, maxlen=self.update_period)
+    _window: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def until_refresh(self) -> int:
         """Symbols left to observe before theta next refreshes."""
-        return self.update_period - self._since_update
+        return _UPDATE_PERIOD - len(self._window)
 
     def observe_block(self, statistics_: Sequence[float], symbol_index: int) -> None:
         """Feed the statistics of consecutive symbols, the last one numbered
@@ -282,16 +278,15 @@ class ThresholdState:
         current theta); with no quiet evidence in the window the threshold is
         left untouched rather than dragged toward the loud mode.
         """
-        if len(statistics_) > self.update_period - self._since_update:
+        if len(statistics_) > self.until_refresh:
             raise ValueError("a block of statistics may not run past the next refresh")
         self._window.extend(statistics_)
-        self._since_update += len(statistics_)
-        if self._since_update < self.update_period:
+        if len(self._window) < _UPDATE_PERIOD:
             return
-        self._since_update = 0
         theta = self.theta_ns
         quiet = [s for s in self._window if s <= theta]
-        if len(quiet) < self.min_quiet_cluster:
+        self._window = []
+        if len(quiet) < _MIN_QUIET_CLUSTER:
             return
         self.theta_ns, self.quiet_mean_ns, self.quiet_std_ns = _fit(quiet)
         self.provenance = f"adaptive@symbol{symbol_index}"

@@ -53,7 +53,7 @@ class ProbeHandle:
     monotonic clock as the latencies, so consecutive samples never overlap.
     """
 
-    def __init__(self, path, mode: ProbeMode = ProbeMode.FSYNC_ONLY, *, rng_seed: int = 0):
+    def __init__(self, path, mode: ProbeMode = ProbeMode.FSYNC_ONLY):
         self.mode = mode
         self.path = os.fspath(path)
         try:
@@ -61,7 +61,7 @@ class ProbeHandle:
         except OSError as exc:
             raise ProbeError(exc.errno, f"cannot open probe file: {exc.strerror}", self.path) from exc
         self._buf = b"\xa5" * WRITE_SIZE
-        self._rng = random.Random(rng_seed)
+        self._rng = random.Random(0)  # the ftruncate sizes
         self._n_session_samples = 0
         self._resolution_ns = max(1, round(time.clock_getres(_CLOCK) * 1e9))
         # pre-size so every overwrite hits allocated blocks

@@ -106,6 +106,7 @@ __all__ = [
     "sim_transmit",
     "SimSource",
     "calibration_trace",
+    "quiet_duration_ns",
     "loopback",
     "SimParams",
     "parse_sim_params",
@@ -593,12 +594,20 @@ class SimSource(WindowGrid):
         return self._anchor / 1000.0 if self._anchor is not None else 0.0
 
 
-def calibration_trace(model: ContentionModel, cfg: ChannelConfig, seed: int) -> LatencyTrace:
-    """Simulate enough quiet probing for a threshold fit under cfg's rule."""
+def quiet_duration_ns(cfg: ChannelConfig) -> int:
+    """The quiet traffic a threshold fit under cfg's rule simulates: 5 ms, and
+    under STDDEV at least 70 symbols, for calibrate's 64 windows of 2 samples."""
     if cfg.decision_rule is DecisionRule.MEAN:
-        duration_ns = 5_000_000
-    else:
-        duration_ns = max(5_000_000, 70 * cfg.ts_ns)
+        return 5_000_000
+    return max(5_000_000, 70 * cfg.ts_ns)
+
+
+def calibration_trace(
+    model: ContentionModel, cfg: ChannelConfig, seed: int, duration_ns: int | None = None
+) -> LatencyTrace:
+    """Simulate duration_ns of quiet probing, by default quiet_duration_ns(cfg)."""
+    if duration_ns is None:
+        duration_ns = quiet_duration_ns(cfg)
     return sim_receive(IDLE, model, seed, duration_ns=duration_ns)
 
 

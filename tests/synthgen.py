@@ -8,8 +8,9 @@ statistics from Python-int sums, the one-window-per-call decision stream and
 frame search, the line-at-a-time trace parser and the "%d" trace writer are
 the package's earlier implementations, kept as references for the vectorized
 ones, and so are the window merge loop of the activity timeline and the
-one-call-per-variate draw of the simulator's Gaussian chunks and the
-per-value threshold fit.
+one-call-per-variate draw of the simulator's Gaussian chunks, the
+per-value threshold fit and the refresh of the threshold from a whole
+window of statistics.
 """
 
 from __future__ import annotations
@@ -247,6 +248,19 @@ def fit_reference(values):
         var = (math.fsum(map(mul, d, d)) - math.fsum(d) ** 2 / n) / (n - 1)
         std = math.ldexp(math.sqrt(var), e)
     return round(mean + max(3.0 * std, 0.5 * mean)), mean, std
+
+
+def threshold_reference(theta_ns, quiet_mean_ns, quiet_std_ns, stats, period=64, min_cluster=8):
+    """The threshold state after a stream of window statistics, as (theta,
+    quiet mean, quiet std, provenance): at each multiple of period it refits
+    on the quiet statistics (at or below the current theta) among the last
+    period, when there are at least min_cluster of them."""
+    state = (theta_ns, quiet_mean_ns, quiet_std_ns, "manual")
+    for end in range(period, len(stats) + 1, period):
+        quiet = [s for s in stats[end - period : end] if s <= state[0]]
+        if len(quiet) >= min_cluster:
+            state = (*fit_reference(quiet), f"adaptive@symbol{end - 1}")
+    return state
 
 
 def decision_stream_reference(source, cfg, state):

@@ -54,3 +54,17 @@ def test_unequal_or_single_runs_refused(ab_pairs):
         ab_pairs.compare([1.0, 2.0], [1.0], "s", "lower")
     with pytest.raises(ValueError):
         ab_pairs.compare([1.0], [1.0], "s", "lower")
+
+
+def test_src_lines_line(ab_pairs):
+    # the report line's per-file counts, summed per side
+    parent = {"context": {"src_lines": {"cli.py": 500, "modem.py": 548}}}
+    change = {"context": {"src_lines": {"cli.py": 510, "modem.py": 530}}}
+    assert ab_pairs.src_lines_line(parent, change) == "src lines: parent 1048  change 1040  (-8)"
+    assert ab_pairs.src_lines_line(change, parent).endswith("(+8)")
+
+
+def test_run_once_is_bench_files(ab_pairs):
+    # one benchmark runner serves both tools
+    bench_file = importlib.import_module("bench_file")
+    assert ab_pairs.run_once is bench_file.run_once

@@ -78,6 +78,80 @@ def test_calibrate_seed_determinism(capsys):
     assert capsys.readouterr().out != first
 
 
+@pytest.mark.parametrize("flags, quiet_us", [
+    ([], "5000"),
+    (["--decision", "stddev", "--ts-us", "400"], "28000"),
+])
+def test_calibrate_sim_duration(flags, quiet_us, capsys):
+    # the default quiet traffic is 5 ms, and under stddev at least 70
+    # symbols; an explicit --duration-us is honoured
+    def run(*extra):
+        assert main(["calibrate", "--seed", "7", *flags, *extra]) == 0
+        return capsys.readouterr().out
+
+    default = run()
+    assert run("--duration-us", quiet_us) == default
+    samples = int(default.split("samples=")[1])
+    assert 3.5 * samples < int(run("--duration-us", str(4 * int(quiet_us))).split("samples=")[1])
+    # a stretch too short to fit on fails, not falls back to the default
+    assert main(["calibrate", "--seed", "7", *flags, "--duration-us", "100"]) == 2
+    assert "need >= 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+def test_calibrate_sim_duration_must_be_positive_and_finite(value, capsys):
+    assert main(["calibrate", "--seed", "7", f"--duration-us={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "--duration-us must be positive and finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def probed(monkeypatch):
+    """The durations live calibrations ask cli's ProbeHandle to probe, which
+    is a fake that answers with quiet fsyncs of 21 or 22 us, 23 us apart."""
+    durations = []
+
+    class FakeProbeHandle:
+        def __init__(self, path, mode):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def probe_for(self, duration_us):
+            durations.append(duration_us)
+            n = int(duration_us * 1000) // 23_000 + 1
+            lat = [21_000 + i % 2 * 1_000 for i in range(n)]
+            return LatencyTrace(range(0, 23_000 * n, 23_000), lat)
+
+    monkeypatch.setattr(cli, "ProbeHandle", FakeProbeHandle)
+    return durations
+
+
+@pytest.mark.parametrize("decision, ts_us, quiet_us", [
+    ("mean", 50, 20_000.0),
+    ("stddev", 50, 20_000.0),
+    ("stddev", 400, 112_000.0),
+])
+def test_calibrate_live_default_duration(decision, ts_us, quiet_us, probed, capsys):
+    # live probing takes 4x the simulator's quiet duration: 20 ms, and under
+    # stddev at least 280 symbols
+    argv = ["calibrate", "--file", "PROBE", "--decision", decision, "--ts-us", str(ts_us)]
+    assert main(argv) == 0
+    assert probed == [quiet_us]
+    assert f"rule={decision}" in capsys.readouterr().out
+
+
+def test_calibrate_live_explicit_duration(probed, capsys):
+    assert main(["calibrate", "--file", "PROBE", "--duration-us", "7500"]) == 0
+    assert probed == [7_500.0]
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # send / recv loopback
 
@@ -699,7 +773,7 @@ def test_analyze_keystrokes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["calibrate", "--file", "PROBE", "--duration-us", "inf"], "duration_us"),
+    (["calibrate", "--file", "PROBE", "--duration-us", "inf"], "--duration-us"),
     (["analyze", "keystrokes", "--trace", "TRACE", "--theta-ns", "54000",
       "--min-spacing-ms", "inf", "--out", "OUT"], "--min-spacing-ms"),
     (["analyze", "rate", "--trace", "TRACE", "--theta-ns", "70000",

@@ -446,10 +446,10 @@ def test_trace_csv_empty_trace():
     assert len(trace_read(io.StringIO(buf.getvalue()))) == 0
 
 
-def test_trace_read_meta_passthrough():
-    meta = TraceMeta(probe_mode="write", session="abc", warmup_samples=2)
+def test_trace_read_default_meta():
+    # meta does not travel in the CSV
     text = "timestamp_ns,latency_ns\n1,2\n"
-    assert trace_read(io.StringIO(text), meta).meta == meta
+    assert trace_read(io.StringIO(text)).meta == TraceMeta()
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,7 @@ from synthgen import (
     fit_reference,
     pairs,
     receive_frame_reference,
+    threshold_reference,
     trace_from_bits,
     window_statistic_reference,
 )
@@ -123,14 +124,10 @@ def test_calibrate_stddev_needs_windows():
 # threshold adaptation
 
 
-def test_threshold_state_update_from_quiet_cluster():
-    state = ThresholdState(
-        theta_ns=1_000,
-        quiet_mean_ns=600.0,
-        quiet_std_ns=10.0,
-        update_period=4,
-        min_quiet_cluster=2,
-    )
+def test_threshold_state_update_from_quiet_cluster(monkeypatch):
+    monkeypatch.setattr(modem, "_UPDATE_PERIOD", 4)
+    monkeypatch.setattr(modem, "_MIN_QUIET_CLUSTER", 2)
+    state = ThresholdState(theta_ns=1_000, quiet_mean_ns=600.0, quiet_std_ns=10.0)
     for i, stat in enumerate([500.0, 520.0, 2_000.0, 510.0]):
         state.observe_block((stat,), i)
     assert state.quiet_mean_ns == 510.0
@@ -138,26 +135,49 @@ def test_threshold_state_update_from_quiet_cluster():
     assert state.provenance == "adaptive@symbol3"
 
 
-def test_threshold_state_ignores_loud_only_window():
-    state = ThresholdState(theta_ns=1_000, quiet_mean_ns=600.0, quiet_std_ns=10.0, update_period=4)
+def test_threshold_state_ignores_loud_only_window(monkeypatch):
+    monkeypatch.setattr(modem, "_UPDATE_PERIOD", 4)
+    state = ThresholdState(theta_ns=1_000, quiet_mean_ns=600.0, quiet_std_ns=10.0)
     for i in range(12):
         state.observe_block((5_000.0,), i)
     assert state.theta_ns == 1_000
     assert state.provenance == "manual"
 
 
-def test_threshold_state_requires_min_cluster():
-    state = ThresholdState(
-        theta_ns=1_000, quiet_mean_ns=600.0, quiet_std_ns=0.0, update_period=4, min_quiet_cluster=3
-    )
+def test_threshold_state_requires_min_cluster(monkeypatch):
+    monkeypatch.setattr(modem, "_UPDATE_PERIOD", 4)
+    monkeypatch.setattr(modem, "_MIN_QUIET_CLUSTER", 3)
+    state = ThresholdState(theta_ns=1_000, quiet_mean_ns=600.0, quiet_std_ns=0.0)
     for i, stat in enumerate([500.0, 5_000.0, 5_000.0, 510.0]):
         state.observe_block((stat,), i)
     assert state.theta_ns == 1_000  # only 2 quiet stats, below the cluster floor
 
 
-def test_threshold_state_validation():
-    with pytest.raises(ValueError):
-        ThresholdState(theta_ns=1, quiet_mean_ns=1.0, quiet_std_ns=0.0, update_period=0)
+@settings(max_examples=300, deadline=None)
+@given(
+    stats=st.lists(st.floats(0.0, 3_000.0) | st.sampled_from((500.0, 1_000.0, 5_000.0)),
+                   max_size=300),
+    period=st.sampled_from((1, 5, 64)),
+    min_cluster=st.sampled_from((1, 8)),
+    data=st.data(),
+)
+def test_threshold_refresh_matches_reference(stats, period, min_cluster, data):
+    # the state observed in random blocks, none past a refresh, refreshes as
+    # a plain fit of the quiet statistics among each whole period does
+    saved = modem._UPDATE_PERIOD, modem._MIN_QUIET_CLUSTER
+    # hypothesis runs no function-scoped fixture per example
+    modem._UPDATE_PERIOD, modem._MIN_QUIET_CLUSTER = period, min_cluster
+    try:
+        state = ThresholdState(1_000, 600.0, 50.0)
+        i = 0
+        while i < len(stats):
+            n = data.draw(st.integers(1, min(state.until_refresh, len(stats) - i)))
+            state.observe_block(stats[i : i + n], i + n - 1)
+            i += n
+    finally:
+        modem._UPDATE_PERIOD, modem._MIN_QUIET_CLUSTER = saved
+    got = (state.theta_ns, state.quiet_mean_ns, state.quiet_std_ns, state.provenance)
+    assert got == threshold_reference(1_000, 600.0, 50.0, stats, period, min_cluster)
 
 
 def test_threshold_tracks_quiet_drift():
@@ -511,13 +531,13 @@ def test_look_ahead_and_commit_match_reference_grid(block):
                 want.probe_for(duration_us)
 
 
-def test_threshold_state_observe_block():
+def test_threshold_state_observe_block(monkeypatch):
     # a block of statistics is the same as observing them one by one, and
     # may not run past the next refresh
+    monkeypatch.setattr(modem, "_UPDATE_PERIOD", 4)
+    monkeypatch.setattr(modem, "_MIN_QUIET_CLUSTER", 2)
     stats = [500.0, 520.0, 2_000.0, 510.0, 530.0, 515.0]
-    one, block = (
-        ThresholdState(1_000, 600.0, 10.0, update_period=4, min_quiet_cluster=2) for _ in range(2)
-    )
+    one, block = (ThresholdState(1_000, 600.0, 10.0) for _ in range(2))
     for i, stat in enumerate(stats):
         one.observe_block((stat,), i)
     assert block.until_refresh == 4
@@ -548,15 +568,15 @@ def test_trace_source_validation():
 
 
 class _ProbeOnly:
-    """A source with only probe_for, like the live probe handle."""
+    """A source with only probe_for, like the benchmark's traced proxy."""
 
     def __init__(self, source):
         self.probe_for = source.probe_for
 
 
-def _theta_state(rule, update_period=64):
+def _theta_state(rule):
     theta = 32_085 if rule is DecisionRule.MEAN else 1_500
-    return ThresholdState(theta, theta / 1.5, 0.0, update_period=update_period)
+    return ThresholdState(theta, theta / 1.5, 0.0)
 
 
 def _next_window(source, ts_us):
@@ -597,20 +617,21 @@ def _frame_traces():
 @pytest.mark.parametrize("chunk", [1024, 67, 7, 1])
 @pytest.mark.parametrize("rule", list(DecisionRule))
 def test_receive_frame_probe_for_only_source(monkeypatch, rule, chunk):
-    # a source with only probe_for (the live probe) feeds the decision core
-    # the windows it probes and is asked only for windows the call consumes;
-    # frame by frame it returns what the batch path over the grid itself
-    # returns, and both match the one-window reference.  With 7-window
-    # chunks every 24-bit header straddles a chunk edge; the two-flip header
-    # is lost and the search resumes after it.
+    # a source with only probe_for (the benchmark's traced proxy) feeds the
+    # decision core the windows it probes and is asked only for windows the
+    # call consumes; frame by frame it returns what the batch path over the
+    # grid itself returns, and both match the one-window reference.  With
+    # 7-window chunks every 24-bit header straddles a chunk edge; the
+    # two-flip header is lost and the search resumes after it.
     monkeypatch.setattr(modem, "_CHUNK", chunk)
     lost = 0
     for trace, ts_us in _frame_traces():
         cfg = ChannelConfig(ts_us=ts_us, payload_len=FRAME_PAYLOAD, decision_rule=rule)
         for update_period in (64, 5):
+            monkeypatch.setattr(modem, "_UPDATE_PERIOD", update_period)
             batch, live = TraceSource(trace), TraceSource(trace)
             ref = WindowGridReference(pairs(trace), trace.meta)
-            states = [_theta_state(rule, update_period) for _ in range(3)]
+            states = [_theta_state(rule) for _ in range(3)]
             for frame in range(FRAMES + 1):
                 kwargs = dict(max_symbols=2 * cfg.frame_len, max_mismatches=1)
                 want = receive_frame_reference(ref, cfg, states[0], **kwargs)
@@ -625,8 +646,8 @@ def test_receive_frame_probe_for_only_source(monkeypatch, rule, chunk):
     assert lost >= 1
 
 
-def _reference_decisions(trace, cfg, update_period):
-    state = _theta_state(cfg.decision_rule, update_period)
+def _reference_decisions(trace, cfg):
+    state = _theta_state(cfg.decision_rule)
     ref = WindowGridReference(pairs(trace), trace.meta)
     return list(decision_stream_reference(ref, cfg, state)), state
 
@@ -642,15 +663,16 @@ def test_decisions_match_reference(monkeypatch, rule):
     # and the same _fit, so no tolerance is needed.
     for trace in _replay_traces():
         for ts_us, update_period in ((7, 64), (50, 5), (400, 64)):
+            monkeypatch.setattr(modem, "_UPDATE_PERIOD", update_period)
             cfg = ChannelConfig(ts_us=ts_us, decision_rule=rule)
-            want, want_state = _reference_decisions(trace, cfg, update_period)
+            want, want_state = _reference_decisions(trace, cfg)
             for chunk, block in ((1024, None), (1, None), (5, 1), (64, 5)):
                 monkeypatch.setattr(modem, "_CHUNK", chunk)
-                state = _theta_state(rule, update_period)
+                state = _theta_state(rule)
                 got = receive_symbols(_grid(trace, block), cfg, state, 10**6)
                 assert got == want, (ts_us, chunk, block)
                 assert state == want_state, (ts_us, chunk, block)
-            state = _theta_state(rule, update_period)
+            state = _theta_state(rule)
             assert receive_symbols(_ProbeOnly(TraceSource(trace)), cfg, state, 10**6) == want
             assert state == want_state
 
@@ -815,13 +837,15 @@ def _random_traces(draw):
 )
 def test_receive_symbols_matches_reference_property(trace, ts_us, rule, update_period, chunk, block):
     cfg = ChannelConfig(ts_us=ts_us, decision_rule=rule)
-    want, want_state = _reference_decisions(trace, cfg, update_period)
-    state = _theta_state(rule, update_period)
-    saved = modem._CHUNK
-    modem._CHUNK = chunk  # hypothesis runs no function-scoped fixture per example
+    saved = modem._UPDATE_PERIOD, modem._CHUNK
+    # hypothesis runs no function-scoped fixture per example
+    modem._UPDATE_PERIOD = update_period
     try:
+        want, want_state = _reference_decisions(trace, cfg)
+        state = _theta_state(rule)
+        modem._CHUNK = chunk
         got = receive_symbols(_grid(trace, block), cfg, state, 10**6)
     finally:
-        modem._CHUNK = saved
+        modem._UPDATE_PERIOD, modem._CHUNK = saved
     assert got == want
     assert state == want_state

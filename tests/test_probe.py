@@ -127,14 +127,14 @@ def test_ftruncate_sizes_bounded_and_seeded(probe_file, monkeypatch):
     sizes = []
     monkeypatch.setattr(os, "ftruncate", lambda fd, n: sizes.append(n))
     monkeypatch.setattr(os, "fsync", lambda fd: None)
-    with ProbeHandle(probe_file, ProbeMode.FTRUNCATE_FSYNC, rng_seed=7) as handle:
+    with ProbeHandle(probe_file, ProbeMode.FTRUNCATE_FSYNC) as handle:
         for _ in range(50):
             handle.probe_for(0.001)
     assert len(sizes) == 50
     assert all(FTRUNCATE_MIN <= n <= FTRUNCATE_MAX for n in sizes)
     replay = []
     monkeypatch.setattr(os, "ftruncate", lambda fd, n: replay.append(n))
-    with ProbeHandle(probe_file, ProbeMode.FTRUNCATE_FSYNC, rng_seed=7) as handle:
+    with ProbeHandle(probe_file, ProbeMode.FTRUNCATE_FSYNC) as handle:
         for _ in range(50):
             handle.probe_for(0.001)
     assert replay == sizes

@@ -13,29 +13,19 @@ lists, prints each side's median and quartiles, the pairs the change won
 (ties count for neither) and whether that is a gain: the change wins at
 least nine tenths of the pairs and the medians differ, in the metric's
 better direction, by more than the distance between the parent's quartiles.
-Runs whose outputs were not correct are counted per side.
+Runs whose outputs were not correct are counted per side, and each side's
+line count of src/fsyncchan is printed from its report line, so a change
+that deletes code shows its line delta next to the metrics.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
-from bench_file import summary
-
-
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics line of one untraced benchmark run from the checkout root."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+from bench_file import run_once, summary
 
 
 def compare(parent: list[float], change: list[float], unit: str, better: str) -> dict:
@@ -63,6 +53,12 @@ def report_line(name: str, better: str, result: dict) -> str:
     )
 
 
+def src_lines_line(parent: dict, change: dict) -> str:
+    """Each side's total source line count, from a report line of each."""
+    old, new = (sum(r["context"]["src_lines"].values()) for r in (parent, change))
+    return f"src lines: parent {old}  change {new}  ({new - old:+d})"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -77,10 +73,12 @@ def main() -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    reports: dict[str, dict] = {}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(roots[side], args.workload, args.seed + i, args.seconds))
+            reports[side], result = run_once(roots[side], args.workload, args.seed + i, args.seconds)
+            runs[side].append(result)
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     for m in metrics:
         values = {s: [r["metrics"][m["name"]]["value"] for r in rs] for s, rs in runs.items()}
@@ -89,6 +87,7 @@ def main() -> int:
     for side, rs in runs.items():
         bad = sum(not r["correct"] or r["failed"] > 0 for r in rs)
         print(f"{side}: {bad} of {len(rs)} runs not correct")
+    print(src_lines_line(reports["parent"], reports["change"]))
     return 0
 
 

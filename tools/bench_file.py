@@ -29,14 +29,15 @@ METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 CONTEXT_KEYS = ("python", "numpy", "nproc", "git_commit", "src_lines")
 
 
-def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
-    """The report and metrics lines of one untraced benchmark run."""
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The report and metrics lines of one untraced benchmark run from the
+    checkout root."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(SECONDS), "--trace", "0"]
+    argv += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+        raise RuntimeError(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
@@ -52,7 +53,7 @@ def bench(root: Path) -> dict:
     context = None
     for seed in SEEDS:
         for workload in workloads:
-            report, result = run_once(root, workload, seed)
+            report, result = run_once(root, workload, seed, SECONDS)
             context = context or {k: report["context"][k] for k in CONTEXT_KEYS}
             run = {k: result[k] for k in ("correct", "failed", "attempted")}
             run["seed"] = seed
