@@ -74,10 +74,6 @@ EXIT_TIMEOUT = 3
 
 BENCH_CSV_HEADER = "t_s_us,noise,n_bits,err_1to0,err_0to1,rate_1to0,rate_0to1,p_err,B_bps,C_bps"
 
-# live calibration probes this many times quiet_duration_ns: only 63% of real
-# quiet 50 us windows held the 2 samples a STDDEV statistic needs (2-core VM)
-LIVE_QUIET_FACTOR = 4
-
 
 class ProtocolTimeout(Exception):
     """No (or not enough) frames recovered within the receive window."""
@@ -122,12 +118,9 @@ def _threshold_state(args, cfg: ChannelConfig) -> ThresholdState:
     return calibrate(_sim_quiet_trace(args, cfg), cfg)
 
 
-def _sim_quiet_trace(args, cfg: ChannelConfig, duration_ns: int | None = None):
-    """duration_ns of simulated quiet traffic, by default quiet_duration_ns(cfg);
-    needs --seed."""
+def _sim_quiet_trace(args, cfg: ChannelConfig):
     seed = _require_seed(args)
-    model = _sim_params(args).model()
-    return calibration_trace(model, cfg, derive_seed(seed, "calibrate"), duration_ns)
+    return calibration_trace(_sim_params(args).model(), cfg, derive_seed(seed, "calibrate"))
 
 
 def _payload_bits(args, seed: int) -> BitStream:
@@ -142,15 +135,15 @@ def _payload_bits(args, seed: int) -> BitStream:
 
 def cmd_calibrate(args) -> int:
     cfg = _channel_config(args)
-    duration_us = args.duration_us
-    if duration_us is not None and not 0 < duration_us < math.inf:  # NaN fails too
-        raise ValueError(f"--duration-us must be positive and finite, got {duration_us!r}")
     if args.file:
-        live_us = duration_us or LIVE_QUIET_FACTOR * quiet_duration_ns(cfg) / 1000
+        # by default 4x the simulated stretch, a safety margin for sparse real windows
+        quiet_us = 4 * quiet_duration_ns(cfg) / 1e3 if args.duration_us is None else args.duration_us
         with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
-            trace = handle.probe_for(live_us)
+            trace = handle.probe_for(quiet_us)
+    elif args.duration_us is not None:
+        raise ValueError("--duration-us needs --file; sim mode simulates a fixed quiet stretch")
     else:
-        trace = _sim_quiet_trace(args, cfg, duration_us and math.ceil(duration_us * 1000))
+        trace = _sim_quiet_trace(args, cfg)
     state = calibrate(trace, cfg)
     print(
         f"theta_ns={state.theta_ns} quiet_mean_ns={state.quiet_mean_ns:.1f} "
@@ -433,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="derive the decision threshold from quiet traffic")
     _add_channel_flags(p)
-    quiet = f"5 ms, under stddev at least 70 symbols; {LIVE_QUIET_FACTOR}x that with --file"
-    p.add_argument("--duration-us", type=float, help=f"quiet traffic to fit on (default {quiet})")
+    p.add_argument("--duration-us", type=float, help="with --file: quiet probing (see README)")
     p.add_argument("--out", help="write calibration as key=value lines")
     p.set_defaults(func=cmd_calibrate)
 

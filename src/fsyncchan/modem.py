@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 MIN_CALIBRATION_SAMPLES = 64
+_UPDATE_PERIOD = 64  # symbols between threshold refreshes
+_MIN_QUIET_CLUSTER = 8  # the fewest quiet statistics a refresh fits
 
 
 class CalibrationError(ValueError):
@@ -249,11 +251,6 @@ def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
     return [s for s, n in zip(stats, (ends - starts).tolist()) if n >= 2]
 
 
-# symbols between threshold refreshes, and the fewest quiet statistics a refresh fits
-_UPDATE_PERIOD = 64
-_MIN_QUIET_CLUSTER = 8
-
-
 @dataclass
 class ThresholdState:
     """Decision threshold plus the evidence seen since its last refresh."""
@@ -283,8 +280,7 @@ class ThresholdState:
         self._window.extend(statistics_)
         if len(self._window) < _UPDATE_PERIOD:
             return
-        theta = self.theta_ns
-        quiet = [s for s in self._window if s <= theta]
+        quiet = [s for s in self._window if s <= self.theta_ns]
         self._window = []
         if len(quiet) < _MIN_QUIET_CLUSTER:
             return

@@ -595,20 +595,13 @@ class SimSource(WindowGrid):
 
 
 def quiet_duration_ns(cfg: ChannelConfig) -> int:
-    """The quiet traffic a threshold fit under cfg's rule simulates: 5 ms, and
-    under STDDEV at least 70 symbols, for calibrate's 64 windows of 2 samples."""
-    if cfg.decision_rule is DecisionRule.MEAN:
-        return 5_000_000
-    return max(5_000_000, 70 * cfg.ts_ns)
+    """Quiet traffic a fit under cfg's rule needs: 5 ms, and under STDDEV 70 symbols."""
+    return max(5_000_000, 70 * cfg.ts_ns if cfg.decision_rule is DecisionRule.STDDEV else 0)
 
 
-def calibration_trace(
-    model: ContentionModel, cfg: ChannelConfig, seed: int, duration_ns: int | None = None
-) -> LatencyTrace:
-    """Simulate duration_ns of quiet probing, by default quiet_duration_ns(cfg)."""
-    if duration_ns is None:
-        duration_ns = quiet_duration_ns(cfg)
-    return sim_receive(IDLE, model, seed, duration_ns=duration_ns)
+def calibration_trace(model: ContentionModel, cfg: ChannelConfig, seed: int) -> LatencyTrace:
+    """Simulate enough quiet probing for a threshold fit under cfg's rule."""
+    return sim_receive(IDLE, model, seed, duration_ns=quiet_duration_ns(cfg))
 
 
 def loopback(
