@@ -57,10 +57,12 @@ from .modem import (
 )
 from .probe import ProbeError, ProbeHandle
 from .simchan import (
+    SOURCE_TAIL_NS,
     NoiseDegree,
     NoiseProcess,
     SimParams,
     calibration_trace,
+    check_sim_caps,
     load_sim_params,
     loopback,
     quiet_duration_ns,
@@ -133,6 +135,13 @@ def _payload_bits(args, seed: int) -> BitStream:
     return prbs_sequence(args.payload_bits, derive_seed(seed, "payload"))
 
 
+def _check_payload_caps(n_payload_bits: int, cfg: ChannelConfig, model, noise, tail_ns=0) -> None:
+    """check_sim_caps for the symbols of n_payload_bits framed under cfg plus
+    tail_ns, so an over-cap run is refused before its payload is drawn."""
+    n_frames = -(-n_payload_bits // cfg.payload_len)
+    check_sim_caps(model, noise, n_frames * cfg.frame_len * cfg.ts_ns + tail_ns)
+
+
 def cmd_calibrate(args) -> int:
     cfg = _channel_config(args)
     if args.file:
@@ -164,6 +173,13 @@ def cmd_calibrate(args) -> int:
 def cmd_send(args) -> int:
     cfg = _channel_config(args)
     seed = _require_seed(args) if not args.file else (args.seed or 0)
+    if not args.file:
+        if not args.out:
+            raise ValueError("sim send requires --out TRACE_CSV")
+        model = _sim_params(args).model()
+        noise = NoiseProcess.from_degree(NoiseDegree(args.noise), model)
+        if not args.payload_file:  # a payload file is counted once read, by sim_transmit
+            _check_payload_caps(args.payload_bits, cfg, model, noise)
     payload = _payload_bits(args, seed)
     frames = encode_frames(payload, cfg)
     tx_bits = frames_to_bits(frames)
@@ -175,10 +191,6 @@ def cmd_send(args) -> int:
             f"{len(tx_bits)} symbols, {fsyncs} fsyncs"
         )
         return EXIT_OK
-    if not args.out:
-        raise ValueError("sim send requires --out TRACE_CSV")
-    model = _sim_params(args).model()
-    noise = NoiseProcess.from_degree(NoiseDegree(args.noise), model)
     trace = sim_transmit(tx_bits, cfg, model, derive_seed(seed, "channel"), noise=noise)
     trace_write(trace, args.out)
     print(
@@ -224,21 +236,21 @@ def cmd_recv(args) -> int:
     return EXIT_OK
 
 
-def _bench_row(ts_us: int, degree: NoiseDegree, args, params: SimParams, seed: int) -> str:
-    cfg = _channel_config(args, ts_us)
-    model = params.model()
-    run_tag = f"{ts_us}:{degree.value}"
+def _bench_row(
+    cfg: ChannelConfig, degree: NoiseDegree, noise: NoiseProcess | None, model, args, seed: int
+) -> str:
+    run_tag = f"{cfg.ts_us}:{degree.value}"
     err = loopback(
         prbs_sequence(args.payload_bits, derive_seed(seed, f"payload:{run_tag}")),
         cfg,
         model,
         calibration_seed=derive_seed(seed, "calibrate"),
         channel_seed=derive_seed(seed, f"channel:{run_tag}"),
-        noise=NoiseProcess.from_degree(degree, model),
+        noise=noise,
     )
-    cap = capacity(ts_us, err.p)
+    cap = capacity(cfg.ts_us, err.p)
     return (
-        f"{ts_us},{degree.value},{err.n_bits},{err.err_1to0},{err.err_0to1},"
+        f"{cfg.ts_us},{degree.value},{err.n_bits},{err.err_1to0},{err.err_0to1},"
         f"{err.rate_1to0:.6f},{err.rate_0to1:.6f},{err.p:.6f},"
         f"{cap.bandwidth_bps:.3f},{cap.capacity_bps:.3f}"
     )
@@ -246,13 +258,20 @@ def _bench_row(ts_us: int, degree: NoiseDegree, args, params: SimParams, seed: i
 
 def cmd_bench(args) -> int:
     seed = _require_seed(args)
-    params = _sim_params(args)
+    model = _sim_params(args).model()
     ts_list = [int(v) for v in args.ts_us.split(",") if v]
     degrees = [NoiseDegree(v) for v in args.noise.split(",") if v]
     if not ts_list or not degrees:
         raise ValueError("--ts-us and --noise must list at least one value each")
+    runs = [
+        (_channel_config(args, ts), degree, NoiseProcess.from_degree(degree, model))
+        for ts in ts_list
+        for degree in degrees
+    ]
+    for cfg, _, noise in runs:  # every run is checked before the first is simulated
+        _check_payload_caps(args.payload_bits, cfg, model, noise, SOURCE_TAIL_NS)
     lines = [BENCH_CSV_HEADER]
-    lines += [_bench_row(ts, degree, args, params, seed) for ts in ts_list for degree in degrees]
+    lines += [_bench_row(cfg, degree, noise, model, args, seed) for cfg, degree, noise in runs]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")

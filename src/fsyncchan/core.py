@@ -115,18 +115,23 @@ class BitStream:
 
     def to_text(self) -> str:
         """Render as a '0'/'1' string."""
-        return "".join("1" if b else "0" for b in self._bits)
+        return self._bits.translate(_BIT_TEXT).decode("ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "BitStream":
-        """Parse a '0'/'1' string; whitespace is ignored."""
-        bits = []
-        for ch in text:
-            if ch in "01":
-                bits.append(ch == "1")
-            elif not ch.isspace():
-                raise ValueError(f"invalid bit character {ch!r}")
-        return cls(bits)
+        """Parse a '0'/'1' string; whitespace (each character for which
+        str.isspace() is true) is ignored."""
+        # str.split() with no separator splits at exactly the isspace() characters
+        kept = "".join(text.split())
+        data = kept.encode("ascii", "replace")
+        if data.translate(None, b"01"):
+            invalid = next(ch for ch in kept if ch not in "01")
+            raise ValueError(f"invalid bit character {invalid!r}")
+        return cls(data.translate(_TEXT_BIT))
+
+
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_TEXT_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def prbs_sequence(n_bits: int, seed: int) -> BitStream:
@@ -134,18 +139,30 @@ def prbs_sequence(n_bits: int, seed: int) -> BitStream:
 
     Both ends of a run derive the same payload from the shared seed, so no
     ground-truth file needs to cross the channel.
+
+    With x[0:31] the seeded register, bit 30 first, the register's output
+    x[31:] obeys x[k] = x[k-31] ^ x[k-28]: the sequence is annihilated by
+    p(z) = z^31 + z^28 + 1 over GF(2).  Squaring is linear over GF(2), so
+    p(z)^m = z^(31m) + z^(28m) + 1 for every power of two m annihilates it
+    too, and x[k] = x[k-31m] ^ x[k-28m] holds exactly.  With k >= 31m, one
+    XOR of earlier bits fills the 28m bits from k on; m doubles once
+    k >= 62m, so n bits take about 2 log2(n) block XORs.
     """
     if n_bits < 0:
         raise ValueError("n_bits must be nonnegative")
     mask = (1 << 31) - 1
     state = ((seed & mask) * 2654435761 + 0x9E3779B9) & mask
     state |= 1  # LFSR state must never be all zero
-    out = bytearray(n_bits)
-    for i in range(n_bits):
-        bit = ((state >> 30) ^ (state >> 27)) & 1
-        state = ((state << 1) | bit) & mask
-        out[i] = bit
-    return BitStream(out)
+    x = np.empty(31 + n_bits, dtype=np.uint8)
+    x[:31] = (state >> np.arange(30, -1, -1)) & 1
+    k, m = 31, 1
+    while k < len(x):
+        if 62 * m <= k:
+            m *= 2
+        end = min(k + 28 * m, len(x))
+        np.bitwise_xor(x[k - 31 * m : end - 31 * m], x[k - 28 * m : end - 28 * m], out=x[k:end])
+        k = end
+    return BitStream(x[31:].tobytes())
 
 
 # 16-bit alternating preamble followed by an 8-bit sync word.  13 ones total,

@@ -429,6 +429,9 @@ def receive_symbols(source, cfg: ChannelConfig, state: ThresholdState, n_symbols
     return out
 
 
+_HEADER_WORD = int(DEFAULT_HEADER.to_text(), 2)  # DEFAULT_HEADER, its first bit highest
+
+
 def receive_frame(
     source,
     cfg: ChannelConfig,
@@ -452,7 +455,6 @@ def receive_frame(
     if max_mismatches < 0:
         raise ValueError("max_mismatches must be nonnegative")
     h = len(DEFAULT_HEADER)
-    header = int(DEFAULT_HEADER.to_text(), 2)
     mask = (1 << h) - 1
     need = cfg.payload_len
     core = _Decisions(source, cfg, state)
@@ -469,7 +471,7 @@ def receive_frame(
             return None
         for n, bit in enumerate(bits, 1):
             window = (window << 1 | bit) & mask
-            if (window ^ header).bit_count() <= max_mismatches and core.index + n >= h:
+            if (window ^ _HEADER_WORD).bit_count() <= max_mismatches and core.index + n >= h:
                 found = n
                 break
         else:

@@ -100,6 +100,8 @@ __all__ = [
     "NoiseProcess",
     "MAX_NOISE_BURSTS",
     "MAX_SIM_PROBES",
+    "SOURCE_TAIL_NS",
+    "check_sim_caps",
     "PROBE_OVERHEAD_NS",
     "LATENCY_FLOOR_NS",
     "sim_receive",
@@ -324,6 +326,21 @@ def _check_burst_cap(degree: NoiseDegree, horizon_ns: int) -> float:
     return rate_per_ns
 
 
+def check_sim_caps(model: ContentionModel, noise: NoiseProcess | None, horizon_ns: int) -> None:
+    """A ValueError when simulating horizon_ns of the probe loop would draw
+    more than MAX_NOISE_BURSTS noise bursts on average, or more than
+    MAX_SIM_PROBES probes fit in it at _mean_draw_bound_ns of the standalone
+    draw; the burst cap is checked first."""
+    if noise is not None:
+        _check_burst_cap(noise.degree, horizon_ns)
+    due = horizon_ns / (_mean_draw_bound_ns(model.standalone) + PROBE_OVERHEAD_NS)
+    if due > MAX_SIM_PROBES:
+        raise ValueError(
+            f"simulating a {horizon_ns / 1e9:,g} s horizon would take about {due:,.0f} "
+            f"probes, over the limit of {MAX_SIM_PROBES:,}"
+        )
+
+
 @dataclass(frozen=True)
 class NoiseProcess:
     """Poisson bursts of journal activity from an unrelated neighbor.
@@ -470,19 +487,10 @@ def _probe_blocks(
     (timestamps, latencies) columns, a few thousand probes each.
 
     The seeded RNG first materializes noise bursts up to horizon_ns, then
-    draws the probe variates (see the module docstring).  A ValueError before
-    anything is drawn when more than MAX_NOISE_BURSTS bursts are due, or
-    more than MAX_SIM_PROBES probes fit in horizon_ns at _mean_draw_bound_ns
-    of the standalone draw; the burst cap is checked first.
+    draws the probe variates (see the module docstring); check_sim_caps
+    runs before anything is drawn.
     """
-    if noise is not None:
-        _check_burst_cap(noise.degree, horizon_ns)
-    due = horizon_ns / (_mean_draw_bound_ns(model.standalone) + PROBE_OVERHEAD_NS)
-    if due > MAX_SIM_PROBES:
-        raise ValueError(
-            f"simulating a {horizon_ns / 1e9:,g} s horizon would take about {due:,.0f} "
-            f"probes, over the limit of {MAX_SIM_PROBES:,}"
-        )
+    check_sim_caps(model, noise, horizon_ns)
     rng = random.Random(seed)
     timeline = noise.materialize(horizon_ns, rng) if noise is not None else None
     edges = _activity_edges(activity, timeline)
@@ -569,12 +577,16 @@ def sim_transmit(
     return sim_receive(sched, model, seed, duration_ns=sched.duration_ns, noise=noise)
 
 
+# how far past its activity a SimSource materializes noise bursts
+SOURCE_TAIL_NS = 100_000_000
+
+
 class SimSource(WindowGrid):
     """Live simulated sample source for the receiver front end.
 
     The receiver probe loop against `activity`, windowed on the absolute grid
-    from virtual time 0.  Noise bursts are materialized up to 100 ms past the
-    end of the activity.
+    from virtual time 0.  Noise bursts are materialized up to SOURCE_TAIL_NS
+    past the end of the activity.
     """
 
     def __init__(
@@ -585,7 +597,7 @@ class SimSource(WindowGrid):
         *,
         noise: NoiseProcess | None = None,
     ):
-        horizon_ns = activity.duration_ns + 100_000_000
+        horizon_ns = activity.duration_ns + SOURCE_TAIL_NS
         super().__init__(_probe_blocks(activity, model, seed, noise, horizon_ns), _sim_meta(seed))
 
     @property

@@ -10,7 +10,8 @@ the package's earlier implementations, kept as references for the vectorized
 ones, and so are the window merge loop of the activity timeline and the
 one-call-per-variate draw of the simulator's Gaussian chunks, the
 per-value threshold fit and the refresh of the threshold from a whole
-window of statistics.
+window of statistics, the one-shift-per-bit PRBS register and the
+per-character bit text conversions.
 """
 
 from __future__ import annotations
@@ -46,6 +47,39 @@ from fsyncchan.simchan import (
 
 # ---------------------------------------------------------------------------
 # reference implementations
+
+
+def prbs_reference(n_bits, seed):
+    """The 31-bit LFSR payload (taps 31 and 28), one register shift per bit."""
+    if n_bits < 0:
+        raise ValueError("n_bits must be nonnegative")
+    mask = (1 << 31) - 1
+    state = ((seed & mask) * 2654435761 + 0x9E3779B9) & mask
+    state |= 1  # LFSR state must never be all zero
+    out = bytearray(n_bits)
+    for i in range(n_bits):
+        bit = ((state >> 30) ^ (state >> 27)) & 1
+        state = ((state << 1) | bit) & mask
+        out[i] = bit
+    return BitStream(out)
+
+
+def to_text_reference(bits):
+    """A BitStream as a '0'/'1' string, one character per bit."""
+    return "".join("1" if b else "0" for b in bits)
+
+
+def from_text_reference(text):
+    """Parse a '0'/'1' string one character at a time, skipping the
+    characters for which str.isspace() is true; ValueError names the first
+    other character."""
+    bits = []
+    for ch in text:
+        if ch in "01":
+            bits.append(ch == "1")
+        elif not ch.isspace():
+            raise ValueError(f"invalid bit character {ch!r}")
+    return BitStream(bits)
 
 
 def find_frame_start_reference(bits, header, max_mismatches=0):

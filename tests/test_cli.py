@@ -371,6 +371,37 @@ def test_send_noise_past_probe_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out.csv").exists()
 
 
+_HUGE_PAYLOAD = ["--payload-bits", "100000000", "--frame-payload-len", "1000000"]
+_SMALL_PAYLOAD = ["--payload-bits", "100", "--frame-payload-len", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv, horizon",
+    [
+        (["send", "--ts-us", "50", *_HUGE_PAYLOAD], "5,000.12 s"),
+        (["bench", "--ts-us", "50,200", *_HUGE_PAYLOAD], "5,000.22 s"),
+        # the second run is over the cap: refused before the first is drawn
+        (["bench", "--ts-us", "50,1000000000", *_SMALL_PAYLOAD], "124,000 s"),
+    ],
+)
+def test_payload_past_probe_cap_exits_2_before_drawing(
+    argv, horizon, tmp_path, capsys, monkeypatch
+):
+    # 100 frames of 1,000,024 symbols of 50 us would be about 2e8 probes: a
+    # run over the cap is refused before any payload is drawn or framed
+    def no_draw(n_bits, seed):
+        raise AssertionError("a payload was drawn")
+
+    monkeypatch.setattr(cli, "prbs_sequence", no_draw)
+    start = time.perf_counter()
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "out.csv")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"simulating a {horizon} horizon" in err
+    assert f"over the limit of {MAX_SIM_PROBES:,}" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sim_params_seed_key_exits_2(tmp_path, capsys):
     # the run seed comes from --seed only; a params file may not carry one
     params = tmp_path / "params.txt"

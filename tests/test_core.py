@@ -6,6 +6,7 @@ import io
 import os
 import pickle
 import random
+import re
 import threading
 import tracemalloc
 
@@ -35,6 +36,9 @@ from fsyncchan.core import (
 from fsyncchan.modem import MIN_CALIBRATION_SAMPLES, TraceSource, calibrate, receive_frame
 from fsyncchan.simchan import IDLE, default_model, sim_receive, sim_transmit
 from synthgen import (
+    from_text_reference,
+    prbs_reference,
+    to_text_reference,
     trace_from_bits,
     trace_read_reference,
     trace_write_reference,
@@ -104,6 +108,40 @@ def test_bitstream_text_round_trip_property(bits):
     assert BitStream.from_text(bs.to_text()) == bs
 
 
+@given(st.lists(st.integers(0, 1), max_size=300))
+def test_bitstream_to_text_matches_reference(bits):
+    bs = BitStream(bits)
+    assert bs.to_text() == to_text_reference(bs)
+
+
+# every character str.isspace() accepts, and a few that look like spaces but are not
+_SPACES = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+_NOT_SPACES = "\u200b\u2060\ufeff\x00\x7f?2é"
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.text(st.sampled_from("01") | st.sampled_from(_SPACES + _NOT_SPACES) | st.characters()))
+def test_bitstream_from_text_matches_reference(text):
+    assert _parsed_or_error(BitStream.from_text, text) == _parsed_or_error(
+        from_text_reference, text
+    )
+
+
+def test_bitstream_from_text_skips_every_space():
+    text = "".join(f"{i % 2}{c}" for i, c in enumerate(_SPACES))
+    assert BitStream.from_text(text) == from_text_reference(text)
+    assert len(BitStream.from_text(text)) == len(_SPACES)
+    for c in _NOT_SPACES:
+        with pytest.raises(ValueError, match=re.escape(f"invalid bit character {c!r}")):
+            BitStream.from_text(f"1 0{c}1x")
+
+
 # ---------------------------------------------------------------------------
 # PRBS
 
@@ -125,6 +163,28 @@ def test_prbs_zero_length_and_validation():
     assert prbs_sequence(0, 9) == BitStream()
     with pytest.raises(ValueError):
         prbs_sequence(-1, 9)
+
+
+# the lengths where the block XOR's stride doubles or a block ends
+_PRBS_LENGTHS = sorted(
+    set(range(131))
+    | {
+        base * 2**j + d
+        for base in (28, 31, 62)
+        for j in range(10)
+        for d in (-1, 1)
+        if base * 2**j + d <= 2**14
+    }
+    | {80_000, 1_000_003}
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**31 - 1, 2**31, 2**40 + 5, -3])
+def test_prbs_matches_reference(seed):
+    # the reference's first n bits are its n-bit sequence: one shift per bit
+    reference = bytes(prbs_reference(_PRBS_LENGTHS[-1], seed))
+    for n in _PRBS_LENGTHS:
+        assert bytes(prbs_sequence(n, seed)) == reference[:n], n
 
 
 def test_prbs_degenerate_seed_still_nontrivial():
