@@ -63,6 +63,7 @@ from .simchan import (
     SimParams,
     calibration_trace,
     check_sim_caps,
+    check_symbol_cap,
     load_sim_params,
     loopback,
     quiet_duration_ns,
@@ -137,9 +138,11 @@ def _payload_bits(args, seed: int) -> BitStream:
 
 def _check_payload_caps(n_payload_bits: int, cfg: ChannelConfig, model, noise, tail_ns=0) -> None:
     """check_sim_caps for the symbols of n_payload_bits framed under cfg plus
-    tail_ns, so an over-cap run is refused before its payload is drawn."""
-    n_frames = -(-n_payload_bits // cfg.payload_len)
-    check_sim_caps(model, noise, n_frames * cfg.frame_len * cfg.ts_ns + tail_ns)
+    tail_ns, then check_symbol_cap for their count, so an over-cap run is
+    refused before its payload is drawn."""
+    n_symbols = -(-n_payload_bits // cfg.payload_len) * cfg.frame_len
+    check_sim_caps(model, noise, n_symbols * cfg.ts_ns + tail_ns)
+    check_symbol_cap(n_symbols)
 
 
 def cmd_calibrate(args) -> int:

@@ -8,7 +8,7 @@ shared freely between the sender and receiver halves of a loopback run.
 from __future__ import annotations
 
 import functools
-import lzma
+import io
 import os
 import stat
 import warnings
@@ -490,57 +490,113 @@ def trace_read(source: Union[str, Path, IO[str]]) -> LatencyTrace:
 
     After the header, each line holds two base-10 integers that fit in int64;
     a line left empty once its CRs and LFs are stripped is skipped.  A path
-    is opened with ``newline=""`` (a lone CR, CRLF and LF end lines); a text
-    stream is split where it splits itself (``io.StringIO``: at LF).  numpy's
-    C reader, ``np.loadtxt``, parses the rows; text it rejects, or rows with a
-    latency that is not positive or a timestamp that goes backwards, go to a
-    line parser that takes every spelling int() takes and raises
-    TraceFormatError with the number of the first bad line.  Rows that
-    otherwise pass but end past what a trace may span raise LatencyTrace's
-    ValueError at once.  Only the named local file is opened: its
-    header is checked first, and numpy opens it again only if it is a
-    regular file (a pipe is read once, through one handle).  Meta does not
-    travel in the CSV: the trace has the default TraceMeta.
+    is read with ``newline=""`` (a lone CR, CRLF and LF end lines); a text
+    stream is split where it splits itself (``io.StringIO``: at LF).
+
+    Text in the form trace_write emits (the header, then rows of two
+    unsigned decimal fields, each row ending in LF) is parsed in 64 KiB
+    blocks cut at LF, each with one C call, ``np.fromstring``, straight into
+    two columns of the exact size; a regular file's LFs are counted first.
+    A field fromstring would saturate (reading INT64_MAX), and any other
+    text, goes to a line parser that takes every spelling int() takes and
+    raises TraceFormatError with the number of the first bad line; so do
+    rows with a latency that is not positive or a timestamp that goes
+    backwards.  Rows that otherwise pass but end past what a trace may span
+    raise LatencyTrace's ValueError at once.  Only the named file is opened,
+    once; a pipe is read once.  Meta does not travel in the CSV: the trace
+    has the default TraceMeta.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii", newline="") as fh:
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            # an absolute name, so that numpy never takes it for a URL
-            return _read_trace(fh, os.path.abspath(source) if regular else None)
-    return _read_trace(source, None)
+    if not isinstance(source, (str, Path)):
+        return _read_stream(source)
+    with open(source, "r", encoding="ascii", newline="") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return _read_stream(fh)
+        raw = fh.buffer  # read in binary before any text is read
+        if raw.read(len(_HEADER_LINE)) == _HEADER_LINE:
+            n = sum(
+                np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+                for block in iter(functools.partial(raw.read, _BLOCK), b"")
+            )
+            raw.seek(len(_HEADER_LINE))
+            trace = _read_blocks(raw.read, n)
+            if trace is not None:
+                return trace
+        fh.seek(0)  # rewinds the binary handle too
+        _check_header(fh)
+        return _parse_rows(fh)
 
 
-def _read_trace(source: IO[str], path: str | None) -> LatencyTrace:
-    """trace_read's body; numpy reads `path` when given, else source's lines."""
+_HEADER_LINE = (TRACE_CSV_HEADER + "\n").encode("ascii")
+_BLOCK = 1 << 16  # bytes read per block of the block parser
+
+
+def _check_header(source: IO[str]) -> None:
     if source.readline().rstrip("\r\n") != TRACE_CSV_HEADER:
         raise TraceFormatError(1, f"expected header {TRACE_CSV_HEADER!r}")
-    lines = source if path else source.readlines()
+
+
+def _read_stream(source: IO[str]) -> LatencyTrace:
+    """trace_read of a text stream or pipe: its lines are read once, then
+    parsed as blocks when they split exactly at each LF of their text."""
+    _check_header(source)
+    lines = source.readlines()
+    text = "".join(lines)
+    if text.isascii():
+        data = text.encode("ascii")
+        n = data.count(b"\n")
+        trace = _read_blocks(io.BytesIO(data).read, n) if n == len(lines) else None
+        if trace is not None:
+            return trace
+    return _parse_rows(lines)
+
+
+def _read_blocks(read, n: int) -> LatencyTrace | None:
+    """The trace of the n rows `read` returns after the header, or None for
+    the line parser: text not in trace_write's form, n not its row count, an
+    empty field (numpy stops short with a ValueError or, in older numpy, a
+    DeprecationWarning), a field that reads INT64_MAX (fromstring saturates
+    an overflow to it), or a nonpositive latency or backwards timestamp,
+    which the line parser places on a line."""
+    ts = np.empty(n, dtype=np.int64)
+    lat = np.empty(n, dtype=np.int64)
+    done = 0
+    rest = b""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        while block := rest + read(_BLOCK):
+            cut = block.rfind(b"\n") + 1
+            if not cut:
+                return None  # no final LF, or a line longer than a block
+            block, rest = block[:cut], block[cut:]
+            # trace_write's form: deleting the digits leaves one ",\n" per row
+            punct = block.translate(None, b"0123456789")
+            rows = len(punct) // 2
+            if punct != b",\n" * rows or done + rows > n:
+                return None
+            try:
+                values = np.fromstring(block.replace(b"\n", b","), dtype=np.int64, sep=",")
+            except (ValueError, DeprecationWarning):
+                return None
+            if len(values) != 2 * rows or values.max() == _INT64_MAX:
+                return None
+            ts[done : done + rows] = values[0::2]
+            lat[done : done + rows] = values[1::2]
+            done += rows
+    if done != n:
+        return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
-            rows = np.loadtxt(
-                path or lines, dtype=np.int64, delimiter=",", comments=None,
-                skiprows=1 if path else 0, ndmin=2, encoding="ascii",
-            )
-        rows = rows.reshape(0, 2) if rows.size == 0 else rows
-    except (ValueError, OSError, lzma.LZMAError):
-        rows = None  # OSError, LZMAError: numpy decompresses by suffix, failing on a plain *.gz or *.xz
-    if rows is not None and rows.shape[1] == 2:
-        ts, lat = rows[:, 0], rows[:, 1]
-        try:
-            return LatencyTrace(ts, lat)
-        except ValueError:
-            # the line parser names the line of a latency or order fault only;
-            # a completion or span fault is raised as the constructor words it
-            if lat.min() > 0 and not (ts[1:] < ts[:-1]).any():
-                raise
-    rows = _parse_rows(lines)
-    return LatencyTrace(rows[:, 0], rows[:, 1])
+        return LatencyTrace._adopt(ts, lat, TraceMeta())
+    except ValueError:
+        # the line parser names the line of a latency or order fault only;
+        # a completion or span fault is raised as the constructor words it
+        if lat.min() > 0 and not (ts[1:] < ts[:-1]).any():
+            raise
+        return None
 
 
-def _parse_rows(lines: Iterable[str]) -> np.ndarray:
-    """Line-by-line parse from line 2 that accepts every spelling int()
-    accepts and raises TraceFormatError at the first bad line."""
+def _parse_rows(lines: Iterable[str]) -> LatencyTrace:
+    """The trace of a line-by-line parse from line 2 that accepts every
+    spelling int() accepts and raises TraceFormatError at the first bad line."""
     rows = []
     prev_ts = None
     for line_no, line in enumerate(lines, start=2):
@@ -562,4 +618,5 @@ def _parse_rows(lines: Iterable[str]) -> np.ndarray:
             raise TraceFormatError(line_no, "timestamps must be nondecreasing")
         prev_ts = ts
         rows.append((ts, lat))
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    return LatencyTrace(rows[:, 0], rows[:, 1])

@@ -100,8 +100,10 @@ __all__ = [
     "NoiseProcess",
     "MAX_NOISE_BURSTS",
     "MAX_SIM_PROBES",
+    "MAX_SIM_SYMBOLS",
     "SOURCE_TAIL_NS",
     "check_sim_caps",
+    "check_symbol_cap",
     "PROBE_OVERHEAD_NS",
     "LATENCY_FLOOR_NS",
     "sim_receive",
@@ -260,6 +262,7 @@ class SenderSchedule(ActivityTimeline):
     def __init__(self, bits: BitStream, ts_us: int):
         if ts_us <= 0:
             raise ValueError("ts_us must be positive")
+        check_symbol_cap(len(bits))
         ts_ns = ts_us * 1000
         raw = bytes(bits)
         # +1 where a run of 1-bits starts, -1 one past where it ends
@@ -303,6 +306,13 @@ MAX_NOISE_BURSTS = 1_000_000
 # symbols of 400 us, the longest simulated run of the tests, is due about
 # 1.4 million
 MAX_SIM_PROBES = 10_000_000
+# the most symbols a simulated sender may send: each is held several times
+# over (the framed bits, then SenderSchedule's int8 steps and run columns),
+# so a run under both caps above could still need gigabytes. At the cap, a
+# sim `send` of 8,000,000 symbols of 1 us peaked at 186 MB of RSS in a fresh
+# process on a 2-core VM, about what the probe cap allows; the longest
+# simulated run of the tests sends 80,240 symbols
+MAX_SIM_SYMBOLS = 8_000_000
 
 
 def _mean_draw_bound_ns(dist: LatencyDistribution) -> float:
@@ -338,6 +348,14 @@ def check_sim_caps(model: ContentionModel, noise: NoiseProcess | None, horizon_n
         raise ValueError(
             f"simulating a {horizon_ns / 1e9:,g} s horizon would take about {due:,.0f} "
             f"probes, over the limit of {MAX_SIM_PROBES:,}"
+        )
+
+
+def check_symbol_cap(n_symbols: int) -> None:
+    """A ValueError when a simulated sender would send more than MAX_SIM_SYMBOLS."""
+    if n_symbols > MAX_SIM_SYMBOLS:
+        raise ValueError(
+            f"simulating {n_symbols:,} symbols is over the limit of {MAX_SIM_SYMBOLS:,}"
         )
 
 

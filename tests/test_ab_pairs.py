@@ -1,6 +1,7 @@
 """The pair comparison that tools/ab_pairs.py prints, on fixed numbers."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -68,3 +69,10 @@ def test_run_once_is_bench_files(ab_pairs):
     # one benchmark runner serves both tools
     bench_file = importlib.import_module("bench_file")
     assert ab_pairs.run_once is bench_file.run_once
+
+
+def test_bench_file_layers_are_benchmark_layers(ab_pairs):
+    # the traced layers a BENCH file keeps are per-layer metrics of the benchmark
+    bench_file = importlib.import_module("bench_file")
+    benchmark = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    assert set(bench_file.LAYERS) <= {m["name"] for m in benchmark["per_layer"]}

@@ -27,7 +27,7 @@ from fsyncchan.core import (
     trace_write,
 )
 from fsyncchan import simchan
-from fsyncchan.simchan import CROSS_DISK_PRESET, MAX_NOISE_BURSTS, MAX_SIM_PROBES
+from fsyncchan.simchan import CROSS_DISK_PRESET, MAX_NOISE_BURSTS, MAX_SIM_PROBES, MAX_SIM_SYMBOLS
 
 from synthgen import (
     ESCAPING_NAMES,
@@ -399,6 +399,36 @@ def test_payload_past_probe_cap_exits_2_before_drawing(
     err = capsys.readouterr().err
     assert f"simulating a {horizon} horizon" in err
     assert f"over the limit of {MAX_SIM_PROBES:,}" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, symbols",
+    [
+        (["send", "--payload-bits", "10000000"], "10,000,240"),
+        (["send", "--payload-bits", "100000000"], "100,002,400"),
+        (["bench", "--payload-bits", "100000000"], "100,002,400"),
+    ],
+)
+def test_symbols_past_cap_exit_2_before_drawing(argv, symbols, tmp_path, capsys, monkeypatch):
+    # frames of 1,000,024 symbols of 1 us are under the burst and probe caps
+    # (a 100 s horizon is about 3e6 probes), but every symbol would be held
+    # in memory several times over: refused before any payload or schedule
+    # is built
+    def no_payload(n_bits, seed):
+        raise AssertionError("a payload was drawn")
+
+    def no_schedule(bits, ts_us):
+        raise AssertionError("a sender schedule was built")
+
+    monkeypatch.setattr(cli, "prbs_sequence", no_payload)
+    monkeypatch.setattr(simchan, "SenderSchedule", no_schedule)
+    argv += ["--seed", "1", "--ts-us", "1", "--frame-payload-len", "1000000"]
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"simulating {symbols} symbols is over the limit of {MAX_SIM_SYMBOLS:,}" in err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -524,6 +524,9 @@ def test_trace_read_default_meta():
         ("timestamp_ns,latency_ns\n5,2\n4,2\n", 3),
         ("timestamp_ns,latency_ns\n1.5,2\n", 2),
         ("timestamp_ns,latency_ns\n1,2\n9223372036854775808,3\n", 3),
+        # numpy reads fields past int64 as INT64_MAX
+        ("timestamp_ns,latency_ns\n1,2\n12345678901234567890,3\n", 3),
+        ("timestamp_ns,latency_ns\n1,2\n3,123456789012345678901234\n", 3),
         # numpy reads these as one row (5, 6) and two rows of three fields
         ("timestamp_ns,latency_ns\n5\n6\n", 2),
         ("timestamp_ns,latency_ns\n1,2,3\n4,5,6\n", 2),
@@ -750,41 +753,96 @@ def test_trace_write_transient_memory_is_one_small_block(tmp_path):
     assert peak < 3_000_000, peak
 
 
+def test_trace_read_peak_memory_is_its_columns_and_one_block(tmp_path):
+    # the block parser fills two columns of the exact size, so a read holds
+    # little more than the trace: no rows array, no second copy
+    trace = sim_receive(IDLE, default_model(), 7, duration_ns=200_000 * 23_400)
+    path = tmp_path / "trace.csv"
+    trace_write(trace, path)
+    trace_read(path)  # warm lazy state outside the window
+    tracemalloc.start()
+    try:
+        back = trace_read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == LatencyTrace(trace.timestamps_ns, trace.latencies_ns)
+    columns = trace.timestamps_ns.nbytes + trace.latencies_ns.nbytes
+    assert len(trace) > 190_000
+    assert peak <= 1.3 * columns, (peak, columns)
+
+
 _HEADER = "timestamp_ns,latency_ns\n"
+# rows of 10 bytes: the block parser's first 64 KiB after the header ends
+# 6 bytes into row 6,554
+_BLOCK_ROWS = "".join(f"{1_000_000 + 7 * i},{i % 9 + 1}\n" for i in range(core._BLOCK // 10 + 50))
 _EDGE_CASES = {
-    "lone CR longer than a chunk": _HEADER + "".join(f"{t},{t + 1}\r" for t in range(0, 900, 9)),
-    "last row without line end": _HEADER + "1,2\n3,4\n5,6",
-    "chunk of blank lines": _HEADER + "1,2\n" + "\n" * 150 + "3,4\n" + "\n" * 40 + "5,6\n",
-    "negative timestamps": _HEADER + "-90,3\n-7,2\n-7,9\n0,1\n-0,5\n",
-    "18- and 19-character fields": _HEADER + "\n".join(
-        [
-            "-123456789012345678,3",
-            "-23456789012345678,1",
-            "0,2",
-            "123456789012345678,999999999999999999",
-            "1234567890123456789,1234567890123456789",
-            "9099915247842430128,1",  # ends INT64_MAX after the first row starts
-        ]
-    ) + "\n",
-    "int64 ends": _HEADER + "-9223372036854775808,9223372036854775807\n-2,1\n",
-    "latest completion": _HEADER + "9223372036854775806,1\n",
-    "decrease at a chunk edge": _HEADER + "10,1\n20,1\n15,1\n30,1\n",
+    "lone CR longer than a chunk": (
+        _HEADER + "".join(f"{t},{t + 1}\r" for t in range(0, 900, 9)), "ok"
+    ),
+    "last row without line end": (_HEADER + "1,2\n3,4\n5,6", "ok"),
+    "chunk of blank lines": (_HEADER + "1,2\n" + "\n" * 150 + "3,4\n" + "\n" * 40 + "5,6\n", "ok"),
+    "negative timestamps": (_HEADER + "-90,3\n-7,2\n-7,9\n0,1\n-0,5\n", "ok"),
+    "18- and 19-character fields": (
+        _HEADER + "\n".join(
+            [
+                "-123456789012345678,3",
+                "-23456789012345678,1",
+                "0,2",
+                "123456789012345678,999999999999999999",
+                "1234567890123456789,1234567890123456789",
+                "9099915247842430128,1",  # ends INT64_MAX after the first row starts
+            ]
+        ) + "\n",
+        "ok",
+    ),
+    "int64 ends": (_HEADER + "-9223372036854775808,9223372036854775807\n-2,1\n", "ok"),
+    "latest completion": (_HEADER + "9223372036854775806,1\n", "ok"),
+    "decrease at a chunk edge": (_HEADER + "10,1\n20,1\n15,1\n30,1\n", "TraceFormatError"),
+    "row split across a block edge": (_HEADER + _BLOCK_ROWS, "ok"),
+    "bad row in the last block": (_HEADER + _BLOCK_ROWS + "2000000,x\n", "TraceFormatError"),
+    "zero latency in the last block": (_HEADER + _BLOCK_ROWS + "2000000,0\n", "TraceFormatError"),
+    "empty first field": (_HEADER + "1,2\n,5\n", "TraceFormatError"),
+    "empty last field": (_HEADER + "1,2\n5,\n", "TraceFormatError"),
+    # fromstring reads INT64_MAX for a field it saturates, so a field that
+    # reads it goes to the line parser, which takes this one
+    "INT64_MAX latency": (_HEADER + "0,9223372036854775807\n", "ok"),
+    "20-digit fields": (_HEADER + "00000000000000000042,00000000000000000007\n50,1\n", "ok"),
+    "CRLF longer than a block": (_HEADER.replace("\n", "\r\n") + _BLOCK_ROWS.replace("\n", "\r\n"), "ok"),
 }
 
 
 @pytest.mark.parametrize("case", list(_EDGE_CASES))
 def test_trace_read_chunk_edges_match_line_parser(case, tmp_path):
-    # lone CRs, no final line end, runs of blank lines, negative and
-    # 19-digit fields, and an order fault after two good rows
-    text = _EDGE_CASES[case]
+    # lone CRs, no final line end, runs of blank lines, negative, 19- and
+    # 20-digit fields, an order fault after two good rows, and block edges:
+    # a row split across one, a bad row after good blocks, empty fields and
+    # CRLF rows past one block; from a path, a text stream and a pipe fed
+    # 7 bytes at a time
+    text, outcome = _EDGE_CASES[case]
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="ascii", newline="")
     with open(path, encoding="ascii", newline="") as fh:
         want_path = _read_outcome(trace_read_reference, fh)
     want_text = _read_outcome(trace_read_reference, io.StringIO(text))
-    assert want_path[0] == ("TraceFormatError" if case.startswith("decrease") else "ok")
+    assert want_path[0] == outcome
     assert _read_outcome(_trace_rows, path) == want_path
     assert _read_outcome(_trace_rows, io.StringIO(text)) == want_text
+    with _pipe_path(text.encode("ascii"), 7) as pipe:
+        assert _read_outcome(_trace_rows, pipe) == want_path
+
+
+def test_trace_read_keeps_a_stream_s_own_line_ends():
+    # a stream that ends lines only at CRLF reads LF-only rows as one line,
+    # as the line parser does, not as the rows the LFs would make
+    data = b"timestamp_ns,latency_ns\r\n1,2\n3,4\n"
+
+    def stream():
+        return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="\r\n")
+
+    want = _read_outcome(trace_read_reference, stream())
+    assert want[0] == "TraceFormatError"
+    assert _read_outcome(_trace_rows, stream()) == want
 
 
 def test_frame_dataclass_is_frozen():

@@ -11,7 +11,10 @@ from DIR at each seed of SEEDS, with T = SECONDS, one run at a time, and
 writes the median and quartiles of every end-to-end metric per workload,
 each run's `correct` and `failed` values, and the run context from the
 benchmark's report line (Python, numpy, nproc, commit and the line count of
-each source file).  T is fixed so that any two BENCH files compare.
+each source file).  One more run per workload, the same command with
+`--trace 1` at the first seed, gives the LAYERS metrics, each the median
+over that run's traced passes.  T is fixed so that any two BENCH files
+compare.
 """
 
 from __future__ import annotations
@@ -26,14 +29,17 @@ from pathlib import Path
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 10.0
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+LAYERS = ("core.trace_read_s", "core.read_rows_per_s")
 CONTEXT_KEYS = ("python", "numpy", "nproc", "git_commit", "src_lines")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """The report and metrics lines of one untraced benchmark run from the
-    checkout root."""
+def run_once(
+    root: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> tuple[dict, dict]:
+    """The report and metrics lines of one benchmark run from the checkout
+    root, untraced unless trace is 1."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", "0"]
+    argv += ["--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -62,16 +68,23 @@ def bench(root: Path) -> dict:
                 units[name] = result["metrics"][name]["unit"]
             runs[workload].append(run)
             print(workload, json.dumps(run), file=sys.stderr)
+    layers = {}
+    for workload in workloads:
+        _, result = run_once(root, workload, SEEDS[0], SECONDS, trace=1)
+        layers[workload] = {name: result["metrics"][name] for name in LAYERS}
+        print(workload, "traced", json.dumps(layers[workload]), file=sys.stderr)
     context["src_lines_total"] = sum(context["src_lines"].values())
     return {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "seeds": list(SEEDS),
         "seconds": SECONDS,
+        "traced_seed": SEEDS[0],
         "context": context,
         "workloads": {
             w: {
                 "metrics": {m: summary([r[m] for r in rs], units[m]) for m in METRICS},
                 "runs": rs,
+                "layers": layers[w],
             }
             for w, rs in runs.items()
         },
