@@ -31,6 +31,7 @@ from .modem import (
     TraceSource,
     calibrate,
     receive_frame,
+    receive_frames,
     receive_symbols,
     send_bits,
 )

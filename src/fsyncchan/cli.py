@@ -11,6 +11,7 @@ configuration error, 3 protocol timeout (no frame within the receive window).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import math
@@ -52,7 +53,8 @@ from .modem import (
     TraceSource,
     WindowGrid,
     calibrate,
-    receive_frame,
+    receive_frames,
+    search_window,
     send_bits,
 )
 from .probe import ProbeError, ProbeHandle
@@ -203,32 +205,25 @@ def cmd_send(args) -> int:
     return EXIT_OK
 
 
-def _recv_frames(source, cfg, state, args) -> list[BitStream]:
-    """The payloads of args.frames frames; ProtocolTimeout if one is lost."""
-    max_symbols = args.max_symbols or 4 * cfg.frame_len
-    payloads = []
-    for _ in range(args.frames):
-        p = receive_frame(
-            source, cfg, state, max_symbols=max_symbols, max_mismatches=args.max_mismatches
-        )
-        if p is None:
-            raise ProtocolTimeout(
-                f"recovered {len(payloads)}/{args.frames} frame(s) within {max_symbols} symbols each"
-            )
-        payloads.append(p)
-    return payloads
-
-
 def cmd_recv(args) -> int:
     cfg = _channel_config(args)
     state = _threshold_state(args, cfg)
-    if args.file:
-        with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
-            payloads = _recv_frames(WindowGrid(handle.blocks(), handle.meta()), cfg, state, args)
-    elif args.trace:
-        payloads = _recv_frames(TraceSource(trace_read(args.trace)), cfg, state, args)
-    else:
-        raise ValueError("sim recv requires --trace TRACE_CSV")
+    with contextlib.ExitStack() as stack:
+        if args.file:
+            handle = stack.enter_context(ProbeHandle(args.file, ProbeMode(args.mode)))
+            source = WindowGrid(handle.blocks(), handle.meta())
+        elif args.trace:
+            source = TraceSource(trace_read(args.trace))
+        else:
+            raise ValueError("sim recv requires --trace TRACE_CSV")
+        max_symbols = search_window(cfg, args.max_symbols)
+        payloads = []
+        for p in receive_frames(source, cfg, state, args.frames, max_symbols=max_symbols,
+                                max_mismatches=args.max_mismatches):
+            if p is None:  # raised before the next frame is read: the probe stops here
+                raise ProtocolTimeout(f"recovered {len(payloads)}/{args.frames} frame(s) "
+                                      f"within {max_symbols} symbols each")
+            payloads.append(p)
     n_bits = args.payload_bits or len(payloads) * cfg.payload_len
     text = decode_frames(payloads, n_bits).to_text()
     if args.out:

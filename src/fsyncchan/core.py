@@ -494,17 +494,17 @@ def trace_read(source: Union[str, Path, IO[str]]) -> LatencyTrace:
     stream is split where it splits itself (``io.StringIO``: at LF).
 
     Text in the form trace_write emits (the header, then rows of two
-    unsigned decimal fields, each row ending in LF) is parsed in 64 KiB
-    blocks cut at LF, each with one C call, ``np.fromstring``, straight into
-    two columns of the exact size; a regular file's LFs are counted first.
-    A field fromstring would saturate (reading INT64_MAX), and any other
-    text, goes to a line parser that takes every spelling int() takes and
-    raises TraceFormatError with the number of the first bad line; so do
-    rows with a latency that is not positive or a timestamp that goes
-    backwards.  Rows that otherwise pass but end past what a trace may span
-    raise LatencyTrace's ValueError at once.  Only the named file is opened,
-    once; a pipe is read once.  Meta does not travel in the CSV: the trace
-    has the default TraceMeta.
+    decimal fields, each row ending in LF) is parsed in 64 KiB blocks cut
+    at LF, each with one C call, ``np.fromstring``, straight into two
+    columns of the exact size; a regular file's LFs are counted first.  A
+    field fromstring would saturate (reading INT64_MAX or INT64_MIN), and
+    any other text, goes to a line parser that takes every spelling int()
+    takes and raises TraceFormatError with the number of the first bad
+    line; so do rows with a latency that is not positive or a timestamp
+    that goes backwards.  Rows that otherwise pass but end past what a
+    trace may span raise LatencyTrace's ValueError at once.  Only the named
+    file is opened, once; a pipe is read once.  Meta does not travel in the
+    CSV: the trace has the default TraceMeta.
     """
     if not isinstance(source, (str, Path)):
         return _read_stream(source)
@@ -553,10 +553,10 @@ def _read_stream(source: IO[str]) -> LatencyTrace:
 def _read_blocks(read, n: int) -> LatencyTrace | None:
     """The trace of the n rows `read` returns after the header, or None for
     the line parser: text not in trace_write's form, n not its row count, an
-    empty field (numpy stops short with a ValueError or, in older numpy, a
-    DeprecationWarning), a field that reads INT64_MAX (fromstring saturates
-    an overflow to it), or a nonpositive latency or backwards timestamp,
-    which the line parser places on a line."""
+    empty field or a misplaced sign (numpy stops short with a ValueError or,
+    in older numpy, a DeprecationWarning), a field that reads INT64_MAX or
+    INT64_MIN (fromstring saturates an overflow to one), or a nonpositive
+    latency or backwards timestamp, which the line parser places on a line."""
     ts = np.empty(n, dtype=np.int64)
     lat = np.empty(n, dtype=np.int64)
     done = 0
@@ -568,16 +568,18 @@ def _read_blocks(read, n: int) -> LatencyTrace | None:
             if not cut:
                 return None  # no final LF, or a line longer than a block
             block, rest = block[:cut], block[cut:]
-            # trace_write's form: deleting the digits leaves one ",\n" per row
-            punct = block.translate(None, b"0123456789")
+            text = block.replace(b"\n", b",")
+            # trace_write's form: deleting the digits and signs leaves one
+            # ",\n" per row; fromstring would read a bare sign as 0
+            punct = block.translate(None, b"-0123456789")
             rows = len(punct) // 2
-            if punct != b",\n" * rows or done + rows > n:
+            if punct != b",\n" * rows or done + rows > n or b"-" in block and b"-," in text:
                 return None
             try:
-                values = np.fromstring(block.replace(b"\n", b","), dtype=np.int64, sep=",")
+                values = np.fromstring(text, dtype=np.int64, sep=",")
             except (ValueError, DeprecationWarning):
                 return None
-            if len(values) != 2 * rows or values.max() == _INT64_MAX:
+            if len(values) != 2 * rows or values.max() == _INT64_MAX or values.min() == _INT64_MIN:
                 return None
             ts[done : done + rows] = values[0::2]
             lat[done : done + rows] = values[1::2]

@@ -11,8 +11,8 @@ traffic:
 
 The threshold is re-derived every 64 symbols from the quiet mode of the
 recent window statistics, so a long run of '1' symbols does not drag
-it upward.  Frame boundaries are found by a sliding count of mismatches
-between the last header-length bits and core.DEFAULT_HEADER.
+it upward.  One frame loop, receive_frames, finds each frame's header by a
+sliding mismatch count against core.DEFAULT_HEADER and reads its payload.
 
 One decision core serves every source.  A WindowGrid (trace replay, the
 simulated channel, the live probe) lets it look ahead at a chunk of up to
@@ -32,7 +32,7 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +46,8 @@ __all__ = [
     "calibrate",
     "receive_symbols",
     "receive_frame",
+    "receive_frames",
+    "search_window",
     "send_bits",
     "ScheduleBuilder",
     "TraceSource",
@@ -432,60 +434,60 @@ def receive_symbols(source, cfg: ChannelConfig, state: ThresholdState, n_symbols
 _HEADER_WORD = int(DEFAULT_HEADER.to_text(), 2)  # DEFAULT_HEADER, its first bit highest
 
 
-def receive_frame(
-    source,
-    cfg: ChannelConfig,
-    state: ThresholdState,
-    *,
-    max_symbols: int | None = None,
-    max_mismatches: int = 0,
-) -> BitStream | None:
-    """Scan the decision stream for a frame header, then read its payload.
-
-    Returns the payload bits, or None when no header (or only a truncated
-    payload) appears within max_symbols (default 4 frame lengths).  The
-    header search is a sliding mismatch count of the last header-length
-    bits against DEFAULT_HEADER; the call consumes the windows up to the
-    payload's end, or exactly max_symbols when no header completes in them.
-    """
-    if max_symbols is None:
-        max_symbols = 4 * cfg.frame_len
-    elif max_symbols < 1:
+def search_window(cfg: ChannelConfig, max_symbols: int | None = None) -> int:
+    """Symbols receive_frames searches for a header: max_symbols, by default 4 frame lengths."""
+    if max_symbols is not None and max_symbols < 1:
         raise ValueError("max_symbols must be positive")
+    return 4 * cfg.frame_len if max_symbols is None else max_symbols
+
+
+def receive_frames(
+    source, cfg: ChannelConfig, state: ThresholdState, n_frames: int, *,
+    max_symbols: int | None = None, max_mismatches: int = 0
+) -> Iterator[BitStream | None]:
+    """Yield the payload bits of n_frames back-to-back frames, or None for a
+    frame with no header (or only a truncated payload) in max_symbols.
+
+    The header search is a sliding mismatch count of the last header-length
+    bits against DEFAULT_HEADER.  A frame consumes the windows up to its
+    payload's end, or exactly max_symbols when no header completes in them,
+    and numbers its symbols from 0; the source is read only inside next().
+    """
+    if n_frames < 1:
+        raise ValueError("n_frames must be positive")
     if max_mismatches < 0:
         raise ValueError("max_mismatches must be nonnegative")
+    max_symbols = search_window(cfg, max_symbols)
     h = len(DEFAULT_HEADER)
     mask = (1 << h) - 1
     need = cfg.payload_len
-    core = _Decisions(source, cfg, state)
-    window = 0  # the last h bits, the latest lowest
-    found = None
-    while found is None:
-        left = max_symbols - core.index
-        if left == 0:
-            return None
-        # the least this call consumes: a header completing at the first
-        # symbol where one can, and its payload; or the rest of the budget
-        bits = core.decide(left, min(left, max(h - core.index, 1) + need))
-        if not bits:
-            return None
-        for n, bit in enumerate(bits, 1):
-            window = (window << 1 | bit) & mask
-            if (window ^ _HEADER_WORD).bit_count() <= max_mismatches and core.index + n >= h:
-                found = n
+    for _ in range(n_frames):
+        core = _Decisions(source, cfg, state)
+        window, payload = 0, None  # the last h bits, the latest lowest; the payload once found
+        while payload is None or len(payload) < need:
+            left = max_symbols - core.index if payload is None else need - len(payload)
+            # the least this frame consumes: a header completing at the first
+            # symbol where one can, and its payload; or the rest of the budget
+            bits = left and core.decide(left, min(left, max(h - core.index, 1) + need))
+            if not bits:
                 break
-        else:
-            core.take(len(bits))
-    payload = bits[found : found + need]
-    core.take(found + len(payload))
-    while len(payload) < need:
-        left = need - len(payload)
-        bits = core.decide(left, left)
-        if not bits:
-            return None
-        core.take(len(bits))
-        payload += bits
-    return BitStream(payload)
+            used = len(bits)
+            if payload is not None:
+                payload += bits
+            else:
+                for n, bit in enumerate(bits, 1):
+                    window = (window << 1 | bit) & mask
+                    if (window ^ _HEADER_WORD).bit_count() <= max_mismatches and core.index + n >= h:
+                        payload = bits[n : n + need]
+                        used = n + len(payload)
+                        break
+            core.take(used)
+        yield None if payload is None or len(payload) < need else BitStream(payload)
+
+
+def receive_frame(source, cfg: ChannelConfig, state: ThresholdState, **kw) -> BitStream | None:
+    """receive_frames' one-frame case, with its keywords: the payload bits, or None."""
+    return next(receive_frames(source, cfg, state, 1, **kw))
 
 
 def send_bits(bits: BitStream, cfg: ChannelConfig, endpoint) -> int:

@@ -84,7 +84,7 @@ from .core import (
     frames_to_bits,
 )
 from .metrics import ErrorReport, compare_bits
-from .modem import WindowGrid, calibrate, receive_frame
+from .modem import WindowGrid, calibrate, receive_frames
 
 __all__ = [
     "LatencyDistribution",
@@ -656,12 +656,11 @@ def loopback(
     schedule = SenderSchedule(frames_to_bits(frames), cfg.ts_us)
     state = calibrate(calibration_trace(model, cfg, calibration_seed), cfg)
     source = SimSource(schedule, model, channel_seed, noise=noise)
-    received = []
-    for frame in frames:
-        got = receive_frame(source, cfg, state, max_symbols=2 * cfg.frame_len, max_mismatches=1)
-        if got is None:
-            got = BitStream(bytes(frame.payload).translate(_COMPLEMENT))
-        received.append(got)
+    got = receive_frames(
+        source, cfg, state, len(frames), max_symbols=2 * cfg.frame_len, max_mismatches=1
+    )
+    received = [BitStream(bytes(f.payload).translate(_COMPLEMENT)) if p is None else p
+                for f, p in zip(frames, got)]
     return compare_bits(payload, decode_frames(received, len(payload)))
 
 

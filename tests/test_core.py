@@ -722,6 +722,24 @@ def test_trace_read_takes_written_traces_whole(write_size, n_rows, long_trace_cs
             assert np.array_equal(back.latencies_ns, trace.latencies_ns)
 
 
+def test_trace_read_takes_written_negative_timestamps_whole(long_trace_csv, monkeypatch, tmp_path):
+    # trace_write writes "-" before a negative timestamp; the block parser
+    # takes those rows too, from a path, a text stream and a pipe
+    trace, _ = long_trace_csv
+    ts = trace.timestamps_ns - trace.timestamps_ns[len(trace) // 2]
+    trace = LatencyTrace(ts, trace.latencies_ns)
+    path = tmp_path / "negative.csv"
+    trace_write(trace, path)
+
+    def no_line_parse(*args):
+        raise AssertionError("a written trace fell back to the line parser")
+
+    monkeypatch.setattr(core, "_parse_rows", no_line_parse)
+    with _pipe_path(path.read_bytes(), 1 << 16) as pipe:
+        for back in map(trace_read, [path, io.StringIO(path.read_text()), pipe]):
+            assert back == trace
+
+
 def test_trace_read_raises_a_span_fault_without_the_line_parser(monkeypatch, tmp_path):
     # the line parser names no line for a completion past INT64_MAX, so the
     # rows numpy read raise the constructor's ValueError at once
@@ -806,6 +824,15 @@ _EDGE_CASES = {
     "INT64_MAX latency": _HEADER + "0,9223372036854775807\n",
     "20-digit fields": _HEADER + "00000000000000000042,00000000000000000007\n50,1\n",
     "CRLF longer than a block": (_HEADER + _BLOCK_ROWS).replace("\n", "\r\n"),
+    "written negative timestamps across a block edge": _HEADER + "".join(
+        f"{7 * i - 40_000},{i % 9 + 1}\n" for i in range(core._BLOCK // 9)
+    ),
+    # fromstring reads a bare "-" as 0
+    "bare sign for a timestamp": _HEADER + "-5,1\n-,3\n4,2\n",
+    "bare sign for a latency": _HEADER + "1,2\n5,-\n",
+    "sign inside a field": _HEADER + "1,2\n5-3,4\n",
+    "sign after a field": _HEADER + "1,2\n3-,3\n",
+    "negative latency": _HEADER + "1,2\n5,-3\n",
 }
 _FAULTY_CASES = {
     "decrease at a chunk edge",
@@ -813,6 +840,11 @@ _FAULTY_CASES = {
     "zero latency in the last block",
     "empty first field",
     "empty last field",
+    "bare sign for a timestamp",
+    "bare sign for a latency",
+    "sign inside a field",
+    "sign after a field",
+    "negative latency",
 }
 
 
@@ -834,6 +866,18 @@ def test_trace_read_chunk_edges_match_line_parser(case, tmp_path):
     assert _read_outcome(_trace_rows, io.StringIO(text)) == want_text
     with _pipe_path(text.encode("ascii"), 7) as pipe:
         assert _read_outcome(_trace_rows, pipe) == want_path
+
+
+@pytest.mark.parametrize("field", ["-99999999999999999999", "-9223372036854775809"])
+def test_trace_read_names_the_line_of_an_overflowing_negative_field(field, tmp_path):
+    # fromstring saturates such a field, so its block goes to the line
+    # parser, which names the line (the reference parser takes any size)
+    text = _HEADER + f"1,2\n{field},3\n"
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="ascii")
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(TraceFormatError, match="^line 3: field does not fit in int64"):
+            trace_read(source)
 
 
 def test_trace_read_keeps_a_stream_s_own_line_ends():

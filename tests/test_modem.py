@@ -29,7 +29,9 @@ from fsyncchan.modem import (
     WindowGrid,
     calibrate,
     receive_frame,
+    receive_frames,
     receive_symbols,
+    search_window,
     send_bits,
 )
 from fsyncchan.simchan import (
@@ -644,6 +646,84 @@ def test_receive_frame_probe_for_only_source(monkeypatch, rule, chunk):
             assert _next_window(batch, ts_us) == want
             assert _next_window(live, ts_us) == want
     assert lost >= 1
+
+
+@pytest.mark.parametrize("chunk", [1024, 67, 7, 1])
+@pytest.mark.parametrize("rule", list(DecisionRule))
+def test_receive_frames_matches_receive_frame_calls(monkeypatch, rule, chunk):
+    # one receive_frames pass over FRAMES + 1 frames yields what as many
+    # receive_frame calls return, over a grid and over a probe_for-only
+    # source, and leaves the same threshold and the same next window: the
+    # two-flip header is lost and the last frame finds the source dry
+    monkeypatch.setattr(modem, "_CHUNK", chunk)
+    for trace, ts_us in _frame_traces():
+        cfg = ChannelConfig(ts_us=ts_us, payload_len=FRAME_PAYLOAD, decision_rule=rule)
+        kwargs = dict(max_symbols=2 * cfg.frame_len, max_mismatches=1)
+        for update_period in (64, 5):
+            monkeypatch.setattr(modem, "_UPDATE_PERIOD", update_period)
+            for wrap in (lambda source: source, _ProbeOnly):
+                calls, frames = TraceSource(trace), TraceSource(trace)
+                want_state, state = _theta_state(rule), _theta_state(rule)
+                want = [
+                    receive_frame(wrap(calls), cfg, want_state, **kwargs) for _ in range(FRAMES + 1)
+                ]
+                got = list(receive_frames(wrap(frames), cfg, state, FRAMES + 1, **kwargs))
+                assert got == want
+                assert state == want_state
+                assert _next_window(frames, ts_us) == _next_window(calls, ts_us)
+                assert want[-1] is None
+                assert None in want[:-1]
+
+
+class _CountingGrid:
+    """A window grid that counts the look-aheads it serves."""
+
+    def __init__(self, grid):
+        self._grid = grid
+        self.reads = 0
+
+    def look_ahead(self, duration_us, n):
+        self.reads += 1
+        return self._grid.look_ahead(duration_us, n)
+
+    def commit(self, k):
+        self._grid.commit(k)
+
+
+def test_receive_frames_reads_the_source_only_inside_next():
+    # a lost frame is yielded before the next frame's search starts, so a
+    # caller that stops at the first None (live `recv`) stops the probing
+    cfg = ChannelConfig(ts_us=50, payload_len=6)
+    state = calibrate(_const_quiet_trace(), cfg)
+    source = _CountingGrid(TraceSource(trace_from_bits(_frame_stream("101011", "0" * 40))))
+    frames = receive_frames(source, cfg, state, 2, max_symbols=36)
+    assert source.reads == 0
+    assert next(frames) is None  # the header completes at symbol 64
+    reads = source.reads
+    assert reads > 0
+    assert source.reads == reads
+    assert next(frames) == BitStream.from_text("101011")
+    assert source.reads > reads
+    assert next(frames, "done") == "done"
+
+
+def test_receive_frames_validation():
+    cfg = ChannelConfig(ts_us=50, payload_len=6)
+    state = calibrate(_const_quiet_trace(), cfg)
+    source = _CountingGrid(TraceSource(trace_from_bits(_frame_stream("101011"))))
+    for n_frames, kwargs, message in (
+        (0, {}, "n_frames must be positive"),
+        (-1, {}, "n_frames must be positive"),
+        (1, {"max_symbols": 0}, "max_symbols must be positive"),
+        (1, {"max_mismatches": -1}, "max_mismatches must be nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            next(receive_frames(source, cfg, state, n_frames, **kwargs))
+    with pytest.raises(ValueError, match="max_symbols must be positive"):
+        receive_frame(source, cfg, state, max_symbols=0)
+    assert source.reads == 0
+    assert search_window(cfg) == 4 * cfg.frame_len
+    assert search_window(cfg, 7) == 7
 
 
 def _reference_decisions(trace, cfg):

@@ -27,7 +27,7 @@ from fsyncchan.core import (
     frames_to_bits,
     prbs_sequence,
 )
-from fsyncchan.modem import ThresholdState, TraceSource, WindowGrid, receive_frame
+from fsyncchan.modem import ThresholdState, TraceSource, WindowGrid, receive_frames
 from fsyncchan.probe import (
     BLOCK_US,
     FTRUNCATE_MAX,
@@ -326,11 +326,11 @@ def test_fake_disk_live_recv_decodes_and_replays(probe_file, fake_disk, monkeypa
     monkeypatch.setattr(ProbeHandle, "blocks", logged_blocks)
     calls = []
 
-    def spy(source, cfg, state, **kwargs):
-        calls.append((cfg, state, kwargs))
-        return receive_frame(source, cfg, state, **kwargs)
+    def spy(source, cfg, state, n_frames, **kwargs):
+        calls.append((cfg, state, n_frames, kwargs))
+        return receive_frames(source, cfg, state, n_frames, **kwargs)
 
-    monkeypatch.setattr(cli, "receive_frame", spy)
+    monkeypatch.setattr(cli, "receive_frames", spy)
     rc = main(["recv", "--file", str(probe_file), "--ts-us", str(ts_us), "--theta-ns", "32000",
                "--frame-payload-len", str(frame_len), "--frames", "2"])
     captured = capsys.readouterr()
@@ -342,7 +342,8 @@ def test_fake_disk_live_recv_decodes_and_replays(probe_file, fake_disk, monkeypa
     )
     replay = TraceSource(trace)
     state = ThresholdState(32000, 32000 / 1.5, 0.0)
-    got = [receive_frame(replay, cfg_, state, **kwargs) for cfg_, _, kwargs in calls]
+    (cfg_, _, n_frames, kwargs), = calls
+    got = list(receive_frames(replay, cfg_, state, n_frames, **kwargs))
     assert got == [payload[:frame_len], payload[frame_len:]]
     assert state == calls[-1][1]
     assert state.provenance.startswith("adaptive@")
