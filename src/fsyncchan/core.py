@@ -553,9 +553,9 @@ def _read_stream(source: IO[str]) -> LatencyTrace:
 def _read_blocks(read, n: int) -> LatencyTrace | None:
     """The trace of the n rows `read` returns after the header, or None for
     the line parser: text not in trace_write's form, n not its row count, an
-    empty field or a misplaced sign (numpy stops short with a ValueError or,
-    in older numpy, a DeprecationWarning), a field that reads INT64_MAX or
-    INT64_MIN (fromstring saturates an overflow to one), or a nonpositive
+    empty field or a stray sign (numpy stops short with a ValueError, in
+    older numpy a DeprecationWarning, or reads 0), a field read as INT64_MAX
+    or INT64_MIN (fromstring saturates an overflow), or a nonpositive
     latency or backwards timestamp, which the line parser places on a line."""
     ts = np.empty(n, dtype=np.int64)
     lat = np.empty(n, dtype=np.int64)
@@ -568,18 +568,19 @@ def _read_blocks(read, n: int) -> LatencyTrace | None:
             if not cut:
                 return None  # no final LF, or a line longer than a block
             block, rest = block[:cut], block[cut:]
-            text = block.replace(b"\n", b",")
-            # trace_write's form: deleting the digits and signs leaves one
-            # ",\n" per row; fromstring would read a bare sign as 0
+            # trace_write's form: deleting the digits and signs leaves one ",\n" per row
             punct = block.translate(None, b"-0123456789")
             rows = len(punct) // 2
-            if punct != b",\n" * rows or done + rows > n or b"-" in block and b"-," in text:
+            if punct != b",\n" * rows or done + rows > n:
                 return None
             try:
-                values = np.fromstring(text, dtype=np.int64, sep=",")
+                values = np.fromstring(block.replace(b"\n", b","), dtype=np.int64, sep=",")
             except (ValueError, DeprecationWarning):
                 return None
             if len(values) != 2 * rows or values.max() == _INT64_MAX or values.min() == _INT64_MIN:
+                return None
+            # fromstring reads a bare "-" (or "-0") as 0: each sign must make a negative value
+            if b"-" in block and block.count(b"-") != np.count_nonzero(values < 0):
                 return None
             ts[done : done + rows] = values[0::2]
             lat[done : done + rows] = values[1::2]
