@@ -791,6 +791,14 @@ def test_trace_read_peak_memory_is_its_columns_and_one_block(tmp_path):
 
 
 _HEADER = "timestamp_ns,latency_ns\n"
+
+
+def _written(timestamps, latencies) -> str:
+    out = io.StringIO()
+    trace_write(LatencyTrace(timestamps, latencies), out)
+    return out.getvalue()
+
+
 # rows of 10 bytes: the block parser's first 64 KiB after the header ends
 # 6 bytes into row 6,554
 _BLOCK_ROWS = "".join(
@@ -824,8 +832,8 @@ _EDGE_CASES = {
     "INT64_MAX latency": _HEADER + "0,9223372036854775807\n",
     "20-digit fields": _HEADER + "00000000000000000042,00000000000000000007\n50,1\n",
     "CRLF longer than a block": (_HEADER + _BLOCK_ROWS).replace("\n", "\r\n"),
-    "written negative timestamps across a block edge": _HEADER + "".join(
-        f"{7 * i - 40_000},{i % 9 + 1}\n" for i in range(core._BLOCK // 9)
+    "written negative timestamps across a block edge": _written(
+        np.arange(core._BLOCK // 9) * 7 - 40_000, np.arange(core._BLOCK // 9) % 9 + 1
     ),
     # fromstring reads a bare "-" as 0
     "bare sign for a timestamp": _HEADER + "-5,1\n-,3\n4,2\n",

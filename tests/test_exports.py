@@ -29,7 +29,6 @@ def test_package_exports_resolve():
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
 
 
-
 def _imported(module_name, name):
     """What `from module_name import name` binds, or None if it fails."""
     module = importlib.import_module(module_name)

@@ -694,16 +694,17 @@ def test_receive_frames_reads_the_source_only_inside_next():
     # a lost frame is yielded before the next frame's search starts, so a
     # caller that stops at the first None (live `recv`) stops the probing
     cfg = ChannelConfig(ts_us=50, payload_len=6)
-    state = calibrate(_const_quiet_trace(), cfg)
-    source = _CountingGrid(TraceSource(trace_from_bits(_frame_stream("101011", "0" * 40))))
-    frames = receive_frames(source, cfg, state, 2, max_symbols=36)
+    trace = trace_from_bits(_frame_stream("101011", "0" * 40))
+    one = _CountingGrid(TraceSource(trace))
+    # the header completes at symbol 64, past the 36-symbol search
+    assert receive_frame(one, cfg, calibrate(_const_quiet_trace(), cfg), max_symbols=36) is None
+    source = _CountingGrid(TraceSource(trace))
+    frames = receive_frames(source, cfg, calibrate(_const_quiet_trace(), cfg), 2, max_symbols=36)
     assert source.reads == 0
-    assert next(frames) is None  # the header completes at symbol 64
-    reads = source.reads
-    assert reads > 0
-    assert source.reads == reads
+    assert next(frames) is None
+    assert source.reads == one.reads > 0  # nothing read for the second frame yet
     assert next(frames) == BitStream.from_text("101011")
-    assert source.reads > reads
+    assert source.reads > one.reads
     assert next(frames, "done") == "done"
 
 
