@@ -17,18 +17,17 @@ sliding mismatch count against core.DEFAULT_HEADER and reads its payload.
 One decision core serves every source.  A WindowGrid (trace replay, the
 simulated channel, the live probe) lets it look ahead at a chunk of up to
 _CHUNK windows without consuming them: the window statistics of the chunk
-come from exact prefix sums, bits are decided in blocks that end at each
-threshold refresh, and the grid then commits exactly the windows the caller
-used, so a frame search consumes what a window-at-a-time receiver would.  A
-source with only probe_for(duration_us) (the benchmark's traced proxy) feeds
-the same core the windows it probes, and is asked only for windows the
-caller will consume.
+come from exact prefix sums, each block of bits up to a threshold refresh
+is one float64 array comparison, and the grid then commits exactly the
+windows the caller used, so a frame search consumes what a window-at-a-time
+receiver would; the quiet statistics are filtered as they arrive.  A source
+with only probe_for(duration_us) (the benchmark's traced proxy) feeds the
+same core the windows it probes, and is asked only for windows it consumes.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -194,18 +193,17 @@ def _fit(values: Sequence[float]) -> tuple[int, float, float]:
     deviation is the corrected two-pass one (Chan, Golub & LeVeque 1983)
     over deviations from the float mean, summed with math.fsum: within 2
     ulps of statistics.stdev, and 0.0 for one value."""
-    mean = statistics.fmean(values)
     n = len(values)
+    mean = math.fsum(values) / n  # statistics.fmean
     std = 0.0
     if n >= 2:
-        # numpy's elementwise float64 operations round as Python's float ones
-        # do, so every deviation, scaled value and square is the same double
-        d = np.asarray(values, dtype=np.float64) - mean
-        # scaled by a power of two near the largest deviation: exact, and the
-        # squares of deviations below 1e-154 no longer underflow to 0
-        e = math.frexp(float(np.abs(d).max()))[1]
-        d = np.ldexp(d, -e)
-        var = (math.fsum((d * d).tolist()) - math.fsum(d.tolist()) ** 2 / n) / (n - 1)
+        # the deviations, scaled by 2**-e, a double near the largest of them
+        # (rounding is monotone), as ldexp would: squares of deviations below
+        # 1e-154 no longer underflow
+        e = max(math.frexp(max(max(values) - mean, mean - min(values)))[1], -1023)
+        scale = math.ldexp(1.0, -e)
+        d = [(v - mean) * scale for v in values]
+        var = (math.fsum([x * x for x in d]) - math.fsum(d) ** 2 / n) / (n - 1)
         std = math.ldexp(math.sqrt(var), e)
     return round(mean + max(3.0 * std, 0.5 * mean)), mean, std
 
@@ -213,16 +211,16 @@ def _fit(values: Sequence[float]) -> tuple[int, float, float]:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> list[float]:
+def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> np.ndarray:
     """The decision statistic of each window lat[lo[k]:hi[k]]; the windows
     ascend and span lat (lo[0] == 0, hi[-1] == len(lat)).  A window of n
     samples has the sums S1 and S2 of its samples and of their squares,
     exact from prefix sums of the column (in Python ints where int64 could
     overflow).  MEAN is float(S1) / n, which is statistics.fmean.  STDDEV is
     sqrt(float(n*S2 - S1**2) / float(n*(n-1))) in float64, 0.0 for one
-    sample: within 2 ulps of statistics.stdev."""
+    sample: within 2 ulps of statistics.stdev.  A float64 array."""
     if not len(lat):
-        return []
+        return np.zeros(0)
     lo, hi = np.asarray(lo), np.asarray(hi)
     counts = hi - lo
     mean = rule is DecisionRule.MEAN
@@ -234,10 +232,17 @@ def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> list[floa
     s1 = np.concatenate(([0], np.cumsum(lat)))
     sums = s1[hi] - s1[lo]
     if mean:
-        return (sums.astype(np.float64) / counts).tolist()
+        return sums.astype(np.float64) / counts
     s2 = np.concatenate(([0], np.cumsum(lat * lat)))
     num = counts * (s2[hi] - s2[lo]) - sums * sums
-    return np.sqrt(num.astype(np.float64) / np.maximum(counts * (counts - 1), 1)).tolist()
+    return np.sqrt(num.astype(np.float64) / np.maximum(counts * (counts - 1), 1))
+
+
+def _float_at_or_below(theta: int) -> float:
+    """The largest float at or below the integer theta: a float is above
+    theta exactly when it is above this one, past 2**53 too."""
+    f = float(theta)
+    return f if f <= theta else math.nextafter(f, -math.inf)
 
 
 def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
@@ -250,23 +255,24 @@ def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
     starts = np.flatnonzero(np.diff(window, prepend=-1))
     ends = np.append(starts[1:], len(ts))
     stats = _window_statistics(lat, starts, ends, DecisionRule.STDDEV)
-    return [s for s, n in zip(stats, (ends - starts).tolist()) if n >= 2]
+    return stats[ends - starts >= 2].tolist()
 
 
 @dataclass
 class ThresholdState:
-    """Decision threshold plus the evidence seen since its last refresh."""
+    """Decision threshold plus the count and quiet statistics seen since its last refresh."""
 
     theta_ns: int
     quiet_mean_ns: float
     quiet_std_ns: float
     provenance: str = "manual"
-    _window: list = field(default_factory=list, init=False, repr=False)
+    _seen: int = field(default=0, init=False, repr=False)
+    _quiet: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def until_refresh(self) -> int:
         """Symbols left to observe before theta next refreshes."""
-        return _UPDATE_PERIOD - len(self._window)
+        return _UPDATE_PERIOD - self._seen
 
     def observe_block(self, statistics_: Sequence[float], symbol_index: int) -> None:
         """Feed the statistics of consecutive symbols, the last one numbered
@@ -274,16 +280,20 @@ class ThresholdState:
         a block may not run past the next refresh.
 
         The refresh uses only the quiet cluster (statistics at or below the
-        current theta); with no quiet evidence in the window the threshold is
-        left untouched rather than dragged toward the loud mode.
+        current theta, which holds until then, so they are kept on arrival);
+        with no quiet evidence the threshold is left untouched rather than
+        dragged toward the loud mode.
         """
         if len(statistics_) > self.until_refresh:
             raise ValueError("a block of statistics may not run past the next refresh")
-        self._window.extend(statistics_)
-        if len(self._window) < _UPDATE_PERIOD:
+        if isinstance(statistics_, np.ndarray) and statistics_.dtype == np.float64:
+            self._quiet += statistics_[statistics_ <= _float_at_or_below(self.theta_ns)].tolist()
+        else:
+            self._quiet += [s for s in statistics_ if s <= self.theta_ns]
+        self._seen += len(statistics_)
+        if self._seen < _UPDATE_PERIOD:
             return
-        quiet = [s for s in self._window if s <= self.theta_ns]
-        self._window = []
+        quiet, self._quiet, self._seen = self._quiet, [], 0
         if len(quiet) < _MIN_QUIET_CLUSTER:
             return
         self.theta_ns, self.quiet_mean_ns, self.quiet_std_ns = _fit(quiet)
@@ -357,12 +367,12 @@ class _ProbeWindows:
 
 class _Decisions:
     """The decision core: decides a source's symbol windows in blocks that
-    share one threshold, from chunks of window statistics.
+    share one threshold, from chunks of window statistics (a float64 array).
 
     decide() returns the bits of the next block, which ends at the state's
-    next refresh; take(k) consumes its first k windows: the source's grid
-    commits them and the state observes their statistics.  Symbols are
-    numbered from 0 per instance.
+    next refresh, with one comparison; take(k) consumes its first k windows:
+    the source's grid commits them and the state observes their statistics.
+    Symbols are numbered from 0 per instance.
     """
 
     __slots__ = ("_look_ahead", "_commit", "_ts_us", "_rule", "_state", "_stats", "_lo", "_hi",
@@ -374,7 +384,7 @@ class _Decisions:
         self._ts_us = cfg.ts_us
         self._rule = cfg.decision_rule
         self._state = state
-        self._stats: list[float] = []  # the statistics of the looked-ahead chunk's windows
+        self._stats = np.zeros(0)  # the statistics of the looked-ahead chunk's windows
         self._lo = self._hi = []  # and their bounds
         self._done = 0  # windows of the chunk consumed
         self.index = 0  # symbols consumed
@@ -390,13 +400,13 @@ class _Decisions:
             stats = self._stats = _window_statistics(lat, self._lo, self._hi, self._rule)
             self._done = a = 0
         state = self._state
-        theta = state.theta_ns
-        return [s > theta for s in stats[a : a + min(limit, state.until_refresh)]]
+        block = stats[a : a + min(limit, state.until_refresh)]
+        return (block > _float_at_or_below(state.theta_ns)).tolist()
 
     def evidence(self, k: int) -> tuple[list[float], list[int]]:
         """Statistics and sample counts of the first k windows of the block."""
         a, b = self._done, self._done + k
-        return self._stats[a:b], np.subtract(self._hi[a:b], self._lo[a:b]).tolist()
+        return self._stats[a:b].tolist(), np.subtract(self._hi[a:b], self._lo[a:b]).tolist()
 
     def take(self, k: int) -> None:
         """Consume the first k windows of the last decided block."""

@@ -31,7 +31,8 @@ the noise bursts merge, by the function that builds every timeline, into one
 sorted list of windows, whose edges cut the clock into stretches of constant
 state.  The seeded RNG first materializes the noise bursts, then draws
 standard Gaussian variates in order, in chunks: probe i of the stream takes
-variate i, whatever its state, and each chunk yields one block of probes.
+variate i, whatever its state, and each chunk, sized to the probes left
+before the horizon, yields one block of probes.
 Per chunk, each state's latencies plus the overhead are summed into a prefix
 sum; a bisection on it counts the probes that start before the stretch
 ends, and the clock jumps to the start of the first one that does not.
@@ -397,8 +398,8 @@ class NoiseProcess:
         return timeline
 
 
-_FIRST_CHUNK = 256  # variates in the first chunk; each next chunk doubles
-_MAX_CHUNK = 4096
+_FIRST_CHUNK = 256  # the fewest variates in a chunk
+_MAX_CHUNK = 4096  # and the most
 _NEAR = 8  # a stretch's end is first sought among its first _NEAR probes
 _TWOPI = 2.0 * math.pi
 
@@ -514,9 +515,11 @@ def _probe_blocks(
     edges = _activity_edges(activity, timeline)
     clock = 0
     k = bisect_right(edges, clock)  # edges at or before the clock
-    size = 0  # variates in the current chunk, one per probe of the block
+    edge = edges[k]  # the next edge
+    cycle = _mean_draw_bound_ns(model.standalone) + PROBE_OVERHEAD_NS
     while True:
-        size = min(max(2 * size, _FIRST_CHUNK), _MAX_CHUNK)
+        # one variate per probe: the probes due before the horizon, and a margin
+        size = min(max(int((horizon_ns - clock) / cycle * 1.05) + 16, _FIRST_CHUNK), _MAX_CHUNK)
         lat_cols = _draw_latencies(rng, size, model)
         prefixes = [
             memoryview(np.concatenate(([0], np.cumsum(lat + PROBE_OVERHEAD_NS))))
@@ -531,7 +534,7 @@ def _probe_blocks(
             qn = q[n]
             # the first probe at or past the next edge: most stretches are a
             # few probes long, so look at the next _NEAR ones first
-            target = edges[k] - clock + qn
+            target = edge - clock + qn
             near = n + _NEAR
             stop = bisect_left(q, target, n + 1, near if near < size else size)
             if stop == near:
@@ -540,8 +543,9 @@ def _probe_blocks(
             states.append(state)
             lengths.append(stop - n)
             n = stop
-            while edges[k] <= clock:
+            while edge <= clock:
                 k += 1
+                edge = edges[k]
         contended = np.repeat(np.array(states, dtype=bool), lengths)
         lat = np.where(contended, lat_cols[1], lat_cols[0])
         yield start + np.concatenate(([0], np.cumsum(lat[:-1] + PROBE_OVERHEAD_NS))), lat

@@ -783,7 +783,7 @@ def test_window_statistics_n_sum_sq_past_int64():
     assert big**2 * len(lat) <= 2**63 - 1 < 1_000**2 * (big - 6) ** 2
     hi = np.cumsum([len(w) for w in windows])
     lo = hi - [len(w) for w in windows]
-    got = modem._window_statistics(lat, lo, hi, DecisionRule.STDDEV)
+    got = modem._window_statistics(lat, lo, hi, DecisionRule.STDDEV).tolist()
     assert got == [window_statistic_reference(w, DecisionRule.STDDEV) for w in windows]
 
 
@@ -891,6 +891,100 @@ def test_fit_matches_reference(values):
     # the numpy deviations, scaling and squares give the same doubles as the
     # per-value Python loop, so theta, mean and std are equal exactly
     assert modem._fit(values) == fit_reference(values)
+
+
+def _numpy_fit(values):
+    """_fit as numpy computed it: the deviations, their scaling by a power of
+    two and their squares as float64 arrays, and the mean from fmean."""
+    mean = statistics.fmean(values)
+    n = len(values)
+    std = 0.0
+    if n >= 2:
+        d = np.asarray(values, dtype=np.float64) - mean
+        e = math.frexp(float(np.abs(d).max()))[1]
+        d = np.ldexp(d, -e)
+        var = (math.fsum((d * d).tolist()) - math.fsum(d.tolist()) ** 2 / n) / (n - 1)
+        std = math.ldexp(math.sqrt(var), e)
+    return round(mean + max(3.0 * std, 0.5 * mean)), mean, std
+
+
+@st.composite
+def _fit_extremes(draw):
+    """1 to 80 values: floats whose spread runs from subnormal deviations
+    (below 2**-1024, where 2**-e would be no double) to squares past the
+    float range, integer latencies, and equal values."""
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(("floats", "subnormal", "ints", "equal")))
+    if kind == "floats":
+        spread = 10.0 ** draw(st.integers(-320, 300))
+        center = draw(st.floats(-1e3, 1e3))
+        units = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        return [spread * (center + u) for u in units]
+    if kind == "subnormal":
+        base = draw(st.sampled_from((0.0, 2.0**-1022, 1e-300)))
+        steps = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+        return [base + k * 5e-324 for k in steps]
+    if kind == "ints":
+        return draw(st.lists(st.integers(1, 10**7), min_size=n, max_size=n))
+    return [draw(st.floats(-1e300, 1e300) | st.integers(1, 2**62))] * n
+
+
+@settings(max_examples=1000, deadline=None)
+@given(values=st.one_of(_fit_extremes(), _fit_inputs()))
+@example(values=[0.0, 5e-324])  # the only deviation is below 2**-1024
+@example(values=[-1e300, 1e300])  # the squared deviations overflow unscaled
+@example(values=[-1e300, 1e300, 1e-10])  # a scaled deviation is subnormal
+@example(values=[21_390])
+def test_fit_matches_numpy_fit(values):
+    # the pure-Python fit gives the very tuple the numpy one gave
+    assert modem._fit(values) == _numpy_fit(values)
+
+
+_PAST_2_53 = (2.0**53, 2.0**53 + 2, 2.0**53 + 4)
+
+
+@pytest.mark.parametrize("theta", [2**53 + 1, 2**53 + 3])
+def test_decisions_compare_with_integer_theta_past_2_53(monkeypatch, theta):
+    # float(2**53 + 3) rounds up to 2**53 + 4, so a float64 comparison with
+    # theta itself would call 2**53 + 4 quiet; each block is decided, and
+    # each quiet statistic kept, as the integer comparison does
+    ts = [0, 50_000, 100_000]
+    trace = LatencyTrace(ts, [int(s) for s in _PAST_2_53])
+    state = ThresholdState(theta, 2.0**53, 0.0)
+    got = receive_symbols(TraceSource(trace), ChannelConfig(ts_us=50), state, 3)
+    assert [d.bit for d in got] == [int(s > theta) for s in _PAST_2_53]
+    assert state._quiet == [s for s in _PAST_2_53 if s <= theta]
+    monkeypatch.setattr(modem, "_UPDATE_PERIOD", 4)
+    monkeypatch.setattr(modem, "_MIN_QUIET_CLUSTER", 1)
+    want = threshold_reference(theta, 2.0**53, 0.0, [*_PAST_2_53, theta], 4, 1)
+    for block in (np.array(_PAST_2_53), _PAST_2_53, [int(s) for s in _PAST_2_53]):
+        state = ThresholdState(theta, 2.0**53, 0.0)
+        state.observe_block(block, 2)
+        state.observe_block((theta,), 3)
+        assert (state.theta_ns, state.quiet_mean_ns, state.quiet_std_ns, state.provenance) == want
+
+
+def test_loopback_final_threshold_pinned(monkeypatch):
+    # the threshold after the bench's seeded 80,000-bit high-noise loopback
+    # at 50 us, as the numpy fit and the per-statistic comparisons left it
+    from fsyncchan.cli import derive_seed
+
+    states = []
+
+    def calibrate_spy(*args):
+        states.append(calibrate(*args))
+        return states[-1]
+
+    monkeypatch.setattr(simchan, "calibrate", calibrate_spy)
+    model = default_model()
+    simchan.loopback(
+        prbs_sequence(80_000, derive_seed(1234, "payload")), ChannelConfig(ts_us=50), model,
+        calibration_seed=derive_seed(1234, "calibrate"), channel_seed=derive_seed(1234, "channel"),
+        noise=NoiseProcess.from_degree(NoiseDegree.HIGH, model),
+    )
+    (state,) = states
+    got = (state.theta_ns, state.quiet_mean_ns, state.quiet_std_ns, state.provenance)
+    assert got == (32_702, 21801.494791666668, 1485.9776299552066, "adaptive@symbol16015")
 
 
 @st.composite

@@ -103,12 +103,19 @@ def test_meta_fields(probe_file):
 
 
 def test_only_fsync_is_timed_not_the_mutation(probe_file, monkeypatch):
-    # a slow mutation with a fast fsync must yield a small latency
-    monkeypatch.setattr(os, "pwrite", lambda fd, buf, off: time.sleep(0.004))
-    monkeypatch.setattr(os, "fsync", lambda fd: time.sleep(0.0005))
+    # on a fake clock, a 4 ms mutation and a 0.5 ms fsync yield a latency of
+    # exactly the fsync's 0.5 ms
+    now = [0]
+
+    def advance(ns):
+        now[0] += ns
+
+    monkeypatch.setattr(time, "clock_gettime_ns", lambda clock: now[0])
+    monkeypatch.setattr(os, "pwrite", lambda fd, buf, off: advance(4_000_000))
+    monkeypatch.setattr(os, "fsync", lambda fd: advance(500_000))
     with ProbeHandle(probe_file, ProbeMode.WRITE_FSYNC) as handle:
         latency = handle.probe_for(0.001).latencies_ns[0]
-    assert 400_000 < latency < 3_000_000  # ~0.5 ms, not ~4.5 ms
+    assert latency == 500_000
 
 
 def test_fsync_only_mode_never_mutates(probe_file, monkeypatch):
