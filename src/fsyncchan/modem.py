@@ -197,9 +197,9 @@ def _fit(values: Sequence[float]) -> tuple[int, float, float]:
     mean = math.fsum(values) / n  # statistics.fmean
     std = 0.0
     if n >= 2:
-        # the deviations, scaled by 2**-e, a double near the largest of them
-        # (rounding is monotone), as ldexp would: squares of deviations below
-        # 1e-154 no longer underflow
+        # the deviations scaled by 2**-e (a double: e >= -1023) near the
+        # largest of them, found by monotone rounding from the extreme values;
+        # squares of deviations below 1e-154 no longer underflow
         e = max(math.frexp(max(max(values) - mean, mean - min(values)))[1], -1023)
         scale = math.ldexp(1.0, -e)
         d = [(v - mean) * scale for v in values]

@@ -791,6 +791,7 @@ def test_trace_read_peak_memory_is_its_columns_and_one_block(tmp_path):
 
 
 _HEADER = "timestamp_ns,latency_ns\n"
+_CRLF_HEADER = "timestamp_ns,latency_ns\r\n"
 
 
 def _written(timestamps, latencies) -> str:
@@ -832,13 +833,19 @@ _EDGE_CASES = {
     "INT64_MAX latency": _HEADER + "0,9223372036854775807\n",
     "20-digit fields": _HEADER + "00000000000000000042,00000000000000000007\n50,1\n",
     "CRLF longer than a block": (_HEADER + _BLOCK_ROWS).replace("\n", "\r\n"),
+    # a CRLF block goes to the line parser when it holds an LF row, a lone
+    # CR or a blank line, and names the line of a bad row as it does
     "CRLF bad row in the last block": (_HEADER + _BLOCK_ROWS + "2000000,x\n").replace("\n", "\r\n"),
-    "CRLF zero latency": (_HEADER + _BLOCK_ROWS + "2000000,0\n").replace("\n", "\r\n"),
-    "CRLF and LF rows in one block": _HEADER.replace("\n", "\r\n") + "1,2\r\n3,4\n5,6\r\n",
-    "CRLF header, LF rows": _HEADER.replace("\n", "\r\n") + "1,2\n3,4\n",
+    "CRLF zero latency in the last block": (_HEADER + _BLOCK_ROWS + "2000000,0\n").replace("\n", "\r\n"),
+    "CRLF bad row": _CRLF_HEADER + "1,2\r\n5,x\r\n6,7\r\n",
+    "CRLF three fields": _CRLF_HEADER + "1,2\r\n5,6,7\r\n",
+    "CRLF decrease": _CRLF_HEADER + "10,1\r\n20,1\r\n15,1\r\n",
+    "CRLF and LF rows in one block": _CRLF_HEADER + "1,2\r\n3,4\n5,6\r\n",
+    "lone CR among CRLF rows": _CRLF_HEADER + "1,2\r\n3,4\r5,6\r\n",
+    "blank CRLF line": _CRLF_HEADER + "1,2\r\n\r\n3,4\r\n",
+    "CRLF header, LF rows": _CRLF_HEADER + "1,2\n3,4\n",
     "LF header, CRLF rows": _HEADER + "1,2\r\n3,4\r\n",
     "CRLF rows after an LF block": _HEADER + _BLOCK_ROWS + "2000000,3\r\n2000001,4\r\n",
-    "blank CRLF line": _HEADER + "1,2\r\n\r\n3,4\r\n",
     "written negative timestamps across a block edge": _written(
         np.arange(core._BLOCK // 9) * 7 - 40_000, np.arange(core._BLOCK // 9) % 9 + 1
     ),
@@ -861,7 +868,10 @@ _FAULTY_CASES = {
     "sign after a field",
     "negative latency",
     "CRLF bad row in the last block",
-    "CRLF zero latency",
+    "CRLF zero latency in the last block",
+    "CRLF bad row",
+    "CRLF three fields",
+    "CRLF decrease",
 }
 
 
@@ -885,10 +895,6 @@ def test_trace_read_chunk_edges_match_line_parser(case, tmp_path):
         assert _read_outcome(_trace_rows, pipe) == want_path
 
 
-def _no_line_parse(*args):
-    raise AssertionError("the text fell back to the line parser")
-
-
 def test_trace_read_takes_crlf_traces_whole(long_trace_csv, monkeypatch, tmp_path):
     # a written trace with CRLF for each LF, header included, reads as the
     # LF file does and stays on the block parser: from a path, a text
@@ -897,44 +903,14 @@ def test_trace_read_takes_crlf_traces_whole(long_trace_csv, monkeypatch, tmp_pat
     text = path.read_text().replace("\n", "\r\n")
     crlf = tmp_path / "crlf.csv"
     crlf.write_text(text, encoding="ascii", newline="")
-    monkeypatch.setattr(core, "_parse_rows", _no_line_parse)
+    def no_line_parse(*args):
+        raise AssertionError("a CRLF trace fell back to the line parser")
+
+    monkeypatch.setattr(core, "_parse_rows", no_line_parse)
     with _pipe_path(crlf.read_bytes(), 1 << 16) as pipe:
         for back in map(trace_read, [crlf, io.StringIO(text), pipe]):
             assert np.array_equal(back.timestamps_ns, trace.timestamps_ns)
             assert np.array_equal(back.latencies_ns, trace.latencies_ns)
-
-
-@pytest.mark.parametrize("rows", ["1,2\r\n3,4\n5,6\r\n", "1,2\n3,4\r\n", "1,2\r\n3,4\r5,6\r\n",
-                                  "1,2\r\n\r\n3,4\r\n"])
-def test_trace_read_mixed_line_ends_take_the_line_parser(rows, monkeypatch, tmp_path):
-    # mixed line ends, a lone CR or a blank line in a block of CRLF rows
-    # leave the block parser, and the line parser's trace is read
-    path = tmp_path / "trace.csv"
-    path.write_text(_HEADER.replace("\n", "\r\n") + rows, encoding="ascii", newline="")
-    with open(path, encoding="ascii", newline="") as fh:
-        fh.readline()
-        want = core._parse_rows(fh)
-    parsed = []
-    parse_rows = core._parse_rows
-    monkeypatch.setattr(core, "_parse_rows", lambda lines: parsed.append(1) or parse_rows(lines))
-    assert trace_read(path) == want
-    assert parsed == [1]
-
-
-@pytest.mark.parametrize("row,message", [
-    ("5,x", "non-integer field"), ("5,0", "latency must be positive"),
-    ("1,2", "timestamps must be nondecreasing"), ("5,6,7", "expected two comma-separated fields"),
-])
-def test_trace_read_names_the_line_of_a_bad_crlf_row(row, message, tmp_path):
-    # a bad CRLF row, in the first block or after a whole one, raises on the
-    # line the line parser names: the header is line 1
-    block = _BLOCK_ROWS.replace("\n", "\r\n")
-    for before, line in (("3,4\r\n", 3), (block, 2 + _BLOCK_ROWS.count("\n"))):
-        path = tmp_path / "trace.csv"
-        text = _HEADER.replace("\n", "\r\n") + before + row + "\r\n9000000,1\r\n"
-        path.write_text(text, encoding="ascii", newline="")
-        with pytest.raises(TraceFormatError, match=f"^line {line}: {message}"):
-            trace_read(path)
 
 
 @pytest.mark.parametrize("field", ["-99999999999999999999", "-9223372036854775809"])
