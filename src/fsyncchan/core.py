@@ -494,17 +494,17 @@ def trace_read(source: Union[str, Path, IO[str]]) -> LatencyTrace:
     stream is split where it splits itself (``io.StringIO``: at LF).
 
     Text in the form trace_write emits (the header, then rows of two
-    decimal fields, each row ending in LF, or each of a block's in CRLF) is
-    parsed in 64 KiB blocks cut at LF, each with one C call, ``np.fromstring``,
-    straight into two columns of the exact size; a regular file's LFs are
-    counted first.  A field fromstring would saturate (reading INT64_MAX or
-    INT64_MIN), and any other text, goes to a line parser that takes every
-    spelling int() takes and raises TraceFormatError with the number of the
-    first bad line; so do rows with a latency that is not positive or a
-    timestamp that goes backwards.  Rows that otherwise pass but end past
-    what a trace may span raise LatencyTrace's ValueError at once.  Only the
-    named file is opened, once; a pipe is read once.  Meta does not travel
-    in the CSV: the trace has the default TraceMeta.
+    decimal fields, each row ending in LF) is parsed in 64 KiB blocks cut
+    at LF, each with one C call, ``np.fromstring``, straight into two
+    columns of the exact size; a regular file's LFs are counted first.  A
+    field fromstring would saturate (reading INT64_MAX or INT64_MIN), and
+    any other text, goes to a line parser that takes every spelling int()
+    takes and raises TraceFormatError with the number of the first bad
+    line; so do rows with a latency that is not positive or a timestamp
+    that goes backwards.  Rows that otherwise pass but end past what a
+    trace may span raise LatencyTrace's ValueError at once.  Only the named
+    file is opened, once; a pipe is read once.  Meta does not travel in the
+    CSV: the trace has the default TraceMeta.
     """
     if not isinstance(source, (str, Path)):
         return _read_stream(source)
@@ -512,15 +512,12 @@ def trace_read(source: Union[str, Path, IO[str]]) -> LatencyTrace:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             return _read_stream(fh)
         raw = fh.buffer  # read in binary before any text is read
-        head = raw.read(len(_HEADER_LINE) + 1)
-        if head.startswith(_HEADER_LINE) or head == _HEADER_LINE.replace(b"\n", b"\r\n"):
-            start = head.index(b"\n") + 1
-            raw.seek(start)
+        if raw.read(len(_HEADER_LINE)) == _HEADER_LINE:
             n = sum(
                 np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
                 for block in iter(functools.partial(raw.read, _BLOCK), b"")
             )
-            raw.seek(start)
+            raw.seek(len(_HEADER_LINE))
             trace = _read_blocks(raw.read, n)
             if trace is not None:
                 return trace
@@ -555,12 +552,11 @@ def _read_stream(source: IO[str]) -> LatencyTrace:
 
 def _read_blocks(read, n: int) -> LatencyTrace | None:
     """The trace of the n rows `read` returns after the header, or None for
-    the line parser: text not in trace_write's form (a block may end every
-    row in CRLF), n not its row count, an empty field or a stray sign (numpy
-    stops short with a ValueError, in older numpy a DeprecationWarning, or
-    reads 0), a field read as INT64_MAX or INT64_MIN (fromstring saturates
-    an overflow), or a nonpositive latency or backwards timestamp, which the
-    line parser places on a line."""
+    the line parser: text not in trace_write's form, n not its row count, an
+    empty field or a stray sign (numpy stops short with a ValueError, in
+    older numpy a DeprecationWarning, or reads 0), a field read as INT64_MAX
+    or INT64_MIN (fromstring saturates an overflow), or a nonpositive
+    latency or backwards timestamp, which the line parser places on a line."""
     ts = np.empty(n, dtype=np.int64)
     lat = np.empty(n, dtype=np.int64)
     done = 0
@@ -572,15 +568,13 @@ def _read_blocks(read, n: int) -> LatencyTrace | None:
             if not cut:
                 return None  # no final LF, or a line longer than a block
             block, rest = block[:cut], block[cut:]
-            # trace_write's form: deleting the digits and signs leaves one ",\n"
-            # per row, or one ",\r\n" per row of a CRLF block
+            # trace_write's form: deleting the digits and signs leaves one ",\n" per row
             punct = block.translate(None, b"-0123456789")
-            row_end = b",\r\n" if punct.endswith(b"\r\n") else b",\n"
-            rows = len(punct) // len(row_end)
-            if punct != row_end * rows or done + rows > n:
+            rows = len(punct) // 2
+            if punct != b",\n" * rows or done + rows > n:
                 return None
             try:
-                values = np.fromstring(block.replace(row_end[1:], b","), dtype=np.int64, sep=",")
+                values = np.fromstring(block.replace(b"\n", b","), dtype=np.int64, sep=",")
             except (ValueError, DeprecationWarning):
                 return None
             if len(values) != 2 * rows or values.max() == _INT64_MAX or values.min() == _INT64_MIN:
