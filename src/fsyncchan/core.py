@@ -409,7 +409,8 @@ def trace_write(trace: LatencyTrace, sink: Union[str, Path, IO[str]]) -> None:
     """Write the two-column trace CSV (LF line endings, ASCII integers).
 
     A path is written as bytes; a text stream from the caller gets str.
-    Both see the same characters, one write per block of `_WRITE_ROWS` rows.
+    Both see the same characters, one write per block of `_WRITE_ROWS` rows,
+    a byte matrix when its rows have one width (see _format_rows).
     """
     header = (TRACE_CSV_HEADER + "\n").encode("ascii")
     ts, lat = trace.timestamps_ns, trace.latencies_ns
@@ -459,12 +460,32 @@ _INNER = np.uint64(10_000)  # offset of the "%04d" entries
 def _format_rows(ts: np.ndarray, lat: np.ndarray) -> bytes:
     """The CSV rows "%d,%d\\n" of two equal-length int64 columns, as bytes.
 
-    Every row becomes the same number of uint32 slots: a sign for the
+    When the timestamps are nonnegative and each column has one digit count
+    (its first and last timestamp, its smallest and largest latency), the
+    rows are a (rows, width) uint8 matrix, filled by column slices from the
+    "%04d" entries of the group table.  Otherwise every row becomes the same number of uint32 slots: a sign for the
     timestamps when any is negative, the 4-digit groups of each field, and
     each field's end byte, each slot padded with NUL.  One translate then
     deletes the NULs.
     """
     units, higher = _digit_groups()
+    t_digits, l_digits = len(str(ts[0])), len(str(lat.min()))
+    if ts[0] >= 0 and len(str(ts[-1])) == t_digits and len(str(lat.max())) == l_digits:
+        out = np.empty((len(ts), t_digits + l_digits + 2), dtype=np.uint8)
+        out[:, [t_digits, -1]] = (ord(","), ord("\n"))
+        for col, start, end in ((ts, 0, t_digits), (lat, t_digits + 1, out.shape[1] - 1)):
+            mag = col.view(np.uint64)
+            while end > start:
+                high = mag // 10_000
+                text = units.take(mag - high * 10_000 + _INNER)
+                if end - start >= 4:  # one unaligned uint32 per row
+                    out[:, end - 4 : end].view("<u4")[:, 0] = text
+                else:  # the leading group's last digits, a column at a time
+                    chars = text.view(np.uint8).reshape(-1, 4)
+                    for j in range(1, end - start + 1):
+                        out[:, end - j] = chars[:, -j]
+                mag, end = high, end - 4
+        return out.tobytes()
     slots = []
     for col, end in ((ts, ","), (lat, "\n")):
         mag = col.view(np.uint64)
@@ -495,16 +516,19 @@ def trace_read(source: Union[str, Path, IO[str]]) -> LatencyTrace:
 
     Text in the form trace_write emits (the header, then rows of two
     decimal fields, each row ending in LF) is parsed in 64 KiB blocks cut
-    at LF, each with one C call, ``np.fromstring``, straight into two
-    columns of the exact size; a regular file's LFs are counted first.  A
-    field fromstring would saturate (reading INT64_MAX or INT64_MIN), and
-    any other text, goes to a line parser that takes every spelling int()
-    takes and raises TraceFormatError with the number of the first bad
-    line; so do rows with a latency that is not positive or a timestamp
-    that goes backwards.  Rows that otherwise pass but end past what a
-    trace may span raise LatencyTrace's ValueError at once.  Only the named
-    file is opened, once; a pipe is read once.  Meta does not travel in the
-    CSV: the trace has the default TraceMeta.
+    at LF, straight into two columns of the exact size; a regular file's
+    LFs are counted first.  A block of rows of one width, unsigned fields
+    of 1 to 15 digits (exact in float64), is read as a byte matrix; every
+    other block, so most of a real trace, whose latencies change digit
+    count, by one C call, ``np.fromstring``.  A field fromstring would
+    saturate (reading INT64_MAX or INT64_MIN), and any other text, goes to
+    a line parser that takes every spelling int() takes and raises
+    TraceFormatError with the number of the first bad line; so do rows with
+    a latency that is not positive or a timestamp that goes backwards.  Rows
+    that otherwise pass but end past what a trace may span raise
+    LatencyTrace's ValueError at once.  Only the named file is opened, once;
+    a pipe is read once.  Meta does not travel in the CSV: the trace has the
+    default TraceMeta.
     """
     if not isinstance(source, (str, Path)):
         return _read_stream(source)
@@ -552,11 +576,11 @@ def _read_stream(source: IO[str]) -> LatencyTrace:
 
 def _read_blocks(read, n: int) -> LatencyTrace | None:
     """The trace of the n rows `read` returns after the header, or None for
-    the line parser: text not in trace_write's form, n not its row count, an
-    empty field or a stray sign (numpy stops short with a ValueError, in
-    older numpy a DeprecationWarning, or reads 0), a field read as INT64_MAX
-    or INT64_MIN (fromstring saturates an overflow), or a nonpositive
-    latency or backwards timestamp, which the line parser places on a line."""
+    the line parser.  Each block cut at LF is read by _uniform_block when
+    its rows have one width, else by _fromstring_block.  None stands for
+    text not in trace_write's form, n not its row count, a block either
+    reader refuses, or a nonpositive latency or backwards timestamp, which
+    the line parser places on a line."""
     ts = np.empty(n, dtype=np.int64)
     lat = np.empty(n, dtype=np.int64)
     done = 0
@@ -568,22 +592,13 @@ def _read_blocks(read, n: int) -> LatencyTrace | None:
             if not cut:
                 return None  # no final LF, or a line longer than a block
             block, rest = block[:cut], block[cut:]
-            # trace_write's form: deleting the digits and signs leaves one ",\n" per row
-            punct = block.translate(None, b"-0123456789")
-            rows = len(punct) // 2
-            if punct != b",\n" * rows or done + rows > n:
+            fields = _uniform_block(block)
+            if fields is None:
+                fields = _fromstring_block(block)
+            if fields is None or done + len(fields[0]) > n:
                 return None
-            try:
-                values = np.fromstring(block.replace(b"\n", b","), dtype=np.int64, sep=",")
-            except (ValueError, DeprecationWarning):
-                return None
-            if len(values) != 2 * rows or values.max() == _INT64_MAX or values.min() == _INT64_MIN:
-                return None
-            # fromstring reads a bare "-" (or "-0") as 0: each sign must make a negative value
-            if b"-" in block and block.count(b"-") != np.count_nonzero(values < 0):
-                return None
-            ts[done : done + rows] = values[0::2]
-            lat[done : done + rows] = values[1::2]
+            rows = len(fields[0])
+            ts[done : done + rows], lat[done : done + rows] = fields
             done += rows
     if done != n:
         return None
@@ -595,6 +610,57 @@ def _read_blocks(read, n: int) -> LatencyTrace | None:
         if lat.min() > 0 and not (ts[1:] < ts[:-1]).any():
             raise
         return None
+
+
+def _fromstring_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two int64 field columns of a block in trace_write's form, read by
+    one C call, ``np.fromstring``; None for any other text, an empty field
+    or a stray sign (numpy stops short with a ValueError, in older numpy a
+    DeprecationWarning, or reads 0), or a field read as INT64_MAX or
+    INT64_MIN (fromstring saturates an overflow)."""
+    # trace_write's form: deleting the digits and signs leaves one ",\n" per row
+    punct = block.translate(None, b"-0123456789")
+    rows = len(punct) // 2
+    if punct != b",\n" * rows:
+        return None
+    try:
+        values = np.fromstring(block.replace(b"\n", b","), dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(values) != 2 * rows or values.max() == _INT64_MAX or values.min() == _INT64_MIN:
+        return None
+    # fromstring reads a bare "-" (or "-0") as 0: each sign must make a negative value
+    if b"-" in block and block.count(b"-") != np.count_nonzero(values < 0):
+        return None
+    return values[0::2], values[1::2]
+
+
+_POWERS = 10.0 ** np.arange(15)  # exact float64 powers of ten for fields of 1 to 15 digits
+
+
+def _uniform_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two float64 field columns of a block whose rows all have one width
+    and their comma in one column, with 1 to 15 digits per field and no
+    other byte; None for any other block.  The block is a (rows, width)
+    uint8 matrix less "0": its comma and LF columns are checked, every other
+    byte must read 0 to 9, and each field is the dot product of its digit
+    columns with powers of ten, exact because every partial sum is an
+    integer below 10**15 < 2**53."""
+    width = block.find(b"\n") + 1
+    comma = block.find(b",", 0, width)
+    rows, extra = divmod(len(block), width)
+    if extra or not 0 < comma <= 15 or not 0 < width - comma - 2 <= 15:
+        return None
+    digits = np.frombuffer(block, dtype=np.uint8).reshape(rows, width) - np.uint8(ord("0"))
+    # "," - "0" and "\n" - "0" wrap to 252 and 218; no other byte may pass 9
+    if (digits[:, comma] != 252).any() or (digits[:, -1] != 218).any() or (
+        np.count_nonzero(digits > 9) != 2 * rows
+    ):
+        return None
+    return (
+        digits[:, :comma] @ _POWERS[comma - 1 :: -1],
+        digits[:, comma + 1 : -1] @ _POWERS[width - comma - 3 :: -1],
+    )
 
 
 def _parse_rows(lines: Iterable[str]) -> LatencyTrace:

@@ -76,3 +76,19 @@ def test_bench_file_layers_are_benchmark_layers(ab_pairs):
     bench_file = importlib.import_module("bench_file")
     benchmark = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
     assert set(bench_file.LAYERS) <= {m["name"] for m in benchmark["per_layer"]}
+
+
+def test_bench_context_records_parallel_speedup(ab_pairs, monkeypatch, tmp_path):
+    # a BENCH file states how much two processes at once get from the host
+    bench_file = importlib.import_module("bench_file")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "w"}]}))
+    report = {"context": {k: {"core.py": 1} if k == "src_lines" else "x" for k in bench_file.CONTEXT_KEYS}}
+    metrics = {m: {"value": 1.0, "unit": "s"} for m in bench_file.METRICS + bench_file.LAYERS}
+    result = {"correct": True, "failed": 0, "attempted": 1, "metrics": metrics}
+    monkeypatch.setattr(bench_file, "run_once", lambda *args, **kwargs: (report, result))
+    speedup = bench_file.parallel_speedup
+    monkeypatch.setattr(bench_file, "parallel_speedup", lambda: speedup(20_000))
+    context = bench_file.bench(tmp_path)["context"]
+    assert isinstance(context["parallel_speedup"], float)
+    assert context["parallel_speedup"] > 0
+    assert set(bench_file.LAYERS) >= {"core.trace_write_s", "core.rows_written"}

@@ -844,6 +844,14 @@ _EDGE_CASES = {
     "sign inside a field": _HEADER + "1,2\n5-3,4\n",
     "sign after a field": _HEADER + "1,2\n3-,3\n",
     "negative latency": _HEADER + "1,2\n5,-3\n",
+    # one width, but the comma moves: the byte matrix refuses the block
+    "uniform width, comma one column over": _HEADER + "12,345\n123,45\n",
+    "letter in a uniform block": _HEADER + "10,20\n1a,30\n12,40\n",
+    "leading zeros in a uniform block": _HEADER + "007,0042\n008,0043\n",
+    "uniform 15-digit fields": _HEADER + "100000000000000,999999999999999\n123456789012345,100000000000000\n",
+    "uniform 16-digit fields": _HEADER + "1000000000000000,9999999999999999\n1234567890123456,1000000000000000\n",
+    "width change inside a block": _HEADER + "8,5\n9,5\n10,5\n11,5\n",
+    "zero latency in a uniform block": _HEADER + "10,1\n11,0\n12,3\n",
 }
 _FAULTY_CASES = {
     "decrease at a chunk edge",
@@ -857,6 +865,8 @@ _FAULTY_CASES = {
     "sign after a field",
     "negative latency",
     "lone CR after a comma",
+    "letter in a uniform block",
+    "zero latency in a uniform block",
 }
 
 
@@ -878,6 +888,74 @@ def test_trace_read_chunk_edges_match_line_parser(case, tmp_path):
     assert _read_outcome(_trace_rows, io.StringIO(text)) == want_text
     with _pipe_path(text.encode("ascii"), 7) as pipe:
         assert _read_outcome(_trace_rows, pipe) == want_path
+
+
+def _mixed_width_blocks(data: bytes) -> tuple[int, int]:
+    """The blocks of rows after the header, cut as the block parser cuts
+    them, and how many of them hold rows of more than one width or comma
+    column."""
+    blocks = mixed = pos = 0
+    rest = b""
+    while block := rest + data[pos : pos + core._BLOCK]:
+        pos += core._BLOCK
+        cut = block.rfind(b"\n") + 1
+        block, rest = block[:cut], block[cut:]
+        blocks += 1
+        mixed += len({(len(row), row.index(b",")) for row in block.split(b"\n")[:-1]}) > 1
+    return blocks, mixed
+
+
+def test_trace_read_calls_fromstring_only_for_mixed_width_blocks(monkeypatch, tmp_path):
+    # a simulated 400 us send trace has 5-digit latencies, and its
+    # timestamps change digit count only at powers of ten: the byte matrix
+    # reads every block but those that hold such a change
+    trace = sim_transmit(prbs_sequence(2_000, 3), ChannelConfig(ts_us=400), default_model(), seed=3)
+    path = tmp_path / "trace.csv"
+    trace_write(trace, path)
+    blocks, mixed = _mixed_width_blocks(path.read_bytes()[len(_HEADER) :])
+    assert 0 < mixed < blocks, (mixed, blocks)
+    calls = []
+    fromstring = np.fromstring
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fromstring(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", counted)
+    back = trace_read(path)
+    assert len(calls) == mixed
+    assert back == LatencyTrace(trace.timestamps_ns, trace.latencies_ns)
+
+
+@pytest.mark.parametrize(
+    "ts,lat,matrix",
+    [
+        pytest.param(10 ** (d - 1) + np.arange(50) // 10, 10 ** (d - 1) + np.arange(50) % 7, True, id=f"{d} digits")
+        for d in (1, 4, 5, 8, 15, 18, 19)
+    ]
+    + [
+        pytest.param(np.zeros(50, dtype=np.int64), np.full(50, 12_345), True, id="ts 0"),
+        pytest.param(9_950 + np.arange(51), np.full(51, 7), False, id="uniform but the last row"),
+    ],
+)
+def test_trace_write_uniform_blocks_match_reference(ts, lat, matrix, monkeypatch):
+    # a block of one row width is filled as a byte matrix, without the
+    # slot stack of the general formatter, and reads as "%d,%d\n" does
+    trace = LatencyTrace(ts, lat)
+    want = io.StringIO()
+    trace_write_reference(trace, want)
+    stacks = []
+    stack = np.stack
+
+    def counted(*args, **kwargs):
+        stacks.append(1)
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counted)
+    got = io.StringIO()
+    trace_write(trace, got)
+    assert got.getvalue() == want.getvalue()
+    assert len(stacks) == (0 if matrix else 1)
 
 
 @pytest.mark.parametrize("field", ["-99999999999999999999", "-9223372036854775809"])

@@ -11,7 +11,10 @@ from DIR at each seed of SEEDS, with T = SECONDS, one run at a time, and
 writes the median and quartiles of every end-to-end metric per workload,
 each run's `correct` and `failed` values, and the run context from the
 benchmark's report line (Python, numpy, nproc, commit and the line count of
-each source file).  One more run per workload, the same command with
+each source file).  The context also holds `parallel_speedup`: the work per
+second of two copies of one pure-Python job run at once in two processes
+over one copy's alone, about 2 where both cores of an nproc of 2 are free
+and about 1 where the host runs the two on one core.  One more run per workload, the same command with
 `--trace 1` at the first seed, gives the LAYERS metrics, each the median
 over that run's traced passes.  T is fixed so that any two BENCH files
 compare.
@@ -21,15 +24,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 10.0
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
-LAYERS = ("core.trace_read_s", "core.read_rows_per_s")
+LAYERS = ("core.trace_read_s", "core.read_rows_per_s", "core.trace_write_s", "core.rows_written")
+SPIN_STEPS = 2_000_000  # about 0.2 s of pure Python on a 2-core VM
 CONTEXT_KEYS = ("python", "numpy", "nproc", "git_commit", "src_lines")
 
 
@@ -45,6 +51,28 @@ def run_once(
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def spin(steps: int) -> int:
+    """A fixed pure-Python job: one loop of `steps` integer steps."""
+    total = 0
+    for i in range(steps):
+        total += i * i
+    return total
+
+
+def parallel_speedup(steps: int = SPIN_STEPS) -> float:
+    """Work per second of two copies of spin(steps) run at once in two
+    processes over that of one copy alone, timed the same way."""
+    with multiprocessing.Pool(2) as pool:
+        pool.map(spin, [1, 1], chunksize=1)  # both workers up before timing
+        start = time.perf_counter()
+        pool.apply(spin, (steps,))
+        alone = time.perf_counter() - start
+        start = time.perf_counter()
+        pool.map(spin, [steps, steps], chunksize=1)
+        both = time.perf_counter() - start
+    return round(2 * alone / both, 3)
 
 
 def summary(values: list[float], unit: str) -> dict:
@@ -74,6 +102,7 @@ def bench(root: Path) -> dict:
         layers[workload] = {name: result["metrics"][name] for name in LAYERS}
         print(workload, "traced", json.dumps(layers[workload]), file=sys.stderr)
     context["src_lines_total"] = sum(context["src_lines"].values())
+    context["parallel_speedup"] = parallel_speedup()
     return {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "seeds": list(SEEDS),
