@@ -643,8 +643,8 @@ def _uniform_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     and their comma in one column, with 1 to 15 digits per field and no
     other byte; None for any other block.  The block is a (rows, width)
     uint8 matrix less "0": its comma and LF columns are checked, every other
-    byte must read 0 to 9, and each field is the dot product of its digit
-    columns with powers of ten, exact because every partial sum is an
+    byte must read 0 to 9, and each field is the float64 dot product of its
+    digit columns with powers of ten, exact because every partial sum is an
     integer below 10**15 < 2**53."""
     width = block.find(b"\n") + 1
     comma = block.find(b",", 0, width)
@@ -657,10 +657,11 @@ def _uniform_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
         np.count_nonzero(digits > 9) != 2 * rows
     ):
         return None
-    return (
-        digits[:, :comma] @ _POWERS[comma - 1 :: -1],
-        digits[:, comma + 1 : -1] @ _POWERS[width - comma - 3 :: -1],
-    )
+    weights = np.zeros((width, 2))
+    weights[:comma, 0] = _POWERS[comma - 1 :: -1]
+    weights[comma + 1 : -1, 1] = _POWERS[width - comma - 3 :: -1]
+    fields = digits.astype(np.float64) @ weights  # one BLAS call, zero weights on "," and LF
+    return fields[:, 0], fields[:, 1]
 
 
 def _parse_rows(lines: Iterable[str]) -> LatencyTrace:
