@@ -463,10 +463,10 @@ def _format_rows(ts: np.ndarray, lat: np.ndarray) -> bytes:
     When the timestamps are nonnegative and each column has one digit count
     (its first and last timestamp, its smallest and largest latency), the
     rows are a (rows, width) uint8 matrix, filled by column slices from the
-    "%04d" entries of the group table.  Otherwise every row becomes the same number of uint32 slots: a sign for the
-    timestamps when any is negative, the 4-digit groups of each field, and
-    each field's end byte, each slot padded with NUL.  One translate then
-    deletes the NULs.
+    "%04d" entries of the group table.  Otherwise every row becomes the
+    same number of uint32 slots: a sign for the timestamps when any is
+    negative, the 4-digit groups of each field, and each field's end byte,
+    each slot padded with NUL.  One translate then deletes the NULs.
     """
     units, higher = _digit_groups()
     t_digits, l_digits = len(str(ts[0])), len(str(lat.min()))

@@ -14,10 +14,10 @@ benchmark's report line (Python, numpy, nproc, commit and the line count of
 each source file).  The context also holds `parallel_speedup`: the work per
 second of two copies of one pure-Python job run at once in two processes
 over one copy's alone, about 2 where both cores of an nproc of 2 are free
-and about 1 where the host runs the two on one core.  One more run per workload, the same command with
-`--trace 1` at the first seed, gives the LAYERS metrics, each the median
-over that run's traced passes.  T is fixed so that any two BENCH files
-compare.
+and about 1 where the host runs the two on one core.  One more run per
+workload, the same command with `--trace 1` at the first seed, gives the
+LAYERS metrics, each the median over that run's traced passes.  T is fixed
+so that any two BENCH files compare.
 """
 
 from __future__ import annotations
