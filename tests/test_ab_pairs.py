@@ -82,7 +82,8 @@ def test_bench_context_records_parallel_speedup(ab_pairs, monkeypatch, tmp_path)
     # a BENCH file states how much two processes at once get from the host
     bench_file = importlib.import_module("bench_file")
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "w"}]}))
-    report = {"context": {k: {"core.py": 1} if k == "src_lines" else "x" for k in bench_file.CONTEXT_KEYS}}
+    context = {k: {"core.py": 1} if k == "src_lines" else "x" for k in bench_file.CONTEXT_KEYS}
+    report = {"context": context}
     metrics = {m: {"value": 1.0, "unit": "s"} for m in bench_file.METRICS + bench_file.LAYERS}
     result = {"correct": True, "failed": 0, "attempted": 1, "metrics": metrics}
     monkeypatch.setattr(bench_file, "run_once", lambda *args, **kwargs: (report, result))

@@ -848,8 +848,10 @@ _EDGE_CASES = {
     "uniform width, comma one column over": _HEADER + "12,345\n123,45\n",
     "letter in a uniform block": _HEADER + "10,20\n1a,30\n12,40\n",
     "leading zeros in a uniform block": _HEADER + "007,0042\n008,0043\n",
-    "uniform 15-digit fields": _HEADER + "100000000000000,999999999999999\n123456789012345,100000000000000\n",
-    "uniform 16-digit fields": _HEADER + "1000000000000000,9999999999999999\n1234567890123456,1000000000000000\n",
+    "uniform 15-digit fields": _HEADER
+    + "100000000000000,999999999999999\n123456789012345,100000000000000\n",
+    "uniform 16-digit fields": _HEADER
+    + "1000000000000000,9999999999999999\n1234567890123456,1000000000000000\n",
     "width change inside a block": _HEADER + "8,5\n9,5\n10,5\n11,5\n",
     "zero latency in a uniform block": _HEADER + "10,1\n11,0\n12,3\n",
 }
@@ -930,7 +932,9 @@ def test_trace_read_calls_fromstring_only_for_mixed_width_blocks(monkeypatch, tm
 @pytest.mark.parametrize(
     "ts,lat,matrix",
     [
-        pytest.param(10 ** (d - 1) + np.arange(50) // 10, 10 ** (d - 1) + np.arange(50) % 7, True, id=f"{d} digits")
+        pytest.param(
+            10 ** (d - 1) + np.arange(50) // 10, 10 ** (d - 1) + np.arange(50) % 7, True, id=f"{d} digits"
+        )
         for d in (1, 4, 5, 8, 15, 18, 19)
     ]
     + [
