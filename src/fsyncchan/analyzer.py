@@ -296,7 +296,7 @@ def knn_train(features: Sequence[FeatureVector], k: int = 5) -> KnnModel:
             raise ValueError("training vectors must be labeled")
         if len(fv.edges) != len(edges) or not np.allclose(fv.edges, edges):
             raise ValueError("all training vectors must share bin edges")
-    matrix = np.stack([fv.normalized() for fv in features])
+    matrix = np.array([fv.normalized() for fv in features])
     return KnnModel(features=tuple(features), k=k, _matrix=matrix)
 
 

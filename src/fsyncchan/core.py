@@ -184,6 +184,7 @@ class ChannelConfig:
     payload_len: int = 8000
 
     def __post_init__(self):
+        object.__setattr__(self, "decision_rule", DecisionRule(self.decision_rule))
         if self.ts_us <= 0:
             raise ValueError("ts_us must be positive")
         if not 0 < self.payload_len <= MAX_PAYLOAD_LEN:
@@ -410,7 +411,7 @@ def trace_write(trace: LatencyTrace, sink: Union[str, Path, IO[str]]) -> None:
 
     A path is written as bytes; a text stream from the caller gets str.
     Both see the same characters, one write per block of `_WRITE_ROWS` rows,
-    a byte matrix when its rows have one width (see _format_rows).
+    each block one byte matrix (see _format_rows).
     """
     header = (TRACE_CSV_HEADER + "\n").encode("ascii")
     ts, lat = trace.timestamps_ns, trace.latencies_ns
@@ -460,50 +461,43 @@ _INNER = np.uint64(10_000)  # offset of the "%04d" entries
 def _format_rows(ts: np.ndarray, lat: np.ndarray) -> bytes:
     """The CSV rows "%d,%d\\n" of two equal-length int64 columns, as bytes.
 
-    When the timestamps are nonnegative and each column has one digit count
-    (its first and last timestamp, its smallest and largest latency), the
-    rows are a (rows, width) uint8 matrix, filled by column slices from the
-    "%04d" entries of the group table.  Otherwise every row becomes the
-    same number of uint32 slots: a sign for the timestamps when any is
-    negative, the 4-digit groups of each field, and each field's end byte,
-    each slot padded with NUL.  One translate then deletes the NULs.
+    The rows are one (rows, width) uint8 matrix: a sign column when the
+    first timestamp is negative (the timestamps ascend and the latencies
+    are positive), each field as wide as its widest value, then the comma
+    and LF columns.  Each field is filled right to left by 4-digit groups
+    from the group table.  A field of one digit count takes the "%04d"
+    entries; a ragged one takes each group's own entry, so a shorter value
+    is padded with NUL.  A block with a sign column or a ragged field then
+    has its NULs deleted by one translate.
     """
     units, higher = _digit_groups()
-    t_digits, l_digits = len(str(ts[0])), len(str(lat.min()))
-    if ts[0] >= 0 and len(str(ts[-1])) == t_digits and len(str(lat.max())) == l_digits:
-        out = np.empty((len(ts), t_digits + l_digits + 2), dtype=np.uint8)
-        out[:, [t_digits, -1]] = (ord(","), ord("\n"))
-        for col, start, end in ((ts, 0, t_digits), (lat, t_digits + 1, out.shape[1] - 1)):
-            mag = col.view(np.uint64)
-            while end > start:
-                high = mag // 10_000
-                text = units.take(mag - high * 10_000 + _INNER)
-                if end - start >= 4:  # one unaligned uint32 per row
-                    out[:, end - 4 : end].view("<u4")[:, 0] = text
-                else:  # the leading group's last digits, a column at a time
-                    chars = text.view(np.uint8).reshape(-1, 4)
-                    for j in range(1, end - start + 1):
-                        out[:, end - j] = chars[:, -j]
-                mag, end = high, end - 4
-        return out.tobytes()
-    slots = []
-    for col, end in ((ts, ","), (lat, "\n")):
-        mag = col.view(np.uint64)
-        negative = col < 0
-        if negative.any():
-            mag = np.where(negative, 0 - mag, mag)  # wraps to |v|, 2**63 for INT64_MIN
-            slots.append(negative.astype("<u4") * ord("-"))
-        groups = []
-        table = units
-        while True:
+    sign = int(ts[0] < 0)
+    mags = [ts.view(np.uint64), lat.view(np.uint64)]
+    t_ends = mags[0][0], mags[0][-1]
+    if sign:
+        mags[0] = np.where(ts < 0, 0 - mags[0], mags[0])  # wraps to |v|, 2**63 for INT64_MIN
+        t_ends = mags[0].min(), mags[0].max()
+    digits = [(len(str(lo)), len(str(hi))) for lo, hi in (t_ends, (lat.min(), lat.max()))]
+    comma = sign + digits[0][1]
+    out = np.empty((len(ts), comma + digits[1][1] + 2), dtype=np.uint8)
+    if sign:
+        out[:, 0] = (ts < 0) * ord("-")
+    out[:, [comma, -1]] = (ord(","), ord("\n"))
+    for mag, (lo, hi), end in zip(mags, digits, (comma, out.shape[1] - 1)):
+        start, table = end - hi, units
+        while end > start:
             high = mag // 10_000
-            groups.append(table.take(mag - high * 10_000 + (high > 0) * _INNER))
-            if not high.any():
-                break
-            mag, table = high, higher
-        slots += reversed(groups)
-        slots.append(np.full(len(col), ord(end), "<u4"))
-    return np.stack(slots, axis=1, dtype="<u4").tobytes().translate(None, b"\0")
+            text = table.take(mag - high * 10_000 + (_INNER if lo == hi else (high > 0) * _INNER))
+            if end - start >= 4:  # one unaligned uint32 per row
+                out[:, end - 4 : end].view("<u4")[:, 0] = text
+            else:  # the leading group's last digits, a column at a time
+                chars = text.view(np.uint8).reshape(-1, 4)
+                for j in range(1, end - start + 1):
+                    out[:, end - j] = chars[:, -j]
+            mag, end, table = high, end - 4, higher
+    if sign or any(lo < hi for lo, hi in digits):
+        return out.tobytes().translate(None, b"\0")
+    return out.tobytes()
 
 
 def trace_read(source: Union[str, Path, IO[str]]) -> LatencyTrace:

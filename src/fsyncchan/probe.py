@@ -54,7 +54,7 @@ class ProbeHandle:
     """
 
     def __init__(self, path, mode: ProbeMode = ProbeMode.FSYNC_ONLY):
-        self.mode = mode
+        self.mode = ProbeMode(mode)
         self.path = os.fspath(path)
         try:
             self._fd = os.open(self.path, os.O_RDWR)
@@ -65,7 +65,7 @@ class ProbeHandle:
         self._n_session_samples = 0
         self._resolution_ns = max(1, round(time.clock_getres(_CLOCK) * 1e9))
         # pre-size so every overwrite hits allocated blocks
-        if mode is ProbeMode.WRITE_FSYNC and os.fstat(self._fd).st_size < WRITE_SIZE:
+        if self.mode is ProbeMode.WRITE_FSYNC and os.fstat(self._fd).st_size < WRITE_SIZE:
             os.ftruncate(self._fd, WRITE_SIZE)
         self._session_start = time.clock_gettime_ns(_CLOCK)
 

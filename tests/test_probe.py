@@ -74,6 +74,22 @@ def test_write_mode_presizes_file(tmp_path):
         assert big.stat().st_size == 8192
 
 
+def test_mode_given_by_value_is_that_mode(tmp_path, monkeypatch):
+    # "write" pre-sizes the file as WRITE_FSYNC does; an unknown mode
+    # raises before the file is opened, so no descriptor leaks
+    path = tmp_path / "small.dat"
+    path.write_bytes(b"x")
+    with ProbeHandle(path, "write") as handle:
+        assert handle.mode is ProbeMode.WRITE_FSYNC
+        assert path.stat().st_size == WRITE_SIZE
+        assert handle.meta().probe_mode == "write"
+    opened = []
+    monkeypatch.setattr(os, "open", lambda *args: opened.append(args))
+    with pytest.raises(ValueError, match="'bogus' is not a valid ProbeMode"):
+        ProbeHandle(path, "bogus")
+    assert opened == []
+
+
 def test_context_manager_and_double_close(probe_file):
     handle = ProbeHandle(probe_file)
     handle.close()

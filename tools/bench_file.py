@@ -34,7 +34,14 @@ from pathlib import Path
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 10.0
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
-LAYERS = ("core.trace_read_s", "core.read_rows_per_s", "core.trace_write_s", "core.rows_written")
+LAYERS = (
+    "core.trace_read_s",
+    "core.read_rows_per_s",
+    "core.trace_write_s",
+    "core.rows_written",
+    "analyzer.knn_s",
+    "analyzer.knn_queries_per_s",
+)
 SPIN_STEPS = 2_000_000  # about 0.2 s of pure Python on a 2-core VM
 CONTEXT_KEYS = ("python", "numpy", "nproc", "git_commit", "src_lines")
 
