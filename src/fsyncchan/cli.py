@@ -53,6 +53,7 @@ from .modem import (
     TraceSource,
     WindowGrid,
     calibrate,
+    quiet_duration_ns,
     receive_frames,
     search_window,
     send_bits,
@@ -68,7 +69,6 @@ from .simchan import (
     check_symbol_cap,
     load_sim_params,
     loopback,
-    quiet_duration_ns,
     sim_transmit,
 )
 

@@ -20,9 +20,11 @@ _CHUNK windows without consuming them: the window statistics of the chunk
 come from exact prefix sums, each block of bits up to a threshold refresh
 is one float64 array comparison, and the grid then commits exactly the
 windows the caller used, so a frame search consumes what a window-at-a-time
-receiver would; the quiet statistics are filtered as they arrive.  A source
-with only probe_for(duration_us) (the benchmark's traced proxy) feeds the
-same core the windows it probes, and is asked only for windows it consumes.
+receiver would.  ThresholdState is the one place a statistic meets theta and
+where theta refreshes: it decides each block and keeps its quiet statistics
+as they arrive.  A source with only probe_for(duration_us) (the benchmark's
+traced proxy) feeds the same core the windows it probes, and is asked only
+for windows it consumes.
 """
 
 from __future__ import annotations
@@ -52,11 +54,18 @@ __all__ = [
     "TraceSource",
     "WindowGrid",
     "MIN_CALIBRATION_SAMPLES",
+    "quiet_duration_ns",
 ]
 
 MIN_CALIBRATION_SAMPLES = 64
 _UPDATE_PERIOD = 64  # symbols between threshold refreshes
 _MIN_QUIET_CLUSTER = 8  # the fewest quiet statistics a refresh fits
+
+
+def quiet_duration_ns(cfg: ChannelConfig) -> int:
+    """Quiet traffic a fit under cfg's rule needs: 5 ms, and under STDDEV 70
+    symbols, so that MIN_CALIBRATION_SAMPLES windows hold 2 or more samples."""
+    return max(5_000_000, 70 * cfg.ts_ns if cfg.decision_rule is DecisionRule.STDDEV else 0)
 
 
 class CalibrationError(ValueError):
@@ -116,8 +125,8 @@ class WindowGrid:
         column views (lo and hi are sequences of ints).  Fewer windows once
         the stream is spent, none at its end.  Reads the stream until it
         holds a sample past the last window."""
-        if duration_us <= 0:
-            raise ValueError("duration_us must be positive")
+        if not 0 < duration_us < math.inf:  # NaN fails too
+            raise ValueError(f"duration_us must be positive and finite, got {duration_us!r}")
         width = round(duration_us * 1000)
         if width == 0:
             raise ValueError(f"duration_us={duration_us} rounds to a zero-width window")
@@ -238,19 +247,14 @@ def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> np.ndarra
     return np.sqrt(num.astype(np.float64) / np.maximum(counts * (counts - 1), 1))
 
 
-def _float_at_or_below(theta: int) -> float:
-    """The largest float at or below the integer theta: a float is above
-    theta exactly when it is above this one, past 2**53 too."""
-    f = float(theta)
-    return f if f <= theta else math.nextafter(f, -math.inf)
-
-
 def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
     """The STDDEV statistic of each window with >= 2 samples, on the grid of
     width ts_ns anchored at the first sample, in window order.  It visits only
     the windows that hold samples; a WindowGrid look-ahead walks every window
     of the span, and two samples 10**15 ns apart at 50 us would ask it for
     2 * 10**10 windows."""
+    if not len(ts):
+        return []
     window = (ts - ts[0]) // ts_ns
     starts = np.flatnonzero(np.diff(window, prepend=-1))
     ends = np.append(starts[1:], len(ts))
@@ -274,6 +278,18 @@ class ThresholdState:
         """Symbols left to observe before theta next refreshes."""
         return _UPDATE_PERIOD - self._seen
 
+    @staticmethod
+    def _float_at_or_below(theta: int) -> float:
+        """The largest float at or below the integer theta: a float is above
+        theta exactly when it is above this one, past 2**53 too."""
+        f = float(theta)
+        return f if f <= theta else math.nextafter(f, -math.inf)
+
+    def decide(self, statistics_: np.ndarray) -> np.ndarray:
+        """The bits of float64 statistics up to the next refresh: a bool
+        array, True where a statistic is above theta."""
+        return statistics_[: self.until_refresh] > self._float_at_or_below(self.theta_ns)
+
     def observe_block(self, statistics_: Sequence[float], symbol_index: int) -> None:
         """Feed the statistics of consecutive symbols, the last one numbered
         symbol_index; theta refreshes when they complete an update period, so
@@ -287,7 +303,7 @@ class ThresholdState:
         if len(statistics_) > self.until_refresh:
             raise ValueError("a block of statistics may not run past the next refresh")
         if isinstance(statistics_, np.ndarray) and statistics_.dtype == np.float64:
-            self._quiet += statistics_[statistics_ <= _float_at_or_below(self.theta_ns)].tolist()
+            self._quiet += statistics_[~self.decide(statistics_)].tolist()
         else:
             self._quiet += [s for s in statistics_ if s <= self.theta_ns]
         self._seen += len(statistics_)
@@ -312,20 +328,11 @@ def calibrate(quiet_trace: LatencyTrace, cfg: ChannelConfig) -> ThresholdState:
     ts = quiet_trace.timestamps_ns[warmup:]
     lat = quiet_trace.latencies_ns[warmup:]
     if cfg.decision_rule is DecisionRule.MEAN:
-        if len(lat) < MIN_CALIBRATION_SAMPLES:
-            raise CalibrationError(
-                f"need >= {MIN_CALIBRATION_SAMPLES} non-warm-up samples, got {len(lat)}"
-            )
-        values = lat.tolist()
+        values, what = lat.tolist(), "non-warm-up samples"
     else:
-        if not len(lat):
-            raise CalibrationError("empty quiet trace")
-        values = _window_stdevs(ts, lat, cfg.ts_ns)
-        if len(values) < MIN_CALIBRATION_SAMPLES:
-            raise CalibrationError(
-                f"need >= {MIN_CALIBRATION_SAMPLES} quiet symbol windows with >= 2 samples, "
-                f"got {len(values)}"
-            )
+        values, what = _window_stdevs(ts, lat, cfg.ts_ns), "quiet symbol windows with >= 2 samples"
+    if len(values) < MIN_CALIBRATION_SAMPLES:
+        raise CalibrationError(f"need >= {MIN_CALIBRATION_SAMPLES} {what}, got {len(values)}")
     theta, mean, std = _fit(values)
     return ThresholdState(
         theta_ns=theta,
@@ -369,8 +376,8 @@ class _Decisions:
     """The decision core: decides a source's symbol windows in blocks that
     share one threshold, from chunks of window statistics (a float64 array).
 
-    decide() returns the bits of the next block, which ends at the state's
-    next refresh, with one comparison; take(k) consumes its first k windows:
+    decide() returns the bits the state decides for the next block, which
+    ends at the state's next refresh; take(k) consumes its first k windows:
     the source's grid commits them and the state observes their statistics.
     Symbols are numbered from 0 per instance.
     """
@@ -399,9 +406,7 @@ class _Decisions:
             _, lat, self._lo, self._hi = self._look_ahead(self._ts_us, min(sure, _CHUNK))
             stats = self._stats = _window_statistics(lat, self._lo, self._hi, self._rule)
             self._done = a = 0
-        state = self._state
-        block = stats[a : a + min(limit, state.until_refresh)]
-        return (block > _float_at_or_below(state.theta_ns)).tolist()
+        return self._state.decide(stats[a : a + limit]).tolist()
 
     def evidence(self, k: int) -> tuple[list[float], list[int]]:
         """Statistics and sample counts of the first k windows of the block."""

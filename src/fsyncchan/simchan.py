@@ -77,7 +77,6 @@ import numpy as np
 from .core import (
     BitStream,
     ChannelConfig,
-    DecisionRule,
     LatencyTrace,
     TraceMeta,
     decode_frames,
@@ -85,7 +84,7 @@ from .core import (
     frames_to_bits,
 )
 from .metrics import ErrorReport, compare_bits
-from .modem import WindowGrid, calibrate, receive_frames
+from .modem import WindowGrid, calibrate, quiet_duration_ns, receive_frames
 
 __all__ = [
     "LatencyDistribution",
@@ -111,7 +110,6 @@ __all__ = [
     "sim_transmit",
     "SimSource",
     "calibration_trace",
-    "quiet_duration_ns",
     "loopback",
     "SimParams",
     "parse_sim_params",
@@ -626,11 +624,6 @@ class SimSource(WindowGrid):
     def elapsed_us(self) -> float:
         """Virtual time consumed by the windows so far (0.0 before the first)."""
         return self._anchor / 1000.0 if self._anchor is not None else 0.0
-
-
-def quiet_duration_ns(cfg: ChannelConfig) -> int:
-    """Quiet traffic a fit under cfg's rule needs: 5 ms, and under STDDEV 70 symbols."""
-    return max(5_000_000, 70 * cfg.ts_ns if cfg.decision_rule is DecisionRule.STDDEV else 0)
 
 
 def calibration_trace(model: ContentionModel, cfg: ChannelConfig, seed: int) -> LatencyTrace:

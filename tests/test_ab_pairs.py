@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -92,4 +94,26 @@ def test_bench_context_records_parallel_speedup(ab_pairs, monkeypatch, tmp_path)
     context = bench_file.bench(tmp_path)["context"]
     assert isinstance(context["parallel_speedup"], float)
     assert context["parallel_speedup"] > 0
+    assert context["dirty"] is None  # tmp_path is no git checkout
     assert set(bench_file.LAYERS) >= {"core.trace_write_s", "core.rows_written"}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_context_marks_a_dirty_tree(ab_pairs, tmp_path):
+    # a BENCH file made from an uncommitted tree says so
+    bench_file = importlib.import_module("bench_file")
+    assert bench_file.dirty(tmp_path) is None  # not a git checkout
+
+    def git(*args):
+        config = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+        subprocess.run(["git", *config, *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("1\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    assert bench_file.dirty(tmp_path) is False
+    (tmp_path / "new.txt").write_text("untracked\n")
+    assert bench_file.dirty(tmp_path) is False  # untracked files do not count
+    (tmp_path / "a.txt").write_text("2\n")
+    assert bench_file.dirty(tmp_path) is True

@@ -80,7 +80,7 @@ def test_calibrate_constant_quiet_trace():
 
 
 def test_calibrate_requires_enough_samples():
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match="need >= 64 non-warm-up samples, got 63"):
         calibrate(_const_quiet_trace(n=MIN_CALIBRATION_SAMPLES - 1), ChannelConfig())
     # exactly the minimum is accepted
     calibrate(_const_quiet_trace(n=MIN_CALIBRATION_SAMPLES), ChannelConfig())
@@ -116,9 +116,10 @@ def test_calibrate_stddev_rule():
 
 def test_calibrate_stddev_needs_windows():
     cfg = ChannelConfig(ts_us=2000, decision_rule=DecisionRule.STDDEV)
-    with pytest.raises(CalibrationError):
+    need = "need >= 64 quiet symbol windows with >= 2 samples, got"
+    with pytest.raises(CalibrationError, match=f"{need} [1-9]"):
         calibrate(_const_quiet_trace(n=80), cfg)  # 80 samples, too few windows
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match=f"{need} 0$"):
         calibrate(LatencyTrace([], []), cfg)
 
 
@@ -551,12 +552,26 @@ def test_threshold_state_observe_block(monkeypatch):
     assert block.until_refresh == 4 and block.provenance == "adaptive@symbol3"
     block.observe_block(stats[4:], 5)
     assert block == one
+    # decide thresholds no further than the next refresh, and on float64
+    # arrays its bits are the complement of the quiet statistics kept, past
+    # 2**53 too, where a float64 comparison with theta itself would differ
+    assert len(block.decide(np.array(stats))) == block.until_refresh == 2
+    for theta, values in ((1_000, stats[:3]), (2**53 + 1, _PAST_2_53), (2**53 + 3, _PAST_2_53)):
+        state, values = ThresholdState(theta, 600.0, 10.0), np.array(values)
+        bits = state.decide(values)
+        assert bits.tolist() == [s > theta for s in values.tolist()]
+        state.observe_block(values, 2)
+        assert state._quiet == values[~bits].tolist()
 
 
 def test_trace_source_validation():
     src = TraceSource(trace_from_bits(BitStream([0])))
     with pytest.raises(ValueError):
         src.probe_for(-1.0)
+    # the grid's width must be a finite number of ns
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="duration_us must be positive and finite"):
+            src.probe_for(bad)
     # a window that rounds to 0 ns would never advance the grid
     with pytest.raises(ValueError, match="zero-width"):
         src.probe_for(0.0004)

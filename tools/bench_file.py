@@ -11,7 +11,9 @@ from DIR at each seed of SEEDS, with T = SECONDS, one run at a time, and
 writes the median and quartiles of every end-to-end metric per workload,
 each run's `correct` and `failed` values, and the run context from the
 benchmark's report line (Python, numpy, nproc, commit and the line count of
-each source file).  The context also holds `parallel_speedup`: the work per
+each source file).  The context's `dirty` is true when DIR's tracked files
+differ from that commit, and null when DIR is not a git checkout.  The
+context also holds `parallel_speedup`: the work per
 second of two copies of one pure-Python job run at once in two processes
 over one copy's alone, about 2 where both cores of an nproc of 2 are free
 and about 1 where the host runs the two on one core.  One more run per
@@ -82,6 +84,19 @@ def parallel_speedup(steps: int = SPIN_STEPS) -> float:
     return round(2 * alone / both, 3)
 
 
+def dirty(root: Path) -> bool | None:
+    """Whether the tracked files of the git checkout root differ from its
+    HEAD; None when root is not a git checkout or git is missing."""
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=root, capture_output=True, text=True,
+        )
+    except FileNotFoundError:
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def summary(values: list[float], unit: str) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"unit": unit, "median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
@@ -109,6 +124,7 @@ def bench(root: Path) -> dict:
         layers[workload] = {name: result["metrics"][name] for name in LAYERS}
         print(workload, "traced", json.dumps(layers[workload]), file=sys.stderr)
     context["src_lines_total"] = sum(context["src_lines"].values())
+    context["dirty"] = dirty(root)
     context["parallel_speedup"] = parallel_speedup()
     return {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
