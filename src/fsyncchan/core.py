@@ -2,7 +2,8 @@
 
 Everything downstream (simulator, modem, analyzers, CLI) speaks in terms of the
 types defined here.  All of them are immutable after construction so they can be
-shared freely between the sender and receiver halves of a loopback run.
+shared freely between the sender and receiver halves of a loopback run; a
+BitStream is the bytes of its bits, one 0 or 1 byte per bit, and equals them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Union
 
 import numpy as np
 
@@ -54,55 +55,28 @@ class DecisionRule(str, Enum):
     STDDEV = "stddev"
 
 
-class BitStream:
-    """Immutable sequence of 0/1 bits.
+class BitStream(bytes):
+    """Immutable sequence of 0/1 bits, stored and compared as bytes with one
+    byte per bit.  Slices and sums of BitStreams stay BitStreams; the other
+    methods inherited from bytes return plain bytes."""
 
-    Stored as bytes with one byte per bit; supports slicing, concatenation,
-    and lossless text round-trips.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits: Iterable[int] = ()):
-        data = bytes(bits)
-        if data.translate(None, b"\x00\x01"):
+    def __new__(cls, bits: Iterable[int] = ()):
+        self = super().__new__(cls, bits)
+        if self.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "_bits", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitStream is immutable")
-
-    def __reduce__(self):
-        # pickle rebuilds through __init__, since __setattr__ refuses
-        return BitStream, (self._bits,)
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._bits)
+        return self
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return BitStream(self._bits[index])
-        return self._bits[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BitStream):
-            return self._bits == other._bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._bits)
-
-    def __bytes__(self) -> bytes:
-        """One byte per bit."""
-        return self._bits
+            return BitStream(super().__getitem__(index))
+        return super().__getitem__(index)
 
     def __add__(self, other: "BitStream") -> "BitStream":
         if not isinstance(other, BitStream):
             return NotImplemented
-        return BitStream(self._bits + other._bits)
+        return BitStream(super().__add__(other))
 
     def __repr__(self) -> str:
         text = self.to_text()
@@ -110,12 +84,11 @@ class BitStream:
             text = text[:29] + "..."
         return f"BitStream({text!r}, length={len(self)})"
 
-    def count(self, value: int) -> int:
-        return self._bits.count(value)
+    __str__ = __repr__
 
     def to_text(self) -> str:
         """Render as a '0'/'1' string."""
-        return self._bits.translate(_BIT_TEXT).decode("ascii")
+        return self.translate(_BIT_TEXT).decode("ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "BitStream":
@@ -222,7 +195,7 @@ def encode_frames(payload_bits: BitStream, cfg: ChannelConfig) -> list[Frame]:
 def decode_frames(payloads: Iterable[BitStream], n_payload_bits: int) -> BitStream:
     """The payload bits of received frames: their payloads joined, the
     padding trimmed back to the n_payload_bits the sender framed."""
-    joined = b"".join(map(bytes, payloads))
+    joined = b"".join(payloads)
     if n_payload_bits > len(joined):
         raise ValueError(f"{n_payload_bits} payload bits exceed the {len(joined)} received")
     return BitStream(joined[:n_payload_bits])
@@ -231,8 +204,8 @@ def decode_frames(payloads: Iterable[BitStream], n_payload_bits: int) -> BitStre
 def frames_to_bits(frames: Iterable[Frame]) -> BitStream:
     """Serialize frames into the on-channel symbol sequence, each payload
     after DEFAULT_HEADER."""
-    header = bytes(DEFAULT_HEADER)
-    return BitStream(b"".join(header + bytes(frame.payload) for frame in frames))
+    header = bytes(DEFAULT_HEADER)  # bytes + BitStream is bytes: no bit check per frame
+    return BitStream(b"".join(header + frame.payload for frame in frames))
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,8 @@ def compare_bits(sent: BitStream, received: BitStream) -> ErrorReport:
         raise ValueError(f"length mismatch: sent {len(sent)} vs received {len(received)}")
     if len(sent) == 0:
         raise ValueError("cannot compare empty bit streams")
-    s = np.frombuffer(bytes(sent), dtype=np.uint8)
-    r = np.frombuffer(bytes(received), dtype=np.uint8)
+    s = np.frombuffer(sent, dtype=np.uint8)
+    r = np.frombuffer(received, dtype=np.uint8)
     n_ones = sent.count(1)
     n_zeros = len(sent) - n_ones
     err_1to0 = int(np.count_nonzero(s > r))  # a sent 1 read as 0

@@ -60,6 +60,7 @@ __all__ = [
 MIN_CALIBRATION_SAMPLES = 64
 _UPDATE_PERIOD = 64  # symbols between threshold refreshes
 _MIN_QUIET_CLUSTER = 8  # the fewest quiet statistics a refresh fits
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def quiet_duration_ns(cfg: ChannelConfig) -> int:
@@ -130,6 +131,8 @@ class WindowGrid:
         width = round(duration_us * 1000)
         if width == 0:
             raise ValueError(f"duration_us={duration_us} rounds to a zero-width window")
+        if width > _INT64_MAX:
+            raise ValueError(f"duration_us={duration_us} is wider than INT64_MAX ns")
         if n < 1:
             raise ValueError("n must be positive")
         if self._i == len(self._ts_view) and not self._extend():
@@ -148,7 +151,11 @@ class WindowGrid:
             self._ahead = (anchor, width, (j,))
             lo = i if j > i else i - 1  # the first window ever holds the first sample
             return ts[lo:j], lat[lo:j], [0], [j - lo]
-        hi = np.searchsorted(ts, np.arange(anchor + width, last + 1, width, dtype=np.int64))
+        if last < _INT64_MAX:
+            ends = np.arange(anchor + width, last + 1, width, dtype=np.int64)
+        else:  # capped: no sample starts at INT64_MAX, so that end holds every remaining sample
+            ends = [*range(anchor + width, _INT64_MAX, width), _INT64_MAX]
+        hi = np.searchsorted(ts, ends)
         starts = np.concatenate(([i], hi[:-1]))  # each window's pending sample
         m = int(np.searchsorted(starts, len(ts)))  # windows whose pending sample exists
         hi = hi[:m]
@@ -215,9 +222,6 @@ def _fit(values: Sequence[float]) -> tuple[int, float, float]:
         var = (math.fsum([x * x for x in d]) - math.fsum(d) ** 2 / n) / (n - 1)
         std = math.ldexp(math.sqrt(var), e)
     return round(mean + max(3.0 * std, 0.5 * mean)), mean, std
-
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> np.ndarray:

@@ -65,8 +65,12 @@ class ProbeHandle:
         self._n_session_samples = 0
         self._resolution_ns = max(1, round(time.clock_getres(_CLOCK) * 1e9))
         # pre-size so every overwrite hits allocated blocks
-        if self.mode is ProbeMode.WRITE_FSYNC and os.fstat(self._fd).st_size < WRITE_SIZE:
-            os.ftruncate(self._fd, WRITE_SIZE)
+        try:
+            if self.mode is ProbeMode.WRITE_FSYNC and os.fstat(self._fd).st_size < WRITE_SIZE:
+                os.ftruncate(self._fd, WRITE_SIZE)
+        except OSError as exc:
+            self.close()
+            raise ProbeError(exc.errno, f"cannot size probe file: {exc.strerror}", self.path) from exc
         self._session_start = time.clock_gettime_ns(_CLOCK)
 
     def close(self) -> None:

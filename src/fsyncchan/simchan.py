@@ -263,11 +263,10 @@ class SenderSchedule(ActivityTimeline):
             raise ValueError("ts_us must be positive")
         check_symbol_cap(len(bits))
         ts_ns = ts_us * 1000
-        raw = bytes(bits)
         # +1 where a run of 1-bits starts, -1 one past where it ends
-        steps = np.diff(np.frombuffer(raw, dtype=np.int8), prepend=0, append=0)
+        steps = np.diff(np.frombuffer(bits, dtype=np.int8), prepend=0, append=0)
         self._store(
-            np.flatnonzero(steps == 1) * ts_ns, np.flatnonzero(steps == -1) * ts_ns, len(raw) * ts_ns
+            np.flatnonzero(steps == 1) * ts_ns, np.flatnonzero(steps == -1) * ts_ns, len(bits) * ts_ns
         )
 
 
@@ -656,7 +655,7 @@ def loopback(
     got = receive_frames(
         source, cfg, state, len(frames), max_symbols=2 * cfg.frame_len, max_mismatches=1
     )
-    received = [BitStream(bytes(f.payload).translate(_COMPLEMENT)) if p is None else p
+    received = [BitStream(f.payload.translate(_COMPLEMENT)) if p is None else p
                 for f, p in zip(frames, got)]
     return compare_bits(payload, decode_frames(received, len(payload)))
 

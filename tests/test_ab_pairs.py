@@ -59,6 +59,20 @@ def test_unequal_or_single_runs_refused(ab_pairs):
         ab_pairs.compare([1.0], [1.0], "s", "lower")
 
 
+def test_order_effect_reads_the_second_run_not_the_side(ab_pairs):
+    base = [10.0, 12.0, 11.0, 13.0, 9.0, 14.0, 10.5, 12.5, 11.5, 13.5]
+    # the side that runs second reads 4% more, whichever it is: the parent
+    # runs first in even pairs and the change in odd ones
+    first, second = base, [b * 1.04 for b in base]
+    parent = [f if i % 2 == 0 else s for i, (f, s) in enumerate(zip(first, second))]
+    change = [s if i % 2 == 0 else f for i, (f, s) in enumerate(zip(first, second))]
+    assert ab_pairs.order_effect(parent, change) == pytest.approx(0.04)
+    # the change reads 4% more in every pair, in either order: about 0
+    effect = ab_pairs.order_effect(base, [b * 1.04 for b in base])
+    assert abs(effect) < 1e-3
+    assert effect == pytest.approx((0.04 + 1 / 1.04 - 1) / 2)
+
+
 def test_src_lines_line(ab_pairs):
     # the report line's per-file counts, summed per side
     parent = {"context": {"src_lines": {"cli.py": 500, "modem.py": 548}}}

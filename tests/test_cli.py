@@ -236,14 +236,17 @@ def test_usage_errors_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, message",
     [
-        ["--theta-ns", "0"],
-        ["--theta-ns", "-5"],
-        ["--max-mismatches", "-1"],
-        ["--frames", "0"],
-        ["--max-symbols", "0"],
-        ["--payload-bits", "-5"],
+        (["--theta-ns", "0"], "argument --theta-ns"),
+        (["--theta-ns", "-5"], "argument --theta-ns"),
+        (["--max-mismatches", "-1"], "argument --max-mismatches"),
+        (["--frames", "0"], "argument --frames"),
+        (["--max-symbols", "0"], "argument --max-symbols"),
+        (["--payload-bits", "-5"], "argument --payload-bits"),
+        # a symbol wider than int64 ns: a configuration error, not a traceback
+        (["--ts-us", str(10**16), "--theta-ns", "30000"],
+         f"error: duration_us={10**16} is wider than INT64_MAX ns\n"),
     ],
     ids=[
         "theta-zero",
@@ -252,14 +255,15 @@ def test_usage_errors_exit_2(argv, capsys):
         "frames-zero",
         "symbols-zero",
         "payload-bits-negative",
+        "ts-past-int64",
     ],
 )
-def test_recv_rejects_out_of_range_values(flags, tmp_path, capsys):
+def test_recv_rejects_out_of_range_values(flags, message, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace_write(trace_from_bits([0] * 100), trace)
     assert main(["recv", "--seed", "1", "--trace", str(trace), *flags]) == 2
     err = capsys.readouterr().err
-    assert f"argument {flags[0]}" in err
+    assert message in err
 
 
 def test_missing_seed_exits_2(tmp_path, capsys):

@@ -60,11 +60,19 @@ def test_bitstream_basics():
     assert bs != BitStream([1, 0, 1, 0])
     assert hash(bs) == hash(BitStream([1, 0, 1, 1]))
     assert bytes(bs) == b"\x01\x00\x01\x01"
+    assert str(bs) == repr(bs) == "BitStream('1011', length=4)"
+    # a BitStream is the bytes of its bits, and equals and hashes as them
+    assert isinstance(bs, bytes)
+    assert bs == b"\x01\x00\x01\x01" and BitStream([1, 0]) != b"10"
+    assert hash(bs) == hash(b"\x01\x00\x01\x01")
+    assert type(bs.translate(None)) is bytes
 
 
 def test_bitstream_rejects_non_bits():
     with pytest.raises(ValueError):
         BitStream([0, 1, 2])
+    with pytest.raises(ValueError):
+        BitStream(b"\x00\x02")
     with pytest.raises(ValueError):
         BitStream([-1])
 
@@ -73,6 +81,8 @@ def test_bitstream_immutable():
     bs = BitStream([1, 0])
     with pytest.raises(AttributeError):
         bs._bits = b"\x01"
+    with pytest.raises(AttributeError):
+        bs.length = 3
 
 
 def test_bitstream_pickle_round_trip():
@@ -91,7 +101,11 @@ def test_bitstream_slice_and_concat():
     assert bs[1:4] == BitStream([0, 1, 1])
     assert bs[:0] == BitStream()
     joined = bs[:2] + bs[2:]
-    assert joined == bs
+    assert joined == bs and type(joined) is BitStream
+    assert type(bs[::-1]) is BitStream and bs[::-1] == BitStream([0, 1, 1, 0, 1])
+    assert bs[2] == 1
+    with pytest.raises(TypeError):
+        bs + b"\x01"
 
 
 def test_bitstream_text_round_trip():

@@ -578,6 +578,26 @@ def test_trace_source_validation():
     assert src.probe_for(0.001).timestamps_ns.tolist() == [0]
     with pytest.raises(ValueError, match="n must be positive"):
         src.look_ahead(50.0, 0)
+    # no window end is past INT64_MAX ns from an anchor
+    for n in (1, 4):
+        with pytest.raises(ValueError, match=r"duration_us=1e\+16 is wider than INT64_MAX ns"):
+            src.look_ahead(1e16, n)
+
+
+def test_window_ends_near_int64_max_match_the_shifted_trace():
+    # 200 samples 30 us apart from 10 ms below INT64_MAX: the grid's ends
+    # past INT64_MAX are capped there, not wrapped below the samples
+    ts = 30_000 * np.arange(200, dtype=np.int64)
+    lat = np.full(200, QUIET, dtype=np.int64)
+    top = LatencyTrace(ts + (2**63 - 1 - 10_000_000), lat)
+    cfg, state = ChannelConfig(ts_us=50), ThresholdState(30_000, 20_000, 0.0)
+    for n in (1, 2, 119, 120, 121, 1024):
+        high = TraceSource(top).look_ahead(50, n)
+        low = TraceSource(LatencyTrace(ts, lat)).look_ahead(50, n)
+        assert [list(high[2]), list(high[3])] == [list(low[2]), list(low[3])]
+    symbols = receive_symbols(TraceSource(top), cfg, state, 1000)
+    assert len(symbols) == 120
+    assert symbols == receive_symbols(TraceSource(LatencyTrace(ts, lat)), cfg, state, 1000)
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,18 @@ def fast_fsync(monkeypatch):
 
 
 def test_missing_file_is_probe_error(tmp_path):
-    with pytest.raises(ProbeError) as exc:
-        ProbeHandle(tmp_path / "nope.dat")
-    assert exc.value.errno == errno.ENOENT
+    # a file that does not open, and /dev/null, which opens but that
+    # ftruncate cannot pre-size: a ProbeError naming the path, no fd left open
+    for path, mode, code in (
+        (str(tmp_path / "nope.dat"), ProbeMode.FSYNC_ONLY, errno.ENOENT),
+        ("/dev/null", ProbeMode.WRITE_FSYNC, errno.EINVAL),
+    ):
+        fds = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(ProbeError) as exc:
+            ProbeHandle(path, mode)
+        assert exc.value.errno == code and exc.value.filename == path
+        assert path in str(exc.value)
+        assert set(os.listdir("/proc/self/fd")) == fds
 
 
 def test_write_mode_presizes_file(tmp_path):

@@ -13,15 +13,19 @@ lists, prints each side's median and quartiles, the pairs the change won
 (ties count for neither) and whether that is a gain: the change wins at
 least nine tenths of the pairs and the medians differ, in the metric's
 better direction, by more than the distance between the parent's quartiles.
-Runs whose outputs were not correct are counted per side, and each side's
-line count of src/fsyncchan is printed from its report line, so a change
-that deletes code shows its line delta next to the metrics.
+It also prints each metric's order effect, the median over pairs of second
+run / first run - 1: it reads a slowdown of whichever side runs second (the
+host, or a fresh checkout), while a pure difference between the sides reads
+about 0 there.  Runs whose outputs were not correct are counted per side,
+and each side's line count of src/fsyncchan is printed from its report
+line, so a change that deletes code shows its line delta next to the metrics.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -40,6 +44,15 @@ def compare(parent: list[float], change: list[float], unit: str, better: str) ->
         base["q3"] - base["q1"]
     )
     return {"parent": base, "change": new, "wins": wins, "pairs": len(parent), "gain": gain}
+
+
+def order_effect(parent: list[float], change: list[float]) -> float:
+    """The median over pairs of second run / first run - 1, the parent
+    running first in even pairs and the change in odd ones, as main orders
+    them."""
+    return statistics.median(
+        (c / p if i % 2 == 0 else p / c) - 1 for i, (p, c) in enumerate(zip(parent, change))
+    )
 
 
 def report_line(name: str, better: str, result: dict) -> str:
@@ -84,6 +97,8 @@ def main() -> int:
         values = {s: [r["metrics"][m["name"]]["value"] for r in rs] for s, rs in runs.items()}
         result = compare(values["parent"], values["change"], m["unit"], m["better"])
         print(report_line(m["name"], m["better"], result))
+        effect = order_effect(values["parent"], values["change"])
+        print(f"{m['name']} order effect (second run / first run - 1, median): {effect:+.2%}")
     for side, rs in runs.items():
         bad = sum(not r["correct"] or r["failed"] > 0 for r in rs)
         print(f"{side}: {bad} of {len(rs)} runs not correct")
