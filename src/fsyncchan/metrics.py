@@ -55,7 +55,7 @@ def compare_bits(sent: BitStream, received: BitStream) -> ErrorReport:
         raise ValueError("cannot compare empty bit streams")
     s = np.frombuffer(sent, dtype=np.uint8)
     r = np.frombuffer(received, dtype=np.uint8)
-    n_ones = sent.count(1)
+    n_ones = int(np.count_nonzero(s))
     n_zeros = len(sent) - n_ones
     err_1to0 = int(np.count_nonzero(s > r))  # a sent 1 read as 0
     err_0to1 = int(np.count_nonzero(s < r))

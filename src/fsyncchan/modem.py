@@ -152,7 +152,7 @@ class WindowGrid:
             lo = i if j > i else i - 1  # the first window ever holds the first sample
             return ts[lo:j], lat[lo:j], [0], [j - lo]
         if last < _INT64_MAX:
-            ends = np.arange(anchor + width, last + 1, width, dtype=np.int64)
+            ends = anchor + width * np.arange(1, n + 1, dtype=np.int64)
         else:  # capped: no sample starts at INT64_MAX, so that end holds every remaining sample
             ends = [*range(anchor + width, _INT64_MAX, width), _INT64_MAX]
         hi = np.searchsorted(ts, ends)
@@ -510,29 +510,23 @@ def receive_frame(source, cfg: ChannelConfig, state: ThresholdState, **kw) -> Bi
 
 
 def send_bits(bits: BitStream, cfg: ChannelConfig, endpoint) -> int:
-    """Drive the sender endpoint: hammer fsyncs for '1', idle for '0'.
+    """Transmit bits at cfg's symbol time; returns the endpoint's fsync count.
 
-    The endpoint contract is busy_fsync_for(duration_us) -> count and
-    idle_for(duration_us); a real probe handle transmits on hardware, a
-    ScheduleBuilder records the equivalent simulator schedule.  Returns the
-    endpoint's fsync count, the sum of its busy_fsync_for results.
+    The endpoint contract is send(bits, ts_us) -> fsyncs, and the endpoint
+    runs the symbol loop, fsyncs for '1' and idle for '0': a ProbeHandle on
+    hardware, on absolute deadlines; a ScheduleBuilder as a simulator schedule.
     """
     if len(bits) == 0:
         raise ValueError("bits must not be empty")
-    fsyncs = 0
-    for bit in bits:
-        if bit:
-            fsyncs += endpoint.busy_fsync_for(cfg.ts_us)
-        else:
-            endpoint.idle_for(cfg.ts_us)
-    return fsyncs
+    return endpoint.send(bits, cfg.ts_us)
 
 
 class ScheduleBuilder:
     """Sender endpoint that records a simulator schedule instead of syscalls.
 
-    Each busy/idle call appends one symbol slot; the busy fsync count is the
-    nominal number of standalone-cost fsyncs fitting the slot.
+    send keeps each BitStream whole, and bits joins them once.  The fsync
+    count of a busy slot is the nominal number of standalone-cost fsyncs
+    fitting it.
     """
 
     def __init__(self, ts_us: int, model):
@@ -541,20 +535,19 @@ class ScheduleBuilder:
         if ts_us <= 0:
             raise ValueError("ts_us must be positive")
         self.ts_us = ts_us
-        self._bits: list[int] = []
+        self._sent: list[BitStream] = []
         cycle = round(model.standalone.mean_ns) + PROBE_OVERHEAD_NS
         self._per_slot = max(1, (ts_us * 1000) // cycle)
 
-    def busy_fsync_for(self, duration_us: float) -> int:
-        self._bits.append(1)
-        return self._per_slot
-
-    def idle_for(self, duration_us: float) -> None:
-        self._bits.append(0)
+    def send(self, bits: BitStream, ts_us: int) -> int:
+        if ts_us != self.ts_us:
+            raise ValueError(f"ts_us={ts_us} differs from the builder's {self.ts_us}")
+        self._sent.append(bits)
+        return self._per_slot * int(np.count_nonzero(np.frombuffer(bits, dtype=np.uint8)))
 
     @property
     def bits(self) -> BitStream:
-        return BitStream(self._bits)
+        return BitStream(b"".join(self._sent))
 
     def schedule(self):
         from .simchan import SenderSchedule

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import LatencyTrace, ProbeMode, TraceMeta
+from .core import BitStream, LatencyTrace, ProbeMode, TraceMeta
 
 __all__ = [
     "ProbeError",
@@ -101,13 +101,16 @@ class ProbeHandle:
         except OSError as exc:
             raise ProbeError(exc.errno, f"mutation failed: {exc.strerror}", self.path) from exc
 
+    def _check_open(self) -> None:
+        if self._fd < 0:
+            # os.fsync(-1) raises ValueError, not OSError; fail coherently
+            raise ProbeError(errno.EBADF, "probe handle is closed", self.path)
+
     def _probe_until(self, deadline_ns: int) -> tuple[list[int], list[int]]:
         """Probe back-to-back until an fsync returns at or past deadline_ns;
         at least once.  Each probe is one mutation, then one fsync timed
         alone.  Returns the (timestamps, latencies) columns as int lists."""
-        if self._fd < 0:
-            # os.fsync(-1) raises ValueError, not OSError; fail coherently
-            raise ProbeError(errno.EBADF, "probe handle is closed", self.path)
+        self._check_open()
         ts, lat = [], []
         while True:
             self._mutate()
@@ -145,6 +148,23 @@ class ProbeHandle:
         while True:
             ts, lat = self._probe_until(self._deadline(BLOCK_US))
             yield np.array(ts, dtype=np.int64), np.array(lat, dtype=np.int64)
+
+    def send(self, bits: BitStream, ts_us: float) -> int:
+        """Transmit bits on absolute deadlines: with t0 read once, symbol i
+        ends at t0 + (i+1)*ts_us.  A '1' probes until its deadline, at least
+        once even when it starts late; a '0' sleeps for what is left before
+        its deadline, not at all when late.  Returns the fsync count."""
+        self._check_open()
+        first = self._deadline(ts_us)  # symbol 0 ends at t0 + ts, t0 read here
+        ts_ns, fsyncs = round(ts_us * 1000), 0
+        for i, bit in enumerate(bits):
+            if bit:
+                fsyncs += len(self._probe_until(first + i * ts_ns)[0])
+            else:
+                left = first + i * ts_ns - time.clock_gettime_ns(_CLOCK)
+                if left > 0:
+                    time.sleep(left / 1e9)
+        return fsyncs
 
     def busy_fsync_for(self, duration_us: float) -> int:
         """Hammer mutation+fsync for the full duration; returns fsync count."""

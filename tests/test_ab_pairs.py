@@ -131,3 +131,30 @@ def test_bench_context_marks_a_dirty_tree(ab_pairs, tmp_path):
     assert bench_file.dirty(tmp_path) is False  # untracked files do not count
     (tmp_path / "a.txt").write_text("2\n")
     assert bench_file.dirty(tmp_path) is True
+
+
+def test_parse_bench_csv_rows(ab_pairs):
+    # the rows of a bench CSV, numbers as numbers and the noise degree as text
+    bench_file = importlib.import_module("bench_file")
+    text = (
+        "t_s_us,noise,n_bits,err_1to0,err_0to1,rate_1to0,rate_0to1,p_err,B_bps,C_bps\n"
+        "50,none,80000,0,11,0.000000,0.000274,0.000138,20000.000,19960.755\n"
+        "400,high,80000,0,0,0.000000,0.000000,0.000000,2500.000,2500.000\n"
+    )
+    rows = bench_file.parse_bench_csv(text)
+    assert rows == [
+        {"t_s_us": 50, "noise": "none", "n_bits": 80000, "err_1to0": 0, "err_0to1": 11,
+         "rate_1to0": 0.0, "rate_0to1": 0.000274, "p_err": 0.000138, "B_bps": 20000.0,
+         "C_bps": 19960.755},
+        {"t_s_us": 400, "noise": "high", "n_bits": 80000, "err_1to0": 0, "err_0to1": 0,
+         "rate_1to0": 0.0, "rate_0to1": 0.0, "p_err": 0.0, "B_bps": 2500.0, "C_bps": 2500.0},
+    ]
+    assert [type(v) for v in rows[0].values()] == [int, str, int, int, int] + [float] * 5
+    assert bench_file.parse_bench_csv(text.splitlines(keepends=True)[0]) == []
+
+
+def test_header_sync_searches_quiet_traffic(ab_pairs):
+    # one timed search per repeat, each over quiet traffic with no header
+    bench_file = importlib.import_module("bench_file")
+    times = bench_file.header_sync_times(2_000, 2)
+    assert len(times) == 2 and all(t > 0 for t in times)

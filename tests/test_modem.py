@@ -364,38 +364,40 @@ class _RecordingEndpoint:
     def __init__(self):
         self.calls = []
 
-    def busy_fsync_for(self, duration_us):
-        self.calls.append(("busy", duration_us))
-        return 7
-
-    def idle_for(self, duration_us):
-        self.calls.append(("idle", duration_us))
+    def send(self, bits, ts_us):
+        self.calls.append((bits, ts_us))
+        return 7 * bits.count(1)
 
 
 def test_send_bits_drives_endpoint():
     cfg = ChannelConfig(ts_us=50)
     endpoint = _RecordingEndpoint()
-    fsyncs = send_bits(BitStream.from_text("1101"), cfg, endpoint)
-    assert endpoint.calls == [("busy", 50), ("busy", 50), ("idle", 50), ("busy", 50)]
+    bits = BitStream.from_text("1101")
+    fsyncs = send_bits(bits, cfg, endpoint)
+    # one call with the bits whole, at cfg's symbol time
+    assert endpoint.calls == [(bits, 50)]
+    assert endpoint.calls[0][0] is bits
     assert fsyncs == 21
 
 
 def test_send_bits_returns_the_endpoints_fsync_count():
-    # the sum of what busy_fsync_for returned, slot by slot, not a nominal rate
+    # what send returned, not a nominal rate
     class Varying(_RecordingEndpoint):
-        def busy_fsync_for(self, duration_us):
-            super().busy_fsync_for(duration_us)
-            return len(self.calls) ** 2
+        def send(self, bits, ts_us):
+            super().send(bits, ts_us)
+            return 1 + 9 + 16
 
     endpoint = Varying()
     fsyncs = send_bits(BitStream.from_text("10110"), ChannelConfig(ts_us=200), endpoint)
     assert fsyncs == 1 + 9 + 16
-    assert [kind for kind, _ in endpoint.calls] == ["busy", "idle", "busy", "busy", "idle"]
+    assert endpoint.calls == [(BitStream.from_text("10110"), 200)]
 
 
 def test_send_bits_validation():
+    endpoint = _RecordingEndpoint()
     with pytest.raises(ValueError):
-        send_bits(BitStream(), ChannelConfig(), _RecordingEndpoint())
+        send_bits(BitStream(), ChannelConfig(), endpoint)
+    assert endpoint.calls == []
 
 
 def test_schedule_builder_matches_sender_schedule():
@@ -410,12 +412,37 @@ def test_schedule_builder_matches_sender_schedule():
     assert fsyncs == 8
 
 
+def test_schedule_builder_send_matches_per_symbol_reference():
+    # each send counts per_slot fsyncs per '1', as a per-symbol sum does, and
+    # the schedule holds every send's bits in order
+    rng = random.Random("schedule builder")
+    for ts_us in (50, 200, 400):
+        builder = ScheduleBuilder(ts_us, default_model())
+        per_slot = max(1, ts_us * 1000 // (21_390 + simchan.PROBE_OVERHEAD_NS))
+        sent = []
+        for _ in range(5):
+            bits = BitStream(rng.getrandbits(1) for _ in range(rng.randint(0, 3_000)))
+            assert builder.send(bits, ts_us) == sum(per_slot for bit in bits if bit)
+            sent.append(bits)
+        joined = BitStream(b"".join(sent))
+        assert builder.bits == joined
+        assert builder.schedule().windows() == SenderSchedule(joined, ts_us).windows()
+
+
+def test_schedule_builder_refuses_another_symbol_time():
+    builder = ScheduleBuilder(50, default_model())
+    with pytest.raises(ValueError, match="ts_us=200 differs from the builder's 50"):
+        send_bits(BitStream.from_text("1"), ChannelConfig(ts_us=200), builder)
+    assert builder.bits == BitStream()
+
+
 def test_schedule_builder_follows_probe_overhead(monkeypatch):
     # the nominal fsyncs per busy slot: slot // (standalone mean + overhead)
     model = default_model()
-    assert ScheduleBuilder(400, model).busy_fsync_for(400) == 400_000 // (21_390 + 2_000)
+    one = BitStream([1])
+    assert ScheduleBuilder(400, model).send(one, 400) == 400_000 // (21_390 + 2_000)
     monkeypatch.setattr(simchan, "PROBE_OVERHEAD_NS", 78_610)
-    assert ScheduleBuilder(400, model).busy_fsync_for(400) == 4
+    assert ScheduleBuilder(400, model).send(one, 400) == 4
     with pytest.raises(TypeError):
         ScheduleBuilder(400, model, overhead_ns=2_000)
 
@@ -598,6 +625,12 @@ def test_window_ends_near_int64_max_match_the_shifted_trace():
     symbols = receive_symbols(TraceSource(top), cfg, state, 1000)
     assert len(symbols) == 120
     assert symbols == receive_symbols(TraceSource(LatencyTrace(ts, lat)), cfg, state, 1000)
+    # a wide grid well below INT64_MAX: every window asked for while samples
+    # remain, though (n - 1) * width / width rounds below n - 1 in float64
+    wide = LatencyTrace(10**15 * np.arange(2_000, dtype=np.int64), np.full(2_000, QUIET))
+    _, _, lo, hi = TraceSource(wide).look_ahead(10**12, 1024)
+    assert len(lo) == len(hi) == 1024
+    assert list(hi) == list(range(1, 1025))
 
 
 # ---------------------------------------------------------------------------

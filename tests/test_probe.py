@@ -20,6 +20,7 @@ import pytest
 from fsyncchan import cli
 from fsyncchan.cli import derive_seed, main
 from fsyncchan.core import (
+    BitStream,
     ChannelConfig,
     LatencyTrace,
     ProbeMode,
@@ -27,7 +28,7 @@ from fsyncchan.core import (
     frames_to_bits,
     prbs_sequence,
 )
-from fsyncchan.modem import ThresholdState, TraceSource, WindowGrid, receive_frames
+from fsyncchan.modem import ThresholdState, TraceSource, WindowGrid, receive_frames, send_bits
 from fsyncchan.probe import (
     BLOCK_US,
     FTRUNCATE_MAX,
@@ -335,6 +336,43 @@ def test_blocks_after_close_fails(probe_file):
     handle.close()
     with pytest.raises(ProbeError):
         next(handle.blocks())
+
+
+def test_fake_disk_sender_keeps_absolute_deadlines(probe_file, fake_disk, monkeypatch):
+    # every sleep overshoots by 55.8 us, as on a 2-core VM at 50 us symbols;
+    # with symbol i ending at t0 + (i+1)*ts the overshoots do not add up, so
+    # 400 symbols end within one fsync and one overshoot of t0 + 400*ts
+    ts_us, overshoot_ns = 50, 55_800
+    disk = fake_disk(FakeDisk())
+    fsync, fsyncs = disk.fsync, []
+
+    def counted(fd):
+        fsyncs.append(disk.now)
+        fsync(fd)
+
+    def sleep(seconds):
+        disk.now += round(seconds * 1e9) + overshoot_ns
+
+    monkeypatch.setattr(os, "fsync", counted)
+    monkeypatch.setattr(time, "sleep", sleep)
+    bits = prbs_sequence(400, 3)
+    with ProbeHandle(probe_file) as handle:
+        t0 = disk.now
+        count = send_bits(bits, ChannelConfig(ts_us=ts_us), handle)
+    end = t0 + len(bits) * ts_us * 1000
+    one_fsync = 43_134 + 5 * 1_000 + 3 * 300  # the slowest fsync, and its clock reads
+    assert end <= disk.now <= end + one_fsync + overshoot_ns
+    assert count == len(fsyncs) >= bits.count(1)
+
+
+def test_send_after_close_fails_before_the_first_symbol(probe_file, monkeypatch):
+    handle = ProbeHandle(probe_file)
+    handle.close()
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    with pytest.raises(ProbeError) as exc:
+        handle.send(BitStream([0] * 8), 50)
+    assert exc.value.errno == errno.EBADF and slept == []
 
 
 def test_fake_disk_live_recv_decodes_and_replays(probe_file, fake_disk, monkeypatch, capsys):

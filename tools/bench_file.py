@@ -20,13 +20,27 @@ and about 1 where the host runs the two on one core.  One more run per
 workload, the same command with `--trace 1` at the first seed, gives the
 LAYERS metrics, each the median over that run's traced passes.  T is fixed
 so that any two BENCH files compare.
+
+The file's `quality` section holds the channel's quality next to its speed,
+both from DIR's src/ and each the median and quartiles of REPEATS runs:
+
+- `loopback`: one row per symbol time and noise of LOOPBACK_GRID, each run
+  as `python3 -m fsyncchan bench --seed 1234 --ts-us TS --noise N
+  --payload-bits 80000`: the process's wall time and the row's `p_err` and
+  error counts.  `startup_s`, the wall time of `python3 -m fsyncchan --help`,
+  is the part of each wall time spent starting Python and importing;
+- `header_sync`: symbols per second of `receive_frames` searching quiet
+  SimSource traffic at HEADER_SYNC_TS_US for a header that never comes,
+  HEADER_SYNC_SYMBOLS symbols a search, the simulated probing included.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import multiprocessing
+import os
 import statistics
 import subprocess
 import sys
@@ -46,6 +60,11 @@ LAYERS = (
 )
 SPIN_STEPS = 2_000_000  # about 0.2 s of pure Python on a 2-core VM
 CONTEXT_KEYS = ("python", "numpy", "nproc", "git_commit", "src_lines")
+REPEATS = 5
+LOOPBACK_GRID = [(ts, noise) for ts in (50, 200, 400) for noise in ("none", "high")]
+LOOPBACK_ARGS = ("bench", "--seed", "1234", "--payload-bits", "80000")
+HEADER_SYNC_SYMBOLS = 80_000
+HEADER_SYNC_TS_US = 50
 
 
 def run_once(
@@ -143,12 +162,94 @@ def bench(root: Path) -> dict:
     }
 
 
+def parse_bench_csv(text: str) -> list[dict]:
+    """The rows of a `fsyncchan bench` CSV, each field an int, a float or,
+    for the noise degree, a str."""
+
+    def value(field: str):
+        for kind in (int, float):
+            try:
+                return kind(field)
+            except ValueError:
+                pass
+        return field
+
+    return [{k: value(v) for k, v in row.items()} for row in csv.DictReader(text.splitlines())]
+
+
+def _timed(root: Path, argv: list[str]) -> tuple[float, str]:
+    """Wall time and stdout of one Python process run from root with its
+    src/ first on the import path."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    return elapsed, proc.stdout
+
+
+def header_sync_times(n_symbols: int, repeats: int) -> list[float]:
+    """Seconds per search of receive_frames over n_symbols of quiet
+    simulated traffic at HEADER_SYNC_TS_US, one search per channel seed
+    0..repeats-1, each from a fresh calibration; quality runs it in a child
+    that imports DIR's src/."""
+    from fsyncchan.core import BitStream, ChannelConfig
+    from fsyncchan.modem import calibrate, receive_frames
+    from fsyncchan.simchan import SenderSchedule, SimParams, SimSource, calibration_trace
+
+    cfg, model = ChannelConfig(ts_us=HEADER_SYNC_TS_US), SimParams().model()
+    quiet = SenderSchedule(BitStream(bytes(n_symbols)), cfg.ts_us)
+    times = []
+    for seed in range(repeats):
+        state = calibrate(calibration_trace(model, cfg, seed=1_000 + seed), cfg)
+        source = SimSource(quiet, model, seed)
+        start = time.perf_counter()
+        found = next(receive_frames(source, cfg, state, 1, max_symbols=n_symbols))
+        times.append(time.perf_counter() - start)
+        if found is not None:
+            raise RuntimeError(f"a header was found in quiet traffic, channel seed {seed}")
+    return times
+
+
+def quality(root: Path) -> dict:
+    """The loopback grid's wall times and error rates, and header sync in
+    symbols/s, from root's src/."""
+    startup = [_timed(root, ["-m", "fsyncchan", "--help"])[0] for _ in range(REPEATS)]
+    rows = []
+    for ts, noise in LOOPBACK_GRID:
+        argv = ["-m", "fsyncchan", *LOOPBACK_ARGS, "--ts-us", str(ts), "--noise", noise]
+        runs = [_timed(root, argv) for _ in range(REPEATS)]
+        if len({out for _, out in runs}) != 1:
+            raise RuntimeError(f"{' '.join(argv)} printed different rows")
+        row, = parse_bench_csv(runs[0][1])
+        row["wall_s"] = summary([t for t, _ in runs], "s")
+        rows.append(row)
+        print("loopback", json.dumps(row), file=sys.stderr)
+    code = (
+        f"import json, sys; sys.path.insert(1, {str(Path(__file__).parent)!r}); import bench_file; "
+        f"print(json.dumps(bench_file.header_sync_times({HEADER_SYNC_SYMBOLS}, {REPEATS})))"
+    )
+    times = json.loads(_timed(root, ["-c", code])[1])
+    return {
+        "loopback_command": "python3 -m fsyncchan " + " ".join(LOOPBACK_ARGS) + " --ts-us TS --noise N",
+        "startup_s": summary(startup, "s"),
+        "loopback": rows,
+        "header_sync": {
+            "symbols": HEADER_SYNC_SYMBOLS,
+            "ts_us": HEADER_SYNC_TS_US,
+            "symbols_per_s": summary([HEADER_SYNC_SYMBOLS / t for t in times], "1/s"),
+        },
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path, help="BENCH JSON file to write")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args()
-    result = bench(args.root.resolve())
+    root = args.root.resolve()
+    result = {**bench(root), "quality": quality(root)}
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0
 
