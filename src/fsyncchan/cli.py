@@ -13,10 +13,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import math
 import sys
 from pathlib import Path
+
+try:  # hashlib loads OpenSSL's libcrypto; its blake2b is this builtin anyway
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .analyzer import (
     SPLIT_THRESHOLD_NS,
@@ -85,8 +89,9 @@ class ProtocolTimeout(Exception):
 
 
 def derive_seed(seed: int, tag: str) -> int:
-    """Stable per-purpose sub-seed so every stage has its own stream."""
-    digest = hashlib.blake2b(f"{seed}:{tag}".encode(), digest_size=8).digest()
+    """Stable per-purpose sub-seed so every stage has its own stream, from the
+    interpreter's builtin BLAKE2b, without loading OpenSSL."""
+    digest = blake2b(f"{seed}:{tag}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -96,6 +101,10 @@ def _channel_config(args, ts_us: int | None = None) -> ChannelConfig:
         decision_rule=DecisionRule(args.decision),
         payload_len=args.frame_payload_len,
     )
+
+
+def _probe_handle(args) -> ProbeHandle:
+    return ProbeHandle(args.file, ProbeMode(args.mode), cpu=args.cpu)
 
 
 def _sim_params(args) -> SimParams:
@@ -152,7 +161,7 @@ def cmd_calibrate(args) -> int:
     if args.file:
         # by default 4x the simulated stretch, a safety margin for sparse real windows
         quiet_us = 4 * quiet_duration_ns(cfg) / 1e3 if args.duration_us is None else args.duration_us
-        with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
+        with _probe_handle(args) as handle:
             trace = handle.probe_for(quiet_us)
     elif args.duration_us is not None:
         raise ValueError("--duration-us needs --file; sim mode simulates a fixed quiet stretch")
@@ -189,7 +198,7 @@ def cmd_send(args) -> int:
     frames = encode_frames(payload, cfg)
     tx_bits = frames_to_bits(frames)
     if args.file:
-        with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
+        with _probe_handle(args) as handle:
             fsyncs = send_bits(tx_bits, cfg, handle)
         print(
             f"sent {len(frames)} frame(s), {len(payload)} payload bits, "
@@ -210,7 +219,7 @@ def cmd_recv(args) -> int:
     state = _threshold_state(args, cfg)
     with contextlib.ExitStack() as stack:
         if args.file:
-            handle = stack.enter_context(ProbeHandle(args.file, ProbeMode(args.mode)))
+            handle = stack.enter_context(_probe_handle(args))
             source = WindowGrid(handle.blocks(), handle.meta())
         elif args.trace:
             source = TraceSource(trace_read(args.trace))
@@ -418,6 +427,9 @@ def _add_channel_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
             default=ProbeMode.FSYNC_ONLY.value,
             help="probe mutation mode",
         )
+        p.add_argument(
+            "--cpu", type=_int_at_least(0), help="with --file: pin the probe to this CPU"
+        )
     p.add_argument(
         "--decision",
         choices=[r.value for r in DecisionRule],
@@ -535,6 +547,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
+        if getattr(args, "cpu", None) is not None and not args.file:
+            raise ValueError("--cpu needs --file; it pins the live probe to one CPU")
         return args.func(args)
     except ProtocolTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -104,12 +105,24 @@ def test_bench_context_records_parallel_speedup(ab_pairs, monkeypatch, tmp_path)
     result = {"correct": True, "failed": 0, "attempted": 1, "metrics": metrics}
     monkeypatch.setattr(bench_file, "run_once", lambda *args, **kwargs: (report, result))
     speedup = bench_file.parallel_speedup
-    monkeypatch.setattr(bench_file, "parallel_speedup", lambda: speedup(20_000))
+    monkeypatch.setattr(bench_file, "parallel_speedup", lambda cpus=None: speedup(20_000, cpus))
     context = bench_file.bench(tmp_path)["context"]
     assert isinstance(context["parallel_speedup"], float)
     assert context["parallel_speedup"] > 0
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert isinstance(context["parallel_speedup_pinned"], float)
+        assert context["parallel_speedup_pinned"] > 0
+    else:
+        assert context["parallel_speedup_pinned"] is None
     assert context["dirty"] is None  # tmp_path is no git checkout
     assert set(bench_file.LAYERS) >= {"core.trace_write_s", "core.rows_written"}
+
+
+@pytest.mark.parametrize("allowed, pair", [({0, 1}, (0, 1)), ({3}, None), ({1, 5, 7}, (1, 5))])
+def test_cpu_pair_is_the_lowest_two(ab_pairs, allowed, pair):
+    # the two CPUs the pinned parallel_speedup gives its workers, one each
+    bench_file = importlib.import_module("bench_file")
+    assert bench_file.cpu_pair(allowed) == pair
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

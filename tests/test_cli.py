@@ -95,8 +95,10 @@ def probed(monkeypatch):
     durations = []
 
     class FakeProbeHandle:
-        def __init__(self, path, mode):
-            pass
+        cpus = []  # the --cpu each handle was made with
+
+        def __init__(self, path, mode, cpu=None):
+            self.cpus.append(cpu)
 
         def __enter__(self):
             return self
@@ -132,6 +134,28 @@ def test_calibrate_live_explicit_duration(probed, capsys):
     assert main(["calibrate", "--file", "PROBE", "--duration-us", "7500"]) == 0
     assert probed == [7_500.0]
     capsys.readouterr()
+
+
+def test_calibrate_live_cpu_reaches_the_probe(probed, capsys):
+    assert main(["calibrate", "--file", "PROBE", "--cpu", "1"]) == 0
+    assert main(["calibrate", "--file", "PROBE"]) == 0
+    assert cli.ProbeHandle.cpus == [1, None]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--seed", "7"],
+    ["send", "--seed", "7", "--out", "T.csv"],
+    ["recv", "--seed", "7", "--trace", "T.csv"],
+])
+def test_cpu_without_file_exits_2(argv, capsys):
+    # --cpu pins the live probe; sim mode has none, so it is refused, not ignored
+    assert main([*argv, "--cpu", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "error: --cpu needs --file" in err
+    assert "Traceback" not in err
+    assert main([*argv, "--cpu", "-1"]) == 2
+    assert "argument --cpu: must be >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -898,13 +922,47 @@ def test_console_script_installed():
     assert "calibrate" in proc.stdout
 
 
-def test_module_entry_point():
-    # the child imports the same fsyncchan as this process, installed or not
+def _fresh_python(*argv) -> subprocess.CompletedProcess:
+    """A new interpreter run with argv; it imports the same fsyncchan as
+    this process, installed or not."""
     src = str(Path(fsyncchan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fsyncchan", "--help"], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point():
+    proc = _fresh_python("-m", "fsyncchan", "--help")
     assert proc.returncode == 0
     assert "covert channel" in proc.stdout
+
+
+HEAVY_MODULES = ("_hashlib", "ssl")  # OpenSSL's libcrypto, about 3.5 MB resident
+
+
+def test_cli_does_not_load_openssl():
+    # the package uses no OpenSSL; hashlib would load it for one builtin blake2b
+    code = (
+        "import sys, fsyncchan, fsyncchan.cli; "
+        f"print([m for m in {HEAVY_MODULES} if m in sys.modules])"
+    )
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # -X importtime lists, on stderr, every module `-m fsyncchan --help` imports
+    proc = _fresh_python("-X", "importtime", "-m", "fsyncchan", "--help")
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert {"fsyncchan.cli", "numpy"} <= imported
+    assert imported.isdisjoint(HEAVY_MODULES)
+
+
+@pytest.mark.parametrize("seed, tag, expected", [
+    (1234, "payload", 4385469954072962989),
+    (1234, "channel:50:high", 748153325817558383),
+    (0, "calibrate", 7134678707948959927),
+    (-7, "victims", 9915310121777622320),
+])
+def test_derive_seed_pinned(seed, tag, expected):
+    # every sub-seed, and with it every pinned output, hangs on these
+    assert derive_seed(seed, tag) == expected

@@ -13,13 +13,16 @@ each run's `correct` and `failed` values, and the run context from the
 benchmark's report line (Python, numpy, nproc, commit and the line count of
 each source file).  The context's `dirty` is true when DIR's tracked files
 differ from that commit, and null when DIR is not a git checkout.  The
-context also holds `parallel_speedup`: the work per
-second of two copies of one pure-Python job run at once in two processes
-over one copy's alone, about 2 where both cores of an nproc of 2 are free
-and about 1 where the host runs the two on one core.  One more run per
-workload, the same command with `--trace 1` at the first seed, gives the
-LAYERS metrics, each the median over that run's traced passes.  T is fixed
-so that any two BENCH files compare.
+context also holds `parallel_speedup`: the work per second of two copies of
+one pure-Python job run at once in two processes over one copy's alone,
+about 2 where both cores of an nproc of 2 are free and about 1 where the
+host runs the two on one core, so it measures where the host places
+processes.  `parallel_speedup_pinned` is the same with each of the two
+processes pinned to its own CPU, the lowest two of os.sched_getaffinity(0),
+and null where fewer than two are allowed; only those two are pinned.  One
+more run per workload, the same command with `--trace 1` at the first seed,
+gives the LAYERS metrics, each the median over that run's traced passes.  T
+is fixed so that any two BENCH files compare.
 
 The file's `quality` section holds the channel's quality next to its speed,
 both from DIR's src/ and each the median and quartiles of REPEATS runs:
@@ -29,6 +32,9 @@ both from DIR's src/ and each the median and quartiles of REPEATS runs:
   --payload-bits 80000`: the process's wall time and the row's `p_err` and
   error counts.  `startup_s`, the wall time of `python3 -m fsyncchan --help`,
   is the part of each wall time spent starting Python and importing;
+- `import_rss_mb`: the peak resident memory (`ru_maxrss`) of a fresh
+  Python process that imports `fsyncchan.cli` and exits, the baseline that
+  every fsyncchan process pays before it does any work;
 - `header_sync`: symbols per second of `receive_frames` searching quiet
   SimSource traffic at HEADER_SYNC_TS_US for a header that never comes,
   HEADER_SYNC_SYMBOLS symbols a search, the simulated probing included.
@@ -65,6 +71,10 @@ LOOPBACK_GRID = [(ts, noise) for ts in (50, 200, 400) for noise in ("none", "hig
 LOOPBACK_ARGS = ("bench", "--seed", "1234", "--payload-bits", "80000")
 HEADER_SYNC_SYMBOLS = 80_000
 HEADER_SYNC_TS_US = 50
+# ru_maxrss is in KiB on Linux; /1024 gives MB as perfbench's peak_rss_mb does
+IMPORT_RSS_CODE = (
+    "import resource, fsyncchan.cli; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+)
 
 
 def run_once(
@@ -89,10 +99,28 @@ def spin(steps: int) -> int:
     return total
 
 
-def parallel_speedup(steps: int = SPIN_STEPS) -> float:
+def cpu_pair(allowed: set[int]) -> tuple[int, int] | None:
+    """The two CPUs of allowed that parallel_speedup pins its workers to:
+    the lowest two, or None when fewer than two are allowed."""
+    return tuple(sorted(allowed)[:2]) if len(allowed) >= 2 else None
+
+
+def _pin_worker(cpus) -> None:
+    """Pool initializer: pin this worker to the next CPU of the queue."""
+    os.sched_setaffinity(0, {cpus.get()})
+
+
+def parallel_speedup(steps: int = SPIN_STEPS, cpus: tuple[int, int] | None = None) -> float:
     """Work per second of two copies of spin(steps) run at once in two
-    processes over that of one copy alone, timed the same way."""
-    with multiprocessing.Pool(2) as pool:
+    processes over that of one copy alone, timed the same way.  With cpus,
+    two distinct CPUs, each of the two processes is pinned to one of them."""
+    pinning = ()
+    if cpus is not None:
+        queue = multiprocessing.SimpleQueue()
+        for cpu in cpus:
+            queue.put(cpu)
+        pinning = (_pin_worker, (queue,))
+    with multiprocessing.Pool(2, *pinning) as pool:
         pool.map(spin, [1, 1], chunksize=1)  # both workers up before timing
         start = time.perf_counter()
         pool.apply(spin, (steps,))
@@ -145,6 +173,8 @@ def bench(root: Path) -> dict:
     context["src_lines_total"] = sum(context["src_lines"].values())
     context["dirty"] = dirty(root)
     context["parallel_speedup"] = parallel_speedup()
+    pair = cpu_pair(os.sched_getaffinity(0))
+    context["parallel_speedup_pinned"] = parallel_speedup(cpus=pair) if pair else None
     return {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "seeds": list(SEEDS),
@@ -213,9 +243,10 @@ def header_sync_times(n_symbols: int, repeats: int) -> list[float]:
 
 
 def quality(root: Path) -> dict:
-    """The loopback grid's wall times and error rates, and header sync in
-    symbols/s, from root's src/."""
+    """The loopback grid's wall times and error rates, header sync in
+    symbols/s and the import footprint, from root's src/."""
     startup = [_timed(root, ["-m", "fsyncchan", "--help"])[0] for _ in range(REPEATS)]
+    import_rss = [int(_timed(root, ["-c", IMPORT_RSS_CODE])[1]) / 1024 for _ in range(REPEATS)]
     rows = []
     for ts, noise in LOOPBACK_GRID:
         argv = ["-m", "fsyncchan", *LOOPBACK_ARGS, "--ts-us", str(ts), "--noise", noise]
@@ -234,6 +265,7 @@ def quality(root: Path) -> dict:
     return {
         "loopback_command": "python3 -m fsyncchan " + " ".join(LOOPBACK_ARGS) + " --ts-us TS --noise N",
         "startup_s": summary(startup, "s"),
+        "import_rss_mb": summary(import_rss, "MB"),
         "loopback": rows,
         "header_sync": {
             "symbols": HEADER_SYNC_SYMBOLS,
