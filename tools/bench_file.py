@@ -114,13 +114,10 @@ def parallel_speedup(steps: int = SPIN_STEPS, cpus: tuple[int, int] | None = Non
     """Work per second of two copies of spin(steps) run at once in two
     processes over that of one copy alone, timed the same way.  With cpus,
     two distinct CPUs, each of the two processes is pinned to one of them."""
-    pinning = ()
-    if cpus is not None:
-        queue = multiprocessing.SimpleQueue()
-        for cpu in cpus:
-            queue.put(cpu)
-        pinning = (_pin_worker, (queue,))
-    with multiprocessing.Pool(2, *pinning) as pool:
+    queue = multiprocessing.SimpleQueue()
+    for cpu in cpus or ():
+        queue.put(cpu)
+    with multiprocessing.Pool(2, _pin_worker if cpus else None, (queue,)) as pool:
         pool.map(spin, [1, 1], chunksize=1)  # both workers up before timing
         start = time.perf_counter()
         pool.apply(spin, (steps,))
