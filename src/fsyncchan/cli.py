@@ -15,12 +15,8 @@ import contextlib
 import csv
 import math
 import sys
+from _blake2 import blake2b  # hashlib.blake2b is this builtin; hashlib also loads OpenSSL
 from pathlib import Path
-
-try:  # hashlib loads OpenSSL's libcrypto; its blake2b is this builtin anyway
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
 
 from .analyzer import (
     SPLIT_THRESHOLD_NS,
