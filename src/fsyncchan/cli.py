@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import math
+import os
 import sys
 from _blake2 import blake2b  # hashlib.blake2b is this builtin; hashlib also loads OpenSSL
 from pathlib import Path
@@ -99,10 +100,6 @@ def _channel_config(args, ts_us: int | None = None) -> ChannelConfig:
     )
 
 
-def _probe_handle(args) -> ProbeHandle:
-    return ProbeHandle(args.file, ProbeMode(args.mode), cpu=args.cpu)
-
-
 def _sim_params(args) -> SimParams:
     if args.sim_params:
         return load_sim_params(args.sim_params)
@@ -157,7 +154,7 @@ def cmd_calibrate(args) -> int:
     if args.file:
         # by default 4x the simulated stretch, a safety margin for sparse real windows
         quiet_us = 4 * quiet_duration_ns(cfg) / 1e3 if args.duration_us is None else args.duration_us
-        with _probe_handle(args) as handle:
+        with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
             trace = handle.probe_for(quiet_us)
     elif args.duration_us is not None:
         raise ValueError("--duration-us needs --file; sim mode simulates a fixed quiet stretch")
@@ -194,7 +191,7 @@ def cmd_send(args) -> int:
     frames = encode_frames(payload, cfg)
     tx_bits = frames_to_bits(frames)
     if args.file:
-        with _probe_handle(args) as handle:
+        with ProbeHandle(args.file, ProbeMode(args.mode)) as handle:
             fsyncs = send_bits(tx_bits, cfg, handle)
         print(
             f"sent {len(frames)} frame(s), {len(payload)} payload bits, "
@@ -215,7 +212,7 @@ def cmd_recv(args) -> int:
     state = _threshold_state(args, cfg)
     with contextlib.ExitStack() as stack:
         if args.file:
-            handle = stack.enter_context(_probe_handle(args))
+            handle = stack.enter_context(ProbeHandle(args.file, ProbeMode(args.mode)))
             source = WindowGrid(handle.blocks(), handle.meta())
         elif args.trace:
             source = TraceSource(trace_read(args.trace))
@@ -536,6 +533,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_to_cpu(args) -> None:
+    """Pin this process to the one CPU --cpu names, before the live probe
+    starts; sim mode has no probe to pin, so --cpu needs --file."""
+    if not args.file:
+        raise ValueError("--cpu needs --file; it pins the live probe to one CPU")
+    if args.cpu not in (allowed := os.sched_getaffinity(0)):
+        raise ValueError(f"--cpu {args.cpu} is not one this process may run on: {sorted(allowed)}")
+    os.sched_setaffinity(0, {args.cpu})
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -543,8 +550,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        if getattr(args, "cpu", None) is not None and not args.file:
-            raise ValueError("--cpu needs --file; it pins the live probe to one CPU")
+        if getattr(args, "cpu", None) is not None:
+            _pin_to_cpu(args)
         return args.func(args)
     except ProtocolTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)

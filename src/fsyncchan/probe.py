@@ -51,16 +51,11 @@ class ProbeHandle:
 
     Timestamps are relative to handle creation and taken from the same
     monotonic clock as the latencies, so consecutive samples never overlap.
-    With cpu given, the handle pins the calling thread to that one CPU
-    before its first probe, and leaves it pinned; a CPU outside
-    os.sched_getaffinity(0) raises ValueError before the file is opened.
     """
 
-    def __init__(self, path, mode: ProbeMode = ProbeMode.FSYNC_ONLY, cpu: int | None = None):
+    def __init__(self, path, mode: ProbeMode = ProbeMode.FSYNC_ONLY):
         self.mode = ProbeMode(mode)
         self.path = os.fspath(path)
-        if cpu is not None and cpu not in (allowed := os.sched_getaffinity(0)):
-            raise ValueError(f"cpu {cpu} is not one this process may run on: {sorted(allowed)}")
         try:
             self._fd = os.open(self.path, os.O_RDWR)
         except OSError as exc:
@@ -73,11 +68,9 @@ class ProbeHandle:
         try:
             if self.mode is ProbeMode.WRITE_FSYNC and os.fstat(self._fd).st_size < WRITE_SIZE:
                 os.ftruncate(self._fd, WRITE_SIZE)
-            if cpu is not None:
-                os.sched_setaffinity(0, {cpu})
         except OSError as exc:
             self.close()
-            raise ProbeError(exc.errno, f"cannot set up probe: {exc.strerror}", self.path) from exc
+            raise ProbeError(exc.errno, f"cannot size probe file: {exc.strerror}", self.path) from exc
         self._session_start = time.clock_gettime_ns(_CLOCK)
 
     def close(self) -> None:

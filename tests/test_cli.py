@@ -95,10 +95,8 @@ def probed(monkeypatch):
     durations = []
 
     class FakeProbeHandle:
-        cpus = []  # the --cpu each handle was made with
-
-        def __init__(self, path, mode, cpu=None):
-            self.cpus.append(cpu)
+        def __init__(self, path, mode):
+            pass
 
         def __enter__(self):
             return self
@@ -136,11 +134,39 @@ def test_calibrate_live_explicit_duration(probed, capsys):
     capsys.readouterr()
 
 
-def test_calibrate_live_cpu_reaches_the_probe(probed, capsys):
-    assert main(["calibrate", "--file", "PROBE", "--cpu", "1"]) == 0
-    assert main(["calibrate", "--file", "PROBE"]) == 0
-    assert cli.ProbeHandle.cpus == [1, None]
-    capsys.readouterr()
+def test_cpu_pins_the_process_before_the_probe():
+    # main runs in a child, so this process keeps its CPU set; the child's
+    # stand-in handle reports the set it was made under and stops the run
+    allowed = os.sched_getaffinity(0)
+    cpu = max(allowed)
+    code = (
+        "import os\n"
+        "from fsyncchan import cli\n"
+        "def handle(path, mode):\n"
+        "    print(sorted(os.sched_getaffinity(0)))\n"
+        "    raise OSError('stop')\n"
+        "cli.ProbeHandle = handle\n"
+        f"raise SystemExit(cli.main(['calibrate', '--file', 'PROBE', '--cpu', '{cpu}']))\n"
+    )
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.strip() == str([cpu])
+    assert os.sched_getaffinity(0) == allowed
+
+
+def test_cpu_outside_the_allowed_set_exits_2(tmp_path, capsys):
+    # refused before the file is opened: no descriptor left, no pinning
+    allowed = os.sched_getaffinity(0)
+    cpu = max(allowed) + 1
+    probe = tmp_path / "probe.dat"
+    probe.write_bytes(b"\0" * 4096)
+    fds = set(os.listdir("/proc/self/fd"))
+    assert main(["calibrate", "--file", str(probe), "--cpu", str(cpu)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --cpu {cpu} is not one this process may run on" in err
+    assert "Traceback" not in err
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert os.sched_getaffinity(0) == allowed
 
 
 @pytest.mark.parametrize("argv", [

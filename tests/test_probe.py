@@ -11,16 +11,12 @@ since their physics depend on the host.
 import errno
 import os
 import random
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fsyncchan
 from fsyncchan import cli
 from fsyncchan.cli import derive_seed, main
 from fsyncchan.core import (
@@ -102,37 +98,6 @@ def test_mode_given_by_value_is_that_mode(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="'bogus' is not a valid ProbeMode"):
         ProbeHandle(path, "bogus")
     assert opened == []
-
-
-def test_cpu_pins_the_probing_process(probe_file):
-    # the handle is made in a child, so this process keeps its CPU set
-    allowed = os.sched_getaffinity(0)
-    cpu = max(allowed)
-    code = (
-        "import os; from fsyncchan.probe import ProbeHandle\n"
-        f"with ProbeHandle({str(probe_file)!r}, cpu={cpu}) as handle:\n"
-        "    handle.probe_for(1000)\n"
-        "    print(sorted(os.sched_getaffinity(0)))\n"
-    )
-    src = str(Path(fsyncchan.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([cpu])
-    assert os.sched_getaffinity(0) == allowed
-
-
-@pytest.mark.parametrize("outside", [-1, "past"])
-def test_cpu_outside_the_allowed_set_is_refused(probe_file, outside):
-    # refused before the file is opened: no descriptor left, no pinning
-    allowed = os.sched_getaffinity(0)
-    cpu = max(allowed) + 1 if outside == "past" else outside
-    fds = set(os.listdir("/proc/self/fd"))
-    with pytest.raises(ValueError, match=f"cpu {cpu} is not one this process may run on"):
-        ProbeHandle(probe_file, cpu=cpu)
-    assert set(os.listdir("/proc/self/fd")) == fds
-    assert os.sched_getaffinity(0) == allowed
 
 
 def test_context_manager_and_double_close(probe_file):
