@@ -15,9 +15,9 @@ each source file).  The context's `dirty` is true when DIR's tracked files
 differ from that commit, and null when DIR is not a git checkout.  The
 context also holds `parallel_speedup`: the work per second of two copies of
 one pure-Python job run at once in two processes over one copy's alone,
-about 2 where both cores of an nproc of 2 are free and about 1 where the
-host runs the two on one core, so it measures where the host places
-processes.  `parallel_speedup_pinned` is the same with each of the two
+the median over SPIN_REPEATS turns of each, about 2 where both cores of an
+nproc of 2 are free and about 1 where the host runs the two on one core, so
+it measures where the host places processes.  `parallel_speedup_pinned` is the same with each of the two
 processes pinned to its own CPU, the lowest two of os.sched_getaffinity(0),
 and null where fewer than two are allowed; only those two are pinned.  One
 more run per workload, the same command with `--trace 1` at the first seed,
@@ -65,6 +65,7 @@ LAYERS = (
     "analyzer.knn_queries_per_s",
 )
 SPIN_STEPS = 2_000_000  # about 0.2 s of pure Python on a 2-core VM
+SPIN_REPEATS = 5  # one timing of each side let a single slow one pass 2 on two CPUs
 CONTEXT_KEYS = ("python", "numpy", "nproc", "git_commit", "src_lines")
 REPEATS = 5
 LOOPBACK_GRID = [(ts, noise) for ts in (50, 200, 400) for noise in ("none", "high")]
@@ -110,22 +111,29 @@ def _pin_worker(cpus) -> None:
     os.sched_setaffinity(0, {cpus.get()})
 
 
-def parallel_speedup(steps: int = SPIN_STEPS, cpus: tuple[int, int] | None = None) -> float:
+def parallel_speedup(
+    steps: int = SPIN_STEPS, cpus: tuple[int, int] | None = None, repeats: int = SPIN_REPEATS
+) -> float:
     """Work per second of two copies of spin(steps) run at once in two
-    processes over that of one copy alone, timed the same way.  With cpus,
-    two distinct CPUs, each of the two processes is pinned to one of them."""
+    processes over that of one copy alone, timed the same way: the median
+    of `repeats` ratios, each from one alone and one both timing taken in
+    turn.  With cpus, two distinct CPUs, each of the two processes is
+    pinned to one of them."""
     queue = multiprocessing.SimpleQueue()
     for cpu in cpus or ():
         queue.put(cpu)
+    ratios = []
     with multiprocessing.Pool(2, _pin_worker if cpus else None, (queue,)) as pool:
         pool.map(spin, [1, 1], chunksize=1)  # both workers up before timing
-        start = time.perf_counter()
-        pool.apply(spin, (steps,))
-        alone = time.perf_counter() - start
-        start = time.perf_counter()
-        pool.map(spin, [steps, steps], chunksize=1)
-        both = time.perf_counter() - start
-    return round(2 * alone / both, 3)
+        for _ in range(repeats):
+            start = time.perf_counter()
+            pool.apply(spin, (steps,))
+            alone = time.perf_counter() - start
+            start = time.perf_counter()
+            pool.map(spin, [steps, steps], chunksize=1)
+            both = time.perf_counter() - start
+            ratios.append(2 * alone / both)
+    return round(statistics.median(ratios), 3)
 
 
 def dirty(root: Path) -> bool | None:
