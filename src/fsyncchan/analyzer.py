@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -93,16 +94,12 @@ def extract_episodes(
     if not len(ts):
         return []
     ends = ts + trace.latencies_ns[above]
-    first = np.flatnonzero(np.concatenate(([True], np.diff(ts) > max_gap_ns)))
-    counts = np.diff(first, append=len(ts))
-    return [
-        Episode(start, end, count)
-        for start, end, count in zip(
-            ts[first].tolist(),
-            np.maximum.reduceat(ends, first).tolist(),
-            counts.tolist(),
-        )
-    ]
+    new = np.ones(len(ts), dtype=bool)  # samples that start an episode
+    np.greater(ts[1:] - ts[:-1], max_gap_ns, out=new[1:])
+    first = new.nonzero()[0]
+    starts = first.tolist()
+    counts = map(int.__sub__, starts[1:] + [len(ts)], starts)
+    return list(map(Episode, ts[first].tolist(), np.maximum.reduceat(ends, first).tolist(), counts))
 
 
 def count_above(trace: LatencyTrace, theta_ns: int, bucket_s: float) -> list[int]:
@@ -230,9 +227,18 @@ def split_detection_metrics(
     return SplitMetrics(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
+@cache
+def _default_edges() -> np.ndarray:
+    """The default edges, read-only; built on first use, not at import."""
+    edges = np.logspace(np.log10(10_000), np.log10(10_000_000), 33)
+    edges.flags.writeable = False
+    return edges
+
+
 def default_bin_edges() -> np.ndarray:
-    """32 log-spaced latency bins spanning 10 us to 10 ms (in ns)."""
-    return np.logspace(np.log10(10_000), np.log10(10_000_000), 33)
+    """32 log-spaced latency bins spanning 10 us to 10 ms (in ns), as a
+    fresh writable array."""
+    return _default_edges().copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,21 +265,25 @@ def histogram_features(
     edges: np.ndarray | None = None,
     label: str | None = None,
 ) -> FeatureVector:
-    """Histogram latencies into the given bin edges.
+    """Histogram latencies into the given bin edges, default_bin_edges() if None.
 
-    Values outside the edge range are clamped into the end bins so the counts
-    always sum to the number of inputs.
+    A value on an interior edge belongs to the bin it starts, one on the last
+    edge to the last bin.  Values outside the edge range, infinities included,
+    are clamped into the end bins so the counts always sum to the number of
+    inputs; a NaN is a ValueError.
     """
     if edges is None:
-        edges = default_bin_edges()
-    edges = np.asarray(edges, dtype=float)
-    if len(edges) < 2 or not np.all(np.diff(edges) > 0):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
+        edges = _default_edges()
+    else:
+        edges = np.asarray(edges, dtype=float)
+        if len(edges) < 2 or not np.all(np.diff(edges) > 0):
+            raise ValueError("edges must be strictly increasing with >= 2 entries")
     values = np.asarray(list(latencies_ns), dtype=float)
-    if values.size:
-        values = np.clip(values, edges[0], edges[-1])
-    counts, _ = np.histogram(values, bins=edges)
-    return FeatureVector(counts=counts.astype(np.int64), edges=edges, label=label)
+    if np.count_nonzero(np.isnan(values)):
+        raise ValueError("latencies must not be NaN")
+    # a value's bin is the number of inner edges at or below it
+    bins = edges[1:-1].searchsorted(values, side="right")
+    return FeatureVector(np.bincount(bins, minlength=len(edges) - 1), edges, label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,6 +295,11 @@ class KnnModel:
     _matrix: np.ndarray  # normalized training histograms, row per vector
 
 
+def _same_edges(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.allclose(a, b), true at once when both are the default edges."""
+    return a is b is _default_edges() or np.allclose(a, b)
+
+
 def knn_train(features: Sequence[FeatureVector], k: int = 5) -> KnnModel:
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -294,7 +309,7 @@ def knn_train(features: Sequence[FeatureVector], k: int = 5) -> KnnModel:
     for fv in features:
         if fv.label is None:
             raise ValueError("training vectors must be labeled")
-        if len(fv.edges) != len(edges) or not np.allclose(fv.edges, edges):
+        if len(fv.edges) != len(edges) or not _same_edges(fv.edges, edges):
             raise ValueError("all training vectors must share bin edges")
     matrix = np.array([fv.normalized() for fv in features])
     return KnnModel(features=tuple(features), k=k, _matrix=matrix)
@@ -304,7 +319,7 @@ def knn_classify(model: KnnModel, fv: FeatureVector) -> str:
     """Label by majority vote of the k nearest training vectors (Euclidean
     distance over normalized histograms); vote ties go to the class of the
     single nearest neighbor among the tied classes."""
-    if len(fv.edges) != model._matrix.shape[1] + 1 or not np.allclose(
+    if len(fv.edges) != model._matrix.shape[1] + 1 or not _same_edges(
         fv.edges, model.features[0].edges
     ):
         raise ValueError("query vector does not share the model's bin edges")

@@ -91,8 +91,8 @@ def binary_entropy(p: float) -> float:
 
 def capacity(ts_us: float, p: float) -> CapacityResult:
     """Capacity of the on-off channel at symbol duration ts_us and error rate p."""
-    if ts_us <= 0:
-        raise ValueError("ts_us must be positive")
+    if not 0 < ts_us < math.inf:  # NaN fails too
+        raise ValueError("ts_us must be positive and finite")
     bandwidth = 1e6 / ts_us
     raw = bandwidth * (1.0 - binary_entropy(p))
     clamped = 0.0 if p >= 0.5 else raw

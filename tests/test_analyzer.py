@@ -287,6 +287,46 @@ def test_histogram_features_custom_edges_validation():
         histogram_features([1], edges=np.array([5.0, 5.0]))
 
 
+def test_histogram_features_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        histogram_features([15_000.0, math.nan, math.inf, -math.inf])
+    # the infinities alone are clamped into the end bins
+    fv = histogram_features([10_500.0, math.inf, -math.inf])
+    assert fv.total == 3
+    assert fv.counts[0] == 2
+    assert fv.counts[-1] == 1
+
+
+@settings(max_examples=300)
+@given(
+    steps=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=12),
+    start=st.floats(-1e6, 1e6),
+    values=st.lists(st.floats(-1e9, 1e9), max_size=40),
+    picks=st.lists(st.integers(0, 20), max_size=10),
+    extremes=st.lists(st.sampled_from([math.inf, -math.inf, -1e300, 1e300]), max_size=4),
+)
+def test_histogram_features_matches_clipped_np_histogram(steps, start, values, picks, extremes):
+    edges = start + np.cumsum([0.0, *steps])
+    if not np.all(np.diff(edges) > 0):
+        return  # rounding merged two edges: not a valid edge array
+    # every edge exactly, some edges again, the infinities and far values
+    values = [*values, *edges, *(edges[i % len(edges)] for i in picks), *extremes]
+    fv = histogram_features(values, edges)
+    want = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)[0]
+    assert fv.counts.tolist() == want.tolist()
+    assert fv.total == len(values)
+
+
+def test_default_bin_edges_is_a_fresh_writable_copy():
+    want = histogram_features([15_000, 15_500, 5_000_000]).counts.tolist()
+    edges = default_bin_edges()
+    assert edges is not default_bin_edges()
+    assert edges.flags.writeable
+    edges[:] = 0.0
+    assert default_bin_edges()[0] == pytest.approx(10_000)
+    assert histogram_features([15_000, 15_500, 5_000_000]).counts.tolist() == want
+
+
 def test_normalized_sums_to_one():
     fv = histogram_features(workload_latencies("update_small", 100, random.Random(0)))
     assert fv.normalized().sum() == pytest.approx(1.0)
@@ -354,6 +394,28 @@ def test_knn_classify_edge_mismatch():
     model = knn_train([_fv([1, 0], "a")], k=1)
     with pytest.raises(ValueError):
         knn_classify(model, _fv([1, 0, 0]))
+
+
+@pytest.mark.parametrize("custom", [False, True])
+def test_knn_edge_checks_accept_equal_copies_only(custom):
+    edges = np.linspace(0.0, 8.0, 33) if custom else None
+    a = histogram_features([1, 2, 3], edges, label="a")
+    b = histogram_features([4, 5, 6], edges, label="b")
+    copy = histogram_features([1, 2], a.edges.copy(), label="c")
+    assert copy.edges is not a.edges
+    model = knn_train([a, b, copy], k=1)
+    assert knn_classify(model, histogram_features([1, 2, 3], a.edges.copy())) == "a"
+    moved = a.edges.copy()
+    moved[5] += 0.5 * (moved[6] - moved[5])
+    with pytest.raises(ValueError, match="share bin edges"):
+        knn_train([a, b, histogram_features([1], moved, label="c")], k=1)
+    with pytest.raises(ValueError, match="share the model's bin edges"):
+        knn_classify(model, histogram_features([1], moved))
+    nan_edges = np.full(len(a.edges), np.nan)  # one array, unequal to itself
+    with pytest.raises(ValueError, match="share bin edges"):
+        knn_train([b, FeatureVector(a.counts, nan_edges, "a")], k=1)
+    with pytest.raises(ValueError, match="share bin edges"):
+        knn_train([FeatureVector(fv.counts, nan_edges, fv.label) for fv in (a, b)], k=1)
 
 
 def test_knn_scale_invariance():

@@ -140,6 +140,12 @@ def test_capacity_validation():
         capacity(50, 1.5)
 
 
+@pytest.mark.parametrize("ts_us", [math.nan, math.inf, -math.inf])
+def test_capacity_rejects_non_finite_symbol_time(ts_us):
+    with pytest.raises(ValueError, match="positive and finite"):
+        capacity(ts_us, 0.1)
+
+
 def test_capacity_monotone_decreasing_to_half():
     grid = [i / 200 for i in range(0, 101)]  # 0.0 .. 0.5
     caps = [capacity(50, p).capacity_bps for p in grid]

@@ -61,6 +61,9 @@ LAYERS = (
     "core.read_rows_per_s",
     "core.trace_write_s",
     "core.rows_written",
+    "analyzer.busy_s",
+    "analyzer.episodes_s",
+    "analyzer.episode_samples_per_s",
     "analyzer.knn_s",
     "analyzer.knn_queries_per_s",
 )
