@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -83,16 +84,18 @@ def extract_episodes(
     Two consecutive above-threshold samples belong to the same episode when
     their start-to-start gap is at most max_gap_ns; a larger gap starts a new
     episode.  Episode extent runs from the first sample's start to the last
-    sample's completion (start + latency).
+    sample's completion (start + latency).  max_gap_ns defaults to
+    default_max_gap(trace), derived only when two samples are above theta, so
+    a trace of any length is accepted.
     """
-    if max_gap_ns is None:
-        max_gap_ns = default_max_gap(trace)
-    if max_gap_ns < 0:
+    if max_gap_ns is not None and max_gap_ns < 0:
         raise ValueError("max_gap_ns must be nonnegative")
     above = trace.latencies_ns > theta_ns
     ts = trace.timestamps_ns[above]
     if not len(ts):
         return []
+    if max_gap_ns is None:  # one above-threshold sample compares no gap
+        max_gap_ns = default_max_gap(trace) if len(ts) > 1 else 0
     ends = ts + trace.latencies_ns[above]
     new = np.ones(len(ts), dtype=bool)  # samples that start an episode
     np.greater(ts[1:] - ts[:-1], max_gap_ns, out=new[1:])
@@ -153,6 +156,14 @@ def classify_split(episode: Episode, split_threshold_ns: int = SPLIT_THRESHOLD_N
     return SplitLabel.SPLIT if episode.est_latency_ns > split_threshold_ns else SplitLabel.NO_SPLIT
 
 
+def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of the counts, each 0.0 where undefined."""
+    precision = tp / (tp + fp) if (tp + fp) else 0.0
+    recall = tp / (tp + fn) if (tp + fn) else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
+    return precision, recall, f1
+
+
 @dataclass(frozen=True)
 class SplitMetrics:
     tp: int
@@ -162,16 +173,15 @@ class SplitMetrics:
 
     @property
     def precision(self) -> float:
-        return self.tp / (self.tp + self.fp) if (self.tp + self.fp) else 0.0
+        return _prf(self.tp, self.fp, self.fn)[0]
 
     @property
     def recall(self) -> float:
-        return self.tp / (self.tp + self.fn) if (self.tp + self.fn) else 0.0
+        return _prf(self.tp, self.fp, self.fn)[1]
 
     @property
     def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if (p + r) else 0.0
+        return _prf(self.tp, self.fp, self.fn)[2]
 
 
 def split_detection_metrics(
@@ -184,47 +194,28 @@ def split_detection_metrics(
     """Score split detection against ground-truth (start_ns, is_split) ops.
 
     Each truth op is matched to the unused episode with the nearest start
-    within tol_ns.  Unmatched split ops count as misses; unmatched episodes
-    classified as splits count as false alarms.  tol_ns must be nonnegative.
+    within tol_ns, the earlier one on a tie.  Unmatched split ops count as
+    misses; unmatched episodes classified as splits count as false alarms.
+    tol_ns must be nonnegative.
     """
     if tol_ns < 0:
         raise ValueError(f"tol_ns must be nonnegative, got {tol_ns}")
     episodes = sorted(episodes, key=lambda e: e.start_ns)
-    used = [False] * len(episodes)
     starts = [e.start_ns for e in episodes]
-    tp = fp = fn = tn = 0
-    j = 0
-    for op_start, is_split in sorted(truth):
-        while j < len(episodes) and (used[j] or starts[j] < op_start - tol_ns):
-            j += 1
+    split = [classify_split(e, split_threshold_ns) is SplitLabel.SPLIT for e in episodes]
+    unused = [True] * len(episodes)
+    outcomes = []  # (is_split, detected) per op; an unmatched op is not detected
+    for op, is_split in sorted(truth):
         best = None
-        for k in range(j, len(episodes)):
-            if used[k]:
-                continue
-            if starts[k] > op_start + tol_ns:
-                break
-            if best is None or abs(starts[k] - op_start) < abs(starts[best] - op_start):
+        for k in range(bisect_left(starts, op - tol_ns), bisect_right(starts, op + tol_ns)):
+            if unused[k] and (best is None or abs(starts[k] - op) < abs(starts[best] - op)):
                 best = k
-        if best is None:
-            if is_split:
-                fn += 1
-            else:
-                tn += 1
-            continue
-        used[best] = True
-        detected = classify_split(episodes[best], split_threshold_ns) is SplitLabel.SPLIT
-        if is_split and detected:
-            tp += 1
-        elif is_split:
-            fn += 1
-        elif detected:
-            fp += 1
-        else:
-            tn += 1
-    for k, u in enumerate(used):
-        if not u and classify_split(episodes[k], split_threshold_ns) is SplitLabel.SPLIT:
-            fp += 1
-    return SplitMetrics(tp=tp, fp=fp, fn=fn, tn=tn)
+        if best is not None:
+            unused[best] = False
+        outcomes.append((bool(is_split), best is not None and split[best]))
+    tally = Counter(outcomes)
+    fp = tally[False, True] + sum(u and s for u, s in zip(unused, split))
+    return SplitMetrics(tp=tally[True, True], fp=fp, fn=tally[True, False], tn=tally[False, False])
 
 
 @cache
@@ -373,25 +364,21 @@ class ClassificationReport:
 def classification_report(y_true: Sequence[str], y_pred: Sequence[str]) -> ClassificationReport:
     if len(y_true) != len(y_pred) or not y_true:
         raise ValueError("need equal-length, nonempty truth and prediction lists")
+    pairs = Counter(zip(y_true, y_pred))
     classes = tuple(sorted(set(y_true) | set(y_pred)))
     support, precision, recall, f1 = {}, {}, {}, {}
     for cls in classes:
-        tp = sum(t == cls and p == cls for t, p in zip(y_true, y_pred))
-        fp = sum(t != cls and p == cls for t, p in zip(y_true, y_pred))
-        fn = sum(t == cls and p != cls for t, p in zip(y_true, y_pred))
-        support[cls] = tp + fn
-        precision[cls] = tp / (tp + fp) if (tp + fp) else 0.0
-        recall[cls] = tp / (tp + fn) if (tp + fn) else 0.0
-        denom = precision[cls] + recall[cls]
-        f1[cls] = 2 * precision[cls] * recall[cls] / denom if denom else 0.0
-    accuracy = sum(t == p for t, p in zip(y_true, y_pred)) / len(y_true)
+        tp = pairs[cls, cls]
+        support[cls] = sum(n for (t, _), n in pairs.items() if t == cls)
+        predicted = sum(n for (_, p), n in pairs.items() if p == cls)
+        precision[cls], recall[cls], f1[cls] = _prf(tp, predicted - tp, support[cls] - tp)
     return ClassificationReport(
         classes=classes,
         support=support,
         precision=precision,
         recall=recall,
         f1=f1,
-        accuracy=accuracy,
+        accuracy=sum(pairs[cls, cls] for cls in classes) / len(y_true),
         n_total=len(y_true),
     )
 

@@ -238,10 +238,6 @@ class ActivityTimeline:
     def duration_ns(self) -> int:
         return self._duration_ns
 
-    def active_at(self, t_ns: int) -> bool:
-        i = bisect_right(memoryview(self._starts), t_ns) - 1
-        return i >= 0 and t_ns < int(self._ends[i])
-
     def window_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Start and end columns of the windows (read-only)."""
         return self._starts, self._ends

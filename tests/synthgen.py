@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction
 from operator import mul
@@ -149,6 +150,63 @@ def exact_sq_distances(train, query):
     return out
 
 
+def split_detection_reference(episodes, truth, split_threshold_ns, tol_ns):
+    """(tp, fp, fn, tn, precision, recall, f1) of split detection with a skip pointer and a forward
+    scan: each truth op, in sorted order, takes the unused episode with the
+    nearest start within tol_ns, the earlier one on a tie; an unmatched op is
+    not detected, and each unused episode longer than the threshold is a
+    false alarm."""
+    episodes = sorted(episodes, key=lambda e: e.start_ns)
+    starts = [e.start_ns for e in episodes]
+    used = [False] * len(episodes)
+    tp = fp = fn = tn = 0
+    j = 0
+    for op_start, is_split in sorted(truth):
+        while j < len(episodes) and (used[j] or starts[j] < op_start - tol_ns):
+            j += 1
+        best = None
+        for k in range(j, len(episodes)):
+            if used[k]:
+                continue
+            if starts[k] > op_start + tol_ns:
+                break
+            if best is None or abs(starts[k] - op_start) < abs(starts[best] - op_start):
+                best = k
+        detected = False
+        if best is not None:
+            used[best] = True
+            detected = episodes[best].est_latency_ns > split_threshold_ns
+        if is_split and detected:
+            tp += 1
+        elif is_split:
+            fn += 1
+        elif detected:
+            fp += 1
+        else:
+            tn += 1
+    fp += sum(not u and e.est_latency_ns > split_threshold_ns for u, e in zip(used, episodes))
+    precision = tp / (tp + fp) if (tp + fp) else 0.0
+    recall = tp / (tp + fn) if (tp + fn) else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
+    return tp, fp, fn, tn, precision, recall, f1
+
+
+def classification_reference(y_true, y_pred):
+    """Per-class (support, precision, recall, f1) and the accuracy, three
+    passes over the labels for each class."""
+    labels = list(zip(y_true, y_pred))
+    per_class = {}
+    for cls in sorted(set(y_true) | set(y_pred)):
+        tp = sum(t == cls and p == cls for t, p in labels)
+        fp = sum(t != cls and p == cls for t, p in labels)
+        fn = sum(t == cls and p != cls for t, p in labels)
+        precision = tp / (tp + fp) if (tp + fp) else 0.0
+        recall = tp / (tp + fn) if (tp + fn) else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
+        per_class[cls] = (tp + fn, precision, recall, f1)
+    return per_class, sum(t == p for t, p in labels) / len(labels)
+
+
 def merge_windows_reference(windows):
     """Sorted union of half-open [start, end) windows, one window at a time:
     a window that overlaps or touches the last merged one extends it.  Raises
@@ -164,12 +222,22 @@ def merge_windows_reference(windows):
     return [(start, end) for start, end in merged]
 
 
+def active_at_reference(timeline, t_ns):
+    """Whether instant t_ns lies in one of the timeline's half-open windows,
+    by a bisect over its window_bounds() columns."""
+    starts, ends = timeline.window_bounds()
+    i = bisect_right(memoryview(starts), t_ns) - 1
+    return i >= 0 and t_ns < int(ends[i])
+
+
 def sim_probe_reference(clock_ns, activity, model, noise, rng):
     """One timed fsync at virtual time clock_ns: contended when the activity
     or a noise burst is active at that instant.  Returns the (timestamp,
     latency) sample and the clock advanced past the fsync plus the per-probe
     overhead."""
-    contended = activity.active_at(clock_ns) or (noise is not None and noise.active_at(clock_ns))
+    contended = active_at_reference(activity, clock_ns) or (
+        noise is not None and active_at_reference(noise, clock_ns)
+    )
     latency = (model.contended if contended else model.standalone).draw(rng)
     return (clock_ns, latency), clock_ns + latency + PROBE_OVERHEAD_NS
 

@@ -82,6 +82,38 @@ def test_src_lines_line(ab_pairs):
     assert ab_pairs.src_lines_line(change, parent).endswith("(+8)")
 
 
+@pytest.mark.parametrize(
+    "bad_run, code",
+    [(None, 0), ({"correct": False, "failed": 0}, 1), ({"correct": True, "failed": 2}, 1)],
+    ids=["all-correct", "not-correct", "failed"],
+)
+def test_main_exits_1_when_a_run_was_not_correct(ab_pairs, monkeypatch, tmp_path, capsys,
+                                                   bad_run, code):
+    # one bad run on the change side, in the last pair, after every line
+    metric = {"name": "wall_s", "unit": "s", "better": "lower"}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric]}))
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append(root)
+        result = {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": 1.0 + seed}}}
+        if bad_run is not None and len(calls) == 6:
+            result.update(bad_run)
+        return {"context": {"src_lines": {"a.py": 10}}}, result
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    argv = ["ab_pairs.py", str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "3"]
+    monkeypatch.setattr("sys.argv", argv)
+    assert ab_pairs.main() == code
+    out = capsys.readouterr().out.splitlines()
+    assert len(calls) == 6
+    assert out[-3:] == [
+        "parent: 0 of 3 runs not correct",
+        f"change: {code} of 3 runs not correct",
+        "src lines: parent 10  change 10  (+0)",
+    ]
+
+
 def test_run_once_is_bench_files(ab_pairs):
     # one benchmark runner serves both tools
     bench_file = importlib.import_module("bench_file")

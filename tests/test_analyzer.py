@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsyncchan import analyzer
@@ -32,11 +32,13 @@ from fsyncchan.analyzer import (
 from fsyncchan.core import LatencyTrace, trace_write
 from synthgen import (
     ESCAPING_NAMES,
+    classification_reference,
     episodes_reference,
     escaping_dataset,
     exact_sq_distances,
     knn_reference,
     random_episode_trace,
+    split_detection_reference,
     trace_from_pairs,
     victim_trace,
     workload_latencies,
@@ -83,15 +85,22 @@ def test_extract_episodes_quiet_trace_and_empty():
 def test_default_max_gap():
     trace = LatencyTrace([0, 10, 30, 60, 100], [1] * 5)
     assert default_max_gap(trace) == 3 * 25
-    with pytest.raises(ValueError):
-        default_max_gap(LatencyTrace([0], [1]))
+    for short in (LatencyTrace([0], [1]), LatencyTrace([], [])):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            default_max_gap(short)
 
 
-def test_extract_episodes_default_gap_needs_samples():
-    with pytest.raises(ValueError):
-        extract_episodes(LatencyTrace([0], [1]), theta_ns=0)
-    with pytest.raises(ValueError):
-        extract_episodes(LatencyTrace([0, 5], [1, 1]), 0, max_gap_ns=-1)
+def test_extract_episodes_takes_a_trace_of_any_length():
+    # the default gap is derived only to compare two above-threshold samples
+    one = LatencyTrace([1000], [90_000])
+    assert extract_episodes(one, 50_000) == [Episode(1000, 91_000, 1)]
+    assert extract_episodes(LatencyTrace([], []), 50_000) == []
+    assert extract_episodes(LatencyTrace([0, 5], [1, 90_000]), 50_000) == [Episode(5, 90_005, 1)]
+    assert keystroke_timings(one, 50_000) == ([1000], [])
+    # a negative gap is refused first, whatever the trace
+    for trace in (one, LatencyTrace([], []), LatencyTrace([0, 5], [1, 1])):
+        with pytest.raises(ValueError, match="max_gap_ns must be nonnegative"):
+            extract_episodes(trace, 0, max_gap_ns=-1)
 
 
 def test_extract_episodes_matches_reference_seeded():
@@ -213,6 +222,8 @@ def test_split_detection_metrics_hand_case():
     truth = [(0, True), (20_000_000, False), (40_000_000, True)]
     m = split_detection_metrics(episodes, truth)
     assert (m.tp, m.fp, m.fn, m.tn) == (1, 1, 1, 1)
+    # is_split is read as a truth value
+    assert split_detection_metrics(episodes, [(t, "y" * s) for t, s in truth]) == m
     assert m.precision == 0.5
     assert m.recall == 0.5
     assert m.f1 == 0.5
@@ -239,6 +250,35 @@ def test_split_detection_rejects_negative_tolerance():
     assert split_detection_metrics(episodes, [(0, True)], tol_ns=0).tp == 1
     with pytest.raises(ValueError, match="tol_ns must be nonnegative, got -1"):
         split_detection_metrics(episodes, [(0, True)], tol_ns=-1)
+
+
+def _split_scores(m):
+    return (m.tp, m.fp, m.fn, m.tn, m.precision, m.recall, m.f1)
+
+
+# small coordinates make duplicate starts, an episode on each side of an op at
+# equal distance, ops no episode reaches and episodes no op reaches common
+_EPISODES = st.lists(
+    st.tuples(st.integers(0, 120), st.integers(0, 30)).map(lambda e: Episode(e[0], e[0] + e[1], 1)),
+    max_size=25,
+)
+_TRUTH = st.lists(st.tuples(st.integers(-10, 130), st.booleans()), max_size=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(episodes=_EPISODES, truth=_TRUTH, tol_ns=st.integers(0, 12), cut=st.integers(0, 30))
+@example(  # an episode on each side at equal distance: the earlier one wins
+    episodes=[Episode(5, 25, 1), Episode(15, 16, 1)], truth=[(10, True)], tol_ns=5, cut=10
+)
+@example(  # duplicate starts and tol 0
+    episodes=[Episode(7, 30, 1), Episode(7, 8, 1), Episode(7, 9, 1)],
+    truth=[(7, True), (7, False), (50, True)],
+    tol_ns=0,
+    cut=10,
+)
+def test_split_detection_matches_reference(episodes, truth, tol_ns, cut):
+    got = split_detection_metrics(episodes, truth, split_threshold_ns=cut, tol_ns=tol_ns)
+    assert _split_scores(got) == split_detection_reference(episodes, truth, cut, tol_ns)
 
 
 def test_split_metrics_degenerate_rates():
@@ -502,6 +542,24 @@ def test_classification_report_hand_values():
         classification_report([], [])
     with pytest.raises(ValueError):
         classification_report(["a"], ["a", "b"])
+
+
+# "a" is only ever true and "e" only ever predicted
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.lists(
+        st.tuples(st.sampled_from("abcd"), st.sampled_from("bcde")), min_size=1, max_size=40
+    )
+)
+@example(labels=[("a", "b")])
+def test_classification_report_matches_reference(labels):
+    y_true, y_pred = map(list, zip(*labels))
+    rep = classification_report(y_true, y_pred)
+    per_class, accuracy = classification_reference(y_true, y_pred)
+    assert rep.classes == tuple(per_class)
+    for cls, want in per_class.items():
+        assert (rep.support[cls], rep.precision[cls], rep.recall[cls], rep.f1[cls]) == want
+    assert rep.accuracy == accuracy and rep.n_total == len(labels)
 
 
 def test_write_classification_report(tmp_path):

@@ -735,6 +735,20 @@ def test_analyze_episodes_trace_past_int64_exits_2(rows, message, tmp_path, caps
         assert not out.exists()
 
 
+@pytest.mark.parametrize("rows, n", [(["1000,90000"], 1), ([], 0)], ids=["one-row", "header-only"])
+@pytest.mark.parametrize("command", ["episodes", "splits", "keystrokes"])
+def test_analyze_takes_a_trace_of_any_length(command, rows, n, tmp_path, capsys):
+    # the default gap is derived only between two above-threshold samples
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("timestamp_ns,latency_ns\n" + "".join(r + "\n" for r in rows))
+    out = tmp_path / "out.csv"
+    rc = main(["analyze", command, "--trace", str(trace_path), "--theta-ns", "50000",
+               "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert capsys.readouterr().out.startswith(f"{n} ")
+    assert len(_read_csv(out)) == 1 + n
+
+
 def test_analyze_rate(ops_trace, tmp_path, capsys):
     trace_path, _ = ops_trace
     out = tmp_path / "rate.csv"

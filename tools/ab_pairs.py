@@ -19,6 +19,8 @@ host, or a fresh checkout), while a pure difference between the sides reads
 about 0 there.  Runs whose outputs were not correct are counted per side,
 and each side's line count of src/fsyncchan is printed from its report
 line, so a change that deletes code shows its line delta next to the metrics.
+Exits 1 when any run on either side was not correct, after printing every
+line, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -99,11 +101,11 @@ def main() -> int:
         print(report_line(m["name"], m["better"], result))
         effect = order_effect(values["parent"], values["change"])
         print(f"{m['name']} order effect (second run / first run - 1, median): {effect:+.2%}")
+    bad = {side: sum(not r["correct"] or r["failed"] > 0 for r in rs) for side, rs in runs.items()}
     for side, rs in runs.items():
-        bad = sum(not r["correct"] or r["failed"] > 0 for r in rs)
-        print(f"{side}: {bad} of {len(rs)} runs not correct")
+        print(f"{side}: {bad[side]} of {len(rs)} runs not correct")
     print(src_lines_line(reports["parent"], reports["change"]))
-    return 0
+    return 1 if any(bad.values()) else 0
 
 
 if __name__ == "__main__":
