@@ -151,11 +151,11 @@ def exact_sq_distances(train, query):
 
 
 def split_detection_reference(episodes, truth, split_threshold_ns, tol_ns):
-    """(tp, fp, fn, tn, precision, recall, f1) of split detection with a skip pointer and a forward
-    scan: each truth op, in sorted order, takes the unused episode with the
-    nearest start within tol_ns, the earlier one on a tie; an unmatched op is
-    not detected, and each unused episode longer than the threshold is a
-    false alarm."""
+    """(tp, fp, fn, tn, precision, recall, f1) of split detection with a
+    skip pointer and a forward scan: each truth op, in sorted order, takes
+    the unused episode with the nearest start within tol_ns, the earlier one
+    on a tie; an unmatched op is not detected, and each unused episode
+    longer than the threshold is a false alarm."""
     episodes = sorted(episodes, key=lambda e: e.start_ns)
     starts = [e.start_ns for e in episodes]
     used = [False] * len(episodes)
