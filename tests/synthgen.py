@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fsyncchan import modem
 from fsyncchan.analyzer import Episode, FeatureVector
 from fsyncchan.core import (
     DEFAULT_HEADER,
@@ -367,7 +368,12 @@ def threshold_reference(theta_ns, quiet_mean_ns, quiet_std_ns, stats, period=64,
 
 def decision_stream_reference(source, cfg, state):
     """Yield SymbolDecisions one window at a time from source.probe_for
-    until it is exhausted, feeding each statistic to state.observe_block."""
+    until it is exhausted, keeping the state as a ThresholdState keeps it,
+    by threshold_reference's rule: each statistic at or below theta is kept
+    as quiet, and at the end of each update period (modem._UPDATE_PERIOD,
+    read per call) theta is refitted with fit_reference on the period's
+    quiet statistics when there are at least modem._MIN_QUIET_CLUSTER."""
+    period, min_cluster = modem._UPDATE_PERIOD, modem._MIN_QUIET_CLUSTER
     index = 0
     while True:
         try:
@@ -377,7 +383,14 @@ def decision_stream_reference(source, cfg, state):
         latencies = trace.latencies_ns.tolist()
         stat = window_statistic_reference(latencies, cfg.decision_rule)
         bit = 1 if stat > state.theta_ns else 0
-        state.observe_block((stat,), index)
+        quiet = state._quiet + ([] if bit else [stat])
+        state._seen += 1
+        if state._seen == period:
+            if len(quiet) >= min_cluster:
+                state.theta_ns, state.quiet_mean_ns, state.quiet_std_ns = fit_reference(quiet)
+                state.provenance = f"adaptive@symbol{index}"
+            quiet, state._seen = [], 0
+        state._quiet = quiet
         yield SymbolDecision(index=index, bit=bit, statistic=stat, n_samples=len(latencies))
         index += 1
 

@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -1094,3 +1095,118 @@ def test_receive_symbols_matches_reference_property(trace, ts_us, rule, update_p
         modem._UPDATE_PERIOD, modem._CHUNK = saved
     assert got == want
     assert state == want_state
+
+
+_PALETTES = {
+    # (quiet, loud) window latencies: one sample a window under MEAN, whose
+    # statistic is then the latency; theta itself counts as quiet
+    DecisionRule.MEAN: ((600, 650, 700, 1_000), (1_001, 1_500, 2_500)),
+    # (quiet, loud) spreads of a window's two samples, about 1,000 ns apart
+    DecisionRule.STDDEV: ((0, 10, 50), (5_000, 20_000)),
+}
+
+
+@st.composite
+def _frame_runs(draw):
+    """(trace, cfg, theta, frames): frames of a random payload length behind
+    random prefixes, some headers one or two flips off DEFAULT_HEADER, some
+    stream tails cutting the last payload short; each symbol's window drawn
+    from its bit's palette.  Under MEAN one run in three sits past 2**53."""
+    rule = draw(st.sampled_from(list(DecisionRule)))
+    payload_len = draw(st.integers(1, 30))
+    frames = draw(st.integers(1, 4))
+    bits = []
+    for _ in range(frames):
+        header = list(DEFAULT_HEADER)
+        for i in draw(st.lists(st.integers(0, len(header) - 1), max_size=2)):
+            header[i] ^= 1
+        bits += draw(st.lists(st.integers(0, 1), max_size=20)) + header
+        bits += draw(st.lists(st.integers(0, 1), min_size=payload_len, max_size=payload_len))
+    bits = bits[: len(bits) - draw(st.integers(0, 10))]
+    picks = draw(st.lists(st.integers(0, 3), min_size=len(bits), max_size=len(bits)))
+    ts_us = draw(st.sampled_from((7, 50)))
+    cfg = ChannelConfig(ts_us=ts_us, payload_len=payload_len, decision_rule=rule)
+    ts, lat = [], []
+    if rule is DecisionRule.MEAN and draw(st.integers(0, 2)) == 0:
+        theta = draw(st.sampled_from((2**53 + 1, 2**53 + 3)))
+        palettes = ((2**53, 2**53 + 2, theta), (2**53 + 4, 2**54))
+    else:
+        theta = 1_000 if rule is DecisionRule.MEAN else 1_500
+        palettes = _PALETTES[rule]
+    for k, (bit, pick) in enumerate(zip(bits, picks)):
+        palette = palettes[bit]
+        value = palette[pick % len(palette)]
+        start = k * ts_us * 1000
+        if rule is DecisionRule.MEAN:
+            ts.append(start)
+            lat.append(value)
+        else:
+            ts += [start, start + 1000]
+            lat += [1_000, 1_000 + value]
+    return LatencyTrace(ts, lat), cfg, theta, frames
+
+
+def _set_core(update_period, min_cluster, chunk):
+    """Set the decision core's constants; returns the old ones, for the same
+    call to restore (hypothesis runs no function-scoped fixture per example)."""
+    saved = modem._UPDATE_PERIOD, modem._MIN_QUIET_CLUSTER, modem._CHUNK
+    modem._UPDATE_PERIOD, modem._MIN_QUIET_CLUSTER, modem._CHUNK = update_period, min_cluster, chunk
+    return saved
+
+
+_CORE_CONSTANTS = dict(
+    update_period=st.sampled_from((1, 5, 12, 64)),
+    min_cluster=st.sampled_from((1, 3, 8)),
+    chunk=st.integers(1, 40) | st.just(1024),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_frame_runs(), budget=st.integers(1, 3), max_mismatches=st.integers(0, 2),
+       **_CORE_CONSTANTS)
+@example(run=(LatencyTrace([0, 50_000, 100_000], [int(s) for s in _PAST_2_53]),
+              ChannelConfig(ts_us=50, payload_len=1), 2**53 + 3, 1),
+         budget=1, max_mismatches=0, update_period=1, min_cluster=1, chunk=2)
+def test_receive_frames_matches_reference_property(run, budget, max_mismatches, update_period,
+                                                    min_cluster, chunk):
+    # frame by frame, the chunked core yields the one-window reference's
+    # payloads and leaves its ThresholdState (the quiet statistics and the
+    # count since the last refresh included) and its next window, with
+    # frames that end inside a refresh period and inside a chunk, periods
+    # too quiet-poor to refit, statistics equal to theta and past 2**53
+    trace, cfg, theta, frames = run
+    kwargs = dict(max_symbols=budget * cfg.frame_len, max_mismatches=max_mismatches)
+    saved = _set_core(update_period, min_cluster, chunk)
+    try:
+        ref = WindowGridReference(pairs(trace), trace.meta)
+        want_state, state = (ThresholdState(theta, theta / 1.5, 0.0) for _ in range(2))
+        want = [receive_frame_reference(ref, cfg, want_state, **kwargs) for _ in range(frames + 1)]
+        source = TraceSource(trace)
+        got = list(receive_frames(source, cfg, state, frames + 1, **kwargs))
+    finally:
+        _set_core(*saved)
+    assert got == want
+    assert state == want_state
+    assert _next_window(source, cfg.ts_us) == _next_window(ref, cfg.ts_us)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_frame_runs(), calls=st.lists(st.integers(1, 150), min_size=1, max_size=3),
+       **_CORE_CONSTANTS)
+def test_receive_symbols_calls_match_reference_property(run, calls, update_period, min_cluster,
+                                                        chunk):
+    # consecutive receive_symbols calls on one source and one state, each
+    # numbering its symbols from 0 and stopping inside a refresh period or
+    # a chunk, match as many runs of the one-window reference stream
+    trace, cfg, theta, _ = run
+    saved = _set_core(update_period, min_cluster, chunk)
+    try:
+        ref = WindowGridReference(pairs(trace), trace.meta)
+        want_state, state = (ThresholdState(theta, theta / 1.5, 0.0) for _ in range(2))
+        source = TraceSource(trace)
+        for n in calls:
+            want = list(islice(decision_stream_reference(ref, cfg, want_state), n))
+            assert receive_symbols(source, cfg, state, n) == want
+            assert state == want_state
+    finally:
+        _set_core(*saved)
