@@ -12,30 +12,33 @@ traffic:
 The threshold is re-derived every 64 symbols from the quiet mode of the
 recent window statistics, so a long run of '1' symbols does not drag
 it upward.  One frame loop, receive_frames, finds each frame's header by a
-sliding mismatch count against core.DEFAULT_HEADER and reads its payload.
+numpy mismatch count against core.DEFAULT_HEADER and reads its payload.
 
 One decision core serves every source.  A WindowGrid (trace replay, the
 simulated channel, the live probe) lets it look ahead at a chunk of up to
 _CHUNK windows without consuming them: the window statistics of the chunk
-come from exact prefix sums, each block of bits up to a threshold refresh
-is one float64 array comparison, and the grid then commits exactly the
-windows the caller used, so a frame search consumes what a window-at-a-time
-receiver would.  ThresholdState is the one place a statistic meets theta and
-where theta refreshes: it decides each block and keeps its quiet statistics
-as they arrive.  A source with only probe_for(duration_us) (the benchmark's
-traced proxy) feeds the same core the windows it probes, and is asked only
-for windows it consumes.
+come from exact prefix sums, and ThresholdState, the one place a statistic
+meets theta, walks the chunk's theta trajectory once: a float64 array
+comparison per refresh period, each refit kept.  Where a bound on the quiet
+std shows the 0.5 * mean floor sets theta, the exact std waits until the
+state stops there.  The grid then commits exactly the windows the caller
+used, so a frame search consumes what a window-at-a-time receiver would, and
+the state moves to the trajectory's point after them.  A source with only
+probe_for(duration_us) (the benchmark's traced proxy) feeds the same core
+the windows it probes, and is asked only for windows it consumes.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DEFAULT_HEADER, BitStream, ChannelConfig, DecisionRule, LatencyTrace, TraceMeta
 
@@ -224,6 +227,20 @@ def _fit(values: Sequence[float]) -> tuple[int, float, float]:
     return round(mean + max(3.0 * std, 0.5 * mean)), mean, std
 
 
+def _refit(quiet: list, squares) -> tuple[int, float, float | None]:
+    """_fit(quiet), its std None where a bound on the variance shows the
+    0.5 * mean floor sets theta: the bound, from the sum and the sum of
+    squares (a dot product) each padded by 1e-10 of itself, far above the
+    rounding of 64 terms, and by 1e-300 for underflow, under (mean / 6)**2."""
+    n = len(quiet)
+    total = math.fsum(quiet)
+    mean = total / n
+    bound = squares * (1 + 1e-10) + 1e-300 - mean * total * (1 - 1e-10)
+    if mean > 0 and 36 * bound < (n - 1) * mean * mean:
+        return round(mean + 0.5 * mean), mean, None
+    return _fit(quiet)
+
+
 def _window_statistics(lat: np.ndarray, lo, hi, rule: DecisionRule) -> np.ndarray:
     """The decision statistic of each window lat[lo[k]:hi[k]]; the windows
     ascend and span lat (lo[0] == 0, hi[-1] == len(lat)).  A window of n
@@ -266,6 +283,11 @@ def _window_stdevs(ts: np.ndarray, lat: np.ndarray, ts_ns: int) -> list[float]:
     return stats[ends - starts >= 2].tolist()
 
 
+# statistics' theta trajectory from a state with seen and quiet since its last
+# refresh: their bits and refits, (end, theta, mean, std or None, quiet) each
+_Walk = namedtuple("_Walk", "statistics bits seen quiet refits")
+
+
 @dataclass
 class ThresholdState:
     """Decision threshold plus the count and quiet statistics seen since its last refresh."""
@@ -289,35 +311,59 @@ class ThresholdState:
         f = float(theta)
         return f if f <= theta else math.nextafter(f, -math.inf)
 
-    def decide(self, statistics_: np.ndarray) -> np.ndarray:
-        """The bits of float64 statistics up to the next refresh: a bool
-        array, True where a statistic is above theta."""
-        return statistics_[: self.until_refresh] > self._float_at_or_below(self.theta_ns)
+    def walk(self, statistics_: np.ndarray) -> _Walk:
+        """The trajectory over consecutive statistics (float64, or objects
+        compared as Python numbers) from this state, which stays as it is.
+        Each update period's end refits theta on the period's quiet cluster,
+        statistics at or below theta, if it has _MIN_QUIET_CLUSTER of them:
+        a loud period leaves theta rather than drag it toward the loud mode."""
+        exact = statistics_.dtype != np.float64
+        bits = np.empty(len(statistics_), dtype=bool)
+        walk = _Walk(statistics_, bits, self._seen, self._quiet, [])
+        theta, quiet, a, b = self.theta_ns, self._quiet, 0, self.until_refresh
+        with np.errstate(over="ignore"):  # squares past the float range only miss the floor
+            while a < len(statistics_):
+                period = statistics_[a:b]
+                loud = bits[a:b] = period > (theta if exact else self._float_at_or_below(theta))
+                if b > len(statistics_):
+                    break
+                kept = period[~loud]
+                squares = float(np.dot(kept, kept)) + sum(x * x for x in quiet)
+                quiet = quiet + kept.tolist()  # a new list: the state keeps its own
+                if len(quiet) >= _MIN_QUIET_CLUSTER:
+                    walk.refits.append((b, *_refit(quiet, squares), quiet))
+                    theta = walk.refits[-1][1]
+                quiet, a, b = [], b, b + _UPDATE_PERIOD
+        return walk
+
+    def _move(self, walk: _Walk, k: int, first: int) -> None:
+        """Move to walk's point after its first k statistics, the first of
+        them symbol number first: its last refit at or before k, and the
+        count and quiet statistics of the update period k falls in."""
+        j = bisect_right(walk.refits, k, key=lambda refit: refit[0])
+        if j:
+            end, theta, mean, std, quiet = walk.refits[j - 1]
+            self.theta_ns, self.quiet_mean_ns = theta, mean
+            self.quiet_std_ns = _fit(quiet)[2] if std is None else std
+            self.provenance = f"adaptive@symbol{first + end - 1}"
+        opening = _UPDATE_PERIOD - walk.seen  # statistics up to the walk's first refresh
+        if k < opening:
+            start, self._seen, quiet = 0, walk.seen + k, walk.quiet
+        else:
+            start = k - (k - opening) % _UPDATE_PERIOD
+            self._seen, quiet = k - start, []
+        self._quiet = quiet + walk.statistics[start:k][~walk.bits[start:k]].tolist()
 
     def observe_block(self, statistics_: Sequence[float], symbol_index: int) -> None:
         """Feed the statistics of consecutive symbols, the last one numbered
-        symbol_index; theta refreshes when they complete an update period, so
-        a block may not run past the next refresh.
-
-        The refresh uses only the quiet cluster (statistics at or below the
-        current theta, which holds until then, so they are kept on arrival);
-        with no quiet evidence the threshold is left untouched rather than
-        dragged toward the loud mode.
-        """
+        symbol_index: the walk over them, all committed.  Theta refreshes
+        when they complete an update period, so a block may not run past
+        the next refresh."""
         if len(statistics_) > self.until_refresh:
             raise ValueError("a block of statistics may not run past the next refresh")
-        if isinstance(statistics_, np.ndarray) and statistics_.dtype == np.float64:
-            self._quiet += statistics_[~self.decide(statistics_)].tolist()
-        else:
-            self._quiet += [s for s in statistics_ if s <= self.theta_ns]
-        self._seen += len(statistics_)
-        if self._seen < _UPDATE_PERIOD:
-            return
-        quiet, self._quiet, self._seen = self._quiet, [], 0
-        if len(quiet) < _MIN_QUIET_CLUSTER:
-            return
-        self.theta_ns, self.quiet_mean_ns, self.quiet_std_ns = _fit(quiet)
-        self.provenance = f"adaptive@symbol{symbol_index}"
+        if not (isinstance(statistics_, np.ndarray) and statistics_.dtype == np.float64):
+            statistics_ = np.array(statistics_, dtype=object)  # ints past 2**53 stay exact
+        self._move(self.walk(statistics_), len(statistics_), symbol_index - len(statistics_) + 1)
 
 
 def calibrate(quiet_trace: LatencyTrace, cfg: ChannelConfig) -> ThresholdState:
@@ -377,16 +423,16 @@ class _ProbeWindows:
 
 
 class _Decisions:
-    """The decision core: decides a source's symbol windows in blocks that
-    share one threshold, from chunks of window statistics (a float64 array).
+    """The decision core: decides a source's symbol windows a chunk at a
+    time, by the state's walk over the chunk's window statistics.
 
-    decide() returns the bits the state decides for the next block, which
-    ends at the state's next refresh; take(k) consumes its first k windows:
-    the source's grid commits them and the state observes their statistics.
-    Symbols are numbered from 0 per instance.
+    decide() returns the bits of the next block of the chunk; take(k)
+    consumes its first k windows: the source's grid commits them and the
+    state moves to the walk's point after them.  Symbols are numbered from
+    0 per instance.
     """
 
-    __slots__ = ("_look_ahead", "_commit", "_ts_us", "_rule", "_state", "_stats", "_lo", "_hi",
+    __slots__ = ("_look_ahead", "_commit", "_ts_us", "_rule", "_state", "_walk", "_lo", "_hi",
                  "_done", "index")
 
     def __init__(self, source, cfg: ChannelConfig, state: ThresholdState):
@@ -395,35 +441,37 @@ class _Decisions:
         self._ts_us = cfg.ts_us
         self._rule = cfg.decision_rule
         self._state = state
-        self._stats = np.zeros(0)  # the statistics of the looked-ahead chunk's windows
+        self._walk = state.walk(np.zeros(0))  # over the looked-ahead chunk's windows
         self._lo = self._hi = []  # and their bounds
         self._done = 0  # windows of the chunk consumed
         self.index = 0  # symbols consumed
 
-    def decide(self, limit: int, sure: int) -> list[bool]:
-        """Bits of the next block of at most limit windows, not yet consumed;
-        empty once the source is spent.  The caller will consume at least
-        `sure` more windows, which is what a new chunk reads: a probe_for
-        source (the benchmark's traced proxy) consumes the windows it probes."""
-        a, stats = self._done, self._stats
-        if a == len(stats):
+    def decide(self, limit: int, sure: int) -> np.ndarray:
+        """Bits (a bool array) of at most limit windows not yet consumed, up
+        to the chunk's end; empty once the source is spent.  The caller will
+        consume at least `sure` more windows, which is what a new chunk reads:
+        a probe_for source (the benchmark's traced proxy) consumes the windows
+        it probes."""
+        a, walk = self._done, self._walk
+        if a == len(walk.bits):
             _, lat, self._lo, self._hi = self._look_ahead(self._ts_us, min(sure, _CHUNK))
-            stats = self._stats = _window_statistics(lat, self._lo, self._hi, self._rule)
+            stats = _window_statistics(lat, self._lo, self._hi, self._rule)
+            walk = self._walk = self._state.walk(stats)
             self._done = a = 0
-        return self._state.decide(stats[a : a + limit]).tolist()
+        return walk.bits[a : a + limit]
 
     def evidence(self, k: int) -> tuple[list[float], list[int]]:
         """Statistics and sample counts of the first k windows of the block."""
-        a, b = self._done, self._done + k
-        return self._stats[a:b].tolist(), np.subtract(self._hi[a:b], self._lo[a:b]).tolist()
+        a, b, stats = self._done, self._done + k, self._walk.statistics
+        return stats[a:b].tolist(), np.subtract(self._hi[a:b], self._lo[a:b]).tolist()
 
     def take(self, k: int) -> None:
         """Consume the first k windows of the last decided block."""
         a = self._done
         self._done = a + k
-        self.index += k
         self._commit(k)
-        self._state.observe_block(self._stats[a : a + k], self.index - 1)
+        self._state._move(self._walk, a + k, self.index - a)
+        self.index += k
 
 
 def receive_symbols(source, cfg: ChannelConfig, state: ThresholdState, n_symbols: int) -> list[SymbolDecision]:
@@ -441,7 +489,7 @@ def receive_symbols(source, cfg: ChannelConfig, state: ThresholdState, n_symbols
     while core.index < n_symbols:
         left = n_symbols - core.index
         bits = core.decide(left, left)
-        if not bits:
+        if not len(bits):
             break
         stats, counts = core.evidence(len(bits))
         first = core.index
@@ -450,7 +498,8 @@ def receive_symbols(source, cfg: ChannelConfig, state: ThresholdState, n_symbols
     return out
 
 
-_HEADER_WORD = int(DEFAULT_HEADER.to_text(), 2)  # DEFAULT_HEADER, its first bit highest
+_HEADER = np.frombuffer(DEFAULT_HEADER, dtype=bool)
+_NO_WINDOWS_OF_BITS = np.zeros((0, len(_HEADER)), dtype=bool)
 
 
 def search_window(cfg: ChannelConfig, max_symbols: int | None = None) -> int:
@@ -467,10 +516,11 @@ def receive_frames(
     """Yield the payload bits of n_frames back-to-back frames, or None for a
     frame with no header (or only a truncated payload) in max_symbols.
 
-    The header search is a sliding mismatch count of the last header-length
-    bits against DEFAULT_HEADER.  A frame consumes the windows up to its
-    payload's end, or exactly max_symbols when no header completes in them,
-    and numbers its symbols from 0; the source is read only inside next().
+    The header search counts the mismatches of every header-length window
+    of the bits against DEFAULT_HEADER, and takes the first within the
+    budget.  A frame consumes the windows up to its payload's end, or
+    exactly max_symbols when no header completes in them, and numbers its
+    symbols from 0; the source is read only inside next().
     """
     if n_frames < 1:
         raise ValueError("n_frames must be positive")
@@ -478,30 +528,31 @@ def receive_frames(
         raise ValueError("max_mismatches must be nonnegative")
     max_symbols = search_window(cfg, max_symbols)
     h = len(DEFAULT_HEADER)
-    mask = (1 << h) - 1
     need = cfg.payload_len
     for _ in range(n_frames):
         core = _Decisions(source, cfg, state)
-        window, payload = 0, None  # the last h bits, the latest lowest; the payload once found
-        while payload is None or len(payload) < need:
-            left = max_symbols - core.index if payload is None else need - len(payload)
+        # the last h - 1 bits searched; once found, the payload's blocks and their length
+        tail, payload, got = _HEADER[:0], None, 0
+        while payload is None or got < need:
+            left = max_symbols - core.index if payload is None else need - got
             # the least this frame consumes: a header completing at the first
             # symbol where one can, and its payload; or the rest of the budget
-            bits = left and core.decide(left, min(left, max(h - core.index, 1) + need))
-            if not bits:
+            bits = core.decide(left, min(left, max(h - core.index, 1) + need)) if left else tail[:0]
+            if not len(bits):
                 break
             used = len(bits)
             if payload is not None:
-                payload += bits
+                payload.append(bits)
+                got += used
             else:
-                for n, bit in enumerate(bits, 1):
-                    window = (window << 1 | bit) & mask
-                    if (window ^ _HEADER_WORD).bit_count() <= max_mismatches and core.index + n >= h:
-                        payload = bits[n : n + need]
-                        used = n + len(payload)
-                        break
+                searched, n = np.concatenate((tail, bits)), h - len(tail)
+                tail = searched[1 - h :]
+                windows = sliding_window_view(searched, h) if n <= used else _NO_WINDOWS_OF_BITS
+                found = np.count_nonzero(windows != _HEADER, axis=1) <= max_mismatches
+                if found.any():  # consume up to the header's end
+                    payload, used = [], n + int(found.argmax())
             core.take(used)
-        yield None if payload is None or len(payload) < need else BitStream(payload)
+        yield BitStream(np.concatenate(payload).tobytes()) if got == need else None
 
 
 def receive_frame(source, cfg: ChannelConfig, state: ThresholdState, **kw) -> BitStream | None:

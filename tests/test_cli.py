@@ -251,6 +251,26 @@ def test_recv_quiet_trace_times_out(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("timeout:")
 
 
+def test_recv_writes_the_frames_before_a_lost_one(tmp_path, capsys):
+    # a 2-frame trace read for 3 frames: recv writes frames 0-1, then exits
+    # 3 with the timeout line; --payload-bits cuts them as on success
+    trace = tmp_path / "send.csv"
+    frame = ["--seed", "5", "--ts-us", "200", "--frame-payload-len", "500"]
+    assert main(["send", *frame, "--payload-bits", "1000", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["recv", *frame, "--trace", str(trace), "--frames", "2"]) == 0
+    both = capsys.readouterr().out
+    assert len(both) == 1001
+    assert main(["recv", *frame, "--trace", str(trace), "--frames", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == both
+    assert captured.err.startswith("timeout: recovered 2/3 frame(s) within")
+    out = tmp_path / "recv.txt"
+    args = ["--frames", "3", "--payload-bits", "800", "--out", str(out)]
+    assert main(["recv", *frame, "--trace", str(trace), *args]) == 3
+    assert out.read_text() == both[:800] + "\n"
+
+
 def test_recv_theta_needs_no_seed(tmp_path, capsys):
     # the seed only feeds the simulated calibration, which --theta-ns skips
     trace = tmp_path / "trace.csv"

@@ -51,7 +51,8 @@ def _env() -> dict:
 def live_pair(directory: Path, seed: int) -> tuple[int, float | None]:
     """One run of the pair with its files in directory: (frames recovered,
     payload BER), the BER None when recv delivered no payload.  recv stops at
-    the first lost frame and then prints no payload."""
+    the first lost frame and then prints the payload before it, whose BER is
+    read against the same stretch of the sent payload."""
     send_cpu, recv_cpu = _cpu_pair()
     send_file, recv_file = directory / "send.dat", directory / "recv.dat"
     for path in (send_file, recv_file):
@@ -80,10 +81,10 @@ def live_pair(directory: Path, seed: int) -> tuple[int, float | None]:
         recv.kill()
         recv.wait()
     frames = int(re.search(r"recovered (\d+)", err).group(1))
-    ber = None
-    if recv.returncode == 0:
+    ber, received = None, BitStream.from_text(out)
+    if received:
         sent = prbs_sequence(PAYLOAD_BITS, derive_seed(seed, "payload"))
-        ber = compare_bits(sent, BitStream.from_text(out)).p
+        ber = compare_bits(sent[: len(received)], received).p
     print(f"live pair in {directory}, seed {seed}, theta {theta_ns} ns: "
           f"{frames}/{FRAMES} frames, payload BER {ber}")
     return frames, ber
@@ -98,7 +99,7 @@ def live_pair(directory: Path, seed: int) -> tuple[int, float | None]:
 )
 def test_hw_live_pair_recovers_frames(tmp_path):
     # the median of 3 runs recovers at least 3 of 4 frames, and the runs
-    # that deliver every frame read a median payload BER below 0.10
+    # that deliver any frame read a median payload BER below 0.10
     if tmp_path.stat().st_dev != REPO.stat().st_dev:
         pytest.skip("the pair's files belong on the repo's file system: pass --basetemp there")
     runs = [live_pair(tmp_path, seed) for seed in (1, 2, 3)]

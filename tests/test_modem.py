@@ -1,5 +1,6 @@
 """Calibration, symbol decisions, and frame recovery."""
 
+import copy
 import math
 import random
 import statistics
@@ -580,13 +581,21 @@ def test_threshold_state_observe_block(monkeypatch):
     assert block.until_refresh == 4 and block.provenance == "adaptive@symbol3"
     block.observe_block(stats[4:], 5)
     assert block == one
-    # decide thresholds no further than the next refresh, and on float64
-    # arrays its bits are the complement of the quiet statistics kept, past
-    # 2**53 too, where a float64 comparison with theta itself would differ
-    assert len(block.decide(np.array(stats))) == block.until_refresh == 2
+    # a walk decides across refreshes as the state observing one statistic
+    # at a time does, and leaves the state as it is
+    walked, later, want = copy.deepcopy(block), [*stats, 770.0, 770.0], []
+    for i, stat in enumerate(later):
+        want.append(stat > walked.theta_ns)
+        walked.observe_block((stat,), len(stats) + i)
+    assert walked.provenance == "adaptive@symbol11" and block.theta_ns < 770 < walked.theta_ns
+    assert block.walk(np.array(later)).bits.tolist() == want
+    assert block == one
+    # on float64 arrays its bits are the complement of the quiet statistics
+    # kept, past 2**53 too, where a float64 comparison with theta itself
+    # would differ
     for theta, values in ((1_000, stats[:3]), (2**53 + 1, _PAST_2_53), (2**53 + 3, _PAST_2_53)):
         state, values = ThresholdState(theta, 600.0, 10.0), np.array(values)
-        bits = state.decide(values)
+        bits = state.walk(values).bits
         assert bits.tolist() == [s > theta for s in values.tolist()]
         state.observe_block(values, 2)
         assert state._quiet == values[~bits].tolist()
@@ -1007,6 +1016,34 @@ def _fit_extremes(draw):
 def test_fit_matches_numpy_fit(values):
     # the pure-Python fit gives the very tuple the numpy one gave
     assert modem._fit(values) == _numpy_fit(values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+@pytest.mark.parametrize("seed", range(4))
+def test_refit_floor_shortcut_equals_fit(n, seed):
+    # statistics shifted so that 3 * std lies within a few ulps of
+    # 0.5 * mean, on either side, or a little further below it: the refit
+    # that bounds the std gives _fit's theta and mean, and _fit's std
+    # where it computes one
+    rng = random.Random(seed)
+    base = [rng.gauss(21_000.0, 900.0) for _ in range(n)]
+    mean, std = statistics.fmean(base), statistics.stdev(base)
+    edge = 6 * std - mean  # the shift that puts 3 * std at 0.5 * mean
+    ulp = math.ulp(6 * std)
+    sides, floors = set(), 0
+    further = [edge + r * 6 * std for r in (1e-9, 1e-8, 1e-7, 1e-6)]
+    for shift in [edge + k * ulp for k in range(-24, 25)] + further:
+        values = [v + shift for v in base]
+        want = modem._fit(values)
+        theta, mean_, std_ = modem._refit(values, np.dot(values, values))
+        assert (theta, mean_) == want[:2] and std_ in (None, want[2])
+        assert std_ is not None or 3 * want[2] <= 0.5 * want[1]  # where the floor sets theta
+        sides.add((3 * want[2] > 0.5 * want[1]) - (3 * want[2] < 0.5 * want[1]))
+        floors += std_ is None
+    assert {-1, 1} <= sides and floors >= 2
+    # one statistic, or all equal, is a std of 0, and the floor sets theta
+    assert modem._refit([21_390.0], 21_390.0**2)[::2] == (32_085, 0.0)
+    assert modem._refit([21_390.0] * 64, 64 * 21_390.0**2) == (32_085, 21_390.0, None)
 
 
 _PAST_2_53 = (2.0**53, 2.0**53 + 2, 2.0**53 + 4)

@@ -28,7 +28,15 @@ from fsyncchan.core import (
     frames_to_bits,
     prbs_sequence,
 )
-from fsyncchan.modem import ThresholdState, TraceSource, WindowGrid, receive_frames, send_bits
+from fsyncchan.modem import (
+    ThresholdState,
+    TraceSource,
+    WindowGrid,
+    calibrate,
+    receive_frame,
+    receive_frames,
+    send_bits,
+)
 from fsyncchan.probe import (
     BLOCK_US,
     FTRUNCATE_MAX,
@@ -365,6 +373,31 @@ def test_fake_disk_sender_keeps_absolute_deadlines(probe_file, fake_disk, monkey
     assert count == len(fsyncs) >= bits.count(1)
 
 
+def test_fake_disk_sender_spins_through_short_zeros(probe_file, fake_disk, monkeypatch):
+    # a '0' with less than 1 ms left spins on the clock: 400 symbols of
+    # 50 us never sleep and still end within one fsync of t0 + 400*ts; a
+    # '0' with 1 ms or more left sleeps
+    ts_us = 50
+    disk = fake_disk(FakeDisk())
+    slept = []
+
+    def sleep(seconds):
+        slept.append(seconds)
+        disk.now += round(seconds * 1e9)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    bits = prbs_sequence(400, 3)
+    with ProbeHandle(probe_file) as handle:
+        t0 = disk.now
+        send_bits(bits, ChannelConfig(ts_us=ts_us), handle)
+        end = t0 + len(bits) * ts_us * 1000
+        one_fsync = 43_134 + 5 * 1_000 + 3 * 300  # as in the absolute-deadline test
+        assert slept == []
+        assert end <= disk.now <= end + one_fsync
+        handle.send(BitStream([0]), 2_000)
+    assert len(slept) == 1 and 1e-3 <= slept[0] <= 2e-3
+
+
 def test_send_after_close_fails_before_the_first_symbol(probe_file, monkeypatch):
     handle = ProbeHandle(probe_file)
     handle.close()
@@ -434,6 +467,44 @@ def test_hw_live_windows_keep_nominal_time(probe_file):
     span_ns = last.timestamps_ns[-1] + last.latencies_ns[-1] - first.timestamps_ns[0]
     assert span_ns == pytest.approx(2_000 * 50_000, rel=0.01)
 
+
+
+@pytest.mark.hardware
+def test_hw_live_probing_gaps(tmp_path):
+    # ROADMAP item 2: the live probe stops while the decision core runs.
+    # Pinned to the highest allowed CPU, receive_frame searches 40,000 live
+    # 50 us windows of a quiet file (2 s) for a header; a gap is the next
+    # probe's start minus the last probe's return.  Chunk gaps (over 200 us)
+    # come from deciding a chunk, block gaps (20-200 us) from handing over a
+    # block of probes.  Run with -s to see them.
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(allowed)})
+    path = tmp_path / "probe.dat"
+    path.write_bytes(b"\0" * 4096)
+    cfg, logged = ChannelConfig(ts_us=50), []
+    try:
+        with ProbeHandle(path) as handle:
+            state = calibrate(handle.probe_for(20_000.0), cfg)
+
+            def blocks():
+                for block in handle.blocks():
+                    logged.append(block)
+                    yield block
+
+            found = receive_frame(WindowGrid(blocks(), handle.meta()), cfg, state, max_symbols=40_000)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    ts = np.concatenate([b[0] for b in logged])
+    ends = ts + np.concatenate([b[1] for b in logged])
+    gaps = ts[1:] - ends[:-1]
+    elapsed = ends[-1] - ts[0]
+    for name, kept in (("chunk", gaps > 200_000), ("block", (gaps >= 20_000) & (gaps <= 200_000))):
+        g = gaps[kept]
+        median = float(np.median(g)) / 1e3 if len(g) else 0.0
+        print(f"{name} gaps: {len(g)}, sum {g.sum() / 1e6:.2f} ms, median {median:.1f} us")
+    total = int(gaps[gaps >= 20_000].sum())
+    print(f"gaps over 20 us: {total / elapsed:.2%} of {elapsed / 1e9:.2f} s; frame {found}")
+    assert total < 0.10 * elapsed
 
 
 @pytest.mark.hardware
