@@ -94,8 +94,8 @@ def live_pair(directory: Path, seed: int) -> tuple[int, float | None]:
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="the live pair recovers 0 of 4 frames at 200 us: a sender that sleeps on '0' "
-    "and a threshold that breaks on the real tail",
+    reason="the live pair recovers 0 of 4 frames at 200 us, with a sender that spins on '0' "
+    "as with one that slept: a threshold that breaks on the real tail",
 )
 def test_hw_live_pair_recovers_frames(tmp_path):
     # the median of 3 runs recovers at least 3 of 4 frames, and the runs

@@ -303,8 +303,8 @@ def decision_core_times(payload_bits: int, repeats: int) -> tuple[int, list[floa
 
 
 def quality(root: Path) -> dict:
-    """The loopback grid's wall times and error rates, header sync in
-    symbols/s and the import footprint, from root's src/."""
+    """The loopback grid's wall times and error rates, header sync and the
+    decision core in symbols/s, and the import footprint, from root's src/."""
     startup = [_timed(root, ["-m", "fsyncchan", "--help"])[0] for _ in range(REPEATS)]
     import_rss = [int(_timed(root, ["-c", IMPORT_RSS_CODE])[1]) / 1024 for _ in range(REPEATS)]
     rows = []
