@@ -499,7 +499,6 @@ def receive_symbols(source, cfg: ChannelConfig, state: ThresholdState, n_symbols
 
 
 _HEADER = np.frombuffer(DEFAULT_HEADER, dtype=bool)
-_NO_WINDOWS_OF_BITS = np.zeros((0, len(_HEADER)), dtype=bool)
 
 
 def search_window(cfg: ChannelConfig, max_symbols: int | None = None) -> int:
@@ -537,8 +536,7 @@ def receive_frames(
             left = max_symbols - core.index if payload is None else need - got
             # the least this frame consumes: a header completing at the first
             # symbol where one can, and its payload; or the rest of the budget
-            bits = core.decide(left, min(left, max(h - core.index, 1) + need)) if left else tail[:0]
-            if not len(bits):
+            if not left or not len(bits := core.decide(left, min(left, max(h - core.index, 1) + need))):
                 break
             used = len(bits)
             if payload is not None:
@@ -547,10 +545,11 @@ def receive_frames(
             else:
                 searched, n = np.concatenate((tail, bits)), h - len(tail)
                 tail = searched[1 - h :]
-                windows = sliding_window_view(searched, h) if n <= used else _NO_WINDOWS_OF_BITS
-                found = np.count_nonzero(windows != _HEADER, axis=1) <= max_mismatches
-                if found.any():  # consume up to the header's end
-                    payload, used = [], n + int(found.argmax())
+                if n <= used:  # a whole header's length searched
+                    windows = sliding_window_view(searched, h)
+                    found = np.count_nonzero(windows != _HEADER, axis=1) <= max_mismatches
+                    if found.any():  # consume up to the header's end
+                        payload, used = [], n + int(found.argmax())
             core.take(used)
         yield BitStream(np.concatenate(payload).tobytes()) if got == need else None
 
