@@ -219,17 +219,16 @@ def cmd_recv(args) -> int:
         else:
             raise ValueError("sim recv requires --trace TRACE_CSV")
         max_symbols = search_window(cfg, args.max_symbols)
-        payloads, lost = [], None
+        payloads = []
         for p in receive_frames(source, cfg, state, args.frames, max_symbols=max_symbols,
                                 max_mismatches=args.max_mismatches):
             if p is None:  # yielded before the next frame is read: the probe stops here
-                lost = ProtocolTimeout(f"recovered {len(payloads)}/{args.frames} frame(s) "
-                                       f"within {max_symbols} symbols each")
                 break
             payloads.append(p)
-    n_bits = args.payload_bits or len(payloads) * cfg.payload_len
+    lost, received = len(payloads) < args.frames, len(payloads) * cfg.payload_len
+    n_bits = args.payload_bits or received
     if lost:  # the payload bits of the frames before the lost one
-        n_bits = min(n_bits, len(payloads) * cfg.payload_len)
+        n_bits = min(n_bits, received)
     if payloads:
         text = decode_frames(payloads, n_bits).to_text()
         if args.out:
@@ -237,7 +236,8 @@ def cmd_recv(args) -> int:
         else:
             print(text)
     if lost:
-        raise lost
+        raise ProtocolTimeout(f"recovered {len(payloads)}/{args.frames} frame(s) "
+                              f"within {max_symbols} symbols each")
     print(f"recovered {len(payloads)} frame(s), {n_bits} payload bits", file=sys.stderr)
     return EXIT_OK
 

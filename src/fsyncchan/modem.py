@@ -311,7 +311,7 @@ class ThresholdState:
         f = float(theta)
         return f if f <= theta else math.nextafter(f, -math.inf)
 
-    def walk(self, statistics_: np.ndarray) -> _Walk:
+    def _walk(self, statistics_: np.ndarray) -> _Walk:
         """The trajectory over consecutive statistics (float64, or objects
         compared as Python numbers) from this state, which stays as it is.
         Each update period's end refits theta on the period's quiet cluster,
@@ -363,7 +363,7 @@ class ThresholdState:
             raise ValueError("a block of statistics may not run past the next refresh")
         if not (isinstance(statistics_, np.ndarray) and statistics_.dtype == np.float64):
             statistics_ = np.array(statistics_, dtype=object)  # ints past 2**53 stay exact
-        self._move(self.walk(statistics_), len(statistics_), symbol_index - len(statistics_) + 1)
+        self._move(self._walk(statistics_), len(statistics_), symbol_index - len(statistics_) + 1)
 
 
 def calibrate(quiet_trace: LatencyTrace, cfg: ChannelConfig) -> ThresholdState:
@@ -441,7 +441,7 @@ class _Decisions:
         self._ts_us = cfg.ts_us
         self._rule = cfg.decision_rule
         self._state = state
-        self._walk = state.walk(np.zeros(0))  # over the looked-ahead chunk's windows
+        self._walk = state._walk(np.zeros(0))  # over the looked-ahead chunk's windows
         self._lo = self._hi = []  # and their bounds
         self._done = 0  # windows of the chunk consumed
         self.index = 0  # symbols consumed
@@ -456,7 +456,7 @@ class _Decisions:
         if a == len(walk.bits):
             _, lat, self._lo, self._hi = self._look_ahead(self._ts_us, min(sure, _CHUNK))
             stats = _window_statistics(lat, self._lo, self._hi, self._rule)
-            walk = self._walk = self._state.walk(stats)
+            walk = self._walk = self._state._walk(stats)
             self._done = a = 0
         return walk.bits[a : a + limit]
 

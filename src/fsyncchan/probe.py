@@ -152,9 +152,9 @@ class ProbeHandle:
     def send(self, bits: BitStream, ts_us: float) -> int:
         """Transmit bits on absolute deadlines: with t0 read once, symbol i
         ends at t0 + (i+1)*ts_us.  A '1' probes until its deadline, at least
-        once even when it starts late.  A '0' spins on the clock to its
-        deadline, or sleeps when 1 ms or more is left (waking late delays
-        the next '1').  Returns the fsync count."""
+        once even when it starts late; a '0' spins on the clock to its
+        deadline, where waking late from a sleep would delay the next '1'.
+        Returns the fsync count."""
         self._check_open()
         first = self._deadline(ts_us)  # symbol 0 ends at t0 + ts, t0 read here
         ts_ns, fsyncs = round(ts_us * 1000), 0
@@ -162,8 +162,6 @@ class ProbeHandle:
             deadline = first + i * ts_ns
             if bit:
                 fsyncs += len(self._probe_until(deadline)[0])
-            elif (left := deadline - time.clock_gettime_ns(_CLOCK)) >= 1_000_000:
-                time.sleep(left / 1e9)
             else:
                 while time.clock_gettime_ns(_CLOCK) < deadline:
                     pass

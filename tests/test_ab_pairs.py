@@ -120,15 +120,6 @@ def test_run_once_is_bench_files(ab_pairs):
     assert ab_pairs.run_once is bench_file.run_once
 
 
-def test_decision_core_times_replay_the_recorded_blocks(ab_pairs):
-    # a 2,000-bit loopback is one 8,000-bit frame behind its 24-bit header:
-    # its symbols are decided in each timed pass over the recorded blocks
-    bench_file = importlib.import_module("bench_file")
-    symbols, times = bench_file.decision_core_times(2_000, 2)
-    assert symbols == 8_024
-    assert len(times) == 2 and all(t > 0 for t in times)
-
-
 def test_bench_file_layers_are_benchmark_layers(ab_pairs):
     # the traced layers a BENCH file keeps are per-layer metrics of the benchmark
     bench_file = importlib.import_module("bench_file")

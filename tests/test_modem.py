@@ -588,14 +588,14 @@ def test_threshold_state_observe_block(monkeypatch):
         want.append(stat > walked.theta_ns)
         walked.observe_block((stat,), len(stats) + i)
     assert walked.provenance == "adaptive@symbol11" and block.theta_ns < 770 < walked.theta_ns
-    assert block.walk(np.array(later)).bits.tolist() == want
+    assert block._walk(np.array(later)).bits.tolist() == want
     assert block == one
     # on float64 arrays its bits are the complement of the quiet statistics
     # kept, past 2**53 too, where a float64 comparison with theta itself
     # would differ
     for theta, values in ((1_000, stats[:3]), (2**53 + 1, _PAST_2_53), (2**53 + 3, _PAST_2_53)):
         state, values = ThresholdState(theta, 600.0, 10.0), np.array(values)
-        bits = state.walk(values).bits
+        bits = state._walk(values).bits
         assert bits.tolist() == [s > theta for s in values.tolist()]
         state.observe_block(values, 2)
         assert state._quiet == values[~bits].tolist()

@@ -373,18 +373,26 @@ def test_fake_disk_sender_keeps_absolute_deadlines(probe_file, fake_disk, monkey
     assert count == len(fsyncs) >= bits.count(1)
 
 
-def test_fake_disk_sender_spins_through_short_zeros(probe_file, fake_disk, monkeypatch):
-    # a '0' with less than 1 ms left spins on the clock: 400 symbols of
-    # 50 us never sleep and still end within one fsync of t0 + 400*ts; a
-    # '0' with 1 ms or more left sleeps
-    ts_us = 50
+def test_fake_disk_sender_spins_through_zeros(probe_file, fake_disk, monkeypatch):
+    # a '0' spins on the clock and never sleeps, at 50 us as at 2 ms.  Every
+    # 1,000th clock read comes back 55.8 us late, as a sleep woke late at
+    # 50 us on a 2-core VM: the absolute deadlines make each late return up,
+    # so 400 symbols end within one fsync and one late read of t0 + 400*ts
+    ts_us, late_ns = 50, 55_800
     disk = fake_disk(FakeDisk())
-    slept = []
+    read, reads = disk.clock_gettime_ns, 0
+
+    def clock(clock_id):
+        nonlocal reads
+        reads += 1
+        if reads % 1_000 == 0:
+            disk.now += late_ns
+        return read(clock_id)
 
     def sleep(seconds):
-        slept.append(seconds)
-        disk.now += round(seconds * 1e9)
+        raise AssertionError(f"a '0' slept for {seconds} s")
 
+    monkeypatch.setattr(time, "clock_gettime_ns", clock)
     monkeypatch.setattr(time, "sleep", sleep)
     bits = prbs_sequence(400, 3)
     with ProbeHandle(probe_file) as handle:
@@ -392,10 +400,11 @@ def test_fake_disk_sender_spins_through_short_zeros(probe_file, fake_disk, monke
         send_bits(bits, ChannelConfig(ts_us=ts_us), handle)
         end = t0 + len(bits) * ts_us * 1000
         one_fsync = 43_134 + 5 * 1_000 + 3 * 300  # as in the absolute-deadline test
-        assert slept == []
-        assert end <= disk.now <= end + one_fsync
+        assert reads >= 10_000  # late reads, each of which the next symbols make up
+        assert end <= disk.now <= end + one_fsync + late_ns
+        t0 = disk.now
         handle.send(BitStream([0]), 2_000)
-    assert len(slept) == 1 and 1e-3 <= slept[0] <= 2e-3
+    assert t0 + 2_000_000 <= disk.now <= t0 + 2_000_000 + late_ns + 2 * 300
 
 
 def test_send_after_close_fails_before_the_first_symbol(probe_file, monkeypatch):

@@ -37,12 +37,7 @@ both from DIR's src/ and each the median and quartiles of REPEATS runs:
   every fsyncchan process pays before it does any work;
 - `header_sync`: symbols per second of `receive_frames` searching quiet
   SimSource traffic at HEADER_SYNC_TS_US for a header that never comes,
-  HEADER_SYNC_SYMBOLS symbols a search, the simulated probing included;
-- `decision_core`: symbols per second of the demodulator from a trace,
-  without the simulator: the probe blocks that `bench --seed 1234`'s
-  DECISION_CORE_BITS-bit 50 us high-noise loopback windows are simulated
-  and recorded once, then `receive_frames` alone decides every frame over a
-  WindowGrid of them, calibration excluded.
+  HEADER_SYNC_SYMBOLS symbols a search, the simulated probing included.
 """
 
 from __future__ import annotations
@@ -80,7 +75,6 @@ LOOPBACK_GRID = [(ts, noise) for ts in (50, 200, 400) for noise in ("none", "hig
 LOOPBACK_ARGS = ("bench", "--seed", "1234", "--payload-bits", "80000")
 HEADER_SYNC_SYMBOLS = 80_000
 HEADER_SYNC_TS_US = 50
-DECISION_CORE_BITS = 80_000
 # ru_maxrss is in KiB on Linux; /1024 gives MB as perfbench's peak_rss_mb does
 IMPORT_RSS_CODE = (
     "import resource, fsyncchan.cli; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
@@ -256,55 +250,9 @@ def header_sync_times(n_symbols: int, repeats: int) -> list[float]:
     return times
 
 
-def decision_core_times(payload_bits: int, repeats: int) -> tuple[int, list[float]]:
-    """The symbols that the loopback of `bench --seed 1234` at 50 us and
-    high noise decides over payload_bits, and the seconds of each of
-    `repeats` passes of receive_frames over the WindowGrid of the probe
-    blocks it read, recorded in a first pass; quality runs it in a child
-    that imports DIR's src/."""
-    from fsyncchan.cli import derive_seed
-    from fsyncchan.core import ChannelConfig, TraceMeta, encode_frames, frames_to_bits, prbs_sequence
-    from fsyncchan.modem import WindowGrid, calibrate, receive_frames
-    from fsyncchan.simchan import (
-        SOURCE_TAIL_NS, NoiseDegree, NoiseProcess, SenderSchedule, SimParams, _probe_blocks,
-        calibration_trace,
-    )
-
-    cfg, model, tag = ChannelConfig(ts_us=50), SimParams().model(), "50:high"
-    noise = NoiseProcess.from_degree(NoiseDegree.HIGH, model)
-    frames = encode_frames(prbs_sequence(payload_bits, derive_seed(1234, f"payload:{tag}")), cfg)
-    schedule = SenderSchedule(frames_to_bits(frames), cfg.ts_us)
-    # the stream a SimSource of the schedule windows
-    stream = _probe_blocks(schedule, model, derive_seed(1234, f"channel:{tag}"), noise,
-                           schedule.duration_ns + SOURCE_TAIL_NS)
-    blocks, symbols = [], 0
-
-    class Recorded(WindowGrid):
-        def commit(self, k: int) -> None:
-            nonlocal symbols
-            symbols += k
-            super().commit(k)
-
-    def receive(grid: WindowGrid) -> tuple[list, float]:
-        state = calibrate(calibration_trace(model, cfg, derive_seed(1234, "calibrate")), cfg)
-        start = time.perf_counter()
-        got = list(receive_frames(grid, cfg, state, len(frames), max_symbols=2 * cfg.frame_len,
-                                  max_mismatches=1))
-        return got, time.perf_counter() - start
-
-    want, _ = receive(Recorded((blocks.append(b) or b for b in stream), TraceMeta()))
-    times = []
-    for _ in range(repeats):
-        got, seconds = receive(WindowGrid(blocks, TraceMeta()))
-        if got != want:
-            raise RuntimeError("a replay of the recorded probe blocks decided other frames")
-        times.append(seconds)
-    return symbols, times
-
-
 def quality(root: Path) -> dict:
-    """The loopback grid's wall times and error rates, header sync and the
-    decision core in symbols/s, and the import footprint, from root's src/."""
+    """The loopback grid's wall times and error rates, header sync in
+    symbols/s and the import footprint, from root's src/."""
     startup = [_timed(root, ["-m", "fsyncchan", "--help"])[0] for _ in range(REPEATS)]
     import_rss = [int(_timed(root, ["-c", IMPORT_RSS_CODE])[1]) / 1024 for _ in range(REPEATS)]
     rows = []
@@ -317,16 +265,11 @@ def quality(root: Path) -> dict:
         row["wall_s"] = summary([t for t, _ in runs], "s")
         rows.append(row)
         print("loopback", json.dumps(row), file=sys.stderr)
-
-    def in_child(call: str):
-        code = (
-            f"import json, sys; sys.path.insert(1, {str(Path(__file__).parent)!r}); "
-            f"import bench_file; print(json.dumps(bench_file.{call}))"
-        )
-        return json.loads(_timed(root, ["-c", code])[1])
-
-    times = in_child(f"header_sync_times({HEADER_SYNC_SYMBOLS}, {REPEATS})")
-    symbols, core_times = in_child(f"decision_core_times({DECISION_CORE_BITS}, {REPEATS})")
+    code = (
+        f"import json, sys; sys.path.insert(1, {str(Path(__file__).parent)!r}); import bench_file; "
+        f"print(json.dumps(bench_file.header_sync_times({HEADER_SYNC_SYMBOLS}, {REPEATS})))"
+    )
+    times = json.loads(_timed(root, ["-c", code])[1])
     return {
         "loopback_command": "python3 -m fsyncchan " + " ".join(LOOPBACK_ARGS) + " --ts-us TS --noise N",
         "startup_s": summary(startup, "s"),
@@ -336,13 +279,6 @@ def quality(root: Path) -> dict:
             "symbols": HEADER_SYNC_SYMBOLS,
             "ts_us": HEADER_SYNC_TS_US,
             "symbols_per_s": summary([HEADER_SYNC_SYMBOLS / t for t in times], "1/s"),
-        },
-        "decision_core": {
-            "payload_bits": DECISION_CORE_BITS,
-            "ts_us": 50,
-            "noise": "high",
-            "symbols": symbols,
-            "symbols_per_s": summary([symbols / t for t in core_times], "1/s"),
         },
     }
 
