@@ -60,13 +60,29 @@ any radius random() allows.  The margin holds while numpy's log is within
 module's, thousands of times looser than any real implementation (4 ulp is
 about 2**-50).  The sine kept as the RNG's spare is always the math
 module's.  So the stream stays the one the seed has always given.
+
+A SimSource runs that probe loop in a forked child when this process may
+use two CPUs, so the simulator and the receiver's decisions overlap, as a
+live receiver keeps probing while it decodes.  The child writes the raw
+bytes of each block to a pipe, whose capacity keeps it about one block
+ahead; the blocks are the ones the loop yields in-process, byte for byte.
+With one CPU allowed the loop stays in-process, as it does for
+sim_receive, a batch run with nothing to overlap.  Python 3.12 and later
+warn when os.fork runs beside another thread (importing numpy may start
+some), which the test suite's error::DeprecationWarning filter would turn
+into a failure; that is not checked on those versions yet.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import pickle
 import random
+import signal
 from bisect import bisect_left, bisect_right
+from contextlib import closing
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -595,13 +611,87 @@ def sim_transmit(
 # how far past its activity a SimSource materializes noise bursts
 SOURCE_TAIL_NS = 100_000_000
 
+# this process's producer children not yet reaped; any still here at
+# interpreter exit are.  A forked child starts with none of its own.
+_producers: set[int] = set()
+os.register_at_fork(after_in_child=_producers.clear)
+
+
+def _reap(pid: int) -> None:
+    """Kill and reap the producer child pid, once: a reaped pid may be reused."""
+    if pid in _producers:
+        _producers.remove(pid)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+@atexit.register
+def _reap_all() -> None:
+    for pid in list(_producers):
+        _reap(pid)
+
+
+def _produce(out: int, blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> None:
+    """The producer child's whole life: write each block to the pipe end out
+    as its probe count (8 bytes, little-endian), then its timestamp and
+    latency columns' raw bytes, or an exception as minus the length of its
+    pickle, then the pickle; exit, without the parent's exit handlers, once
+    the blocks end or the parent closes the pipe."""
+    pipe = open(out, "wb")
+    try:
+        for ts, lat in blocks:
+            pipe.write(len(ts).to_bytes(8, "little", signed=True))
+            pipe.write(ts)
+            pipe.write(lat)
+            pipe.flush()
+    except Exception as exc:
+        error = pickle.dumps(exc)
+        pipe.write((-len(error)).to_bytes(8, "little", signed=True) + error)
+        pipe.flush()
+    finally:
+        os._exit(0)
+
+
+def _forked_blocks(*args) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of _probe_blocks(*args), from a child forked at the first
+    next() where this process may use two CPUs, else from this process.  The
+    child's exception is raised here; closing or collecting the generator
+    kills and reaps the child."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        yield from _probe_blocks(*args)
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_end)
+        _produce(write_end, _probe_blocks(*args))
+    _producers.add(pid)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            while True:
+                n = int.from_bytes(pipe.read(8), "little", signed=True)
+                if n < 0:
+                    raise pickle.loads(pipe.read(-n))
+                columns = np.empty((2, n), dtype=np.int64)
+                # every block holds probes: none is the end of the pipe
+                if not n or pipe.readinto(columns) < columns.nbytes:
+                    raise RuntimeError(f"the simulator's producer process {pid} died")
+                yield columns[0], columns[1]
+    finally:
+        _reap(pid)
+
 
 class SimSource(WindowGrid):
     """Live simulated sample source for the receiver front end.
 
     The receiver probe loop against `activity`, windowed on the absolute grid
     from virtual time 0.  Noise bursts are materialized up to SOURCE_TAIL_NS
-    past the end of the activity.
+    past the end of the activity.  Where this process may use two CPUs, the
+    loop runs in a child process forked at the first look-ahead and kept
+    about one block ahead of the windows (see the module docstring); the
+    windows are the same either way.  Closing or dropping the source ends
+    the child.
     """
 
     def __init__(
@@ -613,12 +703,17 @@ class SimSource(WindowGrid):
         noise: NoiseProcess | None = None,
     ):
         horizon_ns = activity.duration_ns + SOURCE_TAIL_NS
-        super().__init__(_probe_blocks(activity, model, seed, noise, horizon_ns), _sim_meta(seed))
+        super().__init__(_forked_blocks(activity, model, seed, noise, horizon_ns), _sim_meta(seed))
 
     @property
     def elapsed_us(self) -> float:
         """Virtual time consumed by the windows so far (0.0 before the first)."""
         return self._anchor / 1000.0 if self._anchor is not None else 0.0
+
+    def close(self) -> None:
+        """Stop the probe loop and its child process; the windows end with
+        the samples already read."""
+        self._blocks.close()
 
 
 def calibration_trace(model: ContentionModel, cfg: ChannelConfig, seed: int) -> LatencyTrace:
@@ -647,12 +742,12 @@ def loopback(
     frames = encode_frames(payload, cfg)
     schedule = SenderSchedule(frames_to_bits(frames), cfg.ts_us)
     state = calibrate(calibration_trace(model, cfg, calibration_seed), cfg)
-    source = SimSource(schedule, model, channel_seed, noise=noise)
-    got = receive_frames(
-        source, cfg, state, len(frames), max_symbols=2 * cfg.frame_len, max_mismatches=1
-    )
-    received = [BitStream(f.payload.translate(_COMPLEMENT)) if p is None else p
-                for f, p in zip(frames, got)]
+    with closing(SimSource(schedule, model, channel_seed, noise=noise)) as source:
+        got = receive_frames(
+            source, cfg, state, len(frames), max_symbols=2 * cfg.frame_len, max_mismatches=1
+        )
+        received = [BitStream(f.payload.translate(_COMPLEMENT)) if p is None else p
+                    for f, p in zip(frames, got)]
     return compare_bits(payload, decode_frames(received, len(payload)))
 
 

@@ -102,11 +102,18 @@ def test_main_exits_1_when_a_run_was_not_correct(ab_pairs, monkeypatch, tmp_path
         return {"context": {"src_lines": {"a.py": 10}}}, result
 
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    # the real timing takes seconds; this one reads the runs made so far
+    monkeypatch.setattr(ab_pairs, "parallel_speedup", lambda: float(len(calls)))
     argv = ["ab_pairs.py", str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "3"]
     monkeypatch.setattr("sys.argv", argv)
     assert ab_pairs.main() == code
     out = capsys.readouterr().out.splitlines()
     assert len(calls) == 6
+    # the host's speedup is read before the first run and after the last
+    assert out[:2] == [
+        "parallel_speedup before the pairs: 0.0",
+        "parallel_speedup after the pairs: 6.0",
+    ]
     assert out[-3:] == [
         "parent: 0 of 3 runs not correct",
         f"change: {code} of 3 runs not correct",

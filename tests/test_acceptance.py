@@ -11,16 +11,19 @@ FSYNC_HARDWARE_TESTS=1.
 """
 
 import math
+import os
 import random
 import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import fsyncchan
 from fsyncchan.analyzer import (
     SPLIT_THRESHOLD_NS,
     FeatureVector,
@@ -287,16 +290,22 @@ def test_real_probe_contention(tmp_path):
         f"with ProbeHandle({str(noise_path)!r}, ProbeMode.WRITE_FSYNC) as h:\n"
         "    h.busy_fsync_for(700_000.0)\n"
     )
+    # the neighbour imports the package from the tree under test
+    src = str(Path(fsyncchan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     with ProbeHandle(probe_path) as handle:
         handle.probe_for(50_000.0)  # warm up
         quiet = handle.probe_for(200_000.0)
-        proc = subprocess.Popen([sys.executable, "-c", hammer])
+        proc = subprocess.Popen([sys.executable, "-c", hammer], env=env)
         try:
             time.sleep(0.15)
             busy = handle.probe_for(200_000.0)
         finally:
             proc.wait()
 
+    assert proc.returncode == 0, "the fsync neighbour failed"
     quiet_mean = statistics.fmean(quiet.latencies_ns[quiet.meta.warmup_samples :].tolist())
     busy_mean = statistics.fmean(busy.latencies_ns[busy.meta.warmup_samples :].tolist())
+    print(f"\nquiet mean {quiet_mean:.0f} ns, busy mean {busy_mean:.0f} ns")
     assert busy_mean > quiet_mean, f"quiet {quiet_mean:.0f} ns, busy {busy_mean:.0f} ns"

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from fsyncchan.modem import SourceExhausted, TraceSource
 from fsyncchan.simchan import (
     IDLE,
     PROBE_OVERHEAD_NS,
+    SOURCE_TAIL_NS,
     ActivityTimeline,
     ContentionModel,
     LatencyDistribution,
@@ -34,6 +36,7 @@ from fsyncchan.simchan import (
     SenderSchedule,
     SimParams,
     SimSource,
+    check_sim_caps,
     cross_disk_model,
     default_model,
     loopback,
@@ -609,11 +612,17 @@ def test_simulator_leaves_numpy_random_unimported():
         assert "numpy.random" not in sys.modules, "numpy.random was imported"
         """
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _package_env() -> dict:
+    """This environment, with the package's source directory on PYTHONPATH."""
     src = str(Path(fsyncchan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    return {**os.environ, "PYTHONPATH": path}
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +864,113 @@ def test_sim_source_matches_trace_replay(ts_us, model):
     # the replay ends at the last sample, which arrives within one fsync of
     # the end of the transmission
     assert n_windows >= len(bits) - 10
+
+
+# the producer child: a SimSource on two CPUs probes in a forked process
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+    or not Path("/proc/self/stat").exists(),
+    reason="forks only where two CPUs are allowed; finds children in /proc",
+)
+
+
+def _children() -> set[int]:
+    """Pids whose parent is this process, zombies included, from /proc."""
+    kids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields_after_name = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process ended while listed
+            continue
+        if int(fields_after_name[1]) == os.getpid():
+            kids.add(int(stat.parent.name))
+    return kids
+
+
+@two_cpus
+def test_sim_source_dropped_after_one_look_ahead_leaves_no_process():
+    before = _children()
+    src = SimSource(IDLE, default_model(), 5)
+    assert _children() == before  # constructing forks nothing
+    src.look_ahead(50.0, 4)
+    forked = _children() - before
+    assert len(forked) == 1
+    del src
+    assert _children() == before
+    assert not any(Path(f"/proc/{pid}").exists() for pid in forked)  # no zombie either
+
+
+@two_cpus
+def test_sim_source_child_ends_with_the_process_that_holds_it():
+    # a daemon thread still holds the source at exit, so no finalizer ends
+    # the child: the exit handler must
+    script = textwrap.dedent(
+        """
+        import threading, time
+        from fsyncchan import simchan
+        source = simchan.SimSource(simchan.IDLE, simchan.default_model(), 1)
+        source.look_ahead(50.0, 4)
+        print(*simchan._producers)
+        threading.Thread(target=lambda held: time.sleep(60), args=(source,), daemon=True).start()
+        del source
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], capture_output=True, text=True,
+        env=_package_env(),
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    (pid,) = map(int, proc.stdout.split())
+    assert not Path(f"/proc/{pid}").exists()
+
+
+@two_cpus
+def test_sim_source_raises_the_childs_error():
+    # check_sim_caps runs in the child, before its first block
+    activity = ActivityTimeline([(0, 10**15)])
+    with pytest.raises(ValueError) as want:
+        check_sim_caps(default_model(), None, activity.duration_ns + SOURCE_TAIL_NS)
+    before = _children()
+    src = SimSource(activity, default_model(), 1)
+    with pytest.raises(ValueError) as got:
+        src.look_ahead(50.0, 4)
+    assert type(got.value) is ValueError and str(got.value) == str(want.value)
+    assert _children() == before
+
+
+@two_cpus
+def test_sim_source_raises_when_its_child_dies():
+    before = _children()
+    src = SimSource(IDLE, default_model(), 5)
+    src.look_ahead(50.0, 4)
+    (pid,) = _children() - before
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match=f"producer process {pid} died"):
+        for _ in range(10_000):  # past the block still in the pipe
+            src.probe_for(50.0)
+    assert _children() == before
+
+
+@two_cpus
+def test_sim_source_on_one_cpu_forks_nothing_and_windows_alike():
+    bits = prbs_sequence(2_000, 4)
+    model = default_model()
+    noise = NoiseProcess.from_degree(NoiseDegree.HIGH, model)
+    sched = SenderSchedule(bits, 50)
+    forked = SimSource(sched, model, 6, noise=noise)
+    forked.look_ahead(50.0, 4)
+    before = _children()
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        pinned = SimSource(sched, model, 6, noise=noise)
+        pinned.look_ahead(50.0, 4)
+        assert _children() == before
+    finally:
+        os.sched_setaffinity(0, allowed)
+    for i in range(2_100):
+        assert pinned.probe_for(50.0) == forked.probe_for(50.0), f"window {i}"
 
 
 # ---------------------------------------------------------------------------

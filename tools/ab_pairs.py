@@ -19,8 +19,10 @@ host, or a fresh checkout), while a pure difference between the sides reads
 about 0 there.  Runs whose outputs were not correct are counted per side,
 and each side's line count of src/fsyncchan is printed from its report
 line, so a change that deletes code shows its line delta next to the metrics.
-Exits 1 when any run on either side was not correct, after printing every
-line, and 0 otherwise.
+The host's `parallel_speedup` (see bench_file) is printed before and after
+the pairs, so a gain that rests on a free second CPU shows whether it had
+one.  Exits 1 when any run on either side was not correct, after printing
+every line, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from bench_file import run_once, summary
+from bench_file import parallel_speedup, run_once, summary
 
 
 def compare(parent: list[float], change: list[float], unit: str, better: str) -> dict:
@@ -89,12 +91,14 @@ def main() -> int:
     metrics = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     reports: dict[str, dict] = {}
+    print(f"parallel_speedup before the pairs: {parallel_speedup()}", flush=True)
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             reports[side], result = run_once(roots[side], args.workload, args.seed + i, args.seconds)
             runs[side].append(result)
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    print(f"parallel_speedup after the pairs: {parallel_speedup()}")
     for m in metrics:
         values = {s: [r["metrics"][m["name"]]["value"] for r in rs] for s, rs in runs.items()}
         result = compare(values["parent"], values["change"], m["unit"], m["better"])

@@ -37,7 +37,8 @@ both from DIR's src/ and each the median and quartiles of REPEATS runs:
   every fsyncchan process pays before it does any work;
 - `header_sync`: symbols per second of `receive_frames` searching quiet
   SimSource traffic at HEADER_SYNC_TS_US for a header that never comes,
-  HEADER_SYNC_SYMBOLS symbols a search, the simulated probing included.
+  HEADER_SYNC_SYMBOLS symbols a search, the simulated probing included (in
+  SimSource's child process where two CPUs are allowed).
 """
 
 from __future__ import annotations
